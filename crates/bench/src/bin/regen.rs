@@ -6,7 +6,7 @@
 //! regen --figure 6           # only Figure 6
 //! regen --max-instr 500000   # cap traces at 500k instructions
 //! regen --out results/       # also write each section as markdown
-//! regen --timing             # time lane vs scalar fused vs reference
+//! regen --timing             # time the lane-kernel vs reference
 //!                            # pipelines, write BENCH_suite.json
 //! regen --scaling            # stream qsort+stencil at 2M..100M instrs,
 //!                            # write BENCH_scaling.json (wall + peak RSS)
@@ -25,8 +25,9 @@
 //! regen --trace trace.json   # run the timed suite with span tracing on,
 //!                            # write a Perfetto/chrome://tracing JSON plus
 //!                            # results/pipeline_profile.md
-//! regen --check-perf         # run the timed suite and gate its walls
-//!                            # against the committed BENCH_suite.json
+//! regen --check-perf         # run the timed suite and gate its lane and
+//!                            # reference walls against the committed
+//!                            # BENCH_suite.json
 //!                            # (--perf-tolerance PCT, default 50); exit 4
 //!                            # on regression
 //! regen --no-cache           # skip the on-disk trace cache, always re-execute
@@ -169,7 +170,7 @@ fn parse_args() -> Result<Args, String> {
                      --out, also writes each as a markdown file under DIR, and\n\
                      --max-instrs M caps every measured trace at M dynamic\n\
                      instructions (default 2000000). With\n\
-                     --timing, instead times the full-suite regeneration (fused\n\
+                     --timing, instead times the full-suite regeneration (lane-kernel\n\
                      analyzer vs the reference pipeline vs the streaming chunked\n\
                      pipeline, per-stage wall times) and\n\
                      writes BENCH_suite.json to DIR (or the current directory).\n\
@@ -199,7 +200,8 @@ fn parse_args() -> Result<Args, String> {
                      ui.perfetto.dev) plus pipeline_profile.md to DIR (default\n\
                      results/): per-stage and per-lane-group wall-time attribution.\n\
                      With --check-perf, runs the timed suite and compares its\n\
-                     pipeline walls against the BENCH_suite.json in DIR (default\n\
+                     lane and reference pipeline walls (lane_wall_ms,\n\
+                     reference_wall_ms) against the BENCH_suite.json in DIR (default\n\
                      the current directory); a wall more than --perf-tolerance\n\
                      percent (default 50) over the baseline, or any failed\n\
                      bit-identity gate, exits with status 4.\n\
@@ -498,7 +500,7 @@ fn main() -> ExitCode {
 
     if args.timing || args.trace.is_some() || args.check_perf {
         eprintln!(
-            "timing full-suite regen, lane vs scalar fused vs reference pipeline (trace cap {})...",
+            "timing full-suite regen, lane kernel vs reference pipeline (trace cap {})...",
             args.max_instrs
         );
         // --trace turns the span recorder on for exactly the suite run it

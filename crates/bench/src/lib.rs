@@ -11,9 +11,9 @@
 //! ```
 //!
 //! `regen --timing` times every pipeline stage (compile, trace,
-//! preparation, per-machine passes) for both the fused analyzer and the
+//! preparation, machine passes) for both the lane-kernel analyzer and the
 //! seed-equivalent reference pipeline, writing the comparison to
-//! `BENCH_suite.json` — the perf record for the fused-pass optimization.
+//! `BENCH_suite.json` — the suite's perf record.
 //! `regen --scaling` streams repeated workload executions through the
 //! chunked pipeline at increasing trace lengths (2M to 100M dynamic
 //! instructions), recording wall time and peak RSS per point to
@@ -186,84 +186,6 @@ fn analyze_workload(
     })
 }
 
-/// [`run_suite`] through the scalar fused cursor
-/// ([`PreparedTrace::report_with_unrolling_scalar`](clfp_limits::PreparedTrace::report_with_unrolling_scalar))
-/// instead of the lane kernel — the pre-lane production path, kept as an
-/// oracle ([`run_suite_timed`] reports its wall as a per-stage sum from
-/// the instrumented walk rather than re-running this pass).
-///
-/// # Errors
-///
-/// Propagates the first analyzer error.
-pub fn run_suite_scalar(config: &AnalysisConfig) -> Result<Vec<WorkloadReport>, AnalyzeError> {
-    par_map_suite(|workload| {
-        let program = workload
-            .compile()
-            .map_err(|err| AnalyzeError::BadProgram(format!("{}: {err}", workload.name)))?;
-        let analyzer = Analyzer::new(&program, config.clone())?;
-        let (trace, _warm) = measured_trace(&program, config)?;
-        let prepared = analyzer.prepare(&trace);
-        let unrolled = prepared.report_with_unrolling_scalar(true);
-        let rolled = prepared.report_with_unrolling_scalar(false);
-        Ok(WorkloadReport {
-            workload,
-            unrolled,
-            rolled,
-        })
-    })
-}
-
-/// Runs the whole suite through the seed-equivalent reference pipeline:
-/// one profiling execution per unroll setting (what the pre-fused
-/// `Analyzer::new` always ran), one measured trace, then the
-/// one-machine-at-a-time reference passes. Exists as an end-to-end
-/// oracle; results must be identical to [`run_suite`]
-/// ([`run_suite_timed`] reports its wall as a per-stage sum from the
-/// instrumented walk rather than re-running this pass).
-///
-/// # Errors
-///
-/// Propagates the first analyzer error.
-pub fn run_suite_reference(config: &AnalysisConfig) -> Result<Vec<WorkloadReport>, AnalyzeError> {
-    par_map_suite(|workload| analyze_workload_reference(workload, config))
-}
-
-fn analyze_workload_reference(
-    workload: Workload,
-    config: &AnalysisConfig,
-) -> Result<WorkloadReport, AnalyzeError> {
-    let program = workload
-        .compile()
-        .map_err(|err| AnalyzeError::BadProgram(format!("{}: {err}", workload.name)))?;
-    let options = clfp_vm::VmOptions {
-        mem_words: config.mem_words,
-    };
-    // The seed constructed one analyzer per unroll setting, each running
-    // its own profiling execution before the measured trace. This pipeline
-    // is the cost baseline, so it never reads the trace cache.
-    let _profile_unrolled = BranchProfile::collect_with(&program, config.max_instrs, options)?;
-    let _profile_rolled = BranchProfile::collect_with(&program, config.max_instrs, options)?;
-    let mut vm = clfp_vm::Vm::new(&program, options);
-    let trace = vm.trace(config.max_instrs)?;
-
-    let unrolled_config = AnalysisConfig {
-        unrolling: true,
-        ..config.clone()
-    };
-    let unrolled = Analyzer::new(&program, unrolled_config)?.run_on_trace_reference(&trace);
-    let rolled_config = AnalysisConfig {
-        unrolling: false,
-        ..config.clone()
-    };
-    let rolled = Analyzer::new(&program, rolled_config)?.run_on_trace_reference(&trace);
-
-    Ok(WorkloadReport {
-        workload,
-        unrolled,
-        rolled,
-    })
-}
-
 /// Per-workload wall times for each pipeline stage, in milliseconds.
 #[derive(Clone, Debug)]
 pub struct WorkloadTiming {
@@ -279,15 +201,10 @@ pub struct WorkloadTiming {
     /// The shared machine-independent preparation walk
     /// (`Analyzer::prepare`: classification, memory keys, CD resolution).
     pub prepare_ms: f64,
-    /// The scalar fused per-machine passes over the prepared trace (one
-    /// cursor walk per machine × unroll slot, the pre-lane path).
-    pub machines_ms: f64,
     /// All 14 machine × unroll slots through the lane-parallel kernel —
     /// one walk over the prepared trace (the `run_suite` production
     /// path).
     pub lane_machines_ms: f64,
-    /// Fused analysis total: `prepare_ms + machines_ms`.
-    pub fused_analysis_ms: f64,
     /// Reference analysis: one-machine-at-a-time passes, both unroll
     /// settings.
     pub reference_analysis_ms: f64,
@@ -306,8 +223,8 @@ pub struct WorkloadTiming {
     pub raw_instrs: u64,
 }
 
-/// Wall-time comparison of the fused suite against the seed-equivalent
-/// reference pipeline, as produced by [`run_suite_timed`].
+/// Wall-time comparison of the lane-kernel suite against the
+/// seed-equivalent reference pipeline, as produced by [`run_suite_timed`].
 #[derive(Clone, Debug)]
 pub struct SuiteTiming {
     /// Trace cap used.
@@ -321,22 +238,17 @@ pub struct SuiteTiming {
     /// `"warm"` when every workload's trace was already cached before the
     /// first suite ran, `"cold"` otherwise.
     pub cache: &'static str,
-    /// Scalar fused pipeline wall (the pre-lane production path,
-    /// [`run_suite_scalar`] equivalent): the sum over workloads of
-    /// `compile + trace + prepare + machines` stage times, all measured
-    /// once in the single instrumented suite walk.
-    pub fused_wall_ms: f64,
     /// Lane-kernel pipeline wall (the [`run_suite`] production path):
     /// the sum over workloads of `compile + trace + prepare +
-    /// lane_machines` stage times.
+    /// lane_machines` stage times, all measured once in the single
+    /// instrumented suite walk.
     pub lane_wall_ms: f64,
-    /// Seed-equivalent reference pipeline wall
-    /// ([`run_suite_reference`] equivalent): the sum over workloads of
-    /// `compile + trace + profiling + reference_analysis` stage times
-    /// (profiling belongs to this pipeline only — the fused path derives
-    /// its branch profile from the measured trace).
+    /// Seed-equivalent reference pipeline wall: the sum over workloads
+    /// of `compile + trace + profiling + reference_analysis` stage times
+    /// (profiling belongs to this pipeline only — the lane pipeline
+    /// derives its branch profile from the measured trace).
     pub reference_wall_ms: f64,
-    /// `reference_wall_ms / fused_wall_ms`.
+    /// `reference_wall_ms / lane_wall_ms`.
     pub speedup: f64,
     /// Whether the production and reference pipelines produced identical
     /// Tables 2-4.
@@ -347,16 +259,17 @@ pub struct SuiteTiming {
     /// Whether the streaming chunked pipeline reproduced the in-memory
     /// reports bit for bit on every workload, both unroll settings.
     pub stream_matches: bool,
-    /// Whether the lane kernel reproduced the scalar fused cursor's
-    /// reports bit for bit on every workload, both unroll settings.
+    /// Whether the lane kernel reproduced the reference pass's reports
+    /// bit for bit on every workload, both unroll settings.
     pub lane_matches: bool,
-    /// Whether the lane kernel and the scalar cursor also agree bit for
-    /// bit under `Static` memory disambiguation (alias-class keys) on
-    /// every workload, both unroll settings.
+    /// Whether the lane kernel and the reference pass also agree bit for
+    /// bit under `Static` memory disambiguation (alias-class keys), both
+    /// unroll settings. The reference pass reruns the whole analysis per
+    /// mode, so this gate runs on the first workload only.
     pub alias_matches: bool,
-    /// Whether the lane kernel and the scalar cursor also agree bit for
+    /// Whether the lane kernel and the reference pass also agree bit for
     /// bit under `Stride` value prediction (the strongest realistic
-    /// mode) on every workload, both unroll settings.
+    /// mode), both unroll settings, on the first workload only.
     pub valuepred_matches: bool,
     /// Whether every workload's trace survives a cache-file roundtrip bit
     /// for bit: the stored events reload identically and streaming the
@@ -401,10 +314,32 @@ fn stage_span(name: &'static str, workload: &'static str, start_us: u64) {
     );
 }
 
+/// Whether `(unrolled, rolled)` reports equal, bit for bit, the
+/// reference pass rerun from scratch on `trace` under `mode` — the one
+/// pipeline that shares no scheduling code with the lane kernel. Used by
+/// the mode gates of the timed, alias and value-prediction suites.
+///
+/// # Errors
+///
+/// Propagates analyzer construction failures.
+fn matches_reference(
+    unrolled: &Report,
+    rolled: &Report,
+    program: &clfp_isa::Program,
+    trace: &Trace,
+    mode: &AnalysisConfig,
+) -> Result<bool, AnalyzeError> {
+    let reference = |unrolling: bool| {
+        Analyzer::new(program, mode.clone().with_unrolling(unrolling))
+            .map(|analyzer| analyzer.run_on_trace_reference(trace))
+    };
+    Ok(reports_equal(unrolled, &reference(true)?) && reports_equal(rolled, &reference(false)?))
+}
+
 /// Exact (bit-for-bit) equality of two analysis reports: counts, branch
 /// statistics, misprediction histograms, and every machine's cycle count
-/// and parallelism. Used to gate the streaming pipeline against the
-/// in-memory one.
+/// and parallelism. Used to gate every pipeline against the reference
+/// pass and the streaming pipeline against the in-memory one.
 pub fn reports_equal(a: &Report, b: &Report) -> bool {
     a.seq_instrs == b.seq_instrs
         && a.raw_instrs == b.raw_instrs
@@ -418,12 +353,12 @@ pub fn reports_equal(a: &Report, b: &Report) -> bool {
         })
 }
 
-/// Times the full-suite regeneration, fused vs the seed-equivalent
+/// Times the full-suite regeneration, lane kernel vs the seed-equivalent
 /// reference pipeline, in one instrumented walk over the suite: every
 /// stage of every pipeline runs and is timed exactly once per workload,
 /// pipeline walls are sums of their stages, and the same walk feeds the
-/// bit-identity gates (lane vs scalar, streaming, static alias, value
-/// prediction, cache roundtrip) and cross-checks that all pipelines emit
+/// bit-identity gates (lane vs reference, streaming, static alias, value
+/// prediction, cache roundtrip) and cross-checks that both pipelines emit
 /// identical tables.
 ///
 /// # Errors
@@ -478,7 +413,6 @@ pub fn run_suite_timed(config: &AnalysisConfig) -> Result<SuiteTiming, AnalyzeEr
     let mut alias_matches = true;
     let mut valuepred_matches = true;
     let mut cache_matches = true;
-    let mut scalar_reports = Vec::new();
     let mut lane_reports = Vec::new();
     let mut reference_reports = Vec::new();
     let mut workloads = Vec::new();
@@ -543,21 +477,12 @@ pub fn run_suite_timed(config: &AnalysisConfig) -> Result<SuiteTiming, AnalyzeEr
         let prepared = unrolled.prepare_multimode(&trace);
         let prepare_ms = ms(start);
         stage_span("suite.prepare", workload.name, t0);
-        let t0 = stage_start();
-        let start = Instant::now();
-        let inmem_unrolled = prepared.report_with_unrolling_scalar(true);
-        let inmem_rolled = prepared.report_with_unrolling_scalar(false);
-        let machines_ms = ms(start);
-        stage_span("suite.machines.scalar", workload.name, t0);
-        let fused_analysis_ms = prepare_ms + machines_ms;
 
         let t0 = stage_start();
         let start = Instant::now();
         let (lane_unrolled, lane_rolled) = prepared.report_both();
         let lane_machines_ms = ms(start);
         stage_span("suite.machines.lane", workload.name, t0);
-        lane_matches &= reports_equal(&lane_unrolled, &inmem_unrolled)
-            && reports_equal(&lane_rolled, &inmem_rolled);
 
         let t0 = stage_start();
         let start = Instant::now();
@@ -565,39 +490,31 @@ pub fn run_suite_timed(config: &AnalysisConfig) -> Result<SuiteTiming, AnalyzeEr
         let reference_rolled = rolled.run_on_trace_reference(&trace);
         let reference_analysis_ms = ms(start);
         stage_span("suite.reference", workload.name, t0);
+        lane_matches &= reports_equal(&lane_unrolled, &reference_unrolled)
+            && reports_equal(&lane_rolled, &reference_rolled);
 
-        // Static memory disambiguation flows through the same mem_key
-        // seam in every pipeline; lane and scalar must still agree.
-        // Sliced, not re-prepared: `slice_modes` is itself pinned
-        // bit-identical to a dedicated preparation by
-        // `mode_slices_match_dedicated_preparation` and the alias suite.
-        let t0 = stage_start();
-        let static_sliced =
-            prepared.slice_modes(MemDisambiguation::Static, config.value_prediction);
-        let (static_unrolled, static_rolled) = static_sliced.report_both();
-        alias_matches &= reports_equal(
-            &static_unrolled,
-            &static_sliced.report_with_unrolling_scalar(true),
-        ) && reports_equal(
-            &static_rolled,
-            &static_sliced.report_with_unrolling_scalar(false),
-        );
-        stage_span("suite.gate.static", workload.name, t0);
-
-        // Value prediction flows through the EV_VALPRED flag in the event
-        // metadata; the lane kernel's masked publish must agree with the
-        // scalar cursor's branch under the strongest realistic mode.
-        let t0 = stage_start();
-        let vp_sliced = prepared.slice_modes(config.disambiguation, ValuePrediction::Stride);
-        let (vp_unrolled, vp_rolled) = vp_sliced.report_both();
-        valuepred_matches &= reports_equal(
-            &vp_unrolled,
-            &vp_sliced.report_with_unrolling_scalar(true),
-        ) && reports_equal(
-            &vp_rolled,
-            &vp_sliced.report_with_unrolling_scalar(false),
-        );
-        stage_span("suite.gate.valuepred", workload.name, t0);
+        // Static memory disambiguation flows through the mem_key seam,
+        // value prediction through the EV_VALPRED flag. The lane walk
+        // over a slice of the shared preparation must agree with the
+        // reference pass rerun from scratch under each mode. That rerun
+        // prices a whole reference analysis per mode, so these gates run
+        // on the first workload only; the alias and value-prediction
+        // suites pin the slices on every workload.
+        if index == 0 {
+            let static_mode = config.clone().with_disambiguation(MemDisambiguation::Static);
+            let stride_mode = config.clone().with_value_prediction(ValuePrediction::Stride);
+            for (name, mode, matches) in [
+                ("suite.gate.static", static_mode, &mut alias_matches),
+                ("suite.gate.valuepred", stride_mode, &mut valuepred_matches),
+            ] {
+                let t0 = stage_start();
+                let sliced = prepared.slice_modes(mode.disambiguation, mode.value_prediction);
+                let (sliced_unrolled, sliced_rolled) = sliced.report_both();
+                *matches =
+                    matches_reference(&sliced_unrolled, &sliced_rolled, &program, &trace, &mode)?;
+                stage_span(name, workload.name, t0);
+            }
+        }
 
         // The streaming chunked pipeline over the same trace: two
         // re-streams (profile + machines) in O(chunk) working memory,
@@ -626,8 +543,8 @@ pub fn run_suite_timed(config: &AnalysisConfig) -> Result<SuiteTiming, AnalyzeEr
         )?;
         let stream_par_ms = ms(start);
         stage_span("suite.stream_par", workload.name, t0);
-        stream_matches &= reports_equal(&streamed.unrolled, &inmem_unrolled)
-            && reports_equal(&streamed.rolled, &inmem_rolled);
+        stream_matches &= reports_equal(&streamed.unrolled, &lane_unrolled)
+            && reports_equal(&streamed.rolled, &lane_rolled);
 
         // Cache roundtrip gate: every workload's trace is stored and
         // reloaded eagerly — the events must compare equal bit for bit.
@@ -652,8 +569,8 @@ pub fn run_suite_timed(config: &AnalysisConfig) -> Result<SuiteTiming, AnalyzeEr
                             par_threshold_events: 0,
                         },
                     )?;
-                    reports_equal(&from_file.unrolled, &inmem_unrolled)
-                        && reports_equal(&from_file.rolled, &inmem_rolled)
+                    reports_equal(&from_file.unrolled, &lane_unrolled)
+                        && reports_equal(&from_file.rolled, &lane_rolled)
                 } else {
                     true
                 };
@@ -669,19 +586,12 @@ pub fn run_suite_timed(config: &AnalysisConfig) -> Result<SuiteTiming, AnalyzeEr
             profiling_ms,
             trace_ms,
             prepare_ms,
-            machines_ms,
             lane_machines_ms,
-            fused_analysis_ms,
             reference_analysis_ms,
             stream_ms,
             stream_par_ms,
             cache_hit,
             raw_instrs: trace.len() as u64,
-        });
-        scalar_reports.push(WorkloadReport {
-            workload,
-            unrolled: inmem_unrolled,
-            rolled: inmem_rolled,
         });
         lane_reports.push(WorkloadReport {
             workload,
@@ -702,17 +612,12 @@ pub fn run_suite_timed(config: &AnalysisConfig) -> Result<SuiteTiming, AnalyzeEr
 
     let reports_match = table2(&lane_reports) == table2(&reference_reports)
         && table3(&lane_reports) == table3(&reference_reports)
-        && table4(&lane_reports) == table4(&reference_reports)
-        && table3(&lane_reports) == table3(&scalar_reports);
+        && table4(&lane_reports) == table4(&reference_reports);
 
     // Pipeline walls as sums of the measured stages: each pipeline pays
     // the shared front end (compile + trace acquisition) plus its own
     // analysis. Profiling belongs to the reference pipeline only — the
-    // fused path derives the branch profile from the measured trace.
-    let fused_wall_ms: f64 = workloads
-        .iter()
-        .map(|w| w.compile_ms + w.trace_ms + w.prepare_ms + w.machines_ms)
-        .sum();
+    // lane pipeline derives the branch profile from the measured trace.
     let lane_wall_ms: f64 = workloads
         .iter()
         .map(|w| w.compile_ms + w.trace_ms + w.prepare_ms + w.lane_machines_ms)
@@ -728,10 +633,9 @@ pub fn run_suite_timed(config: &AnalysisConfig) -> Result<SuiteTiming, AnalyzeEr
         threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         pool_threads,
         cache: cache_state,
-        fused_wall_ms,
         lane_wall_ms,
         reference_wall_ms,
-        speedup: reference_wall_ms / fused_wall_ms.max(f64::MIN_POSITIVE),
+        speedup: reference_wall_ms / lane_wall_ms.max(f64::MIN_POSITIVE),
         reports_match,
         chunk_events,
         stream_matches,
@@ -757,14 +661,11 @@ impl SuiteTiming {
     /// Serializes the comparison as JSON (`BENCH_suite.json`).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str(
-            "  \"suite\": \"full-suite regen, lane kernel vs scalar fused vs reference pipeline\",\n",
-        );
+        out.push_str("  \"suite\": \"full-suite regen, lane kernel vs reference pipeline\",\n");
         out.push_str(&format!("  \"max_instrs\": {},\n", self.max_instrs));
         out.push_str(&format!("  \"threads\": {},\n", self.threads));
         out.push_str(&format!("  \"pool_threads\": {},\n", self.pool_threads));
         out.push_str(&format!("  \"cache\": \"{}\",\n", self.cache));
-        out.push_str(&format!("  \"fused_wall_ms\": {:.1},\n", self.fused_wall_ms));
         out.push_str(&format!("  \"lane_wall_ms\": {:.1},\n", self.lane_wall_ms));
         out.push_str(&format!(
             "  \"reference_wall_ms\": {:.1},\n",
@@ -793,9 +694,8 @@ impl SuiteTiming {
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"raw_instrs\": {}, \"compile_ms\": {:.1}, \
                  \"profiling_ms\": {:.1}, \"trace_ms\": {:.1}, \
-                 \"prepare_ms\": {:.1}, \"machines_ms\": {:.1}, \
-                 \"lane_machines_ms\": {:.1}, \
-                 \"fused_analysis_ms\": {:.1}, \"reference_analysis_ms\": {:.1}, \
+                 \"prepare_ms\": {:.1}, \"lane_machines_ms\": {:.1}, \
+                 \"reference_analysis_ms\": {:.1}, \
                  \"stream_ms\": {:.1}, \"stream_par_ms\": {:.1}, \"cache_hit\": {}}}{}\n",
                 w.name,
                 w.raw_instrs,
@@ -803,9 +703,7 @@ impl SuiteTiming {
                 w.profiling_ms,
                 w.trace_ms,
                 w.prepare_ms,
-                w.machines_ms,
                 w.lane_machines_ms,
-                w.fused_analysis_ms,
                 w.reference_analysis_ms,
                 w.stream_ms,
                 w.stream_par_ms,
@@ -820,43 +718,45 @@ impl SuiteTiming {
     /// Human-readable summary for the terminal.
     pub fn summary(&self) -> String {
         let mut out = String::from(
-            "## Suite Timing: lane kernel vs scalar fused vs reference pipeline\n\n\
-             | workload | raw instrs | compile | profiling (ref only) | trace | prepare | machine passes | lane passes | fused total | reference analysis | stream (1t) | stream (par) |\n\
-             |----------|------------|---------|----------------------|-------|---------|----------------|-------------|-------------|--------------------|-------------|--------------|\n",
+            "## Suite Timing: lane kernel vs reference pipeline\n\n\
+             | workload | raw instrs | compile | profiling (ref only) | trace | prepare | lane passes | reference analysis | stream (1t) | stream (par) |\n\
+             |----------|------------|---------|----------------------|-------|---------|-------------|--------------------|-------------|--------------|\n",
         );
         for w in &self.workloads {
             out.push_str(&format!(
-                "| {} | {} | {:.0} ms | {:.0} ms | {:.0} ms | {:.0} ms | {:.0} ms | {:.0} ms | {:.0} ms | {:.0} ms | {:.0} ms | {:.0} ms |\n",
+                "| {} | {} | {:.0} ms | {:.0} ms | {:.0} ms | {:.0} ms | {:.0} ms | {:.0} ms | {:.0} ms | {:.0} ms |\n",
                 w.name,
                 w.raw_instrs,
                 w.compile_ms,
                 w.profiling_ms,
                 w.trace_ms,
                 w.prepare_ms,
-                w.machines_ms,
                 w.lane_machines_ms,
-                w.fused_analysis_ms,
                 w.reference_analysis_ms,
                 w.stream_ms,
                 w.stream_par_ms,
             ));
         }
-        let machines_total: f64 = self.workloads.iter().map(|w| w.machines_ms).sum();
-        let lane_total: f64 = self.workloads.iter().map(|w| w.lane_machines_ms).sum();
+        // The reference analysis runs its own preparation walk, so the
+        // lane side of the comparison is preparation plus machine passes.
+        let lane_total: f64 = self
+            .workloads
+            .iter()
+            .map(|w| w.prepare_ms + w.lane_machines_ms)
+            .sum();
+        let reference_total: f64 = self.workloads.iter().map(|w| w.reference_analysis_ms).sum();
         out.push_str(&format!(
-            "\nfull-suite wall time: fused {:.2}s vs reference {:.2}s -> {:.2}x speedup; \
-             lane-kernel suite {:.2}s; machine passes: scalar {:.0} ms vs lane {:.0} ms \
-             -> {:.2}x\n\
+            "\nfull-suite wall time: lane {:.2}s vs reference {:.2}s -> {:.2}x speedup; \
+             analysis: reference {:.0} ms vs lane {:.0} ms -> {:.2}x\n\
              (tables identical: {}; streaming bit-identical: {}; lane bit-identical: {}; \
              static-alias bit-identical: {}; value-pred bit-identical: {}; \
              cache roundtrip bit-identical: {}; cache {}; pool {} thread(s); {})\n",
-            self.fused_wall_ms / 1e3,
+            self.lane_wall_ms / 1e3,
             self.reference_wall_ms / 1e3,
             self.speedup,
-            self.lane_wall_ms / 1e3,
-            machines_total,
+            reference_total,
             lane_total,
-            machines_total / lane_total.max(f64::MIN_POSITIVE),
+            reference_total / lane_total.max(f64::MIN_POSITIVE),
             self.reports_match,
             self.stream_matches,
             self.lane_matches,
@@ -1064,7 +964,7 @@ fn json_string(json: &str, key: &str) -> Option<String> {
 
 /// The perf-regression gate behind `regen --check-perf`: compares a fresh
 /// [`run_suite_timed`] result against a committed `BENCH_suite.json`
-/// baseline. Each pipeline wall (fused, lane, reference) regresses when
+/// baseline. Each pipeline wall (lane, reference) regresses when
 /// the current time exceeds baseline × (1 + `tolerance_pct`/100); the
 /// current run's bit-identity gates must also all hold. Wall times on a
 /// shared host are noisy, so the default tolerance is generous — the gate
@@ -1094,7 +994,6 @@ pub fn check_perf(
         regressions: Vec::new(),
     };
     for (key, now) in [
-        ("fused_wall_ms", current.fused_wall_ms),
         ("lane_wall_ms", current.lane_wall_ms),
         ("reference_wall_ms", current.reference_wall_ms),
     ] {
@@ -1659,7 +1558,8 @@ pub struct AliasWorkloadReport {
     pub sound_inmemory: bool,
     /// The same check through the chunked streaming walker.
     pub sound_streamed: bool,
-    /// Whether lane kernel, scalar fused cursor, and streaming pipeline
+    /// Whether the one-walk matrix lanes, the static-mode slice, and (on
+    /// the first workload) the reference pass and the streaming pipeline
     /// produced bit-identical reports under `Static` disambiguation.
     pub pipelines_agree: bool,
 }
@@ -1701,12 +1601,14 @@ const ALIAS_GATE_CHUNK_EVENTS: usize = 4096;
 /// ([`PreparedTrace::report_mode_matrix`](clfp_limits::PreparedTrace::report_mode_matrix)),
 /// and runs the soundness + pipeline gates.
 ///
-/// `full_oracle` additionally prices a from-scratch static-mode
-/// preparation and a small-chunk streamed pass as fully independent
-/// oracles for the static row; [`run_alias_suite`] enables it on the
-/// first workload (the scalar-cursor agreement gate still runs on every
-/// workload, and `slice_modes` itself is pinned bit-identical to a
-/// dedicated preparation by `mode_slices_match_dedicated_preparation`).
+/// On every workload the matrix's static lanes, which remap memory keys
+/// per group, must equal a one-walk report over the static-mode slice of
+/// the same preparation. `full_oracle` additionally prices the reference
+/// pass rerun from scratch under static disambiguation (the independent
+/// oracle) and a small-chunk streamed pass; [`run_alias_suite`] enables
+/// it on the first workload (`slice_modes` itself is pinned
+/// bit-identical to a dedicated preparation by
+/// `mode_slices_match_dedicated_preparation`).
 ///
 /// # Errors
 ///
@@ -1753,27 +1655,22 @@ pub fn alias_workload(
     let mut pipelines_agree = true;
     for (&mode, (unrolled, rolled)) in MemDisambiguation::ALL.iter().zip(matrix) {
         if mode == MemDisambiguation::Static {
-            // Every workload: the scalar fused cursor over a static-mode
-            // slice of the shared preparation must agree with the matrix
-            // lanes — lane kernel vs scalar cursor on identical metadata.
-            let static_sliced = prepared.slice_modes(mode, config.value_prediction);
-            pipelines_agree = reports_equal(
-                &unrolled,
-                &static_sliced.report_with_unrolling_scalar(true),
-            ) && reports_equal(
-                &rolled,
-                &static_sliced.report_with_unrolling_scalar(false),
-            );
+            // Every workload: the matrix lanes (memory keys remapped per
+            // group) against a walk over the static-mode slice of the
+            // same preparation (memory keys rewritten per event).
+            let (sliced_unrolled, sliced_rolled) = prepared
+                .slice_modes(mode, config.value_prediction)
+                .report_both();
+            pipelines_agree = reports_equal(&unrolled, &sliced_unrolled)
+                && reports_equal(&rolled, &sliced_rolled);
             if full_oracle {
-                // First workload: fully independent oracles — a dedicated
-                // static-mode preparation (no sharing with the matrix
-                // base) through the scalar cursor, and the small-chunk
-                // streaming pipeline. All must serialize the same alias
-                // classes.
-                let static_analyzer =
-                    Analyzer::new(&program, config.clone().with_disambiguation(mode))?;
-                let static_prepared = static_analyzer.prepare(&trace);
-                let streamed = static_analyzer.run_streamed_on(
+                // First workload: the reference pass, which derives its
+                // own alias-class keys from the raw trace, and the
+                // small-chunk streaming pipeline over a from-scratch
+                // static-mode preparation. All must serialize the same
+                // alias classes.
+                let static_config = config.clone().with_disambiguation(mode);
+                let streamed = Analyzer::new(&program, static_config.clone())?.run_streamed_on(
                     &trace,
                     StreamOptions {
                         chunk_events: ALIAS_GATE_CHUNK_EVENTS,
@@ -1782,14 +1679,7 @@ pub fn alias_workload(
                     },
                 )?;
                 pipelines_agree = pipelines_agree
-                    && reports_equal(
-                        &unrolled,
-                        &static_prepared.report_with_unrolling_scalar(true),
-                    )
-                    && reports_equal(
-                        &rolled,
-                        &static_prepared.report_with_unrolling_scalar(false),
-                    )
+                    && matches_reference(&unrolled, &rolled, &program, &trace, &static_config)?
                     && reports_equal(&streamed.unrolled, &unrolled)
                     && reports_equal(&streamed.rolled, &rolled);
             }
@@ -1933,9 +1823,9 @@ impl AliasSuite {
             "\n### Gates\n\n\
              - alias soundness, in-memory walker: **{}**\n\
              - alias soundness, streamed walker (chunk {} events): **{}**\n\
-             - static-mode pipelines bit-identical (lane vs scalar on every \
-             workload; streamed + from-scratch preparation oracle on the \
-             first): **{}**\n",
+             - static-mode pipelines bit-identical (one-walk matrix vs \
+             static slice on every workload; reference pass and streamed \
+             pipeline on the first): **{}**\n",
             if self.reports.iter().all(|r| r.sound_inmemory) {
                 "pass"
             } else {
@@ -1973,9 +1863,9 @@ pub struct ValuePredWorkloadReport {
     /// unroll settings: a stronger mode never produced a longer critical
     /// path on any machine.
     pub monotone: bool,
-    /// Whether lane kernel, scalar fused cursor, and streaming pipeline
-    /// produced bit-identical reports under `Stride` value prediction,
-    /// with the reference pass agreeing on every machine's cycle count.
+    /// Whether the one-walk matrix lanes, the stride-mode slice, and (on
+    /// the first workload) the reference pass and the streaming pipeline
+    /// produced bit-identical reports under `Stride` value prediction.
     pub pipelines_agree: bool,
 }
 
@@ -2023,12 +1913,13 @@ const VALUEPRED_GATE_CHUNK_EVENTS: usize = 4096;
 /// ([`PreparedTrace::report_mode_matrix`](clfp_limits::PreparedTrace::report_mode_matrix)),
 /// and runs the monotonicity + pipeline gates.
 ///
-/// `full_oracle` additionally prices a from-scratch stride-mode
-/// preparation, a small-chunk streamed pass, and the reference
-/// predictor-replay pass as fully independent oracles for the stride
-/// row; [`run_valuepred_suite`] enables it on the first workload (the
-/// scalar-cursor agreement gate still runs on every workload, and
-/// `slice_modes` itself is pinned bit-identical to a dedicated
+/// On every workload the matrix's stride lanes, which mask a per-lane
+/// hit bit, must equal a one-walk report over the stride-mode slice of
+/// the same preparation. `full_oracle` additionally prices the reference
+/// pass rerun from scratch under stride prediction (it replays the
+/// predictor independently) and a small-chunk streamed pass;
+/// [`run_valuepred_suite`] enables it on the first workload
+/// (`slice_modes` itself is pinned bit-identical to a dedicated
 /// preparation by `mode_slices_match_dedicated_preparation`).
 ///
 /// # Errors
@@ -2066,30 +1957,22 @@ pub fn valuepred_workload(
     let mut pipelines_agree = true;
     for (&mode, (unrolled, rolled)) in ValuePrediction::ALL.iter().zip(matrix) {
         if mode == ValuePrediction::Stride {
-            // Every workload: the scalar fused cursor over a stride-mode
-            // slice of the shared preparation must agree with the matrix
-            // lanes — the lane kernel's masked hit-bit publish vs the
-            // scalar cursor's branch on identical metadata.
-            let vp_sliced = prepared.slice_modes(config.disambiguation, mode);
-            pipelines_agree = reports_equal(
-                &unrolled,
-                &vp_sliced.report_with_unrolling_scalar(true),
-            ) && reports_equal(
-                &rolled,
-                &vp_sliced.report_with_unrolling_scalar(false),
-            );
+            // Every workload: the matrix lanes (a per-lane hit bit)
+            // against a walk over the stride-mode slice of the same
+            // preparation (the configured mode's hit bit).
+            let (sliced_unrolled, sliced_rolled) = prepared
+                .slice_modes(config.disambiguation, mode)
+                .report_both();
+            pipelines_agree = reports_equal(&unrolled, &sliced_unrolled)
+                && reports_equal(&rolled, &sliced_rolled);
             if full_oracle {
-                // First workload: fully independent oracles — a dedicated
-                // stride-mode preparation (its own predictor tables, no
-                // sharing with the matrix base) read by the scalar cursor
-                // and the streaming pipeline must see the same EV_VALPRED
-                // flags, and the reference pass — which replays the
-                // predictor independently — must land on the same
-                // schedule.
-                let vp_analyzer =
-                    Analyzer::new(&program, config.clone().with_value_prediction(mode))?;
-                let vp_prepared = vp_analyzer.prepare(&trace);
-                let streamed = vp_analyzer.run_streamed_on(
+                // First workload: the reference pass, which replays the
+                // predictor independently, and the small-chunk streaming
+                // pipeline over a from-scratch stride-mode preparation
+                // (its own predictor tables) must land on the same
+                // schedules.
+                let vp_config = config.clone().with_value_prediction(mode);
+                let streamed = Analyzer::new(&program, vp_config.clone())?.run_streamed_on(
                     &trace,
                     StreamOptions {
                         chunk_events: VALUEPRED_GATE_CHUNK_EVENTS,
@@ -2097,25 +1980,10 @@ pub fn valuepred_workload(
                         par_threshold_events: 0,
                     },
                 )?;
-                let reference = vp_analyzer.run_on_trace_reference(&trace);
-                let inmem = if config.unrolling { &unrolled } else { &rolled };
                 pipelines_agree = pipelines_agree
-                    && reports_equal(
-                        &unrolled,
-                        &vp_prepared.report_with_unrolling_scalar(true),
-                    )
-                    && reports_equal(
-                        &rolled,
-                        &vp_prepared.report_with_unrolling_scalar(false),
-                    )
+                    && matches_reference(&unrolled, &rolled, &program, &trace, &vp_config)?
                     && reports_equal(&streamed.unrolled, &unrolled)
-                    && reports_equal(&streamed.rolled, &rolled)
-                    && reference.seq_instrs == inmem.seq_instrs
-                    && reference
-                        .results
-                        .iter()
-                        .zip(&inmem.results)
-                        .all(|(a, b)| a.kind == b.kind && a.cycles == b.cycles);
+                    && reports_equal(&streamed.rolled, &rolled);
             }
         }
         unrolled_reports.push((mode, unrolled));
@@ -2274,10 +2142,9 @@ impl ValuePredSuite {
             "\n### Gates\n\n\
              - monotonicity (perfect >= stride >= last-value >= off, \
              pointwise, both unroll settings): **{}**\n\
-             - stride-mode pipelines bit-identical (lane vs scalar on \
-             every workload; streamed chunk {} events, from-scratch \
-             preparation, and the reference pass agreeing on every cycle \
-             count on the first): **{}**\n",
+             - stride-mode pipelines bit-identical (one-walk matrix vs \
+             stride slice on every workload; reference pass and streamed \
+             chunk {} events on the first): **{}**\n",
             if self.is_monotone() { "pass" } else { "FAIL" },
             self.chunk_events,
             if self.pipelines_agree() { "pass" } else { "FAIL" },
@@ -2807,14 +2674,13 @@ mod tests {
         assert_eq!(timing.workloads.len(), 10);
         assert!(timing.reports_match, "pipelines diverged");
         assert!(timing.stream_matches, "streaming pipeline diverged");
-        assert!(timing.lane_matches, "lane kernel diverged from scalar");
+        assert!(timing.lane_matches, "lane kernel diverged from reference");
         assert!(timing.alias_matches, "static-alias pipelines diverged");
         assert!(timing.valuepred_matches, "value-prediction pipelines diverged");
         assert!(timing.cache_matches, "cache roundtrip diverged");
         assert_eq!(timing.cache, "off", "tests install no process cache");
         assert_eq!(timing.pool_threads, suite_pool_threads());
         assert!(timing.workloads.iter().all(|w| !w.cache_hit));
-        assert!(timing.fused_wall_ms > 0.0);
         assert!(timing.lane_wall_ms > 0.0);
         assert!(timing.reference_wall_ms > 0.0);
         let json = timing.to_json();
@@ -2833,7 +2699,6 @@ mod tests {
         assert!(json.contains("\"manifest\""));
         assert!(json.contains("\"config_hash\""));
         assert!(json.contains("\"prepare_ms\""));
-        assert!(json.contains("\"machines_ms\""));
         assert!(json.contains("\"lane_machines_ms\""));
         assert!(json.contains("\"stream_ms\""));
         assert!(json.contains("\"stream_par_ms\""));
@@ -2858,7 +2723,6 @@ mod tests {
             threads: 1,
             pool_threads: 1,
             cache: "off",
-            fused_wall_ms: 100.0,
             lane_wall_ms: 80.0,
             reference_wall_ms: 300.0,
             speedup: 3.0,
@@ -2879,7 +2743,7 @@ mod tests {
         let timing = synthetic_timing();
         let check = check_perf(&timing, &timing.to_json(), 50.0).unwrap();
         assert!(check.passed(), "regressions: {:?}", check.regressions);
-        assert_eq!(check.lines.len(), 3);
+        assert_eq!(check.lines.len(), 2);
         assert!(check.lines.iter().all(|l| l.contains("-- ok")));
     }
 
@@ -2890,7 +2754,6 @@ mod tests {
         let timing = synthetic_timing();
         let mut baseline = timing.to_json();
         for (key, shrunk) in [
-            ("\"fused_wall_ms\": 100.0", "\"fused_wall_ms\": 10.0"),
             ("\"lane_wall_ms\": 80.0", "\"lane_wall_ms\": 8.0"),
             ("\"reference_wall_ms\": 300.0", "\"reference_wall_ms\": 30.0"),
         ] {
@@ -2898,7 +2761,7 @@ mod tests {
             baseline = baseline.replace(key, shrunk);
         }
         let check = check_perf(&timing, &baseline, 50.0).unwrap();
-        assert_eq!(check.regressions.len(), 3, "all three walls regressed");
+        assert_eq!(check.regressions.len(), 2, "both walls regressed");
         assert!(!check.passed());
         // A huge tolerance waives the walls again.
         assert!(check_perf(&timing, &baseline, 2000.0).unwrap().passed());
@@ -3074,7 +2937,7 @@ mod tests {
         assert!(md.contains("- alias soundness, in-memory walker: **pass**"));
         assert!(md.contains("streamed walker (chunk 4096 events): **pass**"));
         assert!(md.contains("static-mode pipelines bit-identical"));
-        assert!(md.contains("preparation oracle on the first): **pass**"));
+        assert!(md.contains("reference pass and streamed pipeline on the first): **pass**"));
         assert!(md.contains("scan"));
     }
 
@@ -3153,7 +3016,7 @@ mod tests {
         assert!(md.contains("- monotonicity"));
         assert!(md.contains("pointwise, both unroll settings): **pass**"));
         assert!(md.contains("stride-mode pipelines bit-identical"));
-        assert!(md.contains("count on the first): **pass**"));
+        assert!(md.contains("chunk 4096 events on the first): **pass**"));
         assert!(md.contains("scan"));
     }
 

@@ -2,8 +2,13 @@ use clfp_cfg::StaticInfo;
 use clfp_isa::Program;
 use clfp_vm::{Trace, Vm, VmOptions};
 
-use crate::fused::run_fused;
-use crate::lane::{run_lanes, run_scheduler, GroupMode, KeyMode, LaneScheduler, LaneSlot};
+use std::convert::Infallible;
+
+use clfp_metrics::{MachineMetrics, MetricsCollector, MetricsSink, NullSink};
+
+use crate::lane::{
+    run_lanes, run_machine_major, run_scheduler, GroupMode, KeyMode, LaneScheduler, LaneSlot,
+};
 use crate::meta::{vp_flag, EventClass, ProgramMeta, TraceMeta, CD_INHERIT, CD_NONE};
 use crate::pass::{run_pass, PassConfig, PassResult, Prepared};
 use crate::stats::MispredictionStats;
@@ -80,7 +85,8 @@ impl Report {
 /// Construction runs the static analyses (CFG, control dependence, loops,
 /// induction variables) and pre-decodes the per-PC metadata table;
 /// [`Analyzer::run`] then captures the measured trace and simulates every
-/// configured machine model over it in one fused pass. The paper's
+/// configured machine model over it in one walk of the scheduling kernel.
+/// The paper's
 /// profile-based branch predictor is trained on the measured trace itself
 /// (the paper profiles "with the same inputs used in the simulations"), so
 /// no separate profiling execution is needed.
@@ -112,8 +118,14 @@ impl<'a> Analyzer<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`AnalyzeError`] if the program is structurally unusable.
+    /// Returns [`AnalyzeError`] if the program is structurally unusable,
+    /// or if the configuration asks for a fetch bandwidth of zero.
     pub fn new(program: &'a Program, config: AnalysisConfig) -> Result<Analyzer<'a>, AnalyzeError> {
+        if config.fetch_bandwidth == Some(0) {
+            return Err(AnalyzeError::BadConfig(
+                "fetch bandwidth must be at least one instruction per cycle".into(),
+            ));
+        }
         if program.text.is_empty() {
             return Err(AnalyzeError::BadProgram("empty text segment".into()));
         }
@@ -183,16 +195,17 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Runs every configured machine model over an existing trace (one
-    /// preparation walk, then the fused per-machine passes).
+    /// preparation walk, then one walk of the scheduling kernel).
     pub fn run_on_trace(&self, trace: &Trace) -> Report {
         self.prepare(trace).report()
     }
 
     /// Reference implementation of [`Analyzer::run_on_trace`]: the
-    /// original one-machine-at-a-time pass over the raw trace, kept as the
-    /// test oracle for the fused path (the `fused_equivalence` suite
-    /// asserts bit-for-bit equal reports) and for wall-time comparisons
-    /// (`regen --timing`).
+    /// original one-machine-at-a-time pass over the raw trace, which shares
+    /// no scheduling code with the kernel. It is the independent oracle
+    /// every pipeline is pinned against (the `lane_equivalence` suite
+    /// asserts bit-for-bit equal reports) and the wall-time baseline of
+    /// `regen --timing`.
     pub fn run_on_trace_reference(&self, trace: &Trace) -> Report {
         let prepared = self.prepare(trace);
         let class = prepared.meta.class(self.config.unrolling);
@@ -295,12 +308,14 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
     /// Runs every configured machine over the prepared trace with the
     /// recording metrics sink, returning per-machine execution metrics:
     /// cycle-occupancy histograms, critical-path attribution, and
-    /// binding-edge counters (see `clfp-metrics`). The machines run
-    /// sequentially — unlike [`PreparedTrace::report`] this path is for
-    /// offline diagnosis, not throughput; its results re-derive the
-    /// report's cycle and instruction counts exactly (asserted in the
-    /// `recording_sink_does_not_perturb_results` test).
-    pub fn machine_metrics(&self) -> Vec<(MachineKind, clfp_metrics::MachineMetrics)> {
+    /// binding-edge counters (see `clfp-metrics`). The machines run one
+    /// at a time, each in a width-1 recording group of the scheduling
+    /// kernel — unlike [`PreparedTrace::report`] this path is for offline
+    /// diagnosis, not throughput; its results re-derive the report's
+    /// cycle and instruction counts exactly (asserted by the
+    /// `recording_sink_does_not_perturb_results` test and, against the
+    /// reference pass, by the `lane_equivalence` suite).
+    pub fn machine_metrics(&self) -> Vec<(MachineKind, MachineMetrics)> {
         self.machine_metrics_with_unrolling(self.config.unrolling)
     }
 
@@ -310,43 +325,28 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
     pub fn machine_metrics_with_unrolling(
         &self,
         unrolling: bool,
-    ) -> Vec<(MachineKind, clfp_metrics::MachineMetrics)> {
-        use clfp_metrics::MetricsCollector;
-
-        let analyzer = self.analyzer;
-        let class = self.meta.class(unrolling);
-        let pass_config = PassConfig::from_analysis(&self.config);
-        let mut state = crate::fused::MachineState::with_mem_capacity(
-            analyzer.program.text.len(),
-            self.mem_capacity(),
+    ) -> Vec<(MachineKind, MachineMetrics)> {
+        let events = self.meta.events.len();
+        let walks = self.machine_major(
+            unrolling,
+            || MetricsCollector::with_capacity(events),
+            MetricsCollector::finish,
         );
         self.config
             .machines
             .iter()
-            .map(|&kind| {
-                state.clear();
-                let mut collector = MetricsCollector::with_capacity(self.meta.events.len());
-                crate::fused::run_machine(
-                    &analyzer.meta,
-                    &self.meta.events,
-                    class,
-                    &pass_config,
-                    kind,
-                    &mut state,
-                    &mut collector,
-                );
-                (kind, collector.finish())
-            })
+            .zip(walks)
+            .map(|(&kind, (_, metrics))| (kind, metrics))
             .collect()
     }
 
     /// Per-machine execution metrics for every requested (disambiguation,
     /// value-prediction) mode at one unroll setting — the diagnostic
-    /// companion of [`PreparedTrace::report_mode_matrix`], which runs the
-    /// lane kernel with the null sink and so cannot attribute anything.
-    /// Each mode runs the scalar recording path over its
-    /// [`PreparedTrace::slice_modes`] slice: metrics collection stays
-    /// machine-major (one collector live at a time), and the re-derived
+    /// companion of [`PreparedTrace::report_mode_matrix`], whose wide
+    /// lane groups run with the null sink and so cannot attribute
+    /// anything. Each mode runs [`PreparedTrace::machine_metrics_with_unrolling`]
+    /// over its [`PreparedTrace::slice_modes`] slice: metrics collection
+    /// stays machine-major (one collector live at a time), and the re-derived
     /// cycle counts are pinned bit-identical to the matrix walk's by the
     /// `mode_matrix_metrics_match_matrix_cycles` test, so the attribution
     /// describes exactly the schedules the matrix reports.
@@ -360,7 +360,7 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
         &self,
         modes: &[(crate::MemDisambiguation, crate::ValuePrediction)],
         unrolling: bool,
-    ) -> Vec<Vec<(MachineKind, clfp_metrics::MachineMetrics)>> {
+    ) -> Vec<Vec<(MachineKind, MachineMetrics)>> {
         modes
             .iter()
             .map(|&(disambiguation, value_prediction)| {
@@ -376,10 +376,8 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
     /// so Table 4's with/without comparison needs only one prepared trace.
     ///
     /// Runs the lane-parallel kernel: every configured machine is
-    /// scheduled in one walk over the event stream (see
-    /// the `lane` module). Bit-identical to
-    /// [`PreparedTrace::report_with_unrolling_scalar`], which is kept as
-    /// the oracle.
+    /// scheduled in one walk over the event stream (see the `lane`
+    /// module). Bit-identical to [`Analyzer::run_on_trace_reference`].
     pub fn report_with_unrolling(&self, unrolling: bool) -> Report {
         let analyzer = self.analyzer;
         let class = self.meta.class(unrolling);
@@ -548,22 +546,42 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
             .collect()
     }
 
-    /// The scalar machine-major fused path — one cursor per machine, N
-    /// walks over the events. Kept as the wall-time baseline and as an
-    /// oracle for the lane kernel (the `lane_equivalence` suite asserts
-    /// bit-identical reports).
+    /// [`PreparedTrace::report_with_unrolling`] packed machine-major: one
+    /// width-1 group of the same kernel per machine, N walks over the
+    /// events — the packing the recording metrics paths use. Bit-identical
+    /// to the one-walk packing; kept as a public entry point for callers
+    /// that compare the two packings or time them.
     pub fn report_with_unrolling_scalar(&self, unrolling: bool) -> Report {
-        let analyzer = self.analyzer;
-        let class = self.meta.class(unrolling);
-        let passes = run_fused(
-            &analyzer.meta,
-            &self.meta.events,
-            class,
-            &PassConfig::from_analysis(&self.config),
+        let walks = self.machine_major(unrolling, || NullSink, |_| ());
+        let passes = walks.into_iter().map(|(pass, ())| pass).collect();
+        self.assemble(self.meta.class(unrolling), passes)
+    }
+
+    /// Runs the configured machines through the kernel's machine-major
+    /// driver ([`run_machine_major`](crate::lane::run_machine_major)):
+    /// each machine's group reports every prepared event to a fresh sink
+    /// from `new_sink`, which `distill` consumes before the next machine
+    /// runs.
+    fn machine_major<S: MetricsSink + 'static, T>(
+        &self,
+        unrolling: bool,
+        mut new_sink: impl FnMut() -> S,
+        mut distill: impl FnMut(S) -> T,
+    ) -> Vec<(PassResult, T)> {
+        let Ok(walks) = run_machine_major(
             &self.config.machines,
+            unrolling,
+            self.analyzer.program.text.len(),
+            &PassConfig::from_analysis(&self.config),
             self.mem_capacity(),
+            |group| {
+                let mut sink = new_sink();
+                let (unrolled, rolled) = (self.meta.class(true), self.meta.class(false));
+                group.feed(&self.analyzer.meta, 0, &self.meta.events, unrolled, rolled, &mut sink);
+                Ok::<_, Infallible>(distill(sink))
+            },
         );
-        self.assemble(class, passes)
+        walks
     }
 
     /// Last-write-table sizing hint: the trace's measured distinct
@@ -892,9 +910,6 @@ mod tests {
             );
             let trace = vm.trace(analyzer.config.max_instrs).unwrap();
             let lane = analyzer.run_on_trace(&trace);
-            let scalar = analyzer
-                .prepare(&trace)
-                .report_with_unrolling_scalar(analyzer.config.unrolling);
             let reference = analyzer.run_on_trace_reference(&trace);
             let streamed = analyzer
                 .run_streamed(crate::StreamOptions {
@@ -903,7 +918,7 @@ mod tests {
                     par_threshold_events: 0,
                 })
                 .unwrap();
-            for report in [&scalar, &reference, &streamed.unrolled] {
+            for report in [&reference, &streamed.unrolled] {
                 assert_eq!(lane.seq_instrs, report.seq_instrs, "{mode:?}");
                 for (a, b) in lane.results.iter().zip(&report.results) {
                     assert_eq!(a.kind, b.kind, "{mode:?}");
@@ -932,9 +947,6 @@ mod tests {
             );
             let trace = vm.trace(analyzer.config.max_instrs).unwrap();
             let lane = analyzer.run_on_trace(&trace);
-            let scalar = analyzer
-                .prepare(&trace)
-                .report_with_unrolling_scalar(analyzer.config.unrolling);
             let reference = analyzer.run_on_trace_reference(&trace);
             let streamed = analyzer
                 .run_streamed(crate::StreamOptions {
@@ -943,7 +955,7 @@ mod tests {
                     par_threshold_events: 0,
                 })
                 .unwrap();
-            for report in [&scalar, &reference, &streamed.unrolled] {
+            for report in [&reference, &streamed.unrolled] {
                 assert_eq!(lane.seq_instrs, report.seq_instrs, "{mode:?}");
                 for (a, b) in lane.results.iter().zip(&report.results) {
                     assert_eq!(a.kind, b.kind, "{mode:?}");
@@ -1114,13 +1126,12 @@ mod tests {
                     .with_disambiguation(dis)
                     .with_value_prediction(vp);
                 let dedicated = Analyzer::new(&program, config).unwrap();
-                let dedicated_prep = dedicated.prepare(&trace);
-                let (full_unrolled, full_rolled) = dedicated_prep.report_both();
-                let scalar = dedicated_prep.report_with_unrolling_scalar(true);
+                let (full_unrolled, full_rolled) = dedicated.prepare(&trace).report_both();
+                let reference = dedicated.run_on_trace_reference(&trace);
                 for (got, want) in [
                     (&slice_unrolled, &full_unrolled),
                     (&slice_rolled, &full_rolled),
-                    (&slice_unrolled, &scalar),
+                    (&slice_unrolled, &reference),
                 ] {
                     assert_eq!(got.seq_instrs, want.seq_instrs, "{dis:?}/{vp:?}");
                     assert_eq!(got.raw_instrs, want.raw_instrs, "{dis:?}/{vp:?}");
@@ -1176,7 +1187,7 @@ mod tests {
         }
     }
 
-    // The matrix metrics path (scalar recording sink over per-mode
+    // The matrix metrics path (width-1 recording groups over per-mode
     // slices) must describe exactly the schedules the one-walk lane
     // matrix reports: same machines, same cycle and instruction counts,
     // for every mode cell — otherwise the attribution tables would
@@ -1256,7 +1267,7 @@ mod tests {
     }
 
     #[test]
-    fn reference_path_matches_fused_run() {
+    fn reference_path_matches_lane_run() {
         let program = compile(LOOPY).unwrap();
         let config = AnalysisConfig::quick();
         let analyzer = Analyzer::new(&program, config).unwrap();
@@ -1267,13 +1278,13 @@ mod tests {
             },
         );
         let trace = vm.trace(analyzer.config.max_instrs).unwrap();
-        let fused = analyzer.run_on_trace(&trace);
+        let lane = analyzer.run_on_trace(&trace);
         let reference = analyzer.run_on_trace_reference(&trace);
-        assert_eq!(fused.seq_instrs, reference.seq_instrs);
-        assert_eq!(fused.raw_instrs, reference.raw_instrs);
-        assert_eq!(fused.branches, reference.branches);
-        assert_eq!(fused.mispred_stats, reference.mispred_stats);
-        for (f, r) in fused.results.iter().zip(&reference.results) {
+        assert_eq!(lane.seq_instrs, reference.seq_instrs);
+        assert_eq!(lane.raw_instrs, reference.raw_instrs);
+        assert_eq!(lane.branches, reference.branches);
+        assert_eq!(lane.mispred_stats, reference.mispred_stats);
+        for (f, r) in lane.results.iter().zip(&reference.results) {
             assert_eq!(f.kind, r.kind);
             assert_eq!(f.cycles, r.cycles);
             assert!((f.parallelism - r.parallelism).abs() < 1e-12);

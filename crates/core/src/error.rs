@@ -9,6 +9,8 @@ pub enum AnalyzeError {
     Vm(VmError),
     /// The program is structurally unusable (e.g. empty text segment).
     BadProgram(String),
+    /// The analysis configuration is invalid (e.g. a zero fetch width).
+    BadConfig(String),
 }
 
 impl fmt::Display for AnalyzeError {
@@ -16,6 +18,7 @@ impl fmt::Display for AnalyzeError {
         match self {
             AnalyzeError::Vm(err) => write!(f, "trace execution failed: {err}"),
             AnalyzeError::BadProgram(msg) => write!(f, "unanalyzable program: {msg}"),
+            AnalyzeError::BadConfig(msg) => write!(f, "invalid analysis configuration: {msg}"),
         }
     }
 }
@@ -24,7 +27,7 @@ impl std::error::Error for AnalyzeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             AnalyzeError::Vm(err) => Some(err),
-            AnalyzeError::BadProgram(_) => None,
+            AnalyzeError::BadProgram(_) | AnalyzeError::BadConfig(_) => None,
         }
     }
 }
@@ -47,5 +50,10 @@ mod tests {
         let bad = AnalyzeError::BadProgram("empty".into());
         assert!(bad.to_string().contains("unanalyzable"));
         assert!(std::error::Error::source(&bad).is_none());
+        let config = AnalyzeError::BadConfig("zero fetch width".into());
+        assert!(config
+            .to_string()
+            .contains("invalid analysis configuration"));
+        assert!(std::error::Error::source(&config).is_none());
     }
 }

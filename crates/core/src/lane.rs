@@ -1,13 +1,13 @@
-//! The lane-parallel multi-machine scheduling kernel.
+//! The scheduling kernel: every machine model, every in-memory and
+//! streamed pipeline, with or without metrics recording.
 //!
-//! [`run_fused`](crate::fused::run_fused) walks the pre-decoded
-//! [`EventMeta`] stream once per machine × unroll slot — up to 14 walks
-//! over an identical event sequence whose per-event work is a max-fold
-//! that differs between machines only in the *control* term. This module
-//! restructures that loop from machine-major to **event-major lanes**:
-//! one walk reads each event once and schedules every requested slot
-//! simultaneously, carrying per-lane time vectors (`[u64; L]` per
-//! register, per branch PC, per memory key) instead of scalar state.
+//! A machine pass is a max-fold of constraint terms per dynamic
+//! instruction, and the seven machines differ only in the *control* term.
+//! So the kernel walks the pre-decoded [`EventMeta`] stream **event-major
+//! in lanes**: one walk reads each event once and schedules every
+//! requested machine × unroll slot simultaneously, carrying per-lane time
+//! vectors (`[u64; L]` per register, per branch PC, per memory key)
+//! instead of scalar state.
 //!
 //! Two properties make the fold branchless across lanes:
 //!
@@ -29,37 +29,51 @@
 //! SP-CD-MF) need the per-branch `time`/`ceiling` arrays and the
 //! inheritance stack; BASE, SP and ORACLE provably never read them. The
 //! kernel is generic over `<const L: usize, const CD: bool, const
-//! RENAME: bool, const FETCH: bool>`, so the CD arrays, the
-//! anti-dependence tracking (off under register renaming, the default)
-//! and the fetch-bandwidth divide are stripped at compile time and the
-//! per-lane loops unroll and auto-vectorize over `L ∈ {1, 2, 4, 6, 8}`.
+//! RENAME: bool, const FETCH: bool, S: MetricsSink>`, so the CD arrays,
+//! the anti-dependence tracking (off under register renaming, the
+//! default) and the fetch-bandwidth divide are stripped at compile time
+//! and the per-lane loops unroll and auto-vectorize over
+//! `L ∈ {1, 2, 4, 6, 8}`.
 //!
 //! The SP machine's misprediction-segment statistics mix integer and
 //! floating-point arithmetic and reset state at data-dependent points;
 //! they stay scalar, applied per event to the (at most two) SP lanes in
 //! a group — the identical operations in the identical order as the
-//! scalar cursor, so the resulting [`MispredictionStats`] are
+//! reference pass, so the resulting [`MispredictionStats`] are
 //! bit-identical.
 //!
-//! The kernel produces [`PassResult`]s only. Metrics recording
-//! (`clfp-metrics` sinks) needs per-machine binding-edge attribution and
-//! stays on the scalar [`MachineCursor`](crate::fused::MachineCursor);
-//! the `lane_equivalence` integration suite holds the lane kernel
-//! bit-identical to both the scalar cursor and the original reference
-//! pass across machines, workloads, unroll settings, and chunk sizes.
+//! **Metrics recording** (`clfp-metrics` sinks) is the width-1
+//! specialization of the same kernel: a group with a recording sink `S`
+//! schedules one lane and additionally keeps, for every timing table, a
+//! shadow naming the trace event that wrote each time. Before any state
+//! update it replays the lane's constraint fold with the same terms in
+//! the same order — a later term wins a tie, and control wins the final
+//! data-versus-control tie — to name each instruction's *binding edge*.
+//! With [`NullSink`] every `S::ENABLED` block is statically eliminated,
+//! so the throughput groups compile to the bare kernel.
+//! [`run_machine_major`] drives the recording paths: one width-1 group
+//! per machine, one sink live at a time.
+//!
+//! The reference pass ([`pass`](crate::pass)) is the independent oracle:
+//! the `lane_equivalence` integration suite holds this kernel
+//! bit-identical to it across machines, workloads, unroll settings,
+//! memory-disambiguation modes and chunk sizes.
 
+use std::marker::PhantomData;
+
+use clfp_metrics::{BindingEdge, EdgeKind, MetricsSink, NullSink, NO_PARENT};
+
+use crate::lastwrite::LastWriteTable;
 use crate::meta::{
-    EventClass, EventMeta, ProgramMeta, CD_INHERIT, CD_NONE, EV_BRANCH, EV_MISPRED, EV_VALPRED,
-    NO_REG,
-    PC_CALL, PC_LOAD, PC_RET, PC_STORE,
+    EventClass, EventMeta, PcMeta, ProgramMeta, CD_INHERIT, CD_NONE, EV_BRANCH, EV_MISPRED,
+    EV_VALPRED, NO_REG, PC_CALL, PC_LOAD, PC_RET, PC_STORE,
 };
 use crate::pass::{PassConfig, PassResult};
 use crate::stats::MispredictionStats;
 use crate::MachineKind;
 
 /// Default last-write-table capacity when no trace summary (or per-trace
-/// distinct-key count) is available to size it — the scalar path's
-/// historical `1 << 16`.
+/// distinct-key count) is available to size it.
 pub(crate) const DEFAULT_MEM_CAPACITY: usize = 1 << 16;
 
 /// A lane-widened [`LastWriteTable`](crate::LastWriteTable): the same
@@ -155,7 +169,7 @@ impl<const L: usize> LaneTable<L> {
 /// Scalar SP-segment state for one lane (see
 /// [`MispredictionStats`]): the misprediction-distance bookkeeping is
 /// data-dependent and partly floating-point, so it runs per tracked lane
-/// exactly as the scalar cursor runs it.
+/// exactly as the reference pass runs it.
 struct SegTracker {
     lane: usize,
     count: u64,
@@ -184,6 +198,89 @@ impl SegTracker {
             );
         }
         self.stats
+    }
+}
+
+/// Producer-event shadows of a recording group's lane-0 timing state:
+/// every table that holds a time also records *which trace event* wrote
+/// it, so the binding edge of each scheduled instruction can name its
+/// parent. Sized only for groups whose sink is enabled.
+struct AttrState {
+    /// Event index of the last writer of each register ([`NO_PARENT`] if
+    /// the register is untouched).
+    reg_writer: [u32; 32],
+    /// Event index + 1 of the store that owns each memory key's
+    /// last-write time (0 = none).
+    mem_writer: LastWriteTable,
+    /// Shadows `branch_time` / `branch_ceiling`: the event whose time is
+    /// recorded there (ignored branches pass their inherited parents
+    /// through, the same way they pass the times).
+    branch_time_ev: Vec<u32>,
+    branch_ceiling_ev: Vec<u32>,
+    /// Shadows the inherited-dependence call stack.
+    stack_ev: Vec<(u32, u32)>,
+    last_branch_ev: u32,
+    last_mispred_ev: u32,
+}
+
+impl AttrState {
+    fn new(branch_pcs: usize, mem_capacity: usize) -> AttrState {
+        AttrState {
+            reg_writer: [NO_PARENT; 32],
+            mem_writer: LastWriteTable::with_capacity(mem_capacity),
+            branch_time_ev: vec![NO_PARENT; branch_pcs],
+            branch_ceiling_ev: vec![NO_PARENT; branch_pcs],
+            stack_ev: Vec::new(),
+            last_branch_ev: NO_PARENT,
+            last_mispred_ev: NO_PARENT,
+        }
+    }
+
+    /// The parents of the `(time, ceiling)` context named by a
+    /// pre-resolved `cd` annotation ([`GroupCursor::cd_ctx`] over event
+    /// indices).
+    #[inline]
+    fn cd_parents(&self, cd: u32) -> (u32, u32) {
+        match cd {
+            CD_NONE => (NO_PARENT, NO_PARENT),
+            CD_INHERIT => {
+                let top = self.stack_ev.last().copied();
+                top.unwrap_or((NO_PARENT, NO_PARENT))
+            }
+            pc => (
+                self.branch_time_ev[pc as usize],
+                self.branch_ceiling_ev[pc as usize],
+            ),
+        }
+    }
+
+    #[inline]
+    fn mem_writer_of(&self, key: u32) -> u32 {
+        match self.mem_writer.get(key) {
+            0 => NO_PARENT,
+            index_plus_one => (index_plus_one - 1) as u32,
+        }
+    }
+}
+
+/// A running constraint maximum and the edge that set it.
+#[derive(Default)]
+struct Bound {
+    value: u64,
+    edge: Option<BindingEdge>,
+}
+
+impl Bound {
+    /// Folds one term in with the kernel's tie-breaking: `a.max(b)`
+    /// returns `b` on equality, so a later term wins ties. A term of 0 can
+    /// only "win" against 0, and no edge is reported when the final
+    /// maximum is 0 (ready at cycle 0).
+    #[inline]
+    fn fold(&mut self, term: u64, edge: Option<BindingEdge>) {
+        if term >= self.value {
+            self.value = term;
+            self.edge = edge;
+        }
     }
 }
 
@@ -289,8 +386,9 @@ fn lane_mask(on: bool) -> u64 {
 /// A group of up to `L` lanes scheduled together by one monomorphized
 /// kernel. `CD` selects the control-dependence state (branch arrays +
 /// inheritance stack); `RENAME` strips anti-dependence tracking; `FETCH`
-/// strips the fetch-bandwidth divide.
-struct GroupCursor<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool> {
+/// strips the fetch-bandwidth divide; `S` is the metrics sink the group
+/// reports to — a recording sink makes it the width-1 recording kernel.
+struct GroupCursor<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S> {
     /// The real lanes (`lanes.len() <= L`; padding lanes replicate lane 0
     /// and their results are discarded).
     lanes: Vec<LaneSlot>,
@@ -328,28 +426,36 @@ struct GroupCursor<const L: usize, const CD: bool, const RENAME: bool, const FET
     cycles: [u64; L],
     count: [u64; L],
     seg: Vec<SegTracker>,
+    /// Binding-edge shadows of lane 0 (empty unless `S::ENABLED`).
+    attr: AttrState,
+    /// Events fed so far: the global trace index of the next event, which
+    /// names binding-edge parents across chunks.
+    fed_events: u64,
+    sink: PhantomData<fn(&mut S)>,
 
     /// Trace/profile attribution, maintained only while tracing is on
     /// (`clfp_metrics::trace`): process-wide group id, walk start
-    /// timestamp, accumulated busy time, and feed counters.
+    /// timestamp, accumulated busy time, and chunk count.
     group_id: u64,
     walk_start_us: u64,
     busy_ns: u64,
-    fed_events: u64,
     fed_chunks: u64,
 }
 
-impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool>
-    GroupCursor<L, CD, RENAME, FETCH>
+impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: MetricsSink>
+    GroupCursor<L, CD, RENAME, FETCH, S>
 {
     fn new(
-        lanes: &[LaneSlot],
-        text_len: usize,
-        config: &PassConfig,
-        mem_capacity: usize,
-        mode: GroupMode,
+        (lanes, text_len, config, mem_capacity, mode): (
+            &[LaneSlot],
+            usize,
+            &PassConfig,
+            usize,
+            GroupMode,
+        ),
     ) -> Self {
         debug_assert!(!lanes.is_empty() && lanes.len() <= L);
+        debug_assert!(!S::ENABLED || L == 1, "recording groups schedule one lane");
         let spec = |l: usize| lanes[l.min(lanes.len() - 1)];
         let mut unroll_sel = [0; L];
         let mut m_a = [0; L];
@@ -400,16 +506,22 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool>
                 .filter(|(_, lane)| lane.kind == MachineKind::Sp)
                 .map(|(l, _)| SegTracker::new(l))
                 .collect(),
+            attr: if S::ENABLED {
+                AttrState::new(if CD { text_len } else { 0 }, mem_capacity)
+            } else {
+                AttrState::new(0, 0)
+            },
+            fed_events: 0,
+            sink: PhantomData,
             group_id: NEXT_GROUP_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             walk_start_us: 0,
             busy_ns: 0,
-            fed_events: 0,
             fed_chunks: 0,
         }
     }
 
     /// The `(time, ceiling)` lane vectors named by a pre-resolved `cd`
-    /// annotation — [`MachineState::cd_ctx`](crate::fused) widened.
+    /// annotation.
     #[inline]
     fn cd_ctx(&self, cd: u32) -> ([u64; L], [u64; L]) {
         match cd {
@@ -421,17 +533,93 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool>
             ),
         }
     }
+
+    /// Replays lane 0's constraint fold term by term, before any state
+    /// update, returning the maximum and the edge that set it: the
+    /// machine's primary control term, its single-flow branch ordering
+    /// (an MF-merge edge), the fetch limit (no producer event), then the
+    /// data terms. `cd` and `cd_p` are lane 0's control-dependence
+    /// context and its parents. A bound of 0 means ready at cycle 0, so
+    /// no edge.
+    fn binding_edge(
+        &self,
+        event: &EventMeta,
+        meta: &PcMeta,
+        mem_key: u32,
+        cd: (u64, u64),
+        cd_p: (u32, u32),
+    ) -> (u64, Option<BindingEdge>) {
+        use EdgeKind::{Control, MemData, MfMerge, RegData};
+        let edge = |kind, parent| Some(BindingEdge::new(kind, parent));
+        let a = &self.attr;
+        let mut ctl = Bound::default();
+        if CD {
+            if self.m_a[0] != 0 {
+                ctl.fold(cd.0, edge(Control, cd_p.0));
+            } else {
+                ctl.fold(cd.1, edge(Control, cd_p.1));
+            }
+            if event.flags & EV_BRANCH != 0 {
+                if self.m_ord_lb[0] != 0 {
+                    ctl.fold(self.last_branch[0], edge(MfMerge, a.last_branch_ev));
+                }
+                if event.flags & EV_MISPRED != 0 && self.m_ord_lm[0] != 0 {
+                    ctl.fold(self.last_mispred[0], edge(MfMerge, a.last_mispred_ev));
+                }
+            }
+        } else if self.m_a[0] != 0 {
+            ctl.fold(self.last_branch[0], edge(Control, a.last_branch_ev));
+        } else if self.m_b[0] != 0 {
+            ctl.fold(self.last_mispred[0], edge(Control, a.last_mispred_ev));
+        }
+        if FETCH {
+            ctl.fold(self.count[0] / self.fetch_width, None);
+        }
+
+        let mut data = Bound::default();
+        for &reg in &meta.uses {
+            if reg == NO_REG {
+                break;
+            }
+            let reg = reg as usize;
+            data.fold(self.reg_time[reg][0], edge(RegData, a.reg_writer[reg]));
+        }
+        if meta.is(PC_LOAD) {
+            let writer = a.mem_writer_of(mem_key);
+            data.fold(self.mem_time.get(mem_key)[0], edge(MemData, writer));
+        }
+        if !RENAME {
+            // Anti-dependences name only their kind: the binding reader
+            // event is not tracked.
+            if meta.def != NO_REG {
+                let def = meta.def as usize;
+                data.fold(self.reg_read[def][0], edge(RegData, NO_PARENT));
+                data.fold(self.reg_time[def][0], edge(RegData, a.reg_writer[def]));
+            }
+            if meta.is(PC_STORE) {
+                let writer = a.mem_writer_of(mem_key);
+                data.fold(self.mem_read.get(mem_key)[0], edge(MemData, NO_PARENT));
+                data.fold(self.mem_time.get(mem_key)[0], edge(MemData, writer));
+            }
+        }
+        // `data.max(ctl)`: control wins the final tie.
+        let bound = if ctl.value >= data.value { ctl } else { data };
+        let edge = if bound.value == 0 { None } else { bound.edge };
+        (bound.value, edge)
+    }
 }
 
 /// Object-safe handle over one monomorphized lane group, so the
 /// scheduler (and the streaming broadcast) can hold a mixed set of
-/// groups and feed them chunk by chunk.
-pub(crate) trait GroupFeed: Send {
+/// groups and feed them chunk by chunk. `S` is the metrics sink every
+/// feed reports to; throughput groups take the default [`NullSink`].
+pub(crate) trait GroupFeed<S: MetricsSink = NullSink>: Send {
     /// Schedules one chunk of consecutive events. `offset` is the
     /// position of `events[0]` within the classifications, so callers can
     /// feed sub-slices of an in-memory trace against whole-trace
     /// [`EventClass`] bitmaps (the streaming path passes per-chunk
-    /// classifications with `offset == 0`).
+    /// classifications with `offset == 0`). A recording group reports
+    /// every event to `sink`, in trace order.
     fn feed(
         &mut self,
         pcs: &ProgramMeta,
@@ -439,14 +627,15 @@ pub(crate) trait GroupFeed: Send {
         events: &[EventMeta],
         unrolled: &EventClass,
         rolled: &EventClass,
+        sink: &mut S,
     );
 
     /// Closes the walk, returning `(request slot, result)` per real lane.
     fn finish(self: Box<Self>) -> Vec<(usize, PassResult)>;
 }
 
-impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool> GroupFeed
-    for GroupCursor<L, CD, RENAME, FETCH>
+impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: MetricsSink>
+    GroupFeed<S> for GroupCursor<L, CD, RENAME, FETCH, S>
 {
     fn feed(
         &mut self,
@@ -455,6 +644,7 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool> Grou
         events: &[EventMeta],
         unrolled: &EventClass,
         rolled: &EventClass,
+        sink: &mut S,
     ) {
         // Attribution is tracing-gated so the untraced hot path pays one
         // relaxed load per ~16K-event chunk and nothing else.
@@ -463,12 +653,12 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool> Grou
                 self.walk_start_us = clfp_metrics::trace::now_monotonic_us().max(1);
             }
             self.fed_chunks += 1;
-            self.fed_events += events.len() as u64;
             Some(std::time::Instant::now())
         } else {
             None
         };
         for (j, event) in events.iter().enumerate() {
+            let index = (self.fed_events + j as u64) as u32;
             let meta = &pcs.pcs[event.pc as usize];
             let is_branch = event.flags & EV_BRANCH != 0;
             let mispredicted = event.flags & EV_MISPRED != 0 && is_branch;
@@ -487,6 +677,11 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool> Grou
                 self.cd_ctx(event.cd)
             } else {
                 ([0; L], [0; L])
+            };
+            let cd_p = if S::ENABLED && CD {
+                self.attr.cd_parents(event.cd)
+            } else {
+                (NO_PARENT, NO_PARENT)
             };
 
             // Machine-specific control constraint: two masked primary
@@ -576,6 +771,18 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool> Grou
                 exec[l] = data[l].max(ctl[l]) + 1;
                 done[l] = exec[l] + latency - 1;
             }
+            if S::ENABLED {
+                // Lane 0's binding edge, replayed while every table still
+                // holds the times the fold above read.
+                if am[0] != 0 {
+                    let (bound, edge) =
+                        self.binding_edge(event, meta, mem_key, (cd0[0], cd1[0]), cd_p);
+                    debug_assert_eq!(bound + 1, exec[0]);
+                    sink.on_schedule(index, exec[0], done[0], edge);
+                } else {
+                    sink.on_schedule(index, 0, 0, None);
+                }
+            }
 
             // State updates, select-masked per lane.
             for (c, &a) in self.count.iter_mut().zip(&am) {
@@ -600,6 +807,11 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool> Grou
             }
             if is_store {
                 let mt = self.mem_time.entry(mem_key);
+                // A store that does not raise an accumulated maximum does
+                // not own the key's time, so it never binds a later load.
+                if S::ENABLED && am[0] != 0 && (!self.mem_accumulate || done[0] >= mt[0]) {
+                    self.attr.mem_writer.set(mem_key, u64::from(index) + 1);
+                }
                 if self.mem_accumulate {
                     for l in 0..L {
                         mt[l] = (done[l].max(mt[l]) & am[l]) | (mt[l] & !am[l]);
@@ -664,6 +876,38 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool> Grou
                     self.stack.pop();
                 }
             }
+            if S::ENABLED {
+                // Lane 0's writer shadows follow the time updates above.
+                let a = &mut self.attr;
+                let active = am[0] != 0;
+                if active && meta.def != NO_REG {
+                    a.reg_writer[meta.def as usize] = index;
+                }
+                if is_branch {
+                    if active {
+                        a.last_branch_ev = index;
+                        if mispredicted {
+                            a.last_mispred_ev = index;
+                        }
+                    }
+                    if CD {
+                        let pc = event.pc as usize;
+                        a.branch_time_ev[pc] = if active { index } else { cd_p.0 };
+                        a.branch_ceiling_ev[pc] = if active && mispredicted {
+                            index
+                        } else {
+                            cd_p.1
+                        };
+                    }
+                }
+                if CD {
+                    if meta.is(PC_CALL) {
+                        a.stack_ev.push(cd_p);
+                    } else if meta.is(PC_RET) {
+                        a.stack_ev.pop();
+                    }
+                }
+            }
 
             // SP segment statistics (scalar per tracked lane; empty for
             // every group without an SP lane).
@@ -684,6 +928,7 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool> Grou
                 }
             }
         }
+        self.fed_events += events.len() as u64;
         if let Some(t0) = feed_start {
             self.busy_ns += t0.elapsed().as_nanos() as u64;
         }
@@ -742,6 +987,26 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool> Grou
     }
 }
 
+/// Boxes a width-`L` group, monomorphized for the configuration's
+/// renaming and fetch-bandwidth settings.
+fn boxed<const L: usize, const CD: bool, S: MetricsSink + 'static>(
+    lanes: &[LaneSlot],
+    text_len: usize,
+    config: &PassConfig,
+    mem_capacity: usize,
+    mode: GroupMode,
+) -> Box<dyn GroupFeed<S>> {
+    let args = (lanes, text_len, config, mem_capacity, mode);
+    match (config.rename, config.fetch_bandwidth.is_some()) {
+        (true, false) => Box::new(GroupCursor::<L, CD, true, false, S>::new(args)),
+        (true, true) => Box::new(GroupCursor::<L, CD, true, true, S>::new(args)),
+        (false, false) => Box::new(GroupCursor::<L, CD, false, false, S>::new(args)),
+        (false, true) => Box::new(GroupCursor::<L, CD, false, true, S>::new(args)),
+    }
+}
+
+/// A throughput group for up to 8 lanes of one control-dependence class,
+/// at the narrowest monomorphized width that holds them.
 fn make_group<const CD: bool>(
     lanes: &[LaneSlot],
     text_len: usize,
@@ -749,47 +1014,14 @@ fn make_group<const CD: bool>(
     mem_capacity: usize,
     mode: GroupMode,
 ) -> Box<dyn GroupFeed> {
-    macro_rules! mono {
-        ($l:literal) => {
-            match (config.rename, config.fetch_bandwidth.is_some()) {
-                (true, false) => Box::new(GroupCursor::<$l, CD, true, false>::new(
-                    lanes,
-                    text_len,
-                    config,
-                    mem_capacity,
-                    mode,
-                )) as Box<dyn GroupFeed>,
-                (true, true) => Box::new(GroupCursor::<$l, CD, true, true>::new(
-                    lanes,
-                    text_len,
-                    config,
-                    mem_capacity,
-                    mode,
-                )),
-                (false, false) => Box::new(GroupCursor::<$l, CD, false, false>::new(
-                    lanes,
-                    text_len,
-                    config,
-                    mem_capacity,
-                    mode,
-                )),
-                (false, true) => Box::new(GroupCursor::<$l, CD, false, true>::new(
-                    lanes,
-                    text_len,
-                    config,
-                    mem_capacity,
-                    mode,
-                )),
-            }
-        };
-    }
-    match lanes.len() {
-        1 => mono!(1),
-        2 => mono!(2),
-        3 | 4 => mono!(4),
-        5 | 6 => mono!(6),
-        _ => mono!(8),
-    }
+    let make = match lanes.len() {
+        1 => boxed::<1, CD, NullSink>,
+        2 => boxed::<2, CD, NullSink>,
+        3 | 4 => boxed::<4, CD, NullSink>,
+        5 | 6 => boxed::<6, CD, NullSink>,
+        _ => boxed::<8, CD, NullSink>,
+    };
+    make(lanes, text_len, config, mem_capacity, mode)
 }
 
 /// All lane groups for one set of requested machine × unroll slots,
@@ -880,7 +1112,7 @@ impl LaneScheduler {
         rolled: &EventClass,
     ) {
         for group in &mut self.groups {
-            group.feed(pcs, offset, events, unrolled, rolled);
+            group.feed(pcs, offset, events, unrolled, rolled, &mut NullSink);
         }
     }
 
@@ -941,7 +1173,7 @@ pub(crate) fn run_scheduler(
     if workers > 1 {
         std::thread::scope(|scope| {
             for group in &mut sched.groups {
-                scope.spawn(|| group.feed(pcs, 0, events, unrolled, rolled));
+                scope.spawn(|| group.feed(pcs, 0, events, unrolled, rolled, &mut NullSink));
             }
         });
     } else {
@@ -953,4 +1185,180 @@ pub(crate) fn run_scheduler(
         }
     }
     sched.finish()
+}
+
+/// The machine-major driver: schedules each of `machines` in a width-1
+/// group of its own, which `walk` feeds the whole event stream — with
+/// whatever sink it owns — and finishes before the next machine's group
+/// exists. A recording sink therefore has one live instance at a time.
+/// Returns each machine's pass result next to what its `walk` returned.
+///
+/// Drives the recording metrics paths (in memory and streamed) and
+/// [`PreparedTrace::report_with_unrolling_scalar`](crate::PreparedTrace::report_with_unrolling_scalar).
+pub(crate) fn run_machine_major<S: MetricsSink + 'static, T, E>(
+    machines: &[MachineKind],
+    unrolling: bool,
+    text_len: usize,
+    config: &PassConfig,
+    mem_capacity: usize,
+    mut walk: impl FnMut(&mut dyn GroupFeed<S>) -> Result<T, E>,
+) -> Result<Vec<(PassResult, T)>, E> {
+    machines
+        .iter()
+        .map(|&kind| {
+            let lane = LaneSlot {
+                slot: 0,
+                kind,
+                unrolling,
+                vp_flag: EV_VALPRED,
+            };
+            let make = if kind.uses_control_deps() {
+                boxed::<1, true, S>
+            } else {
+                boxed::<1, false, S>
+            };
+            let mode = GroupMode::from_config(config);
+            let mut group = make(&[lane], text_len, config, mem_capacity, mode);
+            let walked = walk(group.as_mut())?;
+            let (_, pass) = group.finish().pop().expect("a width-1 group has one lane");
+            Ok((pass, walked))
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::meta::TraceMeta;
+    use crate::AnalysisConfig;
+    use clfp_cfg::StaticInfo;
+    use clfp_isa::assemble;
+    use clfp_metrics::MetricsCollector;
+    use clfp_vm::{Vm, VmOptions};
+
+    /// A procedure-heavy program exercising calls, recursion-free CD
+    /// inheritance, loops, and memory traffic.
+    const SOURCE: &str = r#"
+        .text
+        main:
+            li r8, 8
+        mloop:
+            mv a0, r8
+            call work
+            sw v0, 0x1000(r0)
+            lw r9, 0x1000(r0)
+            addi r8, r8, -1
+            bgt r8, r0, mloop
+            halt
+        work:
+            addi sp, sp, -4
+            sw ra, 0(sp)
+            li v0, 0
+            ble a0, r0, wend
+            addi v0, a0, 5
+        wend:
+            lw ra, 0(sp)
+            addi sp, sp, 4
+            ret
+        "#;
+
+    #[test]
+    fn recording_sink_does_not_perturb_results() {
+        let program = assemble(SOURCE).unwrap();
+        let info = StaticInfo::analyze(&program);
+        for unrolling in [false, true] {
+            let config = AnalysisConfig::quick().with_unrolling(unrolling);
+            let pass_config = PassConfig::from_analysis(&config);
+            let pcs = ProgramMeta::build(&program, &info, &pass_config);
+            let mut vm = Vm::new(
+                &program,
+                VmOptions {
+                    mem_words: config.mem_words,
+                },
+            );
+            let trace = vm.trace(config.max_instrs).unwrap();
+            let tm = TraceMeta::build(&program, &info, &pcs, &config, &trace, false);
+            let (unrolled, rolled) = (tm.class(true), tm.class(false));
+            let text_len = program.text.len();
+            let Ok(plain) = run_machine_major(
+                &MachineKind::ALL,
+                unrolling,
+                text_len,
+                &pass_config,
+                DEFAULT_MEM_CAPACITY,
+                |group| {
+                    group.feed(&pcs, 0, &tm.events, unrolled, rolled, &mut NullSink);
+                    Ok::<_, std::convert::Infallible>(())
+                },
+            );
+            let Ok(observed) = run_machine_major(
+                &MachineKind::ALL,
+                unrolling,
+                text_len,
+                &pass_config,
+                DEFAULT_MEM_CAPACITY,
+                |group| {
+                    let mut collector = MetricsCollector::with_capacity(tm.events.len());
+                    group.feed(&pcs, 0, &tm.events, unrolled, rolled, &mut collector);
+                    Ok::<_, std::convert::Infallible>(collector)
+                },
+            );
+            for ((kind, (plain, ())), (observed, collector)) in
+                MachineKind::ALL.into_iter().zip(plain).zip(observed)
+            {
+                assert_eq!(observed.cycles, plain.cycles, "{kind}");
+                assert_eq!(observed.count, plain.count, "{kind}");
+                assert_eq!(observed.mispred_stats, plain.mispred_stats, "{kind}");
+
+                assert_eq!(collector.len(), tm.events.len(), "{kind}");
+                let metrics = collector.finish();
+                // The distilled metrics re-derive the pass result exactly.
+                assert_eq!(metrics.cycles, plain.cycles, "{kind}");
+                assert_eq!(metrics.instrs, plain.count, "{kind}");
+                assert_eq!(metrics.flow.total(), plain.count, "{kind}");
+                assert!(metrics.attribution.chain_len >= 1, "{kind}");
+                let total: f64 = EdgeKind::ALL
+                    .iter()
+                    .map(|&k| metrics.attribution.percent(k))
+                    .sum();
+                if metrics.attribution.classified() > 0 {
+                    assert!((total - 100.0).abs() < 1e-9, "{kind}: {total}");
+                }
+                // ORACLE has no control constraint of any kind.
+                if kind == MachineKind::Oracle {
+                    assert_eq!(metrics.flow.control_bound(), 0);
+                }
+                // Multiple-flow machines never pay the merge ordering.
+                if kind.multiple_flows() || !kind.uses_control_deps() {
+                    assert_eq!(
+                        metrics.flow.by_kind[3], 0,
+                        "{kind} should have no mf-merge edges"
+                    );
+                }
+            }
+
+            // The streaming metrics path (chunked recording groups) must
+            // reproduce the in-memory metrics bit for bit, including
+            // across boundary-straddling 7-event chunks.
+            let analyzer = crate::Analyzer::new(&program, config.clone()).unwrap();
+            let prepared = analyzer.prepare(&trace);
+            let inmem = prepared.machine_metrics_with_unrolling(unrolling);
+            let streamed = analyzer.stream_machine_metrics(&trace, unrolling, 7);
+            let streamed = streamed.unwrap();
+            assert_eq!(inmem.len(), streamed.len());
+            for ((k, a), (k2, b)) in inmem.iter().zip(&streamed) {
+                let tag = format!("{k} unroll={unrolling}");
+                assert_eq!(k, k2, "{tag}");
+                assert_eq!(a.instrs, b.instrs, "{tag}");
+                assert_eq!(a.cycles, b.cycles, "{tag}");
+                assert_eq!(a.flow, b.flow, "{tag}");
+                assert_eq!(a.attribution, b.attribution, "{tag}");
+                assert_eq!(a.occupancy.buckets, b.occupancy.buckets, "{tag}");
+                assert_eq!(a.occupancy.cycles, b.occupancy.cycles, "{tag}");
+                assert_eq!(a.occupancy.busy_cycles, b.occupancy.busy_cycles, "{tag}");
+                assert_eq!(a.occupancy.instrs, b.occupancy.instrs, "{tag}");
+                assert_eq!(a.occupancy.peak, b.occupancy.peak, "{tag}");
+            }
+        }
+    }
 }

@@ -50,14 +50,6 @@ impl LastWriteTable {
         self.len == 0
     }
 
-    /// Removes every entry while keeping the allocation, so fused and
-    /// threaded passes can reuse one table across machine models instead
-    /// of reallocating per machine.
-    pub fn clear(&mut self) {
-        self.keys.fill(EMPTY);
-        self.len = 0;
-    }
-
     #[inline]
     fn slot(&self, key: u32) -> usize {
         // Fibonacci hashing spreads sequential word addresses well.
@@ -194,26 +186,6 @@ mod tests {
             }
         }
         assert_eq!(table.len(), reference.len());
-    }
-
-    #[test]
-    fn clear_keeps_capacity_and_empties() {
-        let mut table = LastWriteTable::with_capacity(16);
-        for i in 0..1000u32 {
-            table.set(i, i as u64 + 1);
-        }
-        let slots = table.keys.len();
-        table.clear();
-        assert!(table.is_empty());
-        assert_eq!(table.len(), 0);
-        assert_eq!(table.keys.len(), slots, "clear must keep the allocation");
-        for i in 0..1000u32 {
-            assert_eq!(table.get(i), 0);
-        }
-        // Reusable after clearing.
-        table.set(7, 42);
-        assert_eq!(table.get(7), 42);
-        assert_eq!(table.len(), 1);
     }
 
     #[test]

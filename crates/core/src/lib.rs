@@ -23,12 +23,23 @@
 //! Table 4). Parallelism is sequential instruction count divided by the
 //! critical-path length.
 //!
-//! The fused scheduler is generic over the `clfp-metrics` sink:
-//! [`PreparedTrace::machine_metrics`] re-runs the machines with a
-//! recording sink to produce cycle-occupancy histograms and critical-path
-//! attribution (re-exported here as [`MachineMetrics`]), while the
-//! throughput paths use the statically-eliminated null sink and pay
-//! nothing for the instrumentation.
+//! ## One kernel, one oracle
+//!
+//! Every schedule the crate reports comes from one scheduling kernel: the
+//! lane kernel walks the pre-decoded event stream once and schedules
+//! every requested machine × unroll slot in parallel lanes, in memory
+//! ([`PreparedTrace::report_both`]) or chunk by chunk
+//! ([`Analyzer::run_streamed`]). Every pipeline is pinned bit for bit
+//! against one independent oracle, [`Analyzer::run_on_trace_reference`]:
+//! the paper's one-machine-at-a-time pass, which shares no scheduling
+//! code with the kernel.
+//!
+//! The kernel is generic over the `clfp-metrics` sink:
+//! [`PreparedTrace::machine_metrics`] re-runs the machines one at a time
+//! in width-1 recording groups to produce cycle-occupancy histograms and
+//! critical-path attribution (re-exported here as [`MachineMetrics`]),
+//! while the throughput paths use the statically-eliminated null sink and
+//! pay nothing for the instrumentation.
 //!
 //! ## Example
 //!
@@ -57,7 +68,6 @@
 mod analyzer;
 mod config;
 mod error;
-mod fused;
 mod lane;
 mod lastwrite;
 mod machine;

@@ -1,4 +1,4 @@
-//! Pre-decoded metadata for the fused multi-machine pass.
+//! Pre-decoded metadata for the multi-machine scheduling kernel.
 //!
 //! The seed analyzer walked the full dynamic trace once per machine model,
 //! and every one of those seven walks re-fetched `text[event.pc]`,
@@ -21,8 +21,8 @@
 //! for *both* settings ([`TraceMeta::class`]) — Table 4's
 //! with/without-unrolling comparison shares one preparation.
 //!
-//! The per-machine walks in [`fused`](crate::fused) then touch only their
-//! own timing state, sharing everything here.
+//! The kernel's walks in [`lane`](crate::lane) then touch only their own
+//! timing state, sharing everything here.
 
 use clfp_cfg::StaticInfo;
 use clfp_isa::{Instr, Program};
@@ -320,7 +320,7 @@ impl TraceMeta {
         }
     }
 
-    /// The fused preparation walk: classification (branch prediction +
+    /// The shared preparation walk: classification (branch prediction +
     /// ignore masks for both unroll settings), operand pre-decode, and
     /// dynamic control-dependence resolution, one trace walk for all
     /// machines. The whole-trace special case of [`MetaBuilder`] — one
@@ -606,7 +606,7 @@ impl<'a> MetaBuilder<'a> {
                 flags |= EV_BRANCH;
             }
             // The value-prediction mode decides the predicted bit here,
-            // and only here for the fused/lane/stream pipelines (the same
+            // and only here for the in-memory and streamed pipelines (the same
             // seam as the mem_key choice below). When training is on,
             // every def-producing event trains every predictor —
             // including ignored events — so the training sequence is
@@ -634,9 +634,9 @@ impl<'a> MetaBuilder<'a> {
                 }
             }
             // The disambiguation mode decides the last-write key here, and
-            // only here for the fused/lane/stream pipelines: everything
-            // downstream consumes `EventMeta::mem_key` opaquely, so all
-            // three agree bit-for-bit by construction.
+            // only here for the in-memory and streamed pipelines:
+            // everything downstream consumes `EventMeta::mem_key` opaquely,
+            // so both agree bit-for-bit by construction.
             let mem_key = match self.disambiguation {
                 crate::MemDisambiguation::Perfect => event.mem_addr >> self.shift,
                 crate::MemDisambiguation::Static => {

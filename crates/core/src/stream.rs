@@ -15,16 +15,16 @@
 //!   through a [`MetaBuilder`] (classification, operand decode, dynamic
 //!   control-dependence resolution — all carried state lives in the
 //!   builder) into per-chunk `EventMeta`/[`EventClass`] buffers, which are
-//!   then fed to one [`MachineCursor`] per machine × unroll setting. The
-//!   cursors carry the scheduling state across chunks, so the resulting
+//!   then fed to the scheduling kernel ([`lane`](crate::lane)). Its lane
+//!   groups carry the scheduling state across chunks, so the resulting
 //!   reports are bit-identical to the in-memory path — both are the same
-//!   builders, fed different chunk sizes (asserted across chunk sizes by
-//!   the `stream_equivalence` suite).
+//!   builders and the same kernel, fed different chunk sizes (asserted
+//!   across chunk sizes by the `stream_equivalence` and
+//!   `lane_equivalence` suites).
 //!
-//! Within pass 2 the machine slots run through the lane-parallel kernel
-//! ([`lane`](crate::lane)): every chunk is fed to at most two lane
-//! *groups* (control-dependence-using machines and the rest), each
-//! scheduling all its machine × unroll lanes in one walk over the chunk.
+//! Within pass 2 every chunk is fed to at most two lane *groups*
+//! (control-dependence-using machines and the rest), each scheduling all
+//! its machine × unroll lanes in one walk over the chunk.
 //! When cores are available the groups run concurrently: the producer
 //! (preparation walk) publishes chunks through a double-buffered
 //! broadcast and each worker thread owns a fixed subset of the groups.
@@ -41,8 +41,7 @@ use clfp_vm::{
 };
 
 use crate::analyzer::{assemble_report, Analyzer, Report};
-use crate::fused::{MachineCursor, MachineState};
-use crate::lane::{GroupFeed, LaneScheduler};
+use crate::lane::{run_machine_major, GroupFeed, LaneScheduler, DEFAULT_MEM_CAPACITY};
 use crate::meta::{EventClass, EventMeta, MetaBuilder, ProgramMeta, PC_COND_BRANCH};
 use crate::pass::{PassConfig, PassResult};
 use crate::{AnalyzeError, MachineKind, PredictorChoice};
@@ -345,11 +344,11 @@ impl<'a> Analyzer<'a> {
 
     /// Streaming analogue of
     /// [`PreparedTrace::machine_metrics_with_unrolling`](crate::PreparedTrace::machine_metrics_with_unrolling):
-    /// runs every configured machine over the streamed execution with the
-    /// recording metrics sink. Machines run one at a time, each over its
-    /// own re-stream, so only one collector is live at once; the collector
-    /// itself is inherently O(events) — this bounds *trace*-side memory,
-    /// not the diagnostic record.
+    /// runs every configured machine over the streamed execution through
+    /// the kernel's width-1 recording groups. Machines run one at a time,
+    /// each over its own re-stream, so only one collector is live at
+    /// once; the collector itself is inherently O(events) — this bounds
+    /// *trace*-side memory, not the diagnostic record.
     ///
     /// # Errors
     ///
@@ -364,33 +363,33 @@ impl<'a> Analyzer<'a> {
 
         let chunk_events = chunk_events.max(1);
         let profile = self.stream_profile(source, chunk_events)?;
-        let pass_config = PassConfig::from_analysis(&self.config);
-        let text_len = self.program.text.len();
         let hint = source.len_hint().map_or(0, |n| n as usize);
-        let mut out = Vec::with_capacity(self.config.machines.len());
-        for &kind in &self.config.machines {
-            let mut builder =
-                MetaBuilder::new(self.program, &self.info, &self.meta, &self.config, &profile);
-            let mut buf = ChunkBuf::new(chunk_events);
-            let mut cursor = MachineCursor::new(kind, text_len, true);
-            let mut state = MachineState::new(text_len);
-            let mut collector = MetricsCollector::with_capacity(hint);
-            source.stream(chunk_events, &mut |chunk| {
-                buf.fill(&mut builder, chunk);
-                let class = if unrolling { &buf.unrolled } else { &buf.rolled };
-                cursor.feed(
-                    &self.meta,
-                    &buf.events,
-                    class,
-                    &pass_config,
-                    &mut state,
-                    &mut collector,
-                );
-            })?;
-            cursor.finish();
-            out.push((kind, collector.finish()));
-        }
-        Ok(out)
+        let walks = run_machine_major(
+            &self.config.machines,
+            unrolling,
+            self.program.text.len(),
+            &PassConfig::from_analysis(&self.config),
+            DEFAULT_MEM_CAPACITY,
+            |group| {
+                let mut builder =
+                    MetaBuilder::new(self.program, &self.info, &self.meta, &self.config, &profile);
+                let mut buf = ChunkBuf::new(chunk_events);
+                let mut collector = MetricsCollector::with_capacity(hint);
+                source.stream(chunk_events, &mut |chunk| {
+                    buf.fill(&mut builder, chunk);
+                    let (events, unrolled, rolled) = (&buf.events, &buf.unrolled, &buf.rolled);
+                    group.feed(&self.meta, 0, events, unrolled, rolled, &mut collector);
+                })?;
+                Ok::<_, AnalyzeError>(collector.finish())
+            },
+        )?;
+        Ok(self
+            .config
+            .machines
+            .iter()
+            .zip(walks)
+            .map(|(&kind, (_, metrics))| (kind, metrics))
+            .collect())
     }
 
     /// Pass 1 without the summary: just the branch profile (empty unless
@@ -481,7 +480,14 @@ fn run_broadcast(
                         for id in next..=upto {
                             let buf = shared.bufs[(id % 2) as usize].read().unwrap();
                             for group in my_groups.iter_mut() {
-                                group.feed(pcs, 0, &buf.events, &buf.unrolled, &buf.rolled);
+                                group.feed(
+                                    pcs,
+                                    0,
+                                    &buf.events,
+                                    &buf.unrolled,
+                                    &buf.rolled,
+                                    &mut clfp_metrics::NullSink,
+                                );
                             }
                         }
                         next = upto + 1;

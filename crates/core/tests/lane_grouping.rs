@@ -1,8 +1,8 @@
 //! Randomized property test for lane grouping (behind the
 //! `external-tests` feature): for *any* machine subset in *any* request
 //! order, over any suite workload and either unroll setting, the lane
-//! kernel must produce the identical per-machine results as the scalar
-//! fused cursor. This exercises the CD/non-CD split, partial lane groups
+//! kernel must produce the identical per-machine results as the reference
+//! pass. This exercises the CD/non-CD split, partial lane groups
 //! (1–8 lanes, padding lanes replicated from lane 0), and the scatter of
 //! group results back into request order — including the singleton and
 //! full-14-lane extremes the deterministic suite pins explicitly.
@@ -28,7 +28,7 @@ impl Rng {
 }
 
 #[test]
-fn random_machine_subsets_match_scalar() {
+fn random_machine_subsets_match_reference() {
     let names = ["qsort", "scan", "sparse", "matmul", "eventsim"];
     let mut programs = Vec::new();
     for name in names {
@@ -68,12 +68,21 @@ fn random_machine_subsets_match_scalar() {
         let prepared = analyzer.prepare(&traces[pi]);
         let (lane_unrolled, lane_rolled) = prepared.report_both();
         for (unrolling, lane) in [(true, &lane_unrolled), (false, &lane_rolled)] {
-            let scalar = prepared.report_with_unrolling_scalar(unrolling);
+            let reference = Analyzer::new(
+                program,
+                AnalysisConfig {
+                    machines: machines.clone(),
+                    unrolling,
+                    ..base.clone()
+                },
+            )
+            .unwrap()
+            .run_on_trace_reference(&traces[pi]);
             let tag = format!("round {round} {name} {machines:?} unroll={unrolling}");
-            assert_eq!(lane.seq_instrs, scalar.seq_instrs, "{tag}");
-            assert_eq!(lane.mispred_stats, scalar.mispred_stats, "{tag}");
-            assert_eq!(lane.results.len(), scalar.results.len(), "{tag}");
-            for (g, w) in lane.results.iter().zip(&scalar.results) {
+            assert_eq!(lane.seq_instrs, reference.seq_instrs, "{tag}");
+            assert_eq!(lane.mispred_stats, reference.mispred_stats, "{tag}");
+            assert_eq!(lane.results.len(), reference.results.len(), "{tag}");
+            for (g, w) in lane.results.iter().zip(&reference.results) {
                 assert_eq!(g.kind, w.kind, "{tag}: request order");
                 assert_eq!(g.cycles, w.cycles, "{tag} {}", g.kind);
                 assert_eq!(

@@ -11,7 +11,7 @@
 use clfp_limits::{AnalysisConfig, Analyzer, MachineKind, Report, StreamOptions};
 use clfp_vm::{ProgramSource, Vm, VmOptions};
 
-/// The `fused` module's procedure-heavy exerciser: calls, CD inheritance,
+/// A procedure-heavy exerciser: calls, CD inheritance,
 /// loops, and memory traffic. Its 114-event trace is not a multiple of 7,
 /// so the 7-event chunk walk crosses call and branch boundaries mid-chunk
 /// and ends on a partial chunk.

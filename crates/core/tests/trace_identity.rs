@@ -1,6 +1,6 @@
 //! Tracing must observe the pipeline, never steer it: with the span
 //! recorder actively collecting (the `SpanTracer` path), every report —
-//! scalar fused, lane kernel, streamed, and the multimode slices — must
+//! reference pass, lane kernel, streamed, and the multimode slices — must
 //! be **bit-identical** to the untraced run (the `NullTracer` path the
 //! gated free functions compile down to). One test body, not several:
 //! the tracing switch is process-global, so the on/off comparison must
@@ -29,7 +29,7 @@ fn assert_reports_identical(got: &Report, want: &Report, tag: &str) {
 }
 
 /// Every report the pipeline can produce for `program` under `config`:
-/// (scalar unrolled, scalar rolled, lane unrolled, lane rolled,
+/// (reference unrolled, reference rolled, lane unrolled, lane rolled,
 /// streamed unrolled, streamed rolled).
 fn all_reports(program: &clfp_isa::Program, config: &AnalysisConfig) -> Vec<Report> {
     let analyzer = Analyzer::new(program, config.clone()).unwrap();
@@ -45,9 +45,14 @@ fn all_reports(program: &clfp_isa::Program, config: &AnalysisConfig) -> Vec<Repo
     let streamed = analyzer
         .run_streamed_on(&trace, StreamOptions::default())
         .unwrap();
+    let reference = |unrolling: bool| {
+        Analyzer::new(program, config.clone().with_unrolling(unrolling))
+            .unwrap()
+            .run_on_trace_reference(&trace)
+    };
     vec![
-        prepared.report_with_unrolling_scalar(true),
-        prepared.report_with_unrolling_scalar(false),
+        reference(true),
+        reference(false),
         lane_unrolled,
         lane_rolled,
         streamed.unrolled,

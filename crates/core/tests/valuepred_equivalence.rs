@@ -1,12 +1,12 @@
 //! Exact-equivalence suite for the value-prediction axis: every mode of
 //! [`clfp_limits::ValuePrediction`] must produce the same schedule through
-//! all four pipelines — the lane kernel, the scalar fused cursor, the
-//! streaming chunked pipeline (at chunk sizes that straddle call and
-//! branch boundaries), and the reference pass, which replays the value
-//! predictor independently instead of consuming the prepared
-//! `EV_VALPRED` flags. Any divergence here means a pipeline read the
-//! publish rule (a correctly predicted definition publishes
-//! availability 0) differently from the others.
+//! all three pipelines — the lane kernel in memory, the streaming chunked
+//! pipeline (at chunk sizes that straddle call and branch boundaries),
+//! and the reference pass, which replays the value predictor
+//! independently instead of consuming the prepared `EV_VALPRED` flags.
+//! Any divergence here means a pipeline read the publish rule (a
+//! correctly predicted definition publishes availability 0) differently
+//! from the others.
 
 use clfp_limits::{AnalysisConfig, Analyzer, Report, StreamOptions, ValuePrediction};
 use clfp_vm::{Vm, VmOptions};
@@ -97,20 +97,11 @@ fn pipelines_agree_across_modes_chunks_and_unrolling() {
                 let prepared = analyzer.prepare(&trace);
                 let tag = format!("{name} mode={} unroll={unrolling}", mode.name());
 
-                // Lane kernel vs scalar fused cursor: bit-identical.
-                let lane = prepared.report_with_unrolling(unrolling);
-                let scalar = prepared.report_with_unrolling_scalar(unrolling);
-                assert_reports_equal(&scalar, &lane, &format!("{tag} scalar"));
-
                 // The reference pass rebuilds its own predictor and must
                 // land on the same schedule anyway.
+                let lane = prepared.report_with_unrolling(unrolling);
                 let reference = analyzer.run_on_trace_reference(&trace);
-                assert_eq!(reference.seq_instrs, lane.seq_instrs, "{tag} reference");
-                assert_eq!(reference.results.len(), lane.results.len(), "{tag}");
-                for (r, l) in reference.results.iter().zip(&lane.results) {
-                    assert_eq!(r.kind, l.kind, "{tag}");
-                    assert_eq!(r.cycles, l.cycles, "{tag} reference {}", r.kind);
-                }
+                assert_reports_equal(&reference, &lane, &format!("{tag} reference"));
 
                 // The streaming pipeline at every chunk size, including
                 // single-event chunks and one whole-trace chunk.

@@ -3,8 +3,8 @@
 //! The machine passes in `clfp-limits` answer *how much* parallelism each
 //! abstract machine finds; this crate answers *why*. It provides:
 //!
-//! * [`MetricsSink`] — a zero-cost instrumentation hook for the fused
-//!   scheduler. The trait carries a `const ENABLED` flag so that the
+//! * [`MetricsSink`] — a zero-cost instrumentation hook for the
+//!   scheduling kernel. The trait carries a `const ENABLED` flag so that the
 //!   [`NullSink`] path monomorphizes to exactly the uninstrumented hot
 //!   loop (every `if S::ENABLED` block is statically eliminated).
 //! * [`MetricsCollector`] / [`MachineMetrics`] — the enabled sink. Records
@@ -115,7 +115,7 @@ impl BindingEdge {
     }
 }
 
-/// Instrumentation hook for the fused machine passes.
+/// Instrumentation hook for the machine passes of the scheduling kernel.
 ///
 /// The scheduler is generic over `S: MetricsSink` and guards every
 /// metrics-only computation with `if S::ENABLED { ... }`. Because

@@ -10,11 +10,17 @@
 //! version; later runs stream the file back through [`FileTraceSource`]
 //! and skip VM execution entirely.
 //!
-//! Cache files are *hints, never trusted*: every lookup re-validates an
-//! FNV-1a hash over the header and the exact byte length implied by the
-//! event count. A stale, truncated, or corrupted file is deleted with a
-//! warning and the caller re-executes — a damaged cache can cost time but
-//! never correctness.
+//! Cache files are *hints*: every lookup re-validates an FNV-1a hash over
+//! the 36-byte key header and the exact byte length implied by the event
+//! count, and a stale, truncated, or header-damaged file is deleted with a
+//! warning while the caller re-executes. The event records themselves
+//! carry no checksum — hashing the payload would slow the load that makes
+//! the cache worth having. Loading rejects a record whose pc lies outside
+//! the program's text (the damage that would otherwise panic the
+//! analyzer), but a flipped bit that leaves a record well-formed — an
+//! address, a value, a branch outcome, or a pc moved to another valid
+//! instruction — is read back as if it had been executed. Clear the cache
+//! (`clfp cache clear`) when the disk it lives on is in doubt.
 //!
 //! File format (all little-endian):
 //!
@@ -105,13 +111,17 @@ impl fmt::Display for CacheFileError {
 ///
 /// Constructed only by [`TraceCache::lookup`] / [`TraceCache::store`], so
 /// holding one implies the header hash and byte length checked out at open
-/// time. The file is re-opened (and its header re-verified) on every
-/// [`TraceSource::stream`] call; replay determinism holds because the
-/// bytes on disk do not change.
+/// time. The file is re-opened on every [`TraceSource::stream`] call, and
+/// every record's pc is checked against the program's text as it is
+/// decoded; replay determinism holds because the bytes on disk do not
+/// change.
 #[derive(Clone, Debug)]
 pub struct FileTraceSource {
     path: PathBuf,
     events: u64,
+    /// Text length of the program the entry was keyed by: every decoded
+    /// pc must lie below it.
+    text_len: usize,
 }
 
 impl FileTraceSource {
@@ -165,8 +175,10 @@ impl FileTraceSource {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors; the header was validated at open, so a
-    /// failure here means the file changed underneath us.
+    /// Propagates I/O errors (the header was validated at open, so one
+    /// here means the file changed underneath us), and reports a record
+    /// whose pc lies outside the program's text as
+    /// [`io::ErrorKind::InvalidData`].
     pub fn load_trace(&self) -> io::Result<Trace> {
         let file = fs::File::open(&self.path)?;
         let mut reader = BufReader::new(file);
@@ -174,9 +186,20 @@ impl FileTraceSource {
         reader.read_exact(&mut header)?;
         let mut events = Vec::with_capacity((self.events as usize).min(1 << 24));
         let mut record = [0u8; RECORD_LEN as usize];
+        // A running maximum keeps the per-record loop branch-free; the
+        // load is what the cache exists to make fast.
+        let mut max_pc = 0;
         for _ in 0..self.events {
             reader.read_exact(&mut record)?;
-            events.push(decode_record(&record));
+            let event = decode_record(&record);
+            max_pc = max_pc.max(event.pc);
+            events.push(event);
+        }
+        if !events.is_empty() && max_pc as usize >= self.text_len {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("record pc {max_pc} outside the program's text"),
+            ));
         }
         Ok(Trace::from_events(events))
     }
@@ -215,8 +238,14 @@ impl TraceSource for FileTraceSource {
             let raw = &mut bytes[..take * RECORD_LEN as usize];
             reader.read_exact(raw).expect("cache file changed while in use");
             buf.clear();
+            let mut max_pc = 0;
             for record in raw.chunks_exact(RECORD_LEN as usize) {
-                buf.push(decode_record(record.try_into().expect("13 bytes")));
+                let event = decode_record(record.try_into().expect("13 bytes"));
+                max_pc = max_pc.max(event.pc);
+                buf.push(event);
+            }
+            if max_pc as usize >= self.text_len {
+                return Err(VmError::BadPc { pc: max_pc });
             }
             sink(&buf);
             remaining -= take as u64;
@@ -290,7 +319,11 @@ impl TraceCache {
         match FileTraceSource::open_checked(&path, program.fingerprint(), max_instrs) {
             Ok(Ok((_, events))) => {
                 clfp_metrics::trace::tally("cache.hit", "cache", 1);
-                Some(FileTraceSource { path, events })
+                Some(FileTraceSource {
+                    path,
+                    events,
+                    text_len: program.text.len(),
+                })
             }
             Ok(Err(why)) => {
                 clfp_metrics::trace::tally("cache.miss", "cache", 1);
@@ -348,6 +381,7 @@ impl TraceCache {
         Ok(FileTraceSource {
             path,
             events: trace.len() as u64,
+            text_len: program.text.len(),
         })
     }
 
@@ -375,7 +409,7 @@ impl TraceCache {
                 Err(err) => {
                     drop(span);
                     eprintln!(
-                        "warning: cache file {} vanished mid-read ({err}); re-executing",
+                        "warning: cannot load trace cache file {} ({err}); re-executing",
                         source.path.display()
                     );
                 }
@@ -559,6 +593,47 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(cache.lookup(&program, 10_000).is_none());
         assert!(!path.exists());
+        std::fs::remove_dir_all(cache.dir()).ok();
+    }
+
+    #[test]
+    fn flipped_pc_bits_are_rejected_and_rebuilt() {
+        let cache = temp_cache("pcflip");
+        let (program, trace) = sample();
+        let source = cache.store(&program, 10_000, &trace).unwrap();
+        let path = source.path().to_path_buf();
+        let clean = std::fs::read(&path).unwrap();
+        let text_len = program.text.len() as u32;
+        for record in [0, 5, trace.len() - 1] {
+            for bit in 0..32 {
+                let pc = trace.events()[record].pc ^ (1 << bit);
+                let mut bytes = clean.clone();
+                let at = HEADER_LEN as usize + record * RECORD_LEN as usize + bit / 8;
+                bytes[at] ^= 1 << (bit % 8);
+                std::fs::write(&path, &bytes).unwrap();
+                // Only the header is hashed, so the damaged entry still
+                // looks valid at lookup.
+                let source = cache.lookup(&program, 10_000).expect("header intact");
+                let loaded = source.load_trace();
+                let streamed = source.stream(7, &mut |_| {});
+                let tag = format!("record {record} bit {bit}");
+                if pc < text_len {
+                    assert_eq!(loaded.unwrap().events()[record].pc, pc, "{tag}");
+                    assert!(streamed.is_ok(), "{tag}");
+                } else {
+                    let err = loaded.unwrap_err();
+                    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{tag}");
+                    assert_eq!(streamed, Err(VmError::BadPc { pc }), "{tag}");
+                    // The cold path replaces the damaged entry.
+                    let (rebuilt, warm) = cache
+                        .ensure(&program, VmOptions::default(), 10_000)
+                        .unwrap();
+                    assert!(!warm, "{tag}");
+                    assert_eq!(rebuilt.events(), trace.events(), "{tag}");
+                    assert_eq!(std::fs::read(&path).unwrap(), clean, "{tag}");
+                }
+            }
+        }
         std::fs::remove_dir_all(cache.dir()).ok();
     }
 

@@ -18,7 +18,10 @@
 //!
 //! `CLFPTRC1` files (9-byte records, no produced value) predate the
 //! value-prediction axis and are rejected as [`TraceFileError::BadMagic`];
-//! recapture the trace to upgrade.
+//! recapture the trace to upgrade. A record whose pc lies outside the
+//! program's text is rejected as [`TraceFileError::BadPc`]; the records
+//! carry no checksum, so damage that leaves every pc in range is read
+//! back as executed.
 
 use std::fmt;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -46,6 +49,13 @@ pub enum TraceFileError {
     },
     /// The file ended before the declared event count.
     Truncated,
+    /// An event's pc lies outside the program's text segment.
+    BadPc {
+        /// Index of the event in the trace.
+        index: u64,
+        /// The out-of-range pc.
+        pc: u32,
+    },
 }
 
 impl fmt::Display for TraceFileError {
@@ -59,6 +69,10 @@ impl fmt::Display for TraceFileError {
                  (stored {stored:#018x}, expected {expected:#018x})"
             ),
             TraceFileError::Truncated => write!(f, "trace file is truncated"),
+            TraceFileError::BadPc { index, pc } => write!(
+                f,
+                "trace event {index} has pc {pc}, outside the program's text segment"
+            ),
         }
     }
 }
@@ -103,7 +117,8 @@ impl Trace {
     /// # Errors
     ///
     /// Returns [`TraceFileError`] on I/O failure, wrong magic, fingerprint
-    /// mismatch, or truncation.
+    /// mismatch, truncation, or an event whose pc lies outside the
+    /// program's text.
     pub fn read_from<R: Read>(program: &Program, reader: R) -> Result<Trace, TraceFileError> {
         let mut input = BufReader::new(reader);
         let mut magic = [0u8; 8];
@@ -122,12 +137,16 @@ impl Trace {
         let count = u64::from_le_bytes(word) as usize;
         let mut events = Vec::with_capacity(count.min(1 << 24));
         let mut record = [0u8; 13];
-        for _ in 0..count {
+        for index in 0..count as u64 {
             input
                 .read_exact(&mut record)
                 .map_err(|_| TraceFileError::Truncated)?;
+            let pc = u32::from_le_bytes(record[0..4].try_into().expect("4 bytes"));
+            if pc as usize >= program.text.len() {
+                return Err(TraceFileError::BadPc { index, pc });
+            }
             events.push(TraceEvent {
-                pc: u32::from_le_bytes(record[0..4].try_into().expect("4 bytes")),
+                pc,
                 mem_addr: u32::from_le_bytes(record[4..8].try_into().expect("4 bytes")),
                 value: u32::from_le_bytes(record[8..12].try_into().expect("4 bytes")),
                 taken: record[12] != 0,
@@ -206,6 +225,32 @@ mod tests {
         buffer.truncate(buffer.len() - 5);
         let err = Trace::read_from(&program, buffer.as_slice()).unwrap_err();
         assert!(matches!(err, TraceFileError::Truncated));
+    }
+
+    #[test]
+    fn flipped_pc_bits_are_rejected() {
+        let (program, trace) = sample();
+        let mut clean = Vec::new();
+        trace.write_to(&program, &mut clean).unwrap();
+        for (index, event) in trace.events().iter().enumerate() {
+            for bit in 0..32 {
+                let pc = event.pc ^ (1 << bit);
+                let mut bytes = clean.clone();
+                bytes[24 + 13 * index + bit / 8] ^= 1 << (bit % 8);
+                let loaded = Trace::read_from(&program, bytes.as_slice());
+                if (pc as usize) < program.text.len() {
+                    assert_eq!(loaded.unwrap().events()[index].pc, pc);
+                } else {
+                    let err = loaded.unwrap_err();
+                    let expected = (index as u64, pc);
+                    assert!(
+                        matches!(err, TraceFileError::BadPc { index, pc } if (index, pc) == expected),
+                        "event {index} bit {bit}: {err}"
+                    );
+                    assert!(err.to_string().contains("outside the program's text"));
+                }
+            }
+        }
     }
 
     #[test]

@@ -196,6 +196,49 @@ fn errors_are_reported_not_panicked() {
 
     let output = clfp().arg("frobnicate").output().unwrap();
     assert!(!output.status.success());
+
+    // A zero fetch width would divide by zero in every scheduler.
+    let output = clfp()
+        .args([
+            "analyze",
+            "--workload",
+            "qsort",
+            "--fetch",
+            "0",
+            "--max-instr",
+            "20000",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    let text = String::from_utf8(output.stderr).unwrap();
+    assert!(text.contains("fetch bandwidth"), "{text}");
+
+    // A trace file whose first event's pc has a high bit flipped names an
+    // instruction the program does not have.
+    let path = write_temp("flipped.mc", PROGRAM);
+    let trc = path.with_extension("trc");
+    let output = clfp()
+        .arg("trace")
+        .arg(&path)
+        .arg("-o")
+        .arg(&trc)
+        .output()
+        .unwrap();
+    assert!(output.status.success(), "{output:?}");
+    let mut bytes = std::fs::read(&trc).unwrap();
+    bytes[24 + 3] ^= 0x40; // the pc's top byte: header is 24 bytes
+    std::fs::write(&trc, &bytes).unwrap();
+    let output = clfp()
+        .arg("analyze")
+        .arg(&path)
+        .arg("--trace")
+        .arg(&trc)
+        .output()
+        .unwrap();
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    let text = String::from_utf8(output.stderr).unwrap();
+    assert!(text.contains("outside the program's text"), "{text}");
 }
 
 #[test]

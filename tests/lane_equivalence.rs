@@ -1,0 +1,284 @@
+//! Exact-equivalence suite for the scheduling kernel against the one
+//! independent oracle: the event-major lane walk
+//! ([`PreparedTrace::report_with_unrolling`] /
+//! [`PreparedTrace::report_both`], the streamed pipeline behind it, the
+//! machine-major packing [`PreparedTrace::report_with_unrolling_scalar`],
+//! and the recording walks behind [`PreparedTrace::machine_metrics`])
+//! must reproduce the one-machine-at-a-time reference pass
+//! ([`Analyzer::run_on_trace_reference`]) **bit for bit** — cycle counts,
+//! parallelism bits, branch statistics, and misprediction histograms —
+//! for every machine model, every suite workload, both unroll settings,
+//! and streaming chunk sizes {1, 7, 4096, whole-trace}, and under every
+//! memory-disambiguation mode on a sample of workloads
+//! ([`MODE_PROGRAMS`]). The reference pass shares no scheduling
+//! code with the kernel and computes the identical max/add folds in the
+//! identical event order, so any divergence here is a wrong mask or a
+//! lost carry, not floating-point noise.
+//!
+//! [`PreparedTrace::report_with_unrolling`]: clfp::limits::PreparedTrace::report_with_unrolling
+//! [`PreparedTrace::report_both`]: clfp::limits::PreparedTrace::report_both
+//! [`PreparedTrace::report_with_unrolling_scalar`]: clfp::limits::PreparedTrace::report_with_unrolling_scalar
+//! [`PreparedTrace::machine_metrics`]: clfp::limits::PreparedTrace::machine_metrics
+//! [`Analyzer::run_on_trace_reference`]: clfp::limits::Analyzer::run_on_trace_reference
+
+use clfp::isa::Program;
+use clfp::limits::{
+    AnalysisConfig, Analyzer, MachineKind, MemDisambiguation, Report, StreamOptions,
+};
+use clfp::vm::{Trace, Vm, VmOptions};
+
+/// A procedure-heavy exerciser: calls, CD inheritance, loops, and memory
+/// traffic, with a trace length that is not a multiple of 7 so small
+/// chunks straddle call and branch boundaries.
+const SOURCE: &str = r#"
+    .text
+    main:
+        li r8, 8
+    mloop:
+        mv a0, r8
+        call work
+        sw v0, 0x1000(r0)
+        lw r9, 0x1000(r0)
+        addi r8, r8, -1
+        bgt r8, r0, mloop
+        halt
+    work:
+        addi sp, sp, -4
+        sw ra, 0(sp)
+        li v0, 0
+        ble a0, r0, wend
+        addi v0, a0, 5
+    wend:
+        lw ra, 0(sp)
+        addi sp, sp, 4
+        ret
+    "#;
+
+fn config() -> AnalysisConfig {
+    AnalysisConfig::quick().with_max_instrs(20_000)
+}
+
+/// Bit-exact report equality: parallelism is compared by bit pattern, not
+/// tolerance — the kernel must run the same arithmetic, not similar
+/// arithmetic.
+fn assert_reports_identical(got: &Report, want: &Report, tag: &str) {
+    assert_eq!(got.seq_instrs, want.seq_instrs, "{tag}: seq_instrs");
+    assert_eq!(got.raw_instrs, want.raw_instrs, "{tag}: raw_instrs");
+    assert_eq!(got.branches, want.branches, "{tag}: branches");
+    assert_eq!(got.mispred_stats, want.mispred_stats, "{tag}: mispred");
+    assert_eq!(got.results.len(), want.results.len(), "{tag}: machines");
+    for (g, w) in got.results.iter().zip(&want.results) {
+        assert_eq!(g.kind, w.kind, "{tag}");
+        assert_eq!(g.cycles, w.cycles, "{tag} {}", g.kind);
+        assert_eq!(
+            g.parallelism.to_bits(),
+            w.parallelism.to_bits(),
+            "{tag} {}: {} vs {}",
+            g.kind,
+            g.parallelism,
+            w.parallelism
+        );
+    }
+}
+
+/// The programs the per-mode cases sweep: the asm exerciser plus suite
+/// workloads with recursion (qsort), indirect accesses (sparse), and the
+/// most static alias classes (parse, stencil).
+const MODE_PROGRAMS: [&str; 5] = ["asm", "qsort", "sparse", "parse", "stencil"];
+
+/// The asm exerciser plus every suite workload.
+fn programs() -> Vec<(String, Program)> {
+    let mut programs = vec![("asm".to_string(), clfp::isa::assemble(SOURCE).unwrap())];
+    for workload in clfp::workloads::suite() {
+        programs.push((
+            workload.name.to_string(),
+            workload.compile().expect(workload.name),
+        ));
+    }
+    programs
+}
+
+fn trace_of(program: &Program) -> Trace {
+    let mut vm = Vm::new(
+        program,
+        VmOptions {
+            mem_words: config().mem_words,
+        },
+    );
+    vm.trace(config().max_instrs).unwrap()
+}
+
+/// One analyzer per unroll setting under `config`, `(unrolled, rolled)`:
+/// the reference pass reads the setting from its analyzer's
+/// configuration.
+fn per_setting<'a>(program: &'a Program, config: &AnalysisConfig) -> [(bool, Analyzer<'a>); 2] {
+    [true, false].map(|unrolling| {
+        let analyzer = Analyzer::new(program, config.clone().with_unrolling(unrolling));
+        (unrolling, analyzer.unwrap())
+    })
+}
+
+#[test]
+fn lane_kernel_matches_reference_on_every_workload() {
+    for (name, program) in programs() {
+        let trace = trace_of(&program);
+        let analyzers = per_setting(&program, &config());
+        // One preparation serves both unroll settings (the benchmark
+        // suite's path); it must agree with per-setting analyzers too.
+        let prepared = analyzers[0].1.prepare(&trace);
+        let (both_unrolled, both_rolled) = prepared.report_both();
+        for ((unrolling, analyzer), both) in analyzers.iter().zip([&both_unrolled, &both_rolled]) {
+            let tag = format!("{name} unroll={unrolling}");
+            let want = analyzer.run_on_trace_reference(&trace);
+            for (label, got) in [
+                ("both", both),
+                ("lane", &prepared.report_with_unrolling(*unrolling)),
+                (
+                    "machine-major",
+                    &prepared.report_with_unrolling_scalar(*unrolling),
+                ),
+                ("per-setting", &analyzer.run_on_trace(&trace)),
+            ] {
+                assert_reports_identical(got, &want, &format!("{tag} {label}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn streamed_lane_kernel_matches_reference_across_chunk_sizes() {
+    for (name, program) in programs() {
+        let trace = trace_of(&program);
+        let analyzers = per_setting(&program, &config());
+        let want = analyzers
+            .each_ref()
+            .map(|(_, a)| a.run_on_trace_reference(&trace));
+        for chunk in [1, 7, 4096, trace.len()] {
+            let options = StreamOptions {
+                chunk_events: chunk,
+                machine_threads: 1,
+                par_threshold_events: 0,
+            };
+            let streamed = analyzers[0].1.run_streamed_on(&trace, options).unwrap();
+            let tag = format!("{name} chunk={chunk}");
+            assert_reports_identical(&streamed.unrolled, &want[0], &format!("{tag} unrolled"));
+            assert_reports_identical(&streamed.rolled, &want[1], &format!("{tag} rolled"));
+        }
+    }
+}
+
+#[test]
+fn coarse_disambiguation_modes_match_reference() {
+    for (name, program) in programs() {
+        if !MODE_PROGRAMS.contains(&name.as_str()) {
+            continue;
+        }
+        let trace = trace_of(&program);
+        let perfect = Analyzer::new(&program, config()).unwrap();
+        let prepared = perfect.prepare(&trace);
+        for mode in [MemDisambiguation::Static, MemDisambiguation::None] {
+            let mode_config = config().with_disambiguation(mode);
+            let analyzers = per_setting(&program, &mode_config);
+            let dedicated = analyzers[0].1.prepare(&trace);
+            let (sliced_unrolled, sliced_rolled) = prepared
+                .slice_modes(mode, mode_config.value_prediction)
+                .report_both();
+            for ((unrolling, analyzer), sliced) in
+                analyzers.iter().zip([&sliced_unrolled, &sliced_rolled])
+            {
+                let tag = format!("{name} {} unroll={unrolling}", mode.name());
+                let want = analyzer.run_on_trace_reference(&trace);
+                for (label, got) in [
+                    ("slice", sliced),
+                    ("lane", &dedicated.report_with_unrolling(*unrolling)),
+                    (
+                        "machine-major",
+                        &dedicated.report_with_unrolling_scalar(*unrolling),
+                    ),
+                ] {
+                    assert_reports_identical(got, &want, &format!("{tag} {label}"));
+                }
+            }
+        }
+    }
+}
+
+/// The recording walks schedule what the reference pass schedules: every
+/// machine's recorded critical path and instruction count equal the
+/// reference report's, at both unroll settings, under perfect and static
+/// disambiguation.
+#[test]
+fn machine_metrics_match_reference_cycles_and_counts() {
+    for (name, program) in programs() {
+        if !MODE_PROGRAMS.contains(&name.as_str()) {
+            continue;
+        }
+        let trace = trace_of(&program);
+        for mode in [MemDisambiguation::Perfect, MemDisambiguation::Static] {
+            let analyzers = per_setting(&program, &config().with_disambiguation(mode));
+            let prepared = analyzers[0].1.prepare(&trace);
+            for (unrolling, analyzer) in &analyzers {
+                let tag = format!("{name} {} unroll={unrolling}", mode.name());
+                let want = analyzer.run_on_trace_reference(&trace);
+                let metrics = prepared.machine_metrics_with_unrolling(*unrolling);
+                assert_eq!(metrics.len(), want.results.len(), "{tag}: machines");
+                for ((kind, m), r) in metrics.iter().zip(&want.results) {
+                    assert_eq!(*kind, r.kind, "{tag}");
+                    assert_eq!(m.cycles, r.cycles, "{tag} {kind}: cycles");
+                    assert_eq!(m.instrs, want.seq_instrs, "{tag} {kind}: instrs");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn singleton_machine_requests_match_reference() {
+    let workload = clfp::workloads::by_name("qsort").unwrap();
+    let program = workload.compile().unwrap();
+    let trace = trace_of(&program);
+    for kind in MachineKind::ALL {
+        let config = AnalysisConfig {
+            machines: vec![kind],
+            ..config()
+        };
+        let analyzers = per_setting(&program, &config);
+        let (unrolled, rolled) = analyzers[0].1.prepare(&trace).report_both();
+        for ((unrolling, analyzer), got) in analyzers.iter().zip([&unrolled, &rolled]) {
+            let want = analyzer.run_on_trace_reference(&trace);
+            assert_reports_identical(got, &want, &format!("singleton {kind} unroll={unrolling}"));
+        }
+    }
+}
+
+#[test]
+fn mixed_machine_subsets_match_reference() {
+    // Deliberately scrambled orders: the CD/non-CD lane split must
+    // scatter results back into request order.
+    let subsets: &[&[MachineKind]] = &[
+        &[MachineKind::Oracle, MachineKind::Cd, MachineKind::Sp],
+        &[MachineKind::SpCdMf, MachineKind::Base],
+        &[
+            MachineKind::Sp,
+            MachineKind::SpCd,
+            MachineKind::CdMf,
+            MachineKind::Base,
+            MachineKind::Oracle,
+        ],
+    ];
+    let workload = clfp::workloads::by_name("sparse").unwrap();
+    let program = workload.compile().unwrap();
+    let trace = trace_of(&program);
+    for subset in subsets {
+        let config = AnalysisConfig {
+            machines: subset.to_vec(),
+            ..config()
+        };
+        let analyzers = per_setting(&program, &config);
+        let (unrolled, rolled) = analyzers[0].1.prepare(&trace).report_both();
+        for ((unrolling, analyzer), got) in analyzers.iter().zip([&unrolled, &rolled]) {
+            let want = analyzer.run_on_trace_reference(&trace);
+            assert_reports_identical(got, &want, &format!("subset {subset:?} unroll={unrolling}"));
+        }
+    }
+}
