@@ -35,8 +35,7 @@
 //!
 //! Every artifact is stamped with a [`RunManifest`] ([`suite_manifest`]),
 //! and `regen` refuses to overwrite results whose recorded config hash
-//! differs from the current run's unless `--force` is given. Criterion
-//! micro-benchmarks live in `benches/` (parked; see the crate manifest).
+//! differs from the current run's unless `--force` is given.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};

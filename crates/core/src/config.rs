@@ -10,7 +10,7 @@ use crate::MachineKind;
 ///
 /// The paper uses profile-based static prediction with the measurement
 /// input (an upper bound for static techniques); the alternatives exist
-/// for the ablation benches.
+/// for predictor-sensitivity ablations (`--example predictor_ablation`).
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum PredictorChoice {
     /// Profile-based static majority prediction (the paper's predictor).

@@ -84,5 +84,5 @@ pub use config::{AnalysisConfig, Latencies, MemDisambiguation, PredictorChoice, 
 pub use error::AnalyzeError;
 pub use lastwrite::LastWriteTable;
 pub use machine::MachineKind;
-pub use stats::{harmonic_mean, BranchReport, IpcProfile, MispredictionStats};
+pub use stats::{harmonic_mean, BranchReport, MispredictionStats};
 pub use stream::{StreamOptions, StreamedReports};

@@ -172,88 +172,6 @@ impl MispredictionStats {
     }
 }
 
-/// Distribution of instructions issued per cycle under a machine model,
-/// computed from a per-instruction schedule
-/// ([`Analyzer::schedule`](crate::Analyzer::schedule)).
-///
-/// The paper reports only the aggregate parallelism; the IPC profile shows
-/// *where* it lives — a handful of very wide cycles (burst parallelism) vs
-/// sustained width.
-#[derive(Clone, Debug, Default)]
-pub struct IpcProfile {
-    /// `issued[c]` = instructions executing at cycle `c+1`.
-    issued: Vec<u32>,
-}
-
-impl IpcProfile {
-    /// Builds the profile from a schedule (cycle per dynamic instruction,
-    /// 0 for instructions removed by inlining/unrolling).
-    pub fn from_schedule(schedule: &[u64]) -> IpcProfile {
-        let max = schedule.iter().copied().max().unwrap_or(0) as usize;
-        let mut issued = vec![0u32; max];
-        for &cycle in schedule {
-            if cycle > 0 {
-                issued[(cycle - 1) as usize] += 1;
-            }
-        }
-        IpcProfile { issued }
-    }
-
-    /// Total cycles.
-    pub fn cycles(&self) -> u64 {
-        self.issued.len() as u64
-    }
-
-    /// Total instructions.
-    pub fn instructions(&self) -> u64 {
-        self.issued.iter().map(|&n| n as u64).sum()
-    }
-
-    /// Mean instructions per cycle (the parallelism).
-    pub fn mean(&self) -> f64 {
-        if self.issued.is_empty() {
-            0.0
-        } else {
-            self.instructions() as f64 / self.cycles() as f64
-        }
-    }
-
-    /// The widest cycle.
-    pub fn peak(&self) -> u32 {
-        self.issued.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Fraction of all instructions issued in cycles at least `width`
-    /// wide — how much of the parallelism is burst-shaped.
-    pub fn fraction_in_wide_cycles(&self, width: u32) -> f64 {
-        let total = self.instructions();
-        if total == 0 {
-            return 0.0;
-        }
-        let wide: u64 = self
-            .issued
-            .iter()
-            .filter(|&&n| n >= width)
-            .map(|&n| n as u64)
-            .sum();
-        wide as f64 / total as f64
-    }
-
-    /// Histogram over geometric width buckets: `(bucket_low, cycles)` for
-    /// buckets `[1,2) [2,4) [4,8) ...`.
-    pub fn width_histogram(&self) -> Vec<(u32, u64)> {
-        let mut buckets: BTreeMap<u32, u64> = BTreeMap::new();
-        for &n in &self.issued {
-            if n == 0 {
-                continue;
-            }
-            let bucket = 1u32 << (31 - n.leading_zeros());
-            *buckets.entry(bucket).or_insert(0) += 1;
-        }
-        buckets.into_iter().collect()
-    }
-}
-
 /// The harmonic mean of a sequence of positive values — the paper's
 /// summary statistic for parallelism across benchmarks.
 ///
@@ -354,28 +272,6 @@ mod tests {
         b.record_segment(7, 3.0);
         a.merge(&b);
         assert_eq!(a.total_segments(), 3);
-    }
-
-    #[test]
-    fn ipc_profile_from_schedule() {
-        // Cycles: 1 -> 3 instrs, 2 -> 1 instr, 3 -> 2 instrs; one ignored.
-        let schedule = [1, 1, 1, 2, 3, 3, 0];
-        let profile = IpcProfile::from_schedule(&schedule);
-        assert_eq!(profile.cycles(), 3);
-        assert_eq!(profile.instructions(), 6);
-        assert!((profile.mean() - 2.0).abs() < 1e-12);
-        assert_eq!(profile.peak(), 3);
-        assert!((profile.fraction_in_wide_cycles(2) - 5.0 / 6.0).abs() < 1e-12);
-        assert_eq!(profile.width_histogram(), vec![(1, 1), (2, 2)]);
-    }
-
-    #[test]
-    fn ipc_profile_empty_schedule() {
-        let profile = IpcProfile::from_schedule(&[]);
-        assert_eq!(profile.cycles(), 0);
-        assert_eq!(profile.mean(), 0.0);
-        assert_eq!(profile.peak(), 0);
-        assert_eq!(profile.fraction_in_wide_cycles(1), 0.0);
     }
 
     #[test]

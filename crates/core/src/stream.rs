@@ -347,8 +347,9 @@ impl<'a> Analyzer<'a> {
     /// runs every configured machine over the streamed execution through
     /// the kernel's width-1 recording groups. Machines run one at a time,
     /// each over its own re-stream, so only one collector is live at
-    /// once; the collector itself is inherently O(events) — this bounds
-    /// *trace*-side memory, not the diagnostic record.
+    /// once. This bounds *trace*-side memory, not the diagnostic record:
+    /// the collector keeps 5 bytes per event (each binding edge's kind and
+    /// parent) plus a 4-byte issue count per cycle.
     ///
     /// # Errors
     ///

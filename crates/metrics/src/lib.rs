@@ -7,12 +7,14 @@
 //!   scheduling kernel. The trait carries a `const ENABLED` flag so that the
 //!   [`NullSink`] path monomorphizes to exactly the uninstrumented hot
 //!   loop (every `if S::ENABLED` block is statically eliminated).
-//! * [`MetricsCollector`] / [`MachineMetrics`] — the enabled sink. Records
-//!   each dynamic instruction's issue cycle and *binding edge* (the
-//!   dependence that determined its issue time), then distills them into a
-//!   cycle-occupancy histogram ([`OccupancyHistogram`]), critical-path
-//!   attribution ([`CriticalPathAttribution`]) and whole-run flow-break
-//!   counters ([`FlowCounters`]).
+//! * [`MetricsCollector`] / [`MachineMetrics`] — the enabled sink. Keeps
+//!   each dynamic instruction's *binding edge* (the dependence that
+//!   determined its issue time; 5 bytes per event) for the critical-path
+//!   walk, and folds everything else as the events arrive: per-cycle issue
+//!   counts for the cycle-occupancy histogram ([`OccupancyHistogram`]),
+//!   the whole-run flow-break counters ([`FlowCounters`]) and the chain
+//!   head. Finishing buckets the counts and walks the chain into
+//!   critical-path attribution ([`CriticalPathAttribution`]).
 //! * [`RunManifest`] — provenance for generated artifacts: git describe,
 //!   a hash of the analysis configuration, trace cap, unroll setting,
 //!   wall-clock timestamp and host parallelism, embedded as a comment
@@ -131,7 +133,7 @@ pub trait MetricsSink {
     /// cycle `done`, plus the binding edge if one bound (`None` means the
     /// instruction was ready at cycle 0 or was bound by the fetch-width
     /// term). Ignored events (deleted by the inline/unroll masks) report
-    /// `exec == 0`.
+    /// `exec == 0` and `done == 0`.
     fn on_schedule(&mut self, index: u32, exec: u64, done: u64, edge: Option<BindingEdge>);
 }
 
@@ -146,14 +148,31 @@ impl MetricsSink for NullSink {
     fn on_schedule(&mut self, _index: u32, _exec: u64, _done: u64, _edge: Option<BindingEdge>) {}
 }
 
-/// The metrics-on sink: records per-event schedule data for one machine
-/// pass, then [`finish`](MetricsCollector::finish)es into [`MachineMetrics`].
+/// The metrics-on sink for one machine pass.
+///
+/// Per event it keeps only what the backward critical-path walk needs,
+/// the binding edge's kind and parent (5 bytes). Everything else is folded
+/// as the events arrive: per-cycle issue counts, the instruction and
+/// flow-break counters, the critical-path length and the chain head.
+/// [`finish`](MetricsCollector::finish) buckets the per-cycle counts and
+/// walks the chain into [`MachineMetrics`].
 #[derive(Debug, Default)]
 pub struct MetricsCollector {
-    exec: Vec<u64>,
-    done: Vec<u64>,
+    /// [`EdgeKind`] code of each event's binding edge; 0 for none, and for
+    /// ignored events.
     edge_kind: Vec<u8>,
+    /// Producer event of each binding edge, [`NO_PARENT`] for none.
     edge_parent: Vec<u32>,
+    /// Instructions issued per cycle, indexed by issue cycle (index 0 stays
+    /// 0). `u32` suffices: a run holds fewer than `u32::MAX` events.
+    per_cycle: Vec<u32>,
+    instrs: u64,
+    /// Latest completion cycle so far.
+    cycles: u64,
+    flow: FlowCounters,
+    /// The last scheduled event to complete at `cycles`, where the
+    /// critical-path walk starts.
+    head: Option<u32>,
 }
 
 impl MetricsCollector {
@@ -163,54 +182,39 @@ impl MetricsCollector {
 
     pub fn with_capacity(events: usize) -> Self {
         MetricsCollector {
-            exec: Vec::with_capacity(events),
-            done: Vec::with_capacity(events),
             edge_kind: Vec::with_capacity(events),
             edge_parent: Vec::with_capacity(events),
+            ..Self::default()
         }
     }
 
     /// Number of events recorded so far (scheduled + ignored).
     pub fn len(&self) -> usize {
-        self.exec.len()
+        self.edge_kind.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.exec.is_empty()
+        self.edge_kind.is_empty()
     }
 
     /// Distill the recorded schedule into summary metrics.
     pub fn finish(self) -> MachineMetrics {
-        let occupancy = OccupancyHistogram::from_exec_cycles(&self.exec, &self.done);
-        let flow = FlowCounters::from_edges(&self.exec, &self.edge_kind);
-        let attribution = self.walk_critical_path();
-        let instrs = self.exec.iter().filter(|&&e| e != 0).count() as u64;
-        let cycles = self.done.iter().copied().max().unwrap_or(0);
         MachineMetrics {
-            instrs,
-            cycles,
-            occupancy,
-            attribution,
-            flow,
+            instrs: self.instrs,
+            cycles: self.cycles,
+            occupancy: OccupancyHistogram::from_per_cycle(&self.per_cycle, self.cycles),
+            attribution: self.walk_critical_path(),
+            flow: self.flow,
         }
     }
 
     /// Reconstruct the longest dependence chain by walking binding-edge
-    /// parents back from the last instruction to complete, counting the
-    /// edge kind of every hop.
+    /// parents back from the chain head, counting the edge kind of every
+    /// hop.
     fn walk_critical_path(&self) -> CriticalPathAttribution {
         let mut attr = CriticalPathAttribution::default();
-        // Last index achieving the maximum completion time, mirroring the
-        // scheduler's later-wins tie-breaking.
-        let mut start = None;
-        let mut best = 0u64;
-        for (i, &d) in self.done.iter().enumerate() {
-            if self.exec[i] != 0 && d >= best {
-                best = d;
-                start = Some(i);
-            }
-        }
-        let Some(mut cur) = start else { return attr };
+        let Some(head) = self.head else { return attr };
+        let mut cur = head as usize;
         loop {
             attr.chain_len += 1;
             let Some(kind) = EdgeKind::from_code(self.edge_kind[cur]) else {
@@ -237,19 +241,28 @@ impl MetricsSink for MetricsCollector {
 
     #[inline]
     fn on_schedule(&mut self, index: u32, exec: u64, done: u64, edge: Option<BindingEdge>) {
-        debug_assert_eq!(index as usize, self.exec.len());
-        let _ = index;
-        self.exec.push(exec);
-        self.done.push(done);
+        debug_assert_eq!(index as usize, self.edge_kind.len());
+        let (code, parent) = edge.map_or((0, NO_PARENT), |e| (e.kind.code(), e.parent));
+        self.edge_kind.push(code);
+        self.edge_parent.push(parent);
+        if exec == 0 {
+            debug_assert_eq!(done, 0, "ignored events complete at cycle 0");
+            return;
+        }
+        let cycle = exec as usize;
+        if cycle >= self.per_cycle.len() {
+            self.per_cycle.resize(cycle + 1, 0);
+        }
+        self.per_cycle[cycle] += 1;
+        self.instrs += 1;
         match edge {
-            Some(e) => {
-                self.edge_kind.push(e.kind.code());
-                self.edge_parent.push(e.parent);
-            }
-            None => {
-                self.edge_kind.push(0);
-                self.edge_parent.push(NO_PARENT);
-            }
+            Some(e) => self.flow.by_kind[e.kind.index()] += 1,
+            None => self.flow.unconstrained += 1,
+        }
+        // Later wins a tie, mirroring the scheduler's tie-breaking.
+        if done >= self.cycles {
+            self.cycles = done;
+            self.head = Some(index);
         }
     }
 }
@@ -295,7 +308,7 @@ pub struct OccupancyBucket {
 /// bursts of thousands separated by serial crawls; the histogram (and
 /// [`fraction_in_wide_cycles`](OccupancyHistogram::fraction_in_wide_cycles))
 /// distinguishes the two.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct OccupancyHistogram {
     /// Geometric buckets by occupancy width, ascending, only non-empty ones.
     pub buckets: Vec<OccupancyBucket>,
@@ -310,49 +323,45 @@ pub struct OccupancyHistogram {
 }
 
 impl OccupancyHistogram {
-    /// Build from per-event issue cycles (`exec == 0` marks ignored events).
+    /// Build from per-event issue cycles (`exec == 0` marks ignored events)
+    /// and completion cycles.
     pub fn from_exec_cycles(exec: &[u64], done: &[u64]) -> Self {
         let cycles = done.iter().copied().max().unwrap_or(0);
         let max_exec = exec.iter().copied().max().unwrap_or(0);
-        let mut per_cycle = vec![0u64; max_exec as usize + 1];
-        let mut instrs = 0u64;
-        for &e in exec {
-            if e != 0 {
-                per_cycle[e as usize] += 1;
-                instrs += 1;
-            }
+        let mut per_cycle = vec![0u32; max_exec as usize + 1];
+        for &e in exec.iter().filter(|&&e| e != 0) {
+            per_cycle[e as usize] += 1;
         }
-        let mut by_bucket: Vec<(u64, u64, u64)> = Vec::new();
-        let mut busy_cycles = 0u64;
-        let mut peak = 0u64;
-        for &width in per_cycle.iter().skip(1) {
-            if width == 0 {
-                continue;
-            }
-            busy_cycles += 1;
+        Self::from_per_cycle(&per_cycle, cycles)
+    }
+
+    /// Bucket per-cycle issue counts (`per_cycle[c]` instructions issued
+    /// at cycle `c`) over a run of `cycles` critical-path cycles.
+    fn from_per_cycle(per_cycle: &[u32], cycles: u64) -> Self {
+        // (cycles, instrs) per bucket, indexed by log2 of the bucket's width.
+        let mut by_log = [(0u64, 0u64); u32::BITS as usize];
+        let mut peak = 0;
+        for &width in per_cycle.iter().filter(|&&w| w != 0) {
+            let bucket = &mut by_log[width.ilog2() as usize];
+            bucket.0 += 1;
+            bucket.1 += u64::from(width);
             peak = peak.max(width);
-            let low = 1u64 << (63 - width.leading_zeros());
-            match by_bucket.binary_search_by_key(&low, |b| b.0) {
-                Ok(i) => {
-                    by_bucket[i].1 += 1;
-                    by_bucket[i].2 += width;
-                }
-                Err(i) => by_bucket.insert(i, (low, 1, width)),
-            }
         }
         OccupancyHistogram {
-            buckets: by_bucket
-                .into_iter()
-                .map(|(width_low, cycles, instrs)| OccupancyBucket {
-                    width_low,
+            buckets: by_log
+                .iter()
+                .enumerate()
+                .filter(|(_, &(cycles, _))| cycles != 0)
+                .map(|(log, &(cycles, instrs))| OccupancyBucket {
+                    width_low: 1 << log,
                     cycles,
                     instrs,
                 })
                 .collect(),
             cycles,
-            busy_cycles,
-            instrs,
-            peak,
+            busy_cycles: by_log.iter().map(|b| b.0).sum(),
+            instrs: by_log.iter().map(|b| b.1).sum(),
+            peak: u64::from(peak),
         }
     }
 
@@ -424,20 +433,6 @@ pub struct FlowCounters {
 }
 
 impl FlowCounters {
-    fn from_edges(exec: &[u64], edge_kind: &[u8]) -> Self {
-        let mut flow = FlowCounters::default();
-        for (&e, &code) in exec.iter().zip(edge_kind) {
-            if e == 0 {
-                continue;
-            }
-            match EdgeKind::from_code(code) {
-                Some(kind) => flow.by_kind[kind.index()] += 1,
-                None => flow.unconstrained += 1,
-            }
-        }
-        flow
-    }
-
     /// Instructions stalled by a control-flow constraint of either kind —
     /// the run's "flow break" count.
     pub fn control_bound(&self) -> u64 {
@@ -675,17 +670,21 @@ mod tests {
 
     #[test]
     fn occupancy_histogram_buckets_by_power_of_two() {
-        // Cycle 1: three instrs; cycle 2: one instr; one ignored event.
-        let sink = collect(&[
+        // Cycle 1: three instrs, one of latency 4 that completes last, at
+        // cycle 4; cycle 3: one instr; one ignored event. Occupancy counts
+        // issue cycles, while the run lasts until the last completion.
+        let schedule = [
             (1, 1, None),
             (1, 1, None),
-            (1, 1, None),
-            (2, 2, None),
+            (1, 4, None),
+            (3, 3, None),
             (0, 0, None),
-        ]);
-        let m = sink.finish();
+        ];
+        let m = collect(&schedule).finish();
         assert_eq!(m.instrs, 4);
-        assert_eq!(m.cycles, 2);
+        assert_eq!(m.cycles, 4);
+        assert_eq!(m.occupancy.cycles, 4);
+        assert_eq!(m.occupancy.instrs, 4);
         assert_eq!(m.occupancy.peak, 3);
         assert_eq!(m.occupancy.busy_cycles, 2);
         // Width 3 lands in the [2,4) bucket, width 1 in [1,2).
@@ -704,8 +703,16 @@ mod tests {
                 },
             ]
         );
-        assert!((m.occupancy.mean() - 2.0).abs() < 1e-12);
+        assert!((m.occupancy.mean() - 1.0).abs() < 1e-12);
         assert!((m.occupancy.fraction_in_wide_cycles(2) - 0.75).abs() < 1e-12);
+        // The per-event fold agrees with the histogram built from whole
+        // per-event cycle arrays.
+        let exec: Vec<u64> = schedule.iter().map(|e| e.0).collect();
+        let done: Vec<u64> = schedule.iter().map(|e| e.1).collect();
+        assert_eq!(
+            m.occupancy,
+            OccupancyHistogram::from_exec_cycles(&exec, &done)
+        );
     }
 
     #[test]
@@ -718,6 +725,7 @@ mod tests {
             (3, 3, Some(BindingEdge::new(RegData, 1))),
             (4, 4, Some(BindingEdge::new(Control, 2))),
             (1, 1, None), // off-chain
+            (0, 0, None), // ignored after the last finisher: not the head
         ]);
         let attr = sink.finish().attribution;
         assert_eq!(attr.chain_len, 4);
@@ -725,6 +733,37 @@ mod tests {
         assert_eq!(attr.counts, [1, 1, 1, 0]);
         let total: f64 = EdgeKind::ALL.iter().map(|&k| attr.percent(k)).sum();
         assert!((total - 100.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn critical_path_tie_goes_to_the_later_finisher() {
+        use EdgeKind::*;
+        // Events 1 and 2 both complete at cycle 3 (2 has latency 2); the
+        // later one heads the chain, as in the scheduler's max-fold.
+        let m = collect(&[
+            (1, 1, None),
+            (3, 3, Some(BindingEdge::new(RegData, 0))),
+            (2, 3, Some(BindingEdge::new(MemData, 0))),
+            (1, 1, None),
+        ])
+        .finish();
+        assert_eq!(m.cycles, 3);
+        assert_eq!(m.attribution.chain_len, 2);
+        assert_eq!(m.attribution.counts, [0, 1, 0, 0]);
+        assert_eq!(m.attribution.terminators, 1);
+    }
+
+    #[test]
+    fn all_ignored_schedule_records_nothing() {
+        let sink = collect(&[(0, 0, None), (0, 0, None)]);
+        assert_eq!(sink.len(), 2);
+        let m = sink.finish();
+        assert_eq!((m.instrs, m.cycles), (0, 0));
+        assert!(m.occupancy.buckets.is_empty());
+        assert_eq!((m.occupancy.busy_cycles, m.occupancy.peak), (0, 0));
+        assert_eq!(m.attribution, CriticalPathAttribution::default());
+        assert_eq!(m.flow.total(), 0);
+        assert_eq!(m.parallelism(), 0.0);
     }
 
     #[test]

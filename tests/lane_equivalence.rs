@@ -25,6 +25,7 @@ use clfp::isa::Program;
 use clfp::limits::{
     AnalysisConfig, Analyzer, MachineKind, MemDisambiguation, Report, StreamOptions,
 };
+use clfp::metrics::OccupancyHistogram;
 use clfp::vm::{Trace, Vm, VmOptions};
 
 /// A procedure-heavy exerciser: calls, CD inheritance, loops, and memory
@@ -226,6 +227,12 @@ fn machine_metrics_match_reference_cycles_and_counts() {
                     assert_eq!(*kind, r.kind, "{tag}");
                     assert_eq!(m.cycles, r.cycles, "{tag} {kind}: cycles");
                     assert_eq!(m.instrs, want.seq_instrs, "{tag} {kind}: instrs");
+                    assert_eq!(m.flow.total(), m.instrs, "{tag} {kind}: flow");
+                    // Unit latencies: every event completes in its issue
+                    // cycle, so the reference schedule is both arguments.
+                    let schedule = analyzer.schedule(&trace, *kind);
+                    let occupancy = OccupancyHistogram::from_exec_cycles(&schedule, &schedule);
+                    assert_eq!(m.occupancy, occupancy, "{tag} {kind}: occupancy");
                 }
             }
         }
