@@ -50,7 +50,11 @@
 //! the exact configuration, git revision, and host that produced it.
 //! Overwriting a result that carries a *different* config hash (or none at
 //! all) is refused unless `--force` is given, so stale or mixed-provenance
-//! results cannot silently accumulate in `results/`.
+//! results cannot silently accumulate in `results/`. The timed artifacts
+//! (`BENCH_suite.json`, `BENCH_scaling.json`, `pipeline_profile.md`) also
+//! name the kernel build that ran (`kernel: avx512` or `portable`, see
+//! `clfp_limits::kernel_isa`), and `--check-perf` refuses a baseline
+//! recorded under a different build.
 
 use std::process::ExitCode;
 

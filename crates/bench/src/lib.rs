@@ -644,7 +644,8 @@ pub fn run_suite_timed(config: &AnalysisConfig) -> Result<SuiteTiming, AnalyzeEr
         cache_matches,
         manifest: suite_manifest(config)
             .with_pool_threads(pool_threads)
-            .with_cache(cache_state),
+            .with_cache(cache_state)
+            .with_kernel(clfp_limits::kernel_isa()),
         workloads,
     })
 }
@@ -749,7 +750,7 @@ impl SuiteTiming {
              analysis: reference {:.0} ms vs lane {:.0} ms -> {:.2}x\n\
              (tables identical: {}; streaming bit-identical: {}; lane bit-identical: {}; \
              static-alias bit-identical: {}; value-pred bit-identical: {}; \
-             cache roundtrip bit-identical: {}; cache {}; pool {} thread(s); {})\n",
+             cache roundtrip bit-identical: {}; cache {}; pool {} thread(s); kernel {}; {})\n",
             self.lane_wall_ms / 1e3,
             self.reference_wall_ms / 1e3,
             self.speedup,
@@ -764,6 +765,7 @@ impl SuiteTiming {
             self.cache_matches,
             self.cache,
             self.pool_threads,
+            self.manifest.kernel.as_deref().unwrap_or("portable"),
             if self.chunk_events == 0 {
                 "adaptive chunks".to_string()
             } else {
@@ -832,6 +834,7 @@ pub fn pipeline_profile_md(timing: &SuiteTiming, log: &clfp_metrics::trace::Trac
     struct GroupRow {
         cd: bool,
         width: u64,
+        isa: String,
         key_mode: String,
         slots: String,
         walks: u64,
@@ -851,10 +854,15 @@ pub fn pipeline_profile_md(timing: &SuiteTiming, log: &clfp_metrics::trace::Trac
     for span in log.spans().filter(|s| s.name == "lane.group") {
         let cd = matches!(span.arg("cd"), Some(ArgValue::Bool(true)));
         let width = arg_u64(span, "width");
+        let isa = arg_str(span, "isa");
         let key_mode = arg_str(span, "key_mode");
         let slots = arg_str(span, "slots");
         let row = groups.iter_mut().find(|g| {
-            g.cd == cd && g.width == width && g.key_mode == key_mode && g.slots == slots
+            g.cd == cd
+                && g.width == width
+                && g.isa == isa
+                && g.key_mode == key_mode
+                && g.slots == slots
         });
         let row = match row {
             Some(row) => row,
@@ -862,6 +870,7 @@ pub fn pipeline_profile_md(timing: &SuiteTiming, log: &clfp_metrics::trace::Trac
                 groups.push(GroupRow {
                     cd,
                     width,
+                    isa,
                     key_mode,
                     slots,
                     walks: 0,
@@ -882,18 +891,24 @@ pub fn pipeline_profile_md(timing: &SuiteTiming, log: &clfp_metrics::trace::Trac
     out.push_str("## Lane-group machine walks\n\n");
     out.push_str(
         "One row per distinct scheduler group (machine slots sharing one \
-         kernel walk); `slot` is `index:machine{+u|-u}[*vp]`. Busy time is \
-         the group's accumulated feed time, so interleaved groups do not \
-         double-count each other.\n\n",
+         kernel walk); `slot` is `index:machine{+u|-u}[*vp]`; `isa` is the \
+         kernel build the group ran (multi-lane groups run the AVX-512 build \
+         where the CPU has it). Busy time is the group's accumulated feed \
+         time, so interleaved groups do not double-count each other.\n\n",
     );
-    out.push_str("| slots | cd | width | key mode | walks | events fed | chunks | busy ms |\n");
-    out.push_str("|-------|----|------:|----------|------:|-----------:|-------:|--------:|\n");
+    out.push_str(
+        "| slots | cd | width | isa | key mode | walks | events fed | chunks | busy ms |\n",
+    );
+    out.push_str(
+        "|-------|----|------:|-----|----------|------:|-----------:|-------:|--------:|\n",
+    );
     for g in &groups {
         out.push_str(&format!(
-            "| `{}` | {} | {} | {} | {} | {} | {} | {:.1} |\n",
+            "| `{}` | {} | {} | {} | {} | {} | {} | {} | {:.1} |\n",
             g.slots,
             if g.cd { "yes" } else { "no" },
             g.width,
+            g.isa,
             g.key_mode,
             g.walks,
             g.events,
@@ -972,8 +987,11 @@ fn json_string(json: &str, key: &str) -> Option<String> {
 /// # Errors
 ///
 /// Returns a message (not a regression) when the baseline is unusable:
-/// missing wall keys, or produced under a different config hash than the
-/// current run — cross-config wall times are not comparable.
+/// missing wall keys, or produced under a different config hash or
+/// kernel build ([`clfp_limits::kernel_isa`]) than the current run —
+/// cross-config and cross-build wall times are not comparable. A baseline
+/// without a `kernel` field predates the AVX-512 build and ran the
+/// portable one.
 pub fn check_perf(
     current: &SuiteTiming,
     baseline_json: &str,
@@ -986,6 +1004,16 @@ pub fn check_perf(
             "baseline config hash {baseline_hash} != current {} — \
              regenerate the baseline (or match --max-instrs) before gating",
             current.manifest.config_hash
+        ));
+    }
+    let baseline_kernel = json_string(baseline_json, "kernel");
+    let baseline_kernel = baseline_kernel.as_deref().unwrap_or("portable");
+    let current_kernel = current.manifest.kernel.as_deref().unwrap_or("portable");
+    if baseline_kernel != current_kernel {
+        return Err(format!(
+            "baseline ran the {baseline_kernel} kernel build, this host runs \
+             {current_kernel} — walls differ by about 2x across builds; \
+             regenerate the baseline on a host of this kind before gating"
         ));
     }
     let mut check = PerfCheck {
@@ -1171,7 +1199,7 @@ pub fn run_scaling_suite(
     Ok(ScalingSuite {
         chunk_events: options.chunk_events,
         machine_threads,
-        manifest: suite_manifest(config),
+        manifest: suite_manifest(config).with_kernel(clfp_limits::kernel_isa()),
         points: results,
     })
 }
@@ -2788,6 +2816,23 @@ mod tests {
         let err = check_perf(&timing, &mismatched.to_json(), 50.0).unwrap_err();
         assert!(err.contains("config hash"), "{err}");
         assert!(check_perf(&timing, "{}", 50.0).is_err(), "no hash at all");
+    }
+
+    #[test]
+    fn perf_gate_rejects_cross_kernel_baselines() {
+        let mut timing = synthetic_timing();
+        timing.manifest = timing.manifest.with_kernel("avx512");
+        let mut portable = synthetic_timing();
+        portable.manifest = portable.manifest.with_kernel("portable");
+        let err = check_perf(&timing, &portable.to_json(), 50.0).unwrap_err();
+        assert!(err.contains("portable kernel build"), "{err}");
+        // A baseline that names no kernel ran the portable build.
+        let unnamed = synthetic_timing().to_json();
+        assert!(!unnamed.contains("\"kernel\""));
+        assert!(check_perf(&timing, &unnamed, 50.0).is_err());
+        assert!(check_perf(&portable, &unnamed, 50.0).unwrap().passed());
+        let own = check_perf(&timing, &timing.to_json(), 50.0).unwrap();
+        assert!(own.passed());
     }
 
     #[test]

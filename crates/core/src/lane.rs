@@ -32,8 +32,20 @@
 //! RENAME: bool, const FETCH: bool, S: MetricsSink>`, so the CD arrays,
 //! the anti-dependence tracking (off under register renaming, the
 //! default) and the fetch-bandwidth divide are stripped at compile time
-//! and the per-lane loops unroll and auto-vectorize over
-//! `L ∈ {1, 2, 4, 6, 8}`.
+//! and the per-lane loops fully unroll for `L ∈ {1, 2, 4, 6, 8}`.
+//!
+//! **One source, two builds.** Baseline x86-64 (SSE2) has no 64-bit
+//! vector compare, so the portable build folds the `u64` lanes mostly
+//! with scalar `cmp`/`cmov`. The kernel body (`GroupCursor::feed_events`)
+//! is therefore `#[inline(always)]` and compiled a second time inside an
+//! `avx512f,avx512vl` `#[target_feature]` wrapper, where the same loops
+//! become `vpmaxuq` max-folds and masked selects over whole lane vectors.
+//! [`GroupFeed::feed`] dispatches to that wrapper when `L > 1` and the
+//! CPU has the features (runtime detection, cached by the standard
+//! library); width-1 groups, and every group on other CPUs, run the
+//! portable build. No switch selects the build: [`kernel_isa`] names the
+//! one this host runs, and perf records carry it. A unit test feeds twin
+//! groups through both builds and requires identical results.
 //!
 //! The SP machine's misprediction-segment statistics mix integer and
 //! floating-point arithmetic and reset state at data-dependent points;
@@ -383,6 +395,42 @@ fn lane_mask(on: bool) -> u64 {
     }
 }
 
+/// Whether the running CPU has every feature the AVX-512 build of the
+/// kernel enables. The standard library caches the detection, so a call
+/// costs one relaxed load.
+#[inline]
+fn avx512_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512vl")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Whether a width-`L` group feeds through the AVX-512 build: only
+/// multi-lane groups do, since a width-1 group has nothing to vectorize.
+#[inline]
+fn runs_avx512<const L: usize>() -> bool {
+    L > 1 && avx512_available()
+}
+
+/// Which build of the scheduling kernel the multi-lane walks run on this
+/// host: `"avx512"` where the CPU has AVX-512 (avx512f and avx512vl), else
+/// `"portable"`. Width-1 groups (the metrics-recording walks) always run
+/// the portable build. Lane walks timed under the two builds differ by
+/// about 2×, so perf records name the build they ran.
+pub fn kernel_isa() -> &'static str {
+    if avx512_available() {
+        "avx512"
+    } else {
+        "portable"
+    }
+}
+
 /// A group of up to `L` lanes scheduled together by one monomorphized
 /// kernel. `CD` selects the control-dependence state (branch arrays +
 /// inheritance stack); `RENAME` strips anti-dependence tracking; `FETCH`
@@ -635,9 +683,14 @@ pub(crate) trait GroupFeed<S: MetricsSink = NullSink>: Send {
 }
 
 impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: MetricsSink>
-    GroupFeed<S> for GroupCursor<L, CD, RENAME, FETCH, S>
+    GroupCursor<L, CD, RENAME, FETCH, S>
 {
-    fn feed(
+    /// The kernel: schedules one chunk of events (see [`GroupFeed::feed`]).
+    /// Always inlined, so the portable path in `feed` and
+    /// [`Self::feed_events_avx512`] each compile their own copy of this one
+    /// source under their own target features.
+    #[inline(always)]
+    fn feed_events(
         &mut self,
         pcs: &ProgramMeta,
         offset: usize,
@@ -646,17 +699,6 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
         rolled: &EventClass,
         sink: &mut S,
     ) {
-        // Attribution is tracing-gated so the untraced hot path pays one
-        // relaxed load per ~16K-event chunk and nothing else.
-        let feed_start = if clfp_metrics::trace::tracing_enabled() {
-            if self.walk_start_us == 0 {
-                self.walk_start_us = clfp_metrics::trace::now_monotonic_us().max(1);
-            }
-            self.fed_chunks += 1;
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
         for (j, event) in events.iter().enumerate() {
             let index = (self.fed_events + j as u64) as u32;
             let meta = &pcs.pcs[event.pc as usize];
@@ -929,6 +971,63 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
             }
         }
         self.fed_events += events.len() as u64;
+    }
+
+    /// [`Self::feed_events`] compiled with AVX-512 enabled, where the
+    /// per-lane `u64` max-folds and selects become `vpmaxuq` and masked
+    /// moves over whole lane vectors (baseline x86-64 has no 64-bit
+    /// vector compare, so its build folds lanes with scalar `cmov`s).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vl")]
+    fn feed_events_avx512(
+        &mut self,
+        pcs: &ProgramMeta,
+        offset: usize,
+        events: &[EventMeta],
+        unrolled: &EventClass,
+        rolled: &EventClass,
+        sink: &mut S,
+    ) {
+        self.feed_events(pcs, offset, events, unrolled, rolled, sink);
+    }
+}
+
+impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: MetricsSink>
+    GroupFeed<S> for GroupCursor<L, CD, RENAME, FETCH, S>
+{
+    fn feed(
+        &mut self,
+        pcs: &ProgramMeta,
+        offset: usize,
+        events: &[EventMeta],
+        unrolled: &EventClass,
+        rolled: &EventClass,
+        sink: &mut S,
+    ) {
+        // Attribution is tracing-gated so the untraced hot path pays one
+        // relaxed load per ~16K-event chunk and nothing else.
+        let feed_start = if clfp_metrics::trace::tracing_enabled() {
+            if self.walk_start_us == 0 {
+                self.walk_start_us = clfp_metrics::trace::now_monotonic_us().max(1);
+            }
+            self.fed_chunks += 1;
+            Some(std::time::Instant::now())
+        } else {
+            None
+        };
+        // `L > 1` is a compile-time constant: width-1 groups have nothing
+        // to vectorize, so their branch folds away to the portable body.
+        if runs_avx512::<L>() {
+            // SAFETY: `runs_avx512` is true only where `avx512_available`
+            // detected avx512f and avx512vl, every feature the wrapper
+            // enables, on the running CPU.
+            #[cfg(target_arch = "x86_64")]
+            unsafe {
+                self.feed_events_avx512(pcs, offset, events, unrolled, rolled, sink);
+            }
+        } else {
+            self.feed_events(pcs, offset, events, unrolled, rolled, sink);
+        }
         if let Some(t0) = feed_start {
             self.busy_ns += t0.elapsed().as_nanos() as u64;
         }
@@ -942,6 +1041,11 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
         // pipeline profile reads back out of the trace log.
         if self.walk_start_us != 0 {
             use clfp_metrics::trace::ArgValue;
+            let isa = if runs_avx512::<L>() {
+                "avx512"
+            } else {
+                "portable"
+            };
             let slots = self
                 .lanes
                 .iter()
@@ -958,6 +1062,7 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
                     ("cd", ArgValue::Bool(CD)),
                     ("lanes", ArgValue::U64(self.lanes.len() as u64)),
                     ("width", ArgValue::U64(L as u64)),
+                    ("isa", ArgValue::Str(isa.to_string())),
                     ("key_mode", ArgValue::Str(self.key_mode.trace_name().to_string())),
                     ("slots", ArgValue::Str(slots)),
                     ("events", ArgValue::U64(self.fed_events)),
@@ -1130,9 +1235,9 @@ impl LaneScheduler {
     }
 }
 
-/// Events per in-memory feed chunk: ~13 bytes of prepared event data per
-/// entry
-/// keeps a chunk L2-resident, so when the CD and non-CD groups walk it
+/// Events per in-memory feed chunk: 16 bytes of prepared event data per
+/// entry (a 13-byte [`EventMeta`] padded to its 4-byte alignment) keeps
+/// a 256 KiB chunk L2-resident, so when the CD and non-CD groups walk it
 /// back to back the second walk reads warm cache — the whole request
 /// still makes a single pass over trace-sized memory.
 const FEED_CHUNK: usize = 1 << 14;
@@ -1360,5 +1465,145 @@ mod tests {
                 assert_eq!(a.occupancy.peak, b.occupancy.peak, "{tag}");
             }
         }
+    }
+
+    /// One prepared trace for the twin-build test: qsort under stride value
+    /// prediction, so loads, stores, calls, mispredictions and value hits
+    /// all occur, plus the static alias classes a `KeyMode::Class` group
+    /// remaps to.
+    struct TwinInput {
+        pcs: ProgramMeta,
+        tm: TraceMeta,
+        classes: Vec<u32>,
+        text_len: usize,
+    }
+
+    /// Feeds `input` in uneven chunks through twin groups: one by the
+    /// portable body, one by `feed`, which on this host dispatches to the
+    /// AVX-512 wrapper. Their results must be equal.
+    fn assert_twins_agree<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool>(
+        input: &TwinInput,
+        lanes: &[LaneSlot],
+        config: &PassConfig,
+        mode: &GroupMode,
+    ) {
+        assert!(
+            runs_avx512::<L>(),
+            "feed must dispatch width {L} to AVX-512"
+        );
+        assert_eq!(config.rename, RENAME);
+        assert_eq!(config.fetch_bandwidth.is_some(), FETCH);
+        let group = || {
+            let args = (
+                lanes,
+                input.text_len,
+                config,
+                DEFAULT_MEM_CAPACITY,
+                mode.clone(),
+            );
+            GroupCursor::<L, CD, RENAME, FETCH, NullSink>::new(args)
+        };
+        let (mut portable, mut avx512) = (group(), group());
+        let (unrolled, rolled) = (input.tm.class(true), input.tm.class(false));
+        let mut base = 0;
+        for chunk in input.tm.events.chunks(4093) {
+            portable.feed_events(&input.pcs, base, chunk, unrolled, rolled, &mut NullSink);
+            avx512.feed(&input.pcs, base, chunk, unrolled, rolled, &mut NullSink);
+            base += chunk.len();
+        }
+        let (portable, avx512) = (Box::new(portable).finish(), Box::new(avx512).finish());
+        assert_eq!(portable.len(), lanes.len());
+        assert_eq!(
+            portable, avx512,
+            "L={L} CD={CD} rename={RENAME} fetch={FETCH} {mode:?}"
+        );
+    }
+
+    /// Every twin configuration at width `L`: CD and non-CD lanes, under
+    /// the default pass configuration and under renaming off with a fetch
+    /// bandwidth of 4, for every key mode with accumulation on and off.
+    fn twins_at_width<const L: usize>(input: &TwinInput, config: &PassConfig) {
+        let stressed = PassConfig {
+            rename: false,
+            fetch_bandwidth: Some(4),
+            ..*config
+        };
+        use MachineKind::*;
+        let cd = [Cd, CdMf, SpCd, SpCdMf, Cd, CdMf, SpCd, SpCdMf];
+        let plain = [Base, Sp, Oracle, Base, Sp, Oracle];
+        // Alternate unroll settings and value-prediction bits across lanes;
+        // a 6-machine pool fills a width-8 group with two padding lanes.
+        let lanes = |kinds: &[MachineKind]| -> Vec<LaneSlot> {
+            kinds
+                .iter()
+                .take(L)
+                .enumerate()
+                .map(|(slot, &kind)| LaneSlot {
+                    slot,
+                    kind,
+                    unrolling: slot % 2 == 0,
+                    vp_flag: if slot % 3 == 0 { 0 } else { EV_VALPRED },
+                })
+                .collect()
+        };
+        let (cd, plain) = (lanes(&cd), lanes(&plain));
+        for key_mode in [
+            KeyMode::Event,
+            KeyMode::Class(input.classes.clone()),
+            KeyMode::Single,
+        ] {
+            for accumulate in [false, true] {
+                let mode = GroupMode {
+                    key_mode: key_mode.clone(),
+                    accumulate,
+                };
+                assert_twins_agree::<L, true, true, false>(input, &cd, config, &mode);
+                assert_twins_agree::<L, true, false, true>(input, &cd, &stressed, &mode);
+                assert_twins_agree::<L, false, true, false>(input, &plain, config, &mode);
+                assert_twins_agree::<L, false, false, true>(input, &plain, &stressed, &mode);
+            }
+        }
+    }
+
+    /// The AVX-512 and portable builds of the kernel are one source
+    /// compiled twice; this pins them against each other, since on an
+    /// AVX-512 host every other test exercises only the AVX-512 build.
+    #[test]
+    fn avx512_build_matches_portable_build() {
+        if !avx512_available() {
+            eprintln!("skipped: this CPU lacks avx512f/avx512vl; only the portable build runs");
+            return;
+        }
+        let program = clfp_workloads::by_name("qsort").unwrap().compile().unwrap();
+        let info = StaticInfo::analyze(&program);
+        let config = AnalysisConfig {
+            value_prediction: crate::ValuePrediction::Stride,
+            ..AnalysisConfig::quick().with_max_instrs(40_000)
+        };
+        let pass_config = PassConfig::from_analysis(&config);
+        let pcs = ProgramMeta::build(&program, &info, &pass_config);
+        let mut vm = Vm::new(
+            &program,
+            VmOptions {
+                mem_words: config.mem_words,
+            },
+        );
+        let trace = vm.trace(config.max_instrs).unwrap();
+        let tm = TraceMeta::build(&program, &info, &pcs, &config, &trace, false);
+        assert!(tm.events.iter().any(|e| e.flags & EV_VALPRED != 0));
+        let text_len = program.text.len();
+        let classes = (0..text_len as u32)
+            .map(|pc| info.alias.scheduler_class(pc))
+            .collect();
+        let input = TwinInput {
+            pcs,
+            tm,
+            classes,
+            text_len,
+        };
+        twins_at_width::<2>(&input, &pass_config);
+        twins_at_width::<4>(&input, &pass_config);
+        twins_at_width::<6>(&input, &pass_config);
+        twins_at_width::<8>(&input, &pass_config);
     }
 }

@@ -82,6 +82,7 @@ pub use clfp_metrics::{
 };
 pub use config::{AnalysisConfig, Latencies, MemDisambiguation, PredictorChoice, ValuePrediction};
 pub use error::AnalyzeError;
+pub use lane::kernel_isa;
 pub use lastwrite::LastWriteTable;
 pub use machine::MachineKind;
 pub use stats::{harmonic_mean, BranchReport, MispredictionStats};

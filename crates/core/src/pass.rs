@@ -102,7 +102,7 @@ impl PassConfig {
 }
 
 /// Result of one machine pass.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct PassResult {
     /// Critical-path length in cycles.
     pub cycles: u64,

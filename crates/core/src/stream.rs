@@ -1,8 +1,9 @@
 //! Two-pass streaming analysis over a [`TraceSource`].
 //!
 //! The in-memory pipeline materializes the whole trace (16 bytes/event)
-//! plus per-event metadata (~14 bytes/event) before any machine runs — a
-//! quarter-gigabyte working set per 10M instructions, and the reason the
+//! plus per-event metadata (a 16-byte `EventMeta`, 13 bytes of fields
+//! padded, and two bits per unroll setting) before any machine runs —
+//! about 320 MB per 10M instructions, and the reason the
 //! committed suite stopped at 2M. The paper measured 100M-instruction
 //! traces. This module reaches that scale with O(chunk) trace memory by
 //! exploiting the VM's determinism:

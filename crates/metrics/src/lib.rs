@@ -484,6 +484,11 @@ pub struct RunManifest {
     /// Trace-cache state of the run — `"off"`, `"cold"`, or `"warm"` —
     /// when the generator recorded it ([`RunManifest::with_cache`]).
     pub cache: Option<String>,
+    /// Build of the scheduling kernel the multi-lane walks ran —
+    /// `"avx512"` or `"portable"` (`clfp_limits::kernel_isa`) — when the
+    /// generator recorded it ([`RunManifest::with_kernel`]). Walls
+    /// measured under the two builds are not comparable.
+    pub kernel: Option<String>,
 }
 
 impl RunManifest {
@@ -507,6 +512,7 @@ impl RunManifest {
                 .unwrap_or(1),
             pool_threads: None,
             cache: None,
+            kernel: None,
         }
     }
 
@@ -525,6 +531,14 @@ impl RunManifest {
         self
     }
 
+    /// Records which build of the scheduling kernel ran (`"avx512"` or
+    /// `"portable"`).
+    #[must_use]
+    pub fn with_kernel(mut self, kernel: &str) -> Self {
+        self.kernel = Some(kernel.to_string());
+        self
+    }
+
     /// The HTML-comment header prepended to every `results/*.md` artifact.
     /// Invisible in rendered markdown; greppable in the raw file.
     pub fn to_markdown_header(&self) -> String {
@@ -534,6 +548,9 @@ impl RunManifest {
         }
         if let Some(cache) = &self.cache {
             extra.push_str(&format!("  cache: {cache}\n"));
+        }
+        if let Some(kernel) = &self.kernel {
+            extra.push_str(&format!("  kernel: {kernel}\n"));
         }
         format!(
             "<!-- clfp-manifest v1\n  generator: clfp {} (git {})\n  config_hash: {}\n  max_instrs: {}  unrolling: {}\n  generated: {} (unix {})\n  host_threads: {}\n{extra}-->\n",
@@ -567,6 +584,9 @@ impl RunManifest {
         }
         if let Some(cache) = &self.cache {
             lines.push(field("cache", format!("\"{}\"", escape_json(cache))));
+        }
+        if let Some(kernel) = &self.kernel {
+            lines.push(field("kernel", format!("\"{}\"", escape_json(kernel))));
         }
         format!("{{\n{}\n{indent}}}", lines.join(",\n"))
     }
@@ -816,6 +836,7 @@ mod tests {
             host_threads: 1,
             pool_threads: None,
             cache: None,
+            kernel: None,
         };
         let header = manifest.to_markdown_header();
         assert!(header.starts_with("<!-- clfp-manifest v1\n"));
@@ -832,14 +853,20 @@ mod tests {
         assert!(json.contains("\"max_instrs\": 2000000"));
         assert_eq!(RunManifest::config_hash_of("# plain results file"), None);
 
-        let stamped = manifest.with_pool_threads(8).with_cache("warm");
+        assert!(!header.contains("kernel"));
+        let stamped = manifest
+            .with_pool_threads(8)
+            .with_cache("warm")
+            .with_kernel("avx512");
         let header = stamped.to_markdown_header();
         assert!(header.contains("pool_threads: 8"));
         assert!(header.contains("cache: warm"));
+        assert!(header.contains("kernel: avx512"));
         assert!(header.ends_with("-->\n"));
         let json = stamped.to_json_object("  ");
         assert!(json.contains("\"pool_threads\": 8"));
         assert!(json.contains("\"cache\": \"warm\""));
+        assert!(json.contains("\"kernel\": \"avx512\""));
         assert_eq!(
             RunManifest::config_hash_of(&json).as_deref(),
             Some(stamped.config_hash.as_str())

@@ -61,6 +61,9 @@ fn run() -> Result<(), String> {
         "lint" => lint_cmd(rest),
         "cache" => cache_cmd(rest),
         "workloads" => {
+            if let Some(arg) = Args::parse("workloads", rest, &[], &[])?.positional {
+                return Err(format!("unexpected argument `{arg}` for `clfp workloads`"));
+            }
             for w in clfp::workloads::suite() {
                 println!(
                     "{:10} ({}; {})",
@@ -117,72 +120,93 @@ fn load_program(path: &str, options: CodegenOptions) -> Result<Program, String> 
     }
 }
 
-fn parse_flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|at| args.get(at + 1))
-        .map(String::as_str)
+/// One subcommand's command line, checked against the flags it accepts:
+/// an unknown flag, a flag that takes a value given none, or a second
+/// positional argument is an error rather than silently ignored.
+struct Args<'a> {
+    positional: Option<&'a str>,
+    /// Every accepted flag in command-line order, with its value if it
+    /// takes one. The first occurrence of a repeated flag wins.
+    flags: Vec<(&'a str, Option<&'a str>)>,
 }
 
-fn has_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
-/// `--max-instr` and `--max-instrs` are both accepted everywhere.
-fn max_instrs_flag(args: &[String]) -> Result<Option<u64>, String> {
-    parse_flag_value(args, "--max-instr")
-        .or_else(|| parse_flag_value(args, "--max-instrs"))
-        .map(|v| v.parse().map_err(|_| format!("bad --max-instrs `{v}`")))
-        .transpose()
-}
-
-fn positional(args: &[String]) -> Option<&str> {
-    let mut skip_next = false;
-    for arg in args {
-        if skip_next {
-            skip_next = false;
-            continue;
+impl<'a> Args<'a> {
+    /// Parses `args` for `clfp command`: `switches` stand alone, `valued`
+    /// flags take the next argument as their value.
+    fn parse(
+        command: &str,
+        args: &'a [String],
+        switches: &[&str],
+        valued: &[&str],
+    ) -> Result<Args<'a>, String> {
+        let mut parsed = Args {
+            positional: None,
+            flags: Vec::new(),
+        };
+        let mut rest = args.iter().map(String::as_str);
+        while let Some(arg) = rest.next() {
+            if switches.contains(&arg) {
+                parsed.flags.push((arg, None));
+            } else if valued.contains(&arg) {
+                match rest.next() {
+                    Some(value) if !value.starts_with("--") => {
+                        parsed.flags.push((arg, Some(value)));
+                    }
+                    _ => return Err(format!("`{arg}` needs a value")),
+                }
+            } else if arg.starts_with('-') {
+                return Err(format!(
+                    "unknown flag `{arg}` for `clfp {command}`; try `clfp help`"
+                ));
+            } else if parsed.positional.is_none() {
+                parsed.positional = Some(arg);
+            } else {
+                return Err(format!("unexpected argument `{arg}` for `clfp {command}`"));
+            }
         }
-        if let Some(flag) = arg.strip_prefix("--") {
-            skip_next = matches!(
-                flag,
-                "max-instr"
-                    | "max-instrs"
-                    | "predictor"
-                    | "fetch"
-                    | "workload"
-                    | "trace"
-                    | "trace-json"
-                    | "chunk"
-                    | "valuepred"
-                    | "dir"
-            );
-            continue;
-        }
-        if arg == "-o" {
-            skip_next = true;
-            continue;
-        }
-        return Some(arg);
+        Ok(parsed)
     }
-    None
-}
 
-fn codegen_options(args: &[String]) -> CodegenOptions {
-    CodegenOptions {
-        if_conversion: has_flag(args, "--if-convert"),
-        optimize: has_flag(args, "--optimize"),
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.flags
+            .iter()
+            .find(|(name, _)| *name == flag)
+            .and_then(|(_, value)| *value)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(name, _)| *name == flag)
+    }
+
+    /// The trace cap, spelled `--max-instr` or `--max-instrs`.
+    fn max_instrs(&self) -> Result<Option<u64>, String> {
+        self.value("--max-instr")
+            .or_else(|| self.value("--max-instrs"))
+            .map(|v| v.parse().map_err(|_| format!("bad --max-instrs `{v}`")))
+            .transpose()
+    }
+
+    fn codegen_options(&self) -> CodegenOptions {
+        CodegenOptions {
+            if_conversion: self.has("--if-convert"),
+            optimize: self.has("--optimize"),
+        }
     }
 }
+
+/// The switches every subcommand that compiles MiniC accepts.
+const CODEGEN_SWITCHES: [&str; 2] = ["--if-convert", "--optimize"];
+const MAX_INSTRS: [&str; 2] = ["--max-instr", "--max-instrs"];
 
 fn compile_cmd(args: &[String]) -> Result<(), String> {
-    let path = positional(args).ok_or("compile needs a .mc file")?;
+    let args = Args::parse("compile", args, &CODEGEN_SWITCHES, &[])?;
+    let path = args.positional.ok_or("compile needs a .mc file")?;
     if !path.ends_with(".mc") {
         return Err("compile takes a MiniC (.mc) file".into());
     }
     let source =
         std::fs::read_to_string(path).map_err(|err| format!("cannot read `{path}`: {err}"))?;
-    let options = codegen_options(args);
+    let options = args.codegen_options();
     let mut module = clfp::lang::parse(&source).map_err(|err| err.to_string())?;
     clfp::lang::check(&module).map_err(|err| err.to_string())?;
     if options.optimize {
@@ -195,16 +219,18 @@ fn compile_cmd(args: &[String]) -> Result<(), String> {
 }
 
 fn disasm_cmd(args: &[String]) -> Result<(), String> {
-    let path = positional(args).ok_or("disasm needs a file")?;
-    let program = load_program(path, codegen_options(args))?;
+    let args = Args::parse("disasm", args, &CODEGEN_SWITCHES, &[])?;
+    let path = args.positional.ok_or("disasm needs a file")?;
+    let program = load_program(path, args.codegen_options())?;
     print!("{}", program.disassemble());
     Ok(())
 }
 
 fn run_cmd(args: &[String]) -> Result<(), String> {
-    let path = positional(args).ok_or("run needs a file")?;
-    let limit: u64 = max_instrs_flag(args)?.unwrap_or(1_000_000_000);
-    let program = load_program(path, codegen_options(args))?;
+    let args = Args::parse("run", args, &CODEGEN_SWITCHES, &MAX_INSTRS)?;
+    let path = args.positional.ok_or("run needs a file")?;
+    let limit: u64 = args.max_instrs()?.unwrap_or(1_000_000_000);
+    let program = load_program(path, args.codegen_options())?;
     let mut vm = Vm::new(&program, VmOptions::default());
     let outcome = vm.run(limit).map_err(|err| err.to_string())?;
     println!(
@@ -216,10 +242,12 @@ fn run_cmd(args: &[String]) -> Result<(), String> {
 }
 
 fn trace_cmd(args: &[String]) -> Result<(), String> {
-    let path = positional(args).ok_or("trace needs a file")?;
-    let out = parse_flag_value(args, "-o").ok_or("trace needs `-o output.trc`")?;
-    let limit: u64 = max_instrs_flag(args)?.unwrap_or(2_000_000);
-    let program = load_program(path, codegen_options(args))?;
+    let valued = ["-o", "--max-instr", "--max-instrs"];
+    let args = Args::parse("trace", args, &CODEGEN_SWITCHES, &valued)?;
+    let path = args.positional.ok_or("trace needs a file")?;
+    let out = args.value("-o").ok_or("trace needs `-o output.trc`")?;
+    let limit: u64 = args.max_instrs()?.unwrap_or(2_000_000);
+    let program = load_program(path, args.codegen_options())?;
     let mut vm = Vm::new(&program, VmOptions::default());
     let trace = vm.trace(limit).map_err(|err| err.to_string())?;
     trace
@@ -232,14 +260,19 @@ fn trace_cmd(args: &[String]) -> Result<(), String> {
 fn lint_cmd(args: &[String]) -> Result<(), String> {
     use clfp::verify::{lint_program, Severity, TraceChecks};
 
-    let program = if let Some(name) = parse_flag_value(args, "--workload") {
+    let switches = ["--if-convert", "--optimize", "--static-only", "--json"];
+    let valued = ["--workload", "--max-instr", "--max-instrs"];
+    let args = Args::parse("lint", args, &switches, &valued)?;
+    let program = if let Some(name) = args.value("--workload") {
         let workload = clfp::workloads::by_name(name).map_err(|err| err.to_string())?;
         workload
-            .compile_with(codegen_options(args))
+            .compile_with(args.codegen_options())
             .map_err(|err| err.to_string())?
     } else {
-        let path = positional(args).ok_or("lint needs a file or --workload NAME")?;
-        load_program(path, codegen_options(args))?
+        let path = args
+            .positional
+            .ok_or("lint needs a file or --workload NAME")?;
+        load_program(path, args.codegen_options())?
     };
 
     // Only the machine-independent model is needed for the cross-checks;
@@ -248,7 +281,7 @@ fn lint_cmd(args: &[String]) -> Result<(), String> {
         machines: vec![MachineKind::Base],
         ..AnalysisConfig::default()
     };
-    if let Some(limit) = max_instrs_flag(args)? {
+    if let Some(limit) = args.max_instrs()? {
         config.max_instrs = limit;
     }
     let max_instrs = config.max_instrs;
@@ -258,7 +291,7 @@ fn lint_cmd(args: &[String]) -> Result<(), String> {
 
     // Cross-check a measured trace against the static model: CFG edges,
     // CD resolution, unroll masks, alias soundness, sequential counts.
-    if !has_flag(args, "--static-only") {
+    if !args.has("--static-only") {
         let mut vm = Vm::new(&program, VmOptions::default());
         let trace = vm.trace(max_instrs).map_err(|err| err.to_string())?;
         let prepared = analyzer.prepare(&trace);
@@ -273,7 +306,7 @@ fn lint_cmd(args: &[String]) -> Result<(), String> {
             .count()
     };
     let errors = count_of(Severity::Error);
-    if has_flag(args, "--json") {
+    if args.has("--json") {
         print!("{}", diagnostics_json(&diagnostics));
     } else {
         for diagnostic in &diagnostics {
@@ -303,11 +336,13 @@ fn lint_cmd(args: &[String]) -> Result<(), String> {
 fn cache_cmd(args: &[String]) -> Result<(), String> {
     use clfp::vm::TraceCache;
 
-    let cache = match parse_flag_value(args, "--dir") {
+    let valued = ["--dir", "--max-instr", "--max-instrs"];
+    let args = Args::parse("cache", args, &["--json"], &valued)?;
+    let cache = match args.value("--dir") {
         Some(dir) => TraceCache::new(dir),
         None => TraceCache::new(TraceCache::default_dir()),
     };
-    match positional(args) {
+    match args.positional {
         None | Some("list") => {
             let entries = cache
                 .entries()
@@ -315,14 +350,14 @@ fn cache_cmd(args: &[String]) -> Result<(), String> {
             // The lookup path tallies the `cache.hit` / `cache.miss` trace
             // counters whether or not a trace session is active; read the
             // totals back instead of re-deriving the classification here.
-            let max_instrs = max_instrs_flag(args)?.unwrap_or(2_000_000);
+            let max_instrs = args.max_instrs()?.unwrap_or(2_000_000);
             for workload in clfp::workloads::suite() {
                 let program = workload.compile().map_err(|err| err.to_string())?;
                 let _ = cache.lookup(&program, max_instrs);
             }
             let hits = clfp::metrics::trace::counter_total("cache.hit");
             let misses = clfp::metrics::trace::counter_total("cache.miss");
-            if has_flag(args, "--json") {
+            if args.has("--json") {
                 print!("{}", cache_json(&cache, &entries, max_instrs, hits, misses));
                 return Ok(());
             }
@@ -436,18 +471,37 @@ fn diagnostics_json(diagnostics: &[clfp::verify::Diagnostic]) -> String {
 }
 
 fn analyze_cmd(args: &[String]) -> Result<(), String> {
+    let switches = [
+        "--if-convert",
+        "--optimize",
+        "--no-unroll",
+        "--no-inline",
+        "--stream",
+    ];
+    let valued = [
+        "--workload",
+        "--max-instr",
+        "--max-instrs",
+        "--fetch",
+        "--predictor",
+        "--valuepred",
+        "--trace",
+        "--trace-json",
+        "--chunk",
+    ];
+    let args = Args::parse("analyze", args, &switches, &valued)?;
     // `--trace-json OUT` records pipeline spans for exactly this analysis
     // and exports them as Chrome trace-event JSON (distinct from `--trace
     // file.trc`, which *loads* a captured execution trace as input).
-    let trace_json = parse_flag_value(args, "--trace-json").map(str::to_string);
+    let trace_json = args.value("--trace-json");
     if trace_json.is_some() {
         clfp::metrics::trace::set_tracing(true);
     }
-    let result = analyze_inner(args);
+    let result = analyze_inner(&args);
     if let Some(out) = trace_json {
         clfp::metrics::trace::set_tracing(false);
         let log = clfp::metrics::trace::drain();
-        std::fs::write(&out, clfp::metrics::trace::chrome_trace_json(&log))
+        std::fs::write(out, clfp::metrics::trace::chrome_trace_json(&log))
             .map_err(|err| format!("cannot write `{out}`: {err}"))?;
         println!(
             "wrote {} spans to {out} (open in ui.perfetto.dev or chrome://tracing)",
@@ -457,32 +511,33 @@ fn analyze_cmd(args: &[String]) -> Result<(), String> {
     result
 }
 
-fn analyze_inner(args: &[String]) -> Result<(), String> {
-    let program = if let Some(name) = parse_flag_value(args, "--workload") {
+fn analyze_inner(args: &Args) -> Result<(), String> {
+    let program = if let Some(name) = args.value("--workload") {
         let workload = clfp::workloads::by_name(name).map_err(|err| err.to_string())?;
         workload
-            .compile_with(codegen_options(args))
+            .compile_with(args.codegen_options())
             .map_err(|err| err.to_string())?
     } else {
-        let path = positional(args).ok_or("analyze needs a file or --workload NAME")?;
-        load_program(path, codegen_options(args))?
+        let path = args
+            .positional
+            .ok_or("analyze needs a file or --workload NAME")?;
+        load_program(path, args.codegen_options())?
     };
 
     let mut config = AnalysisConfig::default();
-    if let Some(limit) = max_instrs_flag(args)? {
+    if let Some(limit) = args.max_instrs()? {
         config.max_instrs = limit;
     }
-    if has_flag(args, "--no-unroll") {
+    if args.has("--no-unroll") {
         config.unrolling = false;
     }
-    if has_flag(args, "--no-inline") {
+    if args.has("--no-inline") {
         config.inlining = false;
     }
-    if let Some(v) = parse_flag_value(args, "--fetch") {
-        config.fetch_bandwidth =
-            Some(v.parse().map_err(|_| format!("bad --fetch `{v}`"))?);
+    if let Some(v) = args.value("--fetch") {
+        config.fetch_bandwidth = Some(v.parse().map_err(|_| format!("bad --fetch `{v}`"))?);
     }
-    if let Some(v) = parse_flag_value(args, "--predictor") {
+    if let Some(v) = args.value("--predictor") {
         config.predictor = match v {
             "profile" => PredictorChoice::Profile,
             "btfn" => PredictorChoice::Btfn,
@@ -499,7 +554,7 @@ fn analyze_inner(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown predictor `{other}`")),
         };
     }
-    if let Some(v) = parse_flag_value(args, "--valuepred") {
+    if let Some(v) = args.value("--valuepred") {
         config.value_prediction = match v {
             "off" => ValuePrediction::Off,
             "last-value" | "lastvalue" => ValuePrediction::LastValue,
@@ -512,14 +567,14 @@ fn analyze_inner(args: &[String]) -> Result<(), String> {
     let unrolling = config.unrolling;
     let value_prediction = config.value_prediction;
     let analyzer = Analyzer::new(&program, config).map_err(|err| err.to_string())?;
-    let report = if has_flag(args, "--stream") {
+    let report = if args.has("--stream") {
         // Streaming chunked pipeline: never materializes the trace, so
         // paper-scale caps (100M+) run in O(chunk) trace memory.
         let mut options = StreamOptions::default();
-        if let Some(v) = parse_flag_value(args, "--chunk") {
+        if let Some(v) = args.value("--chunk") {
             options.chunk_events = v.parse().map_err(|_| format!("bad --chunk `{v}`"))?;
         }
-        let streamed = if let Some(trace_path) = parse_flag_value(args, "--trace") {
+        let streamed = if let Some(trace_path) = args.value("--trace") {
             let trace = clfp::vm::Trace::load(&program, trace_path)
                 .map_err(|err| format!("cannot load `{trace_path}`: {err}"))?;
             analyzer.run_streamed_on(&trace, options)
@@ -528,7 +583,7 @@ fn analyze_inner(args: &[String]) -> Result<(), String> {
         }
         .map_err(|err| err.to_string())?;
         streamed.report(unrolling).clone()
-    } else if let Some(trace_path) = parse_flag_value(args, "--trace") {
+    } else if let Some(trace_path) = args.value("--trace") {
         let trace = clfp::vm::Trace::load(&program, trace_path)
             .map_err(|err| format!("cannot load `{trace_path}`: {err}"))?;
         analyzer.run_on_trace(&trace)

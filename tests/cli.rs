@@ -214,6 +214,40 @@ fn errors_are_reported_not_panicked() {
     let text = String::from_utf8(output.stderr).unwrap();
     assert!(text.contains("fetch bandwidth"), "{text}");
 
+    // A misspelled flag, or a value flag with no value, would otherwise
+    // analyze silently with the defaults.
+    let rejected: [(&[&str], &str); 8] = [
+        (
+            &["analyze", "--valuepredd", "stride"],
+            "unknown flag `--valuepredd`",
+        ),
+        (&["analyze", "--max-instr"], "`--max-instr` needs a value"),
+        (&["analyze", "--valuepred"], "`--valuepred` needs a value"),
+        (
+            &["analyze", "--stream", "--chunk"],
+            "`--chunk` needs a value",
+        ),
+        (&["analyze", "--predictor"], "`--predictor` needs a value"),
+        (&["analyze", "--trace-json"], "`--trace-json` needs a value"),
+        (
+            &["analyze", "--max-instr", "--stream"],
+            "`--max-instr` needs a value",
+        ),
+        (&["lint", "--jsn"], "unknown flag `--jsn`"),
+    ];
+    for (args, message) in rejected {
+        let (command, flags) = args.split_first().unwrap();
+        let output = clfp()
+            .args([command, "--workload", "qsort"])
+            .args(flags)
+            .output()
+            .unwrap();
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {output:?}");
+        assert!(output.stdout.is_empty(), "{args:?} analyzed anyway");
+        let text = String::from_utf8(output.stderr).unwrap();
+        assert!(text.contains(message), "{args:?}: {text}");
+    }
+
     // A trace file whose first event's pc has a high bit flipped names an
     // instruction the program does not have.
     let path = write_temp("flipped.mc", PROGRAM);
