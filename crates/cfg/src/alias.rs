@@ -20,9 +20,8 @@
 //!   loads read region *contents*, stores write them (tracking pointers
 //!   spilled through memory), and call/return edges copy argument
 //!   (`a0..a3`) and result (`v0`/`v1`) registers across procedures —
-//!   per-procedure constraint solving fans out over [`std::thread::scope`]
-//!   workers, iterating rounds against a frozen snapshot until the global
-//!   fixpoint;
+//!   each round solves every procedure's constraints against a frozen
+//!   snapshot, until the global fixpoint;
 //! * a per-memory-instruction [`MemAccess`] record — the set of regions
 //!   the access may touch (a [`BitSet`] over the region universe) and, for
 //!   absolute addressing, the exact address — from which
@@ -49,8 +48,6 @@
 //!   empty points-to set is assumed to reach every region.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use clfp_isa::{AluOp, Instr, Program, Reg, DATA_BASE};
 
@@ -323,8 +320,8 @@ pub struct AliasAnalysis {
 
 impl AliasAnalysis {
     /// Runs the analysis: region construction, call-graph recovery,
-    /// parallel Andersen solve, per-access classification, and scheduler
-    /// class merging.
+    /// round-based Andersen solve, per-access classification, and
+    /// scheduler class merging.
     pub fn analyze(program: &Program, cfg: &Cfg) -> AliasAnalysis {
         let universe = RegionUniverse::build(program, cfg);
         let call_graph = CallGraph::build(program, cfg);
@@ -332,11 +329,9 @@ impl AliasAnalysis {
         let procs = cfg.procs().len();
         let text = &program.text;
 
-        // Per-procedure constraint generation (embarrassingly parallel,
-        // fanned out with the solve rounds below).
-        let constraints: Vec<Vec<Constraint>> = par_map_procs(procs, |pi| {
-            gen_constraints(text, cfg, &universe, pi)
-        });
+        let constraints: Vec<Vec<Constraint>> = (0..procs)
+            .map(|pi| gen_constraints(text, cfg, &universe, pi))
+            .collect();
 
         // Interprocedural copy edges: callers' argument registers flow into
         // callees, callees' result registers flow back.
@@ -352,30 +347,25 @@ impl AliasAnalysis {
             }
         }
 
-        // Round-based parallel fixpoint: every round solves each
-        // procedure's constraints to a local fixpoint against a frozen
-        // snapshot of the global state, then merges the deltas. Monotone
-        // over finite sets, so it terminates.
+        // Round-based fixpoint: every round solves each procedure's
+        // constraints to a local fixpoint against a frozen snapshot of the
+        // global state, then merges the deltas. Monotone over finite sets,
+        // so it terminates.
         let mut pts: Vec<BitSet> = (0..procs * 32).map(|_| BitSet::new(regions)).collect();
         let mut contents: Vec<BitSet> = (0..regions).map(|_| BitSet::new(regions)).collect();
         loop {
-            let deltas: Vec<ProcDelta> = {
-                let pts_snap = &pts;
-                let contents_snap = &contents;
-                let incoming = &incoming;
-                let constraints = &constraints;
-                let universe_ref = &universe;
-                par_map_procs(procs, move |pi| {
+            let deltas: Vec<ProcDelta> = (0..procs)
+                .map(|pi| {
                     solve_proc(
                         pi,
                         &constraints[pi],
                         &incoming[pi],
-                        pts_snap,
-                        contents_snap,
-                        universe_ref,
+                        &pts,
+                        &contents,
+                        &universe,
                     )
                 })
-            };
+                .collect();
             let mut changed = false;
             for delta in deltas {
                 for (reg, set) in delta.pts.into_iter().enumerate() {
@@ -406,7 +396,8 @@ impl AliasAnalysis {
                     base: base.index() as u8,
                     offset,
                 };
-                let (regions, unknown) = site_regions(&site, proc.index(), &pts, &universe);
+                let window = &pts[proc.index() * 32..(proc.index() + 1) * 32];
+                let (regions, unknown) = site_regions(&site, proc.index(), window, &universe);
                 let exact_addr = (base == Reg::ZERO).then_some(offset as u32);
                 let touches_stack = regions.iter().any(|r| universe.is_stack(r as u32));
                 Some(MemAccess {
@@ -647,12 +638,13 @@ fn gen_constraints(
     out
 }
 
-/// The regions one memory site may touch, against a points-to state.
-/// Returns the set and whether it fell back to top (unknown base).
+/// The regions one memory site of procedure `proc` may touch, against
+/// that procedure's 32 per-register points-to sets `regs`. Returns the set
+/// and whether it fell back to top (unknown base).
 fn site_regions(
     site: &MemSite,
     proc: usize,
-    pts: &[BitSet],
+    regs: &[BitSet],
     universe: &RegionUniverse,
 ) -> (BitSet, bool) {
     let regions = universe.len();
@@ -668,7 +660,7 @@ fn site_regions(
         set.insert(universe.stack_region(ProcId(proc as u32)) as usize);
         return (set, false);
     }
-    let mut set = pts[proc * 32 + base.index()].clone();
+    let mut set = regs[base.index()].clone();
     if site.offset > 0 && site.offset as u32 >= DATA_BASE {
         // Scaled-index global addressing: the base register holds a small
         // scaled index and the displacement carries the data address
@@ -713,13 +705,13 @@ fn solve_proc(
                     changed |= local[dst as usize].union_with(&set);
                 }
                 Constraint::Load { dst, site } => {
-                    let (touched, _) = site_regions(&site, pi, &snapshot_view(pts_snap, pi, &local), universe);
+                    let (touched, _) = site_regions(&site, pi, &local, universe);
                     for region in touched.iter() {
                         changed |= local[dst as usize].union_with(&contents_snap[region]);
                     }
                 }
                 Constraint::Store { src, site } => {
-                    let (touched, _) = site_regions(&site, pi, &snapshot_view(pts_snap, pi, &local), universe);
+                    let (touched, _) = site_regions(&site, pi, &local, universe);
                     for region in touched.iter() {
                         let slot =
                             delta[region].get_or_insert_with(|| BitSet::new(regions));
@@ -741,53 +733,6 @@ fn solve_proc(
             .filter_map(|(region, set)| set.map(|set| (region as u32, set)))
             .collect(),
     }
-}
-
-/// Builds the register view `site_regions` reads for procedure `pi`:
-/// the evolving local sets spliced over the frozen snapshot. Cheap — it
-/// clones only the 32 per-register sets of one procedure.
-fn snapshot_view(pts_snap: &[BitSet], pi: usize, local: &[BitSet]) -> Vec<BitSet> {
-    // `site_regions` indexes `pts[pi * 32 + reg]`; hand it a slice whose
-    // window for `pi` is the local state. Procedures only read their own
-    // window, so splice just that.
-    let mut view = pts_snap.to_vec();
-    view[pi * 32..(pi + 1) * 32].clone_from_slice(local);
-    view
-}
-
-/// Claims procedure indices off an atomic counter across scoped workers —
-/// the same fan-out shape as the benchmark suite's pool. Falls back to a
-/// plain loop when one worker suffices.
-fn par_map_procs<T, F>(procs: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(procs);
-    if workers <= 1 {
-        return (0..procs).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let out: Mutex<Vec<Option<T>>> = Mutex::new((0..procs).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let pi = next.fetch_add(1, Ordering::Relaxed);
-                if pi >= procs {
-                    break;
-                }
-                let result = f(pi);
-                out.lock().unwrap()[pi] = Some(result);
-            });
-        }
-    });
-    out.into_inner()
-        .unwrap()
-        .into_iter()
-        .map(|slot| slot.expect("every procedure solved"))
-        .collect()
 }
 
 /// Minimal union-find over region indices.

@@ -25,7 +25,7 @@
 //!   `clfp-verify` lint pass.
 //! * **Interprocedural alias analysis** ([`alias`]): whole-program call
 //!   graph, abstract-region partition of the address space, Andersen-style
-//!   points-to with per-procedure parallel solving, and the per-access
+//!   points-to solved per procedure in rounds, and the per-access
 //!   alias classification behind the `Static` memory-disambiguation mode.
 //!
 //! ## Example
