@@ -19,19 +19,28 @@
 //! instructions), recording wall time and peak RSS per point to
 //! `BENCH_scaling.json` — the record that paper-scale runs complete in
 //! O(chunk) trace memory.
-//! `regen --lint` gates the suite on the `clfp-verify` checks,
-//! `regen --alias` sweeps the memory-disambiguation axis (perfect vs
-//! static alias classes vs none) across the suite and writes
-//! `results/disambiguation.md` gated on the dynamic alias-soundness
-//! check ([`run_alias_suite`]),
-//! `regen --valuepred` sweeps the value-prediction axis (off vs
-//! last-value vs stride vs a perfect value oracle) and writes
-//! `results/value_prediction.md` gated on the `clfp-verify`
-//! monotonicity check ([`run_valuepred_suite`]), and
-//! `regen --metrics` re-runs it with the `clfp-metrics` recording sink
-//! ([`run_metrics_suite`]), writing cycle-occupancy histograms and
+//! `regen --lint` gates the suite on the `clfp-verify` checks
+//! ([`run_lint_suite`]). `regen --alias` and `regen --valuepred` sweep a
+//! relaxation axis — memory disambiguation (perfect vs static alias
+//! classes vs none) or value prediction (off vs last-value vs stride vs a
+//! perfect value oracle) — through one driver, [`run_axis_sweep`], into
+//! `results/disambiguation.md` or `results/value_prediction.md`, each
+//! gated on the `clfp-verify` monotonicity check and pipeline agreement
+//! (the disambiguation axis adds the dynamic alias-soundness check).
+//! `regen --metrics` re-runs the suite with the `clfp-metrics` recording
+//! sink ([`run_metrics_suite`]), writing cycle-occupancy histograms and
 //! critical-path attribution (`results/metrics_suite.json`,
 //! `results/attribution.md`; see `docs/OBSERVABILITY.md`).
+//!
+//! ## Layout
+//!
+//! This module holds what every suite runner shares: the trace cache, the
+//! per-workload front end (compile, then the measured trace), the suite
+//! worker pool, [`run_suite`], and the bit-identity helpers. Each suite
+//! lives in its own module and is re-exported here: `tables` (the paper's
+//! tables and figures, and the one program × machine table renderer),
+//! `timing` (`--timing`, `--trace`, `--check-perf`), `scaling`, `lint`,
+//! `axis` (the axis descriptions and their driver) and `metrics`.
 //!
 //! Every artifact is stamped with a [`RunManifest`] ([`suite_manifest`]),
 //! and `regen` refuses to overwrite results whose recorded config hash
@@ -45,8 +54,8 @@ mod tables;
 mod timing;
 
 pub use axis::{
-    alias_workload, run_alias_suite, run_valuepred_suite, valuepred_workload, AliasSuite,
-    AliasWorkloadReport, ValuePredSuite, ValuePredWorkloadReport,
+    run_axis_sweep, sweep_workload, AxisMode, AxisSuite, AxisSweep, AxisWorkload, Setting,
+    DISAMBIGUATION, GATE_CHUNK_EVENTS, VALUE_PREDICTION,
 };
 pub use lint::{
     lint_workload, run_lint_suite, waiver_for, LintFinding, LintReport, LintSuite, Waiver,
@@ -65,7 +74,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use clfp_limits::{AnalysisConfig, Analyzer, AnalyzeError, Report};
+use clfp_isa::Program;
+use clfp_limits::{AnalysisConfig, AnalyzeError, Analyzer, Report};
 use clfp_metrics::RunManifest;
 use clfp_vm::{Trace, TraceCache};
 use clfp_workloads::{suite, Workload};
@@ -94,7 +104,7 @@ pub(crate) fn trace_cache() -> Option<&'static TraceCache> {
 /// `true` when the events came back from a warm cache file instead of a VM
 /// execution.
 pub(crate) fn measured_trace(
-    program: &clfp_isa::Program,
+    program: &Program,
     config: &AnalysisConfig,
 ) -> Result<(Trace, bool), AnalyzeError> {
     let options = clfp_vm::VmOptions {
@@ -182,15 +192,30 @@ pub fn run_suite(config: &AnalysisConfig) -> Result<Vec<WorkloadReport>, Analyze
     par_map_suite(|workload| analyze_workload(workload, config))
 }
 
+/// Compiles a suite workload, naming it in the error.
+pub(crate) fn compile(workload: Workload) -> Result<Program, AnalyzeError> {
+    workload
+        .compile()
+        .map_err(|err| AnalyzeError::BadProgram(format!("{}: {err}", workload.name)))
+}
+
+/// The per-workload front end every suite runner shares: the compiled
+/// program and its measured trace ([`measured_trace`]).
+pub(crate) fn front_end(
+    workload: Workload,
+    config: &AnalysisConfig,
+) -> Result<(Program, Trace), AnalyzeError> {
+    let program = compile(workload)?;
+    let (trace, _warm) = measured_trace(&program, config)?;
+    Ok((program, trace))
+}
+
 fn analyze_workload(
     workload: Workload,
     config: &AnalysisConfig,
 ) -> Result<WorkloadReport, AnalyzeError> {
-    let program = workload
-        .compile()
-        .map_err(|err| AnalyzeError::BadProgram(format!("{}: {err}", workload.name)))?;
+    let (program, trace) = front_end(workload, config)?;
     let analyzer = Analyzer::new(&program, config.clone())?;
-    let (trace, _warm) = measured_trace(&program, config)?;
     let prepared = analyzer.prepare(&trace);
     // Both unroll settings in a single lane-kernel walk over the trace.
     let (unrolled, rolled) = prepared.report_both();
@@ -217,7 +242,7 @@ pub(crate) fn ms(start: Instant) -> f64 {
 pub(crate) fn matches_reference(
     unrolled: &Report,
     rolled: &Report,
-    program: &clfp_isa::Program,
+    program: &Program,
     trace: &Trace,
     mode: &AnalysisConfig,
 ) -> Result<bool, AnalyzeError> {

@@ -2,12 +2,12 @@
 //! cross-checker over every suite workload, with the standing waivers
 //! (`results/lint_suite.json`).
 
-use clfp_limits::{AnalysisConfig, Analyzer, AnalyzeError, MachineKind};
-use clfp_metrics::RunManifest;
+use clfp_limits::{AnalysisConfig, AnalyzeError, Analyzer, MachineKind};
+use clfp_metrics::{escape_json, RunManifest};
 use clfp_verify::{lint_program, Diagnostic, DiagnosticKind, Severity, TraceChecks};
 use clfp_workloads::Workload;
 
-use crate::{measured_trace, par_map_suite, suite_manifest};
+use crate::{front_end, par_map_suite, suite_manifest};
 
 /// Accepts all diagnostics of one kind, optionally scoped to one workload.
 ///
@@ -123,9 +123,7 @@ pub fn lint_workload(
     workload: Workload,
     config: &AnalysisConfig,
 ) -> Result<LintReport, AnalyzeError> {
-    let program = workload
-        .compile()
-        .map_err(|err| AnalyzeError::BadProgram(format!("{}: {err}", workload.name)))?;
+    let (program, trace) = front_end(workload, config)?;
     // Only the sequential counts are needed from the machine passes, and
     // they are machine-independent: analyze the cheapest model.
     let lint_config = AnalysisConfig {
@@ -137,7 +135,6 @@ pub fn lint_workload(
 
     let mut diagnostics = lint_program(&program, info);
 
-    let (trace, _warm) = measured_trace(&program, config)?;
     let prepared = analyzer.prepare(&trace);
     let checks = TraceChecks::new(&program, info);
     diagnostics.extend(checks.check_edges(&trace));
@@ -177,17 +174,6 @@ pub fn run_lint_suite(config: &AnalysisConfig) -> Result<LintSuite, AnalyzeError
         manifest: suite_manifest(config),
         reports: par_map_suite(|workload| lint_workload(workload, config))?,
     })
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<char>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 impl LintSuite {
@@ -231,11 +217,11 @@ impl LintSuite {
                     d.kind,
                     d.severity(),
                     d.pc.map_or("null".to_string(), |pc| pc.to_string()),
-                    json_escape(&d.message),
+                    escape_json(&d.message),
                     finding.waived_reason.is_some(),
                     finding
                         .waived_reason
-                        .map_or("null".to_string(), |r| format!("\"{}\"", json_escape(r))),
+                        .map_or("null".to_string(), |r| format!("\"{}\"", escape_json(r))),
                     if j + 1 == report.findings.len() { "\n     " } else { "," },
                 ));
             }

@@ -1,12 +1,13 @@
 //! `regen --metrics`: every workload re-analyzed with the recording
 //! metrics sink (`results/metrics_suite.json`, `results/attribution.md`).
 
-use clfp_limits::{AnalysisConfig, Analyzer, AnalyzeError, EdgeKind, MachineKind, MachineMetrics};
+use clfp_limits::{AnalysisConfig, AnalyzeError, Analyzer, EdgeKind, MachineKind, MachineMetrics};
 use clfp_metrics::RunManifest;
 use clfp_vm::TraceSummary;
 use clfp_workloads::Workload;
 
-use crate::{measured_trace, par_map_suite, suite_manifest};
+use crate::tables::machine_table;
+use crate::{front_end, par_map_suite, suite_manifest};
 
 /// Per-machine execution metrics for one workload: the instruction mix of
 /// its measured trace plus, for every machine model, the recorded-schedule
@@ -52,11 +53,8 @@ pub fn metrics_workload(
     workload: Workload,
     config: &AnalysisConfig,
 ) -> Result<WorkloadMetrics, AnalyzeError> {
-    let program = workload
-        .compile()
-        .map_err(|err| AnalyzeError::BadProgram(format!("{}: {err}", workload.name)))?;
+    let (program, trace) = front_end(workload, config)?;
     let analyzer = Analyzer::new(&program, config.clone())?;
-    let (trace, _warm) = measured_trace(&program, config)?;
     let summary = trace.summarize(&program);
     let machines = analyzer.prepare(&trace).machine_metrics();
     let seq_instrs = machines.first().map_or(0, |(_, m)| m.instrs);
@@ -217,19 +215,11 @@ impl MetricsSuite {
     }
 
     fn occupancy_table(&self, cell: impl Fn(&MachineMetrics) -> String) -> String {
-        let mut out = String::from(
-            "| program | BASE | CD | CD-MF | SP | SP-CD | SP-CD-MF | ORACLE |\n\
-             |---------|------|----|-------|----|-------|----------|--------|\n",
-        );
-        for w in &self.reports {
-            let mut line = format!("| {} |", w.name);
-            for (_, m) in &w.machines {
-                line.push_str(&format!(" {} |", cell(m)));
-            }
-            line.push('\n');
-            out.push_str(&line);
-        }
-        out
+        machine_table(
+            self.reports
+                .iter()
+                .map(|w| (w.name, w.machines.iter().map(|(_, m)| cell(m)).collect())),
+        )
     }
 }
 

@@ -3,11 +3,11 @@
 
 use std::time::Instant;
 
-use clfp_limits::{AnalysisConfig, Analyzer, AnalyzeError, StreamOptions};
+use clfp_limits::{AnalysisConfig, AnalyzeError, Analyzer, StreamOptions};
 use clfp_metrics::RunManifest;
 use clfp_vm::ProgramSource;
 
-use crate::{ms, reports_equal, suite_manifest};
+use crate::{compile, ms, reports_equal, suite_manifest};
 
 /// One point of the streaming scaling curve: a single workload streamed to
 /// `max_instrs` dynamic instructions through the chunked pipeline.
@@ -98,10 +98,7 @@ pub fn run_scaling_suite(
     for &name in workloads {
         let workload = clfp_workloads::by_name(name)
             .map_err(|err| AnalyzeError::BadProgram(format!("unknown workload `{name}`: {err}")))?;
-        let program = workload
-            .compile()
-            .map_err(|err| AnalyzeError::BadProgram(format!("{name}: {err}")))?;
-        compiled.push((workload.name, program));
+        compiled.push((workload.name, compile(workload)?));
     }
 
     let mut results = Vec::new();

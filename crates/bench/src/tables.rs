@@ -15,6 +15,41 @@ pub(crate) fn fmt_parallelism(p: f64) -> String {
     }
 }
 
+/// Renders a program × machine table: the header over the seven machines,
+/// then one `| label | cell | … |` row per entry. Every table whose
+/// columns are the machines goes through here.
+pub(crate) fn machine_table<'a>(rows: impl IntoIterator<Item = (&'a str, Vec<String>)>) -> String {
+    let mut out = String::from(
+        "| program | BASE | CD | CD-MF | SP | SP-CD | SP-CD-MF | ORACLE |\n\
+         |---------|------|----|-------|----|-------|----------|--------|\n",
+    );
+    for (label, cells) in rows {
+        out.push_str(&format!("| {label} |"));
+        for cell in cells {
+            out.push_str(&format!(" {cell} |"));
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// A report's parallelism on every machine, in `MachineKind::ALL` order.
+pub(crate) fn parallelism_cells(report: &Report) -> Vec<String> {
+    MachineKind::ALL
+        .iter()
+        .map(|&kind| fmt_parallelism(report.parallelism(kind)))
+        .collect()
+}
+
+/// The harmonic-mean row over `reports`, machine by machine.
+pub(crate) fn harmonic_mean_row(reports: &[&Report]) -> (&'static str, Vec<String>) {
+    let cells = MachineKind::ALL
+        .iter()
+        .map(|&kind| fmt_parallelism(harmonic_mean(reports.iter().map(|r| r.parallelism(kind)))))
+        .collect();
+    ("**harmonic mean**", cells)
+}
+
 /// Static inventory of the suite: text size, basic blocks, procedures,
 /// natural loops, and how many instructions the trace transformations
 /// delete. Not a paper table, but the reviewer's first question.
@@ -89,66 +124,39 @@ pub fn table2(reports: &[WorkloadReport]) -> String {
 /// Table 3: parallelism for every machine model, harmonic mean over the
 /// non-numeric group.
 pub fn table3(reports: &[WorkloadReport]) -> String {
-    let mut out = String::from(
-        "## Table 3: Parallelism for each Machine Model\n\n\
-         | program | BASE | CD | CD-MF | SP | SP-CD | SP-CD-MF | ORACLE |\n\
-         |---------|------|----|-------|----|-------|----------|--------|\n",
-    );
-    let row = |name: &str, report: &Report| {
-        let mut line = format!("| {name} |");
-        for kind in MachineKind::ALL {
-            line.push_str(&format!(" {} |", fmt_parallelism(report.parallelism(kind))));
-        }
-        line.push('\n');
-        line
-    };
-    for r in reports
-        .iter()
-        .filter(|r| r.workload.class == WorkloadClass::NonNumeric)
-    {
-        out.push_str(&row(r.workload.name, &r.unrolled));
-    }
+    let class = |class| reports.iter().filter(move |r| r.workload.class == class);
+    let row = |r: &WorkloadReport| (r.workload.name, parallelism_cells(&r.unrolled));
+    let non_numeric: Vec<&Report> = class(WorkloadClass::NonNumeric)
+        .map(|r| &r.unrolled)
+        .collect();
     // Harmonic mean over the non-numeric group, like the paper.
-    let mut line = String::from("| **harmonic mean** |");
-    for kind in MachineKind::ALL {
-        let hm = harmonic_mean(
-            reports
-                .iter()
-                .filter(|r| r.workload.class == WorkloadClass::NonNumeric)
-                .map(|r| r.unrolled.parallelism(kind)),
-        );
-        line.push_str(&format!(" {} |", fmt_parallelism(hm)));
-    }
-    line.push('\n');
-    out.push_str(&line);
-    for r in reports
-        .iter()
-        .filter(|r| r.workload.class == WorkloadClass::Numeric)
-    {
-        out.push_str(&row(r.workload.name, &r.unrolled));
-    }
-    out
+    let rows = class(WorkloadClass::NonNumeric)
+        .map(row)
+        .chain([harmonic_mean_row(&non_numeric)])
+        .chain(class(WorkloadClass::Numeric).map(row));
+    format!(
+        "## Table 3: Parallelism for each Machine Model\n\n{}",
+        machine_table(rows)
+    )
 }
 
 /// Table 4: percent change in parallelism due to perfect unrolling.
 pub fn table4(reports: &[WorkloadReport]) -> String {
-    let mut out = String::from(
-        "## Table 4: Percent Change in Parallelism due to Perfect Loop Unrolling\n\n\
-         | program | BASE | CD | CD-MF | SP | SP-CD | SP-CD-MF | ORACLE |\n\
-         |---------|------|----|-------|----|-------|----------|--------|\n",
-    );
-    for r in reports {
-        let mut line = format!("| {} |", r.workload.name);
-        for kind in MachineKind::ALL {
-            let with = r.unrolled.parallelism(kind);
-            let without = r.rolled.parallelism(kind);
-            let change = 100.0 * (with - without) / without;
-            line.push_str(&format!(" {change:.0} |"));
-        }
-        line.push('\n');
-        out.push_str(&line);
-    }
-    out
+    let rows = reports.iter().map(|r| {
+        let cells = MachineKind::ALL
+            .iter()
+            .map(|&kind| {
+                let with = r.unrolled.parallelism(kind);
+                let without = r.rolled.parallelism(kind);
+                format!("{:.0}", 100.0 * (with - without) / without)
+            })
+            .collect();
+        (r.workload.name, cells)
+    });
+    format!(
+        "## Table 4: Percent Change in Parallelism due to Perfect Loop Unrolling\n\n{}",
+        machine_table(rows)
+    )
 }
 
 /// Figure 4: parallelism with control dependence analysis (CD vs BASE and

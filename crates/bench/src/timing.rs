@@ -5,7 +5,9 @@
 
 use std::time::Instant;
 
-use clfp_limits::{AnalysisConfig, Analyzer, AnalyzeError, MemDisambiguation, StreamOptions, ValuePrediction};
+use clfp_limits::{
+    AnalysisConfig, AnalyzeError, Analyzer, MemDisambiguation, StreamOptions, ValuePrediction,
+};
 use clfp_metrics::RunManifest;
 use clfp_predict::BranchProfile;
 use clfp_vm::TraceCache;
@@ -13,8 +15,8 @@ use clfp_workloads::suite;
 
 use crate::tables::{table2, table3, table4};
 use crate::{
-    matches_reference, measured_trace, ms, reports_equal, suite_manifest, suite_pool_threads,
-    trace_cache, WorkloadReport,
+    compile, matches_reference, measured_trace, ms, reports_equal, suite_manifest,
+    suite_pool_threads, trace_cache, WorkloadReport,
 };
 
 /// Per-workload wall times for each pipeline stage, in milliseconds.
@@ -164,9 +166,7 @@ pub fn run_suite_timed(config: &AnalysisConfig) -> Result<SuiteTiming, AnalyzeEr
         Some(cache) => {
             let mut warm = true;
             for workload in suite() {
-                let program = workload.compile().map_err(|err| {
-                    AnalyzeError::BadProgram(format!("{}: {err}", workload.name))
-                })?;
+                let program = compile(workload)?;
                 warm &= cache.lookup(&program, config.max_instrs).is_some();
             }
             if warm {
@@ -210,9 +210,7 @@ pub fn run_suite_timed(config: &AnalysisConfig) -> Result<SuiteTiming, AnalyzeEr
         };
         let t0 = stage_start();
         let start = Instant::now();
-        let program = workload
-            .compile()
-            .map_err(|err| AnalyzeError::BadProgram(format!("{}: {err}", workload.name)))?;
+        let program = compile(workload)?;
         let compile_ms = ms(start);
         stage_span("suite.compile", workload.name, t0);
 

@@ -626,7 +626,10 @@ fn git_describe() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-pub(crate) fn escape_json(s: &str) -> String {
+/// Escapes `s` for use inside a JSON string literal: quotes, backslashes
+/// and every control character (newline as `\n`, the rest as `\u00xx`).
+/// The workspace's one JSON string escaper.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -39,7 +39,7 @@ use std::fmt;
 
 use clfp_cfg::{BlockId, CdViolation, Cfg, Liveness, MaybeUninit, StaticInfo};
 use clfp_isa::{AluOp, Instr, Program, Reg};
-use clfp_limits::{CdSource, PreparedTrace, Report, ValuePrediction};
+use clfp_limits::{CdSource, PreparedTrace, Report};
 use clfp_vm::{Trace, TraceEvent, TraceSource, VmError};
 
 /// How bad a diagnostic is.
@@ -107,11 +107,13 @@ pub enum DiagnosticKind {
     /// A store's alias regions are never loaded from by any instruction;
     /// at region granularity the stored value is provably unobserved.
     RegionDeadStore,
-    /// A stronger value-prediction mode produced a *longer* critical path
-    /// than a weaker one on the same machine — the nested-correct-set
-    /// theorem (`perfect >= stride >= last-value >= off`) was violated,
-    /// so a pipeline diverged from the publish rule.
-    ValuePredMonotonicityViolation,
+    /// A mode that relaxes an axis (removes scheduling constraints)
+    /// produced a *longer* critical path than the mode it relaxes, on the
+    /// same machine — the axis's monotonicity theorem (for example
+    /// `perfect >= static >= none` or
+    /// `perfect >= stride >= last-value >= off`) was violated, so a
+    /// pipeline diverged from the axis's construction.
+    MonotonicityViolation,
 }
 
 impl DiagnosticKind {
@@ -127,7 +129,7 @@ impl DiagnosticKind {
         DiagnosticKind::UnrollMaskViolation,
         DiagnosticKind::SeqCountMismatch,
         DiagnosticKind::AliasSoundnessViolation,
-        DiagnosticKind::ValuePredMonotonicityViolation,
+        DiagnosticKind::MonotonicityViolation,
         DiagnosticKind::NeverStoredRegionLoad,
         DiagnosticKind::RegionDeadStore,
     ];
@@ -142,7 +144,7 @@ impl DiagnosticKind {
             | DiagnosticKind::UnrollMaskViolation
             | DiagnosticKind::SeqCountMismatch
             | DiagnosticKind::AliasSoundnessViolation
-            | DiagnosticKind::ValuePredMonotonicityViolation => Severity::Error,
+            | DiagnosticKind::MonotonicityViolation => Severity::Error,
             DiagnosticKind::UnreachableBlock | DiagnosticKind::MaybeUninitRead => {
                 Severity::Warning
             }
@@ -169,7 +171,7 @@ impl DiagnosticKind {
             DiagnosticKind::UnrollMaskViolation => "unroll-mask-violation",
             DiagnosticKind::SeqCountMismatch => "seq-count-mismatch",
             DiagnosticKind::AliasSoundnessViolation => "alias-soundness-violation",
-            DiagnosticKind::ValuePredMonotonicityViolation => "valuepred-monotonicity-violation",
+            DiagnosticKind::MonotonicityViolation => "monotonicity-violation",
             DiagnosticKind::NeverStoredRegionLoad => "never-stored-region-load",
             DiagnosticKind::RegionDeadStore => "region-dead-store",
         }
@@ -219,76 +221,48 @@ pub fn has_errors(diags: &[Diagnostic]) -> bool {
     diags.iter().any(|d| d.severity() == Severity::Error)
 }
 
-/// Checks the value-prediction monotonicity theorem over one workload's
-/// per-mode reports: because the predictors' correct sets nest
-/// (off = ∅ ⊆ last-value ⊆ stride ⊆ perfect) and every scheduling fold is
-/// a monotone max, a stronger mode must never produce a *longer* critical
-/// path than a weaker one — pointwise, on every analyzed machine. A
-/// violation ([`DiagnosticKind::ValuePredMonotonicityViolation`], always
-/// [`Severity::Error`]) means a pipeline diverged from the publish rule.
+/// Checks one relaxation axis's monotonicity theorem over one workload's
+/// per-mode reports. `chain` pairs each mode's name with its report, from
+/// the most constrained mode to the least: each mode only removes
+/// scheduling constraints from the one before it, and every scheduling
+/// fold is a monotone max, so a later mode must never take *more* cycles
+/// than an earlier one — pointwise, on every analyzed machine. Sequential
+/// instruction counts must agree across the chain too: a relaxation
+/// changes timing, never which instructions are scheduled. `axis` names
+/// the axis in the messages.
 ///
-/// `reports` pairs each mode with its report for the same workload and
-/// machine list; order is irrelevant (modes are ranked internally by
-/// their position in [`ValuePrediction::ALL`], weakest first). Sequential
-/// instruction counts must also agree across modes — value speculation
-/// changes timing, never instruction counts.
-pub fn check_valuepred_monotonicity(
-    reports: &[(ValuePrediction, &Report)],
-) -> Vec<Diagnostic> {
-    let rank = |mode: ValuePrediction| {
-        ValuePrediction::ALL
-            .iter()
-            .position(|&m| m == mode)
-            .expect("every mode is in ALL")
-    };
-    let mut ranked: Vec<&(ValuePrediction, &Report)> = reports.iter().collect();
-    ranked.sort_by_key(|(mode, _)| rank(*mode));
+/// Every finding is a [`DiagnosticKind::MonotonicityViolation`] (always
+/// [`Severity::Error`]): a pipeline diverged from the axis's construction.
+/// The memory-disambiguation chain is `none`, `static`, `perfect` (coarse
+/// keys accumulate a running store max); the value-prediction chain is
+/// `off`, `last-value`, `stride`, `perfect` (the predictors' correct sets
+/// nest).
+pub fn check_monotonicity(axis: &str, chain: &[(&str, &Report)]) -> Vec<Diagnostic> {
+    let violation = |message| Diagnostic::new(DiagnosticKind::MonotonicityViolation, None, message);
     let mut out = Vec::new();
-    for pair in ranked.windows(2) {
-        let (weak_mode, weak) = *pair[0];
-        let (strong_mode, strong) = *pair[1];
+    for pair in chain.windows(2) {
+        let (weak_mode, weak) = pair[0];
+        let (strong_mode, strong) = pair[1];
         if weak.seq_instrs != strong.seq_instrs {
-            out.push(Diagnostic::new(
-                DiagnosticKind::ValuePredMonotonicityViolation,
-                None,
-                format!(
-                    "sequential instruction count changed across value-prediction \
-                     modes: {} under {}, {} under {}",
-                    weak.seq_instrs,
-                    weak_mode.name(),
-                    strong.seq_instrs,
-                    strong_mode.name()
-                ),
-            ));
+            out.push(violation(format!(
+                "sequential instruction count changed across {axis} modes: {} under \
+                 {weak_mode}, {} under {strong_mode}",
+                weak.seq_instrs, strong.seq_instrs
+            )));
         }
         for (w, s) in weak.results.iter().zip(&strong.results) {
             if w.kind != s.kind {
-                out.push(Diagnostic::new(
-                    DiagnosticKind::ValuePredMonotonicityViolation,
-                    None,
-                    format!(
-                        "machine lists disagree across value-prediction modes: \
-                         {} vs {}",
-                        w.kind, s.kind
-                    ),
-                ));
-                continue;
-            }
-            if s.cycles > w.cycles {
-                out.push(Diagnostic::new(
-                    DiagnosticKind::ValuePredMonotonicityViolation,
-                    None,
-                    format!(
-                        "{}: {} value prediction took {} cycles, beating the \
-                         stronger {} mode's {} — the nested-correct-set \
-                         theorem is violated",
-                        w.kind,
-                        weak_mode.name(),
-                        w.cycles,
-                        strong_mode.name(),
-                        s.cycles
-                    ),
-                ));
+                out.push(violation(format!(
+                    "machine lists disagree across {axis} modes: {} vs {}",
+                    w.kind, s.kind
+                )));
+            } else if s.cycles > w.cycles {
+                out.push(violation(format!(
+                    "{}: {axis} mode {weak_mode} took {} cycles, beating the \
+                     less constrained {strong_mode} mode's {} — the axis's \
+                     monotonicity theorem is violated",
+                    w.kind, w.cycles, s.cycles
+                )));
             }
         }
     }
@@ -1193,7 +1167,7 @@ mod tests {
     use super::*;
     use clfp_cfg::CdViolationReason;
     use clfp_isa::assemble;
-    use clfp_limits::{AnalysisConfig, Analyzer, MachineKind};
+    use clfp_limits::{AnalysisConfig, Analyzer, MachineKind, MemDisambiguation, ValuePrediction};
     use clfp_vm::{TraceEvent, Vm, VmOptions};
 
     const CLEAN: &str = r#"
@@ -1584,52 +1558,98 @@ mod tests {
             halt
     "#;
 
+    /// Each iteration loads `b`, runs a short dependent chain on the
+    /// value, and stores the result to `a`. With perfect (or static:
+    /// distinct globals) disambiguation the iterations overlap; with none,
+    /// every load waits for the previous iteration's store.
+    const MEMORY_CHAINS: &str = r#"
+        .data
+        a: .space 64
+        b: .space 64
+        .text
+        main:
+            li r8, 0
+            li r9, 40
+        loop:
+            lw r10, 0x1040(r0)
+            addi r10, r10, 3
+            mul r10, r10, r10
+            addi r10, r10, 1
+            sw r10, 0x1000(r0)
+            addi r8, r8, 1
+            blt r8, r9, loop
+            halt
+    "#;
+
     #[test]
-    fn valuepred_monotonicity_check_accepts_real_reports_and_flags_forgeries() {
-        let (program, _) = setup(VALUE_CHAINS);
-        let trace = trace_of(&program);
-        let modes = ValuePrediction::ALL;
-        let reports: Vec<Report> = modes
+    fn monotonicity_check_accepts_real_reports_and_flags_forgeries() {
+        // Each axis's modes, from the most constrained to the least, on a
+        // program that strictly separates its endpoints.
+        let value_prediction: Vec<(&str, AnalysisConfig)> = ValuePrediction::ALL
             .iter()
             .map(|&mode| {
-                let config = AnalysisConfig {
-                    max_instrs: 10_000,
-                    machines: vec![MachineKind::Base],
-                    value_prediction: mode,
-                    ..AnalysisConfig::default()
-                };
-                let analyzer = Analyzer::new(&program, config).unwrap();
-                analyzer.prepare(&trace).report_with_unrolling(false)
+                (
+                    mode.name(),
+                    AnalysisConfig::default().with_value_prediction(mode),
+                )
             })
             .collect();
+        let disambiguation: Vec<(&str, AnalysisConfig)> = MemDisambiguation::ALL
+            .iter()
+            .rev()
+            .map(|&mode| {
+                (
+                    mode.name(),
+                    AnalysisConfig::default().with_disambiguation(mode),
+                )
+            })
+            .collect();
+        for (axis, source, configs) in [
+            ("value-prediction", VALUE_CHAINS, value_prediction),
+            ("disambiguation", MEMORY_CHAINS, disambiguation),
+        ] {
+            let (program, _) = setup(source);
+            let trace = trace_of(&program);
+            let reports: Vec<(&str, Report)> = configs
+                .into_iter()
+                .map(|(name, config)| {
+                    let config = AnalysisConfig {
+                        max_instrs: 10_000,
+                        machines: vec![MachineKind::Base],
+                        ..config
+                    };
+                    let analyzer = Analyzer::new(&program, config).unwrap();
+                    (name, analyzer.prepare(&trace).report_with_unrolling(false))
+                })
+                .collect();
 
-        // The honest reports satisfy the theorem, in any input order.
-        let mut labelled: Vec<(ValuePrediction, &Report)> =
-            modes.iter().copied().zip(&reports).collect();
-        assert_eq!(check_valuepred_monotonicity(&labelled), Vec::new());
-        labelled.reverse();
-        assert_eq!(check_valuepred_monotonicity(&labelled), Vec::new());
+            // The honest chain satisfies the theorem.
+            let chain: Vec<(&str, &Report)> = reports
+                .iter()
+                .map(|(name, report)| (*name, report))
+                .collect();
+            assert_eq!(check_monotonicity(axis, &chain), Vec::new(), "{axis}");
 
-        // The workload strictly separates off from perfect, so swapping
-        // those two labels forges a theorem violation the check must flag.
-        let off = &reports[0];
-        let perfect = &reports[modes.len() - 1];
-        assert!(
-            perfect.results[0].cycles < off.results[0].cycles,
-            "workload fails to separate modes: perfect {} vs off {}",
-            perfect.results[0].cycles,
-            off.results[0].cycles
-        );
-        let forged = [
-            (ValuePrediction::Off, perfect),
-            (ValuePrediction::Perfect, off),
-        ];
-        let diags = check_valuepred_monotonicity(&forged);
-        assert_eq!(
-            kinds(&diags),
-            vec![DiagnosticKind::ValuePredMonotonicityViolation]
-        );
-        assert!(has_errors(&diags));
-        assert!(diags[0].message.contains("perfect"), "{}", diags[0].message);
+            // The program strictly separates the endpoints, so swapping
+            // their labels forges a violation the check must flag.
+            let (weak_name, weak) = chain[0];
+            let (strong_name, strong) = chain[chain.len() - 1];
+            assert!(
+                strong.results[0].cycles < weak.results[0].cycles,
+                "{axis}: program fails to separate modes: {strong_name} {} vs {weak_name} {}",
+                strong.results[0].cycles,
+                weak.results[0].cycles
+            );
+            let forged = [(weak_name, strong), (strong_name, weak)];
+            let diags = check_monotonicity(axis, &forged);
+            assert_eq!(
+                kinds(&diags),
+                vec![DiagnosticKind::MonotonicityViolation],
+                "{axis}"
+            );
+            assert!(has_errors(&diags));
+            assert!(diags[0].message.contains("perfect"), "{}", diags[0].message);
+            assert!(diags[0].message.contains(axis), "{}", diags[0].message);
+        }
     }
 }

@@ -445,16 +445,6 @@ fn cache_json(
 }
 
 fn diagnostics_json(diagnostics: &[clfp::verify::Diagnostic]) -> String {
-    let escape = |s: &str| {
-        s.chars()
-            .flat_map(|c| match c {
-                '"' => "\\\"".chars().collect::<Vec<char>>(),
-                '\\' => "\\\\".chars().collect(),
-                '\n' => "\\n".chars().collect(),
-                c => vec![c],
-            })
-            .collect::<String>()
-    };
     let mut out = String::from("[\n");
     for (i, d) in diagnostics.iter().enumerate() {
         out.push_str(&format!(
@@ -462,7 +452,7 @@ fn diagnostics_json(diagnostics: &[clfp::verify::Diagnostic]) -> String {
             d.kind,
             d.severity(),
             d.pc.map_or("null".to_string(), |pc| pc.to_string()),
-            escape(&d.message),
+            clfp::metrics::escape_json(&d.message),
             if i + 1 == diagnostics.len() { "" } else { "," },
         ));
     }

@@ -13,7 +13,9 @@
 //! ([`MODE_PROGRAMS`]). The reference pass shares no scheduling
 //! code with the kernel and computes the identical max/add folds in the
 //! identical event order, so any divergence here is a wrong mask or a
-//! lost carry, not floating-point noise.
+//! lost carry, not floating-point noise. The per-mode case also gates the
+//! disambiguation axis: the `clfp-verify` monotonicity check runs over the
+//! three modes' reference reports.
 //!
 //! [`PreparedTrace::report_with_unrolling`]: clfp::limits::PreparedTrace::report_with_unrolling
 //! [`PreparedTrace::report_both`]: clfp::limits::PreparedTrace::report_both
@@ -26,6 +28,7 @@ use clfp::limits::{
     AnalysisConfig, Analyzer, MachineKind, MemDisambiguation, Report, StreamOptions,
 };
 use clfp::metrics::OccupancyHistogram;
+use clfp::verify::check_monotonicity;
 use clfp::vm::{Trace, Vm, VmOptions};
 
 /// A procedure-heavy exerciser: calls, CD inheritance, loops, and memory
@@ -168,6 +171,10 @@ fn streamed_lane_kernel_matches_reference_across_chunk_sizes() {
     }
 }
 
+/// The coarse disambiguation modes through the slice, lane and
+/// machine-major paths match the reference pass; and the reference
+/// reports of all three modes obey the axis's monotonicity theorem
+/// (`perfect >= static >= none`, pointwise) at both unroll settings.
 #[test]
 fn coarse_disambiguation_modes_match_reference() {
     for (name, program) in programs() {
@@ -177,18 +184,25 @@ fn coarse_disambiguation_modes_match_reference() {
         let trace = trace_of(&program);
         let perfect = Analyzer::new(&program, config()).unwrap();
         let prepared = perfect.prepare(&trace);
-        for mode in [MemDisambiguation::Static, MemDisambiguation::None] {
+        // Reference reports per mode, `[unrolled, rolled]`, from the most
+        // constrained mode to the least.
+        let mut chain: Vec<(&str, [Report; 2])> = Vec::new();
+        for mode in [MemDisambiguation::None, MemDisambiguation::Static] {
             let mode_config = config().with_disambiguation(mode);
             let analyzers = per_setting(&program, &mode_config);
             let dedicated = analyzers[0].1.prepare(&trace);
             let (sliced_unrolled, sliced_rolled) = prepared
                 .slice_modes(mode, mode_config.value_prediction)
                 .report_both();
-            for ((unrolling, analyzer), sliced) in
-                analyzers.iter().zip([&sliced_unrolled, &sliced_rolled])
+            let want = analyzers
+                .each_ref()
+                .map(|(_, analyzer)| analyzer.run_on_trace_reference(&trace));
+            for (((unrolling, _), sliced), want) in analyzers
+                .iter()
+                .zip([&sliced_unrolled, &sliced_rolled])
+                .zip(&want)
             {
                 let tag = format!("{name} {} unroll={unrolling}", mode.name());
-                let want = analyzer.run_on_trace_reference(&trace);
                 for (label, got) in [
                     ("slice", sliced),
                     ("lane", &dedicated.report_with_unrolling(*unrolling)),
@@ -197,9 +211,25 @@ fn coarse_disambiguation_modes_match_reference() {
                         &dedicated.report_with_unrolling_scalar(*unrolling),
                     ),
                 ] {
-                    assert_reports_identical(got, &want, &format!("{tag} {label}"));
+                    assert_reports_identical(got, want, &format!("{tag} {label}"));
                 }
             }
+            chain.push((mode.name(), want));
+        }
+        let want = per_setting(&program, &config())
+            .each_ref()
+            .map(|(_, analyzer)| analyzer.run_on_trace_reference(&trace));
+        chain.push((MemDisambiguation::Perfect.name(), want));
+        for (setting, unrolling) in [true, false].into_iter().enumerate() {
+            let reports: Vec<(&str, &Report)> = chain
+                .iter()
+                .map(|(mode, want)| (*mode, &want[setting]))
+                .collect();
+            let violations = check_monotonicity("memory disambiguation", &reports);
+            assert!(
+                violations.is_empty(),
+                "{name} unroll={unrolling}: {violations:#?}"
+            );
         }
     }
 }
