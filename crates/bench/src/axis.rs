@@ -23,7 +23,7 @@ use crate::{front_end, matches_reference, par_map_suite, reports_equal, suite_ma
 
 /// Chunk size (events) of the streamed gates: the streamed alias-soundness
 /// walker and the streamed pipeline the gated mode is pinned against.
-pub const GATE_CHUNK_EVENTS: usize = 4096;
+const GATE_CHUNK_EVENTS: usize = 4096;
 
 /// The setting one axis mode applies to the suite's configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,7 +80,7 @@ pub struct AxisSweep {
     /// gates run.
     pub gated: usize,
     /// The gated mode's pipeline-agreement gate line; `{chunk}` stands
-    /// for [`GATE_CHUNK_EVENTS`].
+    /// for the streamed gates' chunk size.
     pub pipelines_gate: &'static str,
     /// Retention section text and table header, printed under the
     /// section's heading.
@@ -315,7 +315,7 @@ pub struct AxisSuite {
 /// # Errors
 ///
 /// Propagates compile/VM/analyzer failures.
-pub fn sweep_workload(
+fn sweep_workload(
     axis: &AxisSweep,
     workload: Workload,
     config: &AnalysisConfig,

@@ -34,7 +34,7 @@
 //!
 //! ## Layout
 //!
-//! This module holds what every suite runner shares: the trace cache, the
+//! This module holds what the suite runners share: the trace cache, the
 //! per-workload front end (compile, then the measured trace), the suite
 //! worker pool, [`run_suite`], and the bit-identity helpers. Each suite
 //! lives in its own module and is re-exported here: `tables` (the paper's
@@ -54,8 +54,8 @@ mod tables;
 mod timing;
 
 pub use axis::{
-    run_axis_sweep, sweep_workload, AxisMode, AxisSuite, AxisSweep, AxisWorkload, Setting,
-    DISAMBIGUATION, GATE_CHUNK_EVENTS, VALUE_PREDICTION,
+    run_axis_sweep, AxisMode, AxisSuite, AxisSweep, AxisWorkload, Setting, DISAMBIGUATION,
+    VALUE_PREDICTION,
 };
 pub use lint::{
     lint_workload, run_lint_suite, waiver_for, LintFinding, LintReport, LintSuite, Waiver,
@@ -199,8 +199,10 @@ pub(crate) fn compile(workload: Workload) -> Result<Program, AnalyzeError> {
         .map_err(|err| AnalyzeError::BadProgram(format!("{}: {err}", workload.name)))
 }
 
-/// The per-workload front end every suite runner shares: the compiled
-/// program and its measured trace ([`measured_trace`]).
+/// The per-workload front end of the table, lint, axis and metrics
+/// runners: the compiled program and its measured trace
+/// ([`measured_trace`]). The timed suite runs the same two stages apart,
+/// to time each.
 pub(crate) fn front_end(
     workload: Workload,
     config: &AnalysisConfig,
@@ -234,7 +236,7 @@ pub(crate) fn ms(start: Instant) -> f64 {
 /// Whether `(unrolled, rolled)` reports equal, bit for bit, the
 /// reference pass rerun from scratch on `trace` under `mode` — the one
 /// pipeline that shares no scheduling code with the lane kernel. Used by
-/// the mode gates of the timed, alias and value-prediction suites.
+/// the mode gates of the timed suite and the axis sweeps.
 ///
 /// # Errors
 ///

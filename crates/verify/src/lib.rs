@@ -25,6 +25,10 @@
 //!      recount of non-ignored trace events
 //!      ([`TraceChecks::check_seq_count`]).
 //!
+//! [`check_monotonicity`] gates the relaxation axes (memory
+//! disambiguation, value prediction): across one workload's per-mode
+//! reports, a less constrained mode never takes more cycles.
+//!
 //! Every finding is a [`Diagnostic`] with a [`DiagnosticKind`] and a fixed
 //! [`Severity`]. Static-model/dynamic-behavior disagreements are always
 //! [`Severity::Error`]: they mean the limit numbers cannot be trusted.
