@@ -6,9 +6,9 @@
 //! the one before it, the way Lam & Wilson's seven machines relax each
 //! other. Each axis is one [`AxisSweep`] description ([`DISAMBIGUATION`],
 //! [`VALUE_PREDICTION`]). [`run_axis_sweep`] runs any of them the same
-//! way: one measured trace, one multimode preparation and one
-//! multi-config scheduling walk per workload, gated by the `clfp-verify`
-//! monotonicity check and by the gated mode's pipeline agreement.
+//! way: one measured trace, one preparation and one multi-config
+//! scheduling walk per workload, gated by the `clfp-verify` monotonicity
+//! check and by the gated mode's pipeline agreement.
 
 use clfp_limits::{
     AnalysisConfig, AnalyzeError, Analyzer, MachineKind, MemDisambiguation, Report, StreamOptions,
@@ -299,7 +299,7 @@ pub struct AxisSuite {
 }
 
 /// Sweeps `axis` over one workload: a single measured trace, a single
-/// multimode preparation, and a single multi-config scheduling walk
+/// preparation, and a single multi-config scheduling walk
 /// ([`PreparedTrace::report_mode_matrix`](clfp_limits::PreparedTrace::report_mode_matrix)),
 /// then the gates.
 ///
@@ -309,7 +309,7 @@ pub struct AxisSuite {
 /// additionally prices the reference pass rerun from scratch under the
 /// gated mode (the independent oracle) and a small-chunk streamed pass;
 /// [`run_axis_sweep`] enables it on the first workload (`slice_modes`
-/// itself is pinned bit-identical to a dedicated preparation by
+/// itself is pinned bit-identical to a dedicated analyzer by
 /// `mode_slices_match_dedicated_preparation`).
 ///
 /// # Errors
@@ -322,16 +322,10 @@ fn sweep_workload(
     full_oracle: bool,
 ) -> Result<AxisWorkload, AnalyzeError> {
     let (program, trace) = front_end(workload, config)?;
-    // One preparation under the perfect-disambiguation base, with every
-    // realistic value predictor trained: each mode becomes extra lanes of
-    // one scheduling walk.
-    let analyzer = Analyzer::new(
-        &program,
-        config
-            .clone()
-            .with_disambiguation(MemDisambiguation::Perfect),
-    )?;
-    let prepared = analyzer.prepare_multimode(&trace);
+    // One mode-free preparation: each mode becomes extra lanes of one
+    // scheduling walk.
+    let analyzer = Analyzer::new(&program, config.clone())?;
+    let prepared = analyzer.prepare(&trace);
     let configs: Vec<AnalysisConfig> = axis
         .modes
         .iter()
@@ -356,7 +350,6 @@ fn sweep_workload(
             StreamOptions {
                 chunk_events: GATE_CHUNK_EVENTS,
                 machine_threads: 1,
-                par_threshold_events: 0,
             },
         )?;
         pipelines_agree = pipelines_agree

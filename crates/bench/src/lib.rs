@@ -326,7 +326,6 @@ mod tests {
                     StreamOptions {
                         chunk_events: 4096,
                         machine_threads: 1,
-                        par_threshold_events: 0,
                     },
                 )
                 .unwrap();

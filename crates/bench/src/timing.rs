@@ -255,12 +255,11 @@ pub fn run_suite_timed(config: &AnalysisConfig) -> Result<SuiteTiming, AnalyzeEr
         let rolled = Analyzer::new(&program, rolled_config)?;
         stage_span("suite.analyzers", workload.name, t0);
 
-        // Multimode: trains the realistic value predictors alongside the
-        // normal walk so the Static / Stride gates below can run as cheap
-        // slices of this one preparation instead of full re-preparations.
+        // The preparation is mode-free, so the Static / Stride gates below
+        // run as slices of this one preparation.
         let t0 = stage_start();
         let start = Instant::now();
-        let prepared = unrolled.prepare_multimode(&trace);
+        let prepared = unrolled.prepare(&trace);
         let prepare_ms = ms(start);
         stage_span("suite.prepare", workload.name, t0);
 
@@ -279,13 +278,13 @@ pub fn run_suite_timed(config: &AnalysisConfig) -> Result<SuiteTiming, AnalyzeEr
         lane_matches &= reports_equal(&lane_unrolled, &reference_unrolled)
             && reports_equal(&lane_rolled, &reference_rolled);
 
-        // Static memory disambiguation flows through the mem_key seam,
-        // value prediction through the EV_VALPRED flag. The lane walk
-        // over a slice of the shared preparation must agree with the
-        // reference pass rerun from scratch under each mode. That rerun
-        // prices a whole reference analysis per mode, so these gates run
-        // on the first workload only; the alias and value-prediction
-        // suites pin the slices on every workload.
+        // The lane groups apply static memory disambiguation and stride
+        // value prediction. The lane walk over a slice of the shared
+        // preparation must agree with the reference pass rerun from
+        // scratch under each mode. That rerun prices a whole reference
+        // analysis per mode, so these gates run on the first workload
+        // only; the alias and value-prediction suites pin the slices on
+        // every workload.
         if index == 0 {
             let static_mode = config.clone().with_disambiguation(MemDisambiguation::Static);
             let stride_mode = config.clone().with_value_prediction(ValuePrediction::Stride);
@@ -312,7 +311,6 @@ pub fn run_suite_timed(config: &AnalysisConfig) -> Result<SuiteTiming, AnalyzeEr
             StreamOptions {
                 chunk_events,
                 machine_threads: 1,
-                par_threshold_events: 0,
             },
         )?;
         let stream_ms = ms(start);
@@ -324,7 +322,6 @@ pub fn run_suite_timed(config: &AnalysisConfig) -> Result<SuiteTiming, AnalyzeEr
             StreamOptions {
                 chunk_events,
                 machine_threads: 0,
-                par_threshold_events: 0,
             },
         )?;
         let stream_par_ms = ms(start);
@@ -352,7 +349,6 @@ pub fn run_suite_timed(config: &AnalysisConfig) -> Result<SuiteTiming, AnalyzeEr
                         StreamOptions {
                             chunk_events,
                             machine_threads: 1,
-                            par_threshold_events: 0,
                         },
                     )?;
                     reports_equal(&from_file.unrolled, &lane_unrolled)
@@ -1011,7 +1007,7 @@ mod tests {
                         ("cd", ArgValue::Bool(true)),
                         ("lanes", ArgValue::U64(2)),
                         ("width", ArgValue::U64(2)),
-                        ("key_mode", ArgValue::Str("event".into())),
+                        ("key_mode", ArgValue::Str("perfect".into())),
                         ("slots", ArgValue::Str("0:CD+u,1:CD-MF+u".into())),
                         ("events", ArgValue::U64(5000)),
                         ("chunks", ArgValue::U64(3)),

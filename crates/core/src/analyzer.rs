@@ -1,18 +1,16 @@
+use std::sync::Arc;
+
 use clfp_cfg::StaticInfo;
 use clfp_isa::Program;
 use clfp_vm::{Trace, Vm, VmOptions};
 
-use std::convert::Infallible;
-
 use clfp_metrics::{MachineMetrics, MetricsCollector, MetricsSink, NullSink};
 
-use crate::lane::{
-    run_lanes, run_machine_major, run_scheduler, GroupMode, KeyMode, LaneScheduler, LaneSlot,
-};
-use crate::meta::{vp_flag, EventClass, ProgramMeta, TraceMeta, CD_INHERIT, CD_NONE};
-use crate::pass::{run_pass, PassConfig, PassResult, Prepared};
+use crate::lane::{run_machine_major, run_scheduler, LaneScheduler};
+use crate::meta::{branches_under, ProgramMeta, TraceMeta, CD_INHERIT, CD_NONE};
+use crate::pass::{run_pass, PassResult, Prepared};
 use crate::stats::MispredictionStats;
-use crate::{AnalysisConfig, AnalyzeError, MachineKind};
+use crate::{AnalysisConfig, AnalyzeError, MachineKind, MemDisambiguation, ValuePrediction};
 
 /// The control-dependence source the preparation walk resolved for one
 /// dynamic instruction (Section 4.4.1): which controlling-branch instance
@@ -100,17 +98,21 @@ pub struct Analyzer<'a> {
 
 /// A trace plus everything machine-independent derived from it in a
 /// single shared walk: event classification, branch statistics, decoded
-/// operands, and resolved control-dependence sources. Produced by
-/// [`Analyzer::prepare`]; [`PreparedTrace::report`] runs the machine
-/// models over it.
+/// operands, dynamic memory keys, value-predictor hits, and resolved
+/// control-dependence sources. Produced by [`Analyzer::prepare`];
+/// [`PreparedTrace::report`] runs the machine models over it. The walk
+/// is independent of the memory-disambiguation and value-prediction
+/// modes, so [`PreparedTrace::slice_modes`] reports the same events under
+/// any other mode.
 #[derive(Debug)]
 pub struct PreparedTrace<'a, 'b> {
     analyzer: &'b Analyzer<'a>,
-    /// The configuration this preparation is valid for — the analyzer's
-    /// own for [`Analyzer::prepare`], a mode-adjusted copy for
+    /// The configuration this preparation reports under — the analyzer's
+    /// own for [`Analyzer::prepare`], a mode-swapped copy for
     /// [`PreparedTrace::slice_modes`].
     config: AnalysisConfig,
-    meta: TraceMeta,
+    /// The prepared events, shared by every slice.
+    meta: Arc<TraceMeta>,
 }
 
 impl<'a> Analyzer<'a> {
@@ -135,7 +137,7 @@ impl<'a> Analyzer<'a> {
             ));
         }
         let info = StaticInfo::analyze(program);
-        let meta = ProgramMeta::build(program, &info, &PassConfig::from_analysis(&config));
+        let meta = ProgramMeta::build(program, &info, &config);
         Ok(Analyzer {
             program,
             info,
@@ -168,29 +170,23 @@ impl<'a> Analyzer<'a> {
 
     /// Runs the machine-independent preparation walk over a trace:
     /// branch-outcome profiling, prediction, inlining/unrolling
-    /// classification, operand decode, and dynamic control-dependence
-    /// resolution — shared by every machine model and (via
-    /// [`PreparedTrace::report_with_unrolling`]) by both unroll settings.
+    /// classification, operand decode, value-predictor training, and
+    /// dynamic control-dependence resolution — shared by every machine
+    /// model, by both unroll settings (via
+    /// [`PreparedTrace::report_with_unrolling`]) and by every
+    /// memory-disambiguation and value-prediction mode (via
+    /// [`PreparedTrace::slice_modes`]).
     pub fn prepare<'b>(&'b self, trace: &Trace) -> PreparedTrace<'a, 'b> {
         PreparedTrace {
             analyzer: self,
             config: self.config.clone(),
-            meta: TraceMeta::build(self.program, &self.info, &self.meta, &self.config, trace, false),
-        }
-    }
-
-    /// Like [`Analyzer::prepare`], but trains the realistic value
-    /// predictors regardless of the configured value-prediction mode, so
-    /// the result can be [sliced](PreparedTrace::slice_modes) or
-    /// [lane-walked](PreparedTrace::report_mode_matrix) across every
-    /// value-prediction mode. Identical to `prepare` when the configured
-    /// mode is `LastValue` or `Stride` (which already train); slightly
-    /// slower otherwise (two predictor-table updates per def event).
-    pub fn prepare_multimode<'b>(&'b self, trace: &Trace) -> PreparedTrace<'a, 'b> {
-        PreparedTrace {
-            analyzer: self,
-            config: self.config.clone(),
-            meta: TraceMeta::build(self.program, &self.info, &self.meta, &self.config, trace, true),
+            meta: Arc::new(TraceMeta::build(
+                self.program,
+                &self.info,
+                &self.meta,
+                &self.config,
+                trace,
+            )),
         }
     }
 
@@ -208,13 +204,12 @@ impl<'a> Analyzer<'a> {
     /// `regen --timing`.
     pub fn run_on_trace_reference(&self, trace: &Trace) -> Report {
         let prepared = self.prepare(trace);
-        let class = prepared.meta.class(self.config.unrolling);
         let reference = Prepared {
             program: self.program,
             info: &self.info,
             events: trace.events(),
-            class,
-            pass_config: PassConfig::from_analysis(&self.config),
+            class: prepared.meta.class(self.config.unrolling),
+            config: &self.config,
         };
         let passes = self
             .config
@@ -222,7 +217,7 @@ impl<'a> Analyzer<'a> {
             .iter()
             .map(|&kind| run_pass(&reference, kind))
             .collect();
-        prepared.assemble(class, passes)
+        prepared.assemble(self.config.unrolling, self.config.value_prediction, passes)
     }
 
     /// Computes the per-instruction schedule for one machine over a trace:
@@ -236,7 +231,7 @@ impl<'a> Analyzer<'a> {
             info: &self.info,
             events: trace.events(),
             class: prepared.meta.class(self.config.unrolling),
-            pass_config: PassConfig::from_analysis(&self.config),
+            config: &self.config,
         };
         let mut schedule = Vec::with_capacity(trace.len());
         crate::pass::run_pass_with_schedule(&reference, kind, Some(&mut schedule));
@@ -250,47 +245,27 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
         self.report_with_unrolling(self.config.unrolling)
     }
 
-    /// Derives the preparation a fresh [`Analyzer::prepare`] under
-    /// (`disambiguation`, `value_prediction`) would produce — without
-    /// re-walking the trace. The config-independent core (classification
-    /// bitmaps, control-dependence sources, branch profile) is shared;
-    /// only the per-event memory key and predicted-value bit are
-    /// rewritten, from facts the one preparation walk already recorded.
-    /// Bit-identical to the from-scratch preparation (asserted by the
-    /// `mode_slices_match_dedicated_preparation` test and the alias /
-    /// value-prediction suite gates).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless this preparation used `Perfect` disambiguation (the
-    /// default) or `disambiguation` equals its mode — coarse memory keys
-    /// cannot be refined after the fact.
+    /// This preparation under (`disambiguation`, `value_prediction`): the
+    /// same shared events under a mode-swapped configuration, at no cost.
+    /// The preparation walk is mode-free (dynamic memory keys, every
+    /// value predictor's hit bits), and the lane groups apply a mode when
+    /// they schedule, so any preparation slices to any mode. Bit-identical
+    /// to a dedicated analyzer under the mode (asserted by the
+    /// `mode_slices_match_dedicated_preparation` test and the
+    /// `lane_equivalence` suite).
     pub fn slice_modes(
         &self,
-        disambiguation: crate::MemDisambiguation,
-        value_prediction: crate::ValuePrediction,
+        disambiguation: MemDisambiguation,
+        value_prediction: ValuePrediction,
     ) -> PreparedTrace<'a, 'b> {
-        let _span = clfp_metrics::trace::span("prepare.slice_modes", "prepare")
-            .arg("disambiguation", disambiguation.name())
-            .arg("value_prediction", value_prediction.name())
-            .arg("events", self.meta.events.len());
-        let analyzer = self.analyzer;
-        let meta = self.meta.resliced(
-            &analyzer.info,
-            &analyzer.meta,
-            self.config.disambiguation,
-            disambiguation,
-            value_prediction,
-        );
-        let config = self
-            .config
-            .clone()
-            .with_disambiguation(disambiguation)
-            .with_value_prediction(value_prediction);
         PreparedTrace {
-            analyzer,
-            config,
-            meta,
+            analyzer: self.analyzer,
+            config: self
+                .config
+                .clone()
+                .with_disambiguation(disambiguation)
+                .with_value_prediction(value_prediction),
+            meta: Arc::clone(&self.meta),
         }
     }
 
@@ -340,36 +315,6 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
             .collect()
     }
 
-    /// Per-machine execution metrics for every requested (disambiguation,
-    /// value-prediction) mode at one unroll setting — the diagnostic
-    /// companion of [`PreparedTrace::report_mode_matrix`], whose wide
-    /// lane groups run with the null sink and so cannot attribute
-    /// anything. Each mode runs [`PreparedTrace::machine_metrics_with_unrolling`]
-    /// over its [`PreparedTrace::slice_modes`] slice: metrics collection
-    /// stays machine-major (one collector live at a time), and the re-derived
-    /// cycle counts are pinned bit-identical to the matrix walk's by the
-    /// `mode_matrix_metrics_match_matrix_cycles` test, so the attribution
-    /// describes exactly the schedules the matrix reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`PreparedTrace::report_mode_matrix`]: a coarse-disambiguation base,
-    /// or a realistic value-prediction mode on an untrained preparation.
-    pub fn mode_matrix_metrics(
-        &self,
-        modes: &[(crate::MemDisambiguation, crate::ValuePrediction)],
-        unrolling: bool,
-    ) -> Vec<Vec<(MachineKind, MachineMetrics)>> {
-        modes
-            .iter()
-            .map(|&(disambiguation, value_prediction)| {
-                self.slice_modes(disambiguation, value_prediction)
-                    .machine_metrics_with_unrolling(unrolling)
-            })
-            .collect()
-    }
-
     /// Like [`PreparedTrace::report`], but overriding the unrolling
     /// setting. The preparation walk records the ignore classification for
     /// both settings (everything else it computes is unroll-independent),
@@ -379,168 +324,42 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
     /// scheduled in one walk over the event stream (see the `lane`
     /// module). Bit-identical to [`Analyzer::run_on_trace_reference`].
     pub fn report_with_unrolling(&self, unrolling: bool) -> Report {
-        let analyzer = self.analyzer;
-        let class = self.meta.class(unrolling);
-        let slots: Vec<(MachineKind, bool)> = self
-            .config
-            .machines
-            .iter()
-            .map(|&kind| (kind, unrolling))
-            .collect();
-        let passes = run_lanes(
-            &analyzer.meta,
-            &self.meta.events,
-            self.meta.class(true),
-            self.meta.class(false),
-            &PassConfig::from_analysis(&self.config),
-            &slots,
-            self.mem_capacity(),
-        );
-        self.assemble(class, passes)
+        let passes = self.walk(&[self.mode()], &[unrolling]);
+        self.assemble(unrolling, self.config.value_prediction, passes)
     }
 
     /// Both unroll settings from one lane-parallel walk: all machine ×
     /// setting slots (up to 14) are scheduled reading each event exactly
     /// once. Returns `(unrolled, rolled)` reports — the benchmark suite's
-    /// Table 4 path.
+    /// Table 4 path, and the one-mode [`PreparedTrace::report_mode_matrix`].
     pub fn report_both(&self) -> (Report, Report) {
-        let analyzer = self.analyzer;
-        let machines = &self.config.machines;
-        let mut slots: Vec<(MachineKind, bool)> = Vec::with_capacity(machines.len() * 2);
-        for unrolling in [true, false] {
-            slots.extend(machines.iter().map(|&kind| (kind, unrolling)));
-        }
-        let mut passes = run_lanes(
-            &analyzer.meta,
-            &self.meta.events,
-            self.meta.class(true),
-            self.meta.class(false),
-            &PassConfig::from_analysis(&self.config),
-            &slots,
-            self.mem_capacity(),
-        );
-        let rolled_passes = passes.split_off(machines.len());
-        (
-            self.assemble(self.meta.class(true), passes),
-            self.assemble(self.meta.class(false), rolled_passes),
-        )
+        let mut matrix = self.report_mode_matrix(&[self.mode()]);
+        matrix.pop().expect("one mode, one report pair")
     }
 
     /// The full mode × machine × unroll table from **one** walk over the
     /// prepared events: every requested (disambiguation, value-prediction)
     /// mode contributes its machine × unroll lanes to the same lane
-    /// scheduler, value-prediction modes as per-lane hit-bit
-    /// masks and disambiguation modes as per-group key remaps — the same
-    /// masking trick the kernel already uses for unroll settings, extended
-    /// to the speculation axes. Returns `(unrolled, rolled)` report pairs
-    /// in `modes` order, each bit-identical to preparing and reporting
-    /// under that mode from scratch (asserted by the
-    /// `mode_matrix_matches_slices` test and the suite gates).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless this preparation used `Perfect` disambiguation (the
-    /// default) or every requested mode matches its disambiguation mode.
+    /// scheduler — each mode's lane groups key memory under its
+    /// disambiguation, and each lane masks its value-prediction hit bit,
+    /// the same masking the kernel uses for unroll settings. Returns
+    /// `(unrolled, rolled)` report pairs in `modes` order, each
+    /// bit-identical to a dedicated analyzer under that mode (asserted by
+    /// the `mode_matrix_matches_slices` test and the suite gates).
     pub fn report_mode_matrix(
         &self,
-        modes: &[(crate::MemDisambiguation, crate::ValuePrediction)],
+        modes: &[(MemDisambiguation, ValuePrediction)],
     ) -> Vec<(Report, Report)> {
-        let analyzer = self.analyzer;
-        let machines = &self.config.machines;
-        let per_mode = machines.len() * 2;
-        let mut class_table: Option<Vec<u32>> = None;
-        let mut specs: Vec<(GroupMode, Vec<LaneSlot>)> = Vec::with_capacity(modes.len());
-        for (index, &(disambiguation, value_prediction)) in modes.iter().enumerate() {
-            assert!(
-                self.config.disambiguation == crate::MemDisambiguation::Perfect
-                    || disambiguation == self.config.disambiguation,
-                "mode matrix needs a perfect-disambiguation base (have {}, want {})",
-                self.config.disambiguation.name(),
-                disambiguation.name(),
-            );
-            assert!(
-                self.meta.vp_trained || !crate::meta::needs_vp_training(value_prediction),
-                "mode matrix lane for {} needs a base preparation that trained the value \
-                 predictors (use Analyzer::prepare_multimode)",
-                value_prediction.name(),
-            );
-            let key_mode = if disambiguation == self.config.disambiguation {
-                KeyMode::Event
-            } else {
-                match disambiguation {
-                    crate::MemDisambiguation::Perfect => KeyMode::Event,
-                    crate::MemDisambiguation::Static => KeyMode::Class(
-                        class_table
-                            .get_or_insert_with(|| {
-                                (0..analyzer.program.text.len())
-                                    .map(|pc| analyzer.info.alias.scheduler_class(pc as u32))
-                                    .collect()
-                            })
-                            .clone(),
-                    ),
-                    crate::MemDisambiguation::None => KeyMode::Single,
-                }
-            };
-            let hit_flag = vp_flag(value_prediction);
-            let mut lanes = Vec::with_capacity(per_mode);
-            for (setting, unrolling) in [true, false].into_iter().enumerate() {
-                for (k, &kind) in machines.iter().enumerate() {
-                    lanes.push(LaneSlot {
-                        slot: index * per_mode + setting * machines.len() + k,
-                        kind,
-                        unrolling,
-                        vp_flag: hit_flag,
-                    });
-                }
-            }
-            specs.push((
-                GroupMode {
-                    key_mode,
-                    accumulate: disambiguation.accumulates(),
-                },
-                lanes,
-            ));
-        }
-        let sched = LaneScheduler::with_groups(
-            specs,
-            modes.len() * per_mode,
-            analyzer.program.text.len(),
-            &PassConfig::from_analysis(&self.config),
-            self.mem_capacity(),
-        );
-        let mut passes = run_scheduler(
-            sched,
-            &analyzer.meta,
-            &self.meta.events,
-            self.meta.class(true),
-            self.meta.class(false),
-        )
-        .into_iter();
+        let machines = self.config.machines.len();
+        let mut passes = self.walk(modes, &[true, false]).into_iter();
         modes
             .iter()
             .map(|&(_, value_prediction)| {
-                let mode_index = crate::ValuePrediction::ALL
-                    .iter()
-                    .position(|&m| m == value_prediction)
-                    .expect("mode is in ALL");
-                let mut branches = self.meta.branches;
-                branches.value_pred_hits = self.meta.vp_hits[mode_index];
-                let unrolled_passes: Vec<PassResult> =
-                    passes.by_ref().take(machines.len()).collect();
-                let rolled_passes: Vec<PassResult> =
-                    passes.by_ref().take(machines.len()).collect();
-                let report_for = |class: &EventClass, mode_passes: Vec<PassResult>| {
-                    assemble_report(
-                        machines,
-                        mode_passes,
-                        class.not_ignored(),
-                        class.len() as u64,
-                        branches,
-                    )
-                };
+                let unrolled = passes.by_ref().take(machines).collect();
+                let rolled = passes.by_ref().take(machines).collect();
                 (
-                    report_for(self.meta.class(true), unrolled_passes),
-                    report_for(self.meta.class(false), rolled_passes),
+                    self.assemble(true, value_prediction, unrolled),
+                    self.assemble(false, value_prediction, rolled),
                 )
             })
             .collect()
@@ -554,7 +373,27 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
     pub fn report_with_unrolling_scalar(&self, unrolling: bool) -> Report {
         let walks = self.machine_major(unrolling, || NullSink, |_| ());
         let passes = walks.into_iter().map(|(pass, ())| pass).collect();
-        self.assemble(self.meta.class(unrolling), passes)
+        self.assemble(unrolling, self.config.value_prediction, passes)
+    }
+
+    /// This preparation's configured (disambiguation, value-prediction)
+    /// mode.
+    fn mode(&self) -> (MemDisambiguation, ValuePrediction) {
+        (self.config.disambiguation, self.config.value_prediction)
+    }
+
+    /// One lane-kernel walk over the prepared events, scheduling every
+    /// `modes` × `unrolls` × machine slot; results in slot order (see
+    /// [`LaneScheduler::new`]).
+    fn walk(
+        &self,
+        modes: &[(MemDisambiguation, ValuePrediction)],
+        unrolls: &[bool],
+    ) -> Vec<PassResult> {
+        let pcs = &self.analyzer.meta;
+        let sched = LaneScheduler::new(pcs, &self.config, modes, unrolls, self.mem_capacity());
+        let (unrolled, rolled) = (self.meta.class(true), self.meta.class(false));
+        run_scheduler(sched, pcs, &self.meta.events, unrolled, rolled)
     }
 
     /// Runs the configured machines through the kernel's machine-major
@@ -568,36 +407,38 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
         mut new_sink: impl FnMut() -> S,
         mut distill: impl FnMut(S) -> T,
     ) -> Vec<(PassResult, T)> {
-        let Ok(walks) = run_machine_major(
-            &self.config.machines,
-            unrolling,
-            self.analyzer.program.text.len(),
-            &PassConfig::from_analysis(&self.config),
-            self.mem_capacity(),
-            |group| {
-                let mut sink = new_sink();
-                let (unrolled, rolled) = (self.meta.class(true), self.meta.class(false));
-                group.feed(&self.analyzer.meta, 0, &self.meta.events, unrolled, rolled, &mut sink);
-                Ok::<_, Infallible>(distill(sink))
-            },
-        );
-        walks
+        let pcs = &self.analyzer.meta;
+        let (unrolled, rolled) = (self.meta.class(true), self.meta.class(false));
+        run_machine_major(pcs, &self.config, unrolling, self.mem_capacity(), |group| {
+            let mut sink = new_sink();
+            group.feed(pcs, 0, &self.meta.events, unrolled, rolled, &mut sink);
+            distill(sink)
+        })
     }
 
-    /// Last-write-table sizing hint: the trace's measured distinct
-    /// memory-key count (clamped below by the tables' minimum).
+    /// Last-write-table sizing hint for perfect disambiguation: the
+    /// trace's measured distinct memory-key count (clamped below by the
+    /// tables' minimum).
     fn mem_capacity(&self) -> usize {
         self.meta.distinct_mem_keys.min(1 << 28) as usize
     }
 
-    /// Folds per-machine pass results into a [`Report`].
-    fn assemble(&self, class: &EventClass, passes: Vec<PassResult>) -> Report {
+    /// Folds per-machine pass results at one unroll setting into a
+    /// [`Report`], with the branch report's value-prediction hits taken
+    /// under `value_prediction`.
+    fn assemble(
+        &self,
+        unrolling: bool,
+        value_prediction: ValuePrediction,
+        passes: Vec<PassResult>,
+    ) -> Report {
+        let class = self.meta.class(unrolling);
         assemble_report(
             &self.config.machines,
             passes,
             class.not_ignored(),
             class.len() as u64,
-            self.meta.branches,
+            branches_under(self.meta.branches, &self.meta.vp_hits, value_prediction),
         )
     }
 }
@@ -915,7 +756,6 @@ mod tests {
                 .run_streamed(crate::StreamOptions {
                     chunk_events: 4096,
                     machine_threads: 0,
-                    par_threshold_events: 0,
                 })
                 .unwrap();
             for report in [&reference, &streamed.unrolled] {
@@ -952,7 +792,6 @@ mod tests {
                 .run_streamed(crate::StreamOptions {
                     chunk_events: 4096,
                     machine_threads: 0,
-                    par_threshold_events: 0,
                 })
                 .unwrap();
             for report in [&reference, &streamed.unrolled] {
@@ -1100,9 +939,9 @@ mod tests {
     }
 
     // Mode slicing is a refactoring of preparation, not an approximation:
-    // a slice of one shared (perfect-base) preparation must be
-    // indistinguishable from preparing from scratch under the mode —
-    // reports, branch statistics, and misprediction stats all included.
+    // a slice of one shared preparation must be indistinguishable from
+    // preparing from scratch under the mode — reports, branch statistics,
+    // and misprediction stats all included.
     #[test]
     fn mode_slices_match_dedicated_preparation() {
         use crate::{MemDisambiguation, ValuePrediction};
@@ -1116,7 +955,7 @@ mod tests {
             },
         );
         let trace = vm.trace(analyzer.config.max_instrs).unwrap();
-        let prepared = analyzer.prepare_multimode(&trace);
+        let prepared = analyzer.prepare(&trace);
         for dis in MemDisambiguation::ALL {
             for vp in ValuePrediction::ALL {
                 let slice = prepared.slice_modes(dis, vp);
@@ -1162,7 +1001,7 @@ mod tests {
             },
         );
         let trace = vm.trace(analyzer.config.max_instrs).unwrap();
-        let prepared = analyzer.prepare_multimode(&trace);
+        let prepared = analyzer.prepare(&trace);
         let mut modes = Vec::new();
         for dis in MemDisambiguation::ALL {
             for vp in ValuePrediction::ALL {
@@ -1187,9 +1026,9 @@ mod tests {
         }
     }
 
-    // The matrix metrics path (width-1 recording groups over per-mode
-    // slices) must describe exactly the schedules the one-walk lane
-    // matrix reports: same machines, same cycle and instruction counts,
+    // The metrics path (width-1 recording groups over per-mode slices)
+    // must describe exactly the schedules the one-walk lane matrix
+    // reports: same machines, same cycle and instruction counts,
     // for every mode cell — otherwise the attribution tables would
     // diagnose a schedule nobody ran.
     #[test]
@@ -1204,7 +1043,7 @@ mod tests {
             },
         );
         let trace = vm.trace(analyzer.config.max_instrs).unwrap();
-        let prepared = analyzer.prepare_multimode(&trace);
+        let prepared = analyzer.prepare(&trace);
         let modes = [
             (MemDisambiguation::Perfect, ValuePrediction::Off),
             (MemDisambiguation::Static, ValuePrediction::Stride),
@@ -1212,7 +1051,14 @@ mod tests {
         ];
         let matrix = prepared.report_mode_matrix(&modes);
         for unrolling in [true, false] {
-            let metrics = prepared.mode_matrix_metrics(&modes, unrolling);
+            let metrics: Vec<_> = modes
+                .iter()
+                .map(|&(dis, vp)| {
+                    prepared
+                        .slice_modes(dis, vp)
+                        .machine_metrics_with_unrolling(unrolling)
+                })
+                .collect();
             assert_eq!(metrics.len(), modes.len());
             for ((&(dis, vp), (mat_unrolled, mat_rolled)), mode_metrics) in
                 modes.iter().zip(&matrix).zip(&metrics)
@@ -1228,13 +1074,18 @@ mod tests {
         }
     }
 
+    // Preparation is mode-free, so a preparation under any mode slices to
+    // any other: here from the coarsest disambiguation with value
+    // prediction off to a finer disambiguation and to both realistic
+    // value predictors.
     #[test]
-    #[should_panic(expected = "perfect-disambiguation base")]
-    fn slicing_from_a_coarse_base_panics() {
+    fn any_preparation_slices_to_any_mode() {
         use crate::{MemDisambiguation, ValuePrediction};
         let program = compile(LOOPY).unwrap();
-        let config = AnalysisConfig::quick().with_disambiguation(MemDisambiguation::None);
-        let analyzer = Analyzer::new(&program, config).unwrap();
+        let base_config = AnalysisConfig::quick()
+            .with_disambiguation(MemDisambiguation::None)
+            .with_value_prediction(ValuePrediction::Off);
+        let analyzer = Analyzer::new(&program, base_config.clone()).unwrap();
         let mut vm = clfp_vm::Vm::new(
             &program,
             VmOptions {
@@ -1243,27 +1094,31 @@ mod tests {
         );
         let trace = vm.trace(analyzer.config.max_instrs).unwrap();
         let prepared = analyzer.prepare(&trace);
-        prepared.slice_modes(MemDisambiguation::Static, ValuePrediction::Off);
-    }
-
-    #[test]
-    #[should_panic(expected = "trained the value predictors")]
-    fn slicing_untrained_base_to_realistic_prediction_panics() {
-        use crate::{MemDisambiguation, ValuePrediction};
-        let program = compile(LOOPY).unwrap();
-        let analyzer = Analyzer::new(&program, AnalysisConfig::quick()).unwrap();
-        let mut vm = clfp_vm::Vm::new(
-            &program,
-            VmOptions {
-                mem_words: analyzer.config.mem_words,
-            },
-        );
-        let trace = vm.trace(analyzer.config.max_instrs).unwrap();
-        // `prepare` (not `prepare_multimode`) under the default Off mode
-        // skips predictor training; asking the slice for stride hit bits
-        // it never recorded must fail loudly rather than report zeros.
-        let prepared = analyzer.prepare(&trace);
-        prepared.slice_modes(MemDisambiguation::Perfect, ValuePrediction::Stride);
+        for (dis, vp) in [
+            (MemDisambiguation::Static, ValuePrediction::Off),
+            (MemDisambiguation::Perfect, ValuePrediction::Stride),
+            (MemDisambiguation::Perfect, ValuePrediction::LastValue),
+        ] {
+            let (slice_unrolled, slice_rolled) = prepared.slice_modes(dis, vp).report_both();
+            for (unrolling, got) in [(true, &slice_unrolled), (false, &slice_rolled)] {
+                let config = base_config
+                    .clone()
+                    .with_disambiguation(dis)
+                    .with_value_prediction(vp)
+                    .with_unrolling(unrolling);
+                let want = Analyzer::new(&program, config)
+                    .unwrap()
+                    .run_on_trace_reference(&trace);
+                let tag = format!("{dis:?}/{vp:?} unroll={unrolling}");
+                assert_eq!(got.branches, want.branches, "{tag}");
+                assert_eq!(got.mispred_stats, want.mispred_stats, "{tag}");
+                assert_eq!(got.results.len(), want.results.len(), "{tag}");
+                for (a, b) in got.results.iter().zip(&want.results) {
+                    assert_eq!(a.kind, b.kind, "{tag}");
+                    assert_eq!(a.cycles, b.cycles, "{tag} {:?}", a.kind);
+                }
+            }
+        }
     }
 
     #[test]

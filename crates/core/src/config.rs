@@ -300,6 +300,23 @@ impl Latencies {
             other: 1,
         }
     }
+
+    /// Completion latency of `instr` under this model.
+    pub(crate) fn of(self, instr: clfp_isa::Instr) -> u64 {
+        use clfp_isa::{AluOp, Instr};
+        match instr {
+            Instr::Lw { .. } => self.load,
+            Instr::Alu {
+                op: AluOp::Mul | AluOp::Div | AluOp::Rem,
+                ..
+            }
+            | Instr::AluI {
+                op: AluOp::Mul | AluOp::Div | AluOp::Rem,
+                ..
+            } => self.mul_div,
+            _ => self.other,
+        }
+    }
 }
 
 impl Default for AnalysisConfig {

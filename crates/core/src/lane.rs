@@ -66,10 +66,18 @@
 //! [`run_machine_major`] drives the recording paths: one width-1 group
 //! per machine, one sink live at a time.
 //!
+//! **Modes are applied here.** The preparation walk is mode-free: it
+//! records each event's dynamic memory key and every value predictor's
+//! hit bit. Each group carries one [`MemDisambiguation`] and
+//! derives its last-write keys through [`last_write_key`]; each lane
+//! masks its [`ValuePrediction`]'s hit bit ([`vp_flag`]). So one
+//! preparation serves every mode, and one walk can schedule several
+//! modes side by side ([`LaneScheduler::new`]).
+//!
 //! The reference pass ([`pass`](crate::pass)) is the independent oracle:
 //! the `lane_equivalence` integration suite holds this kernel
 //! bit-identical to it across machines, workloads, unroll settings,
-//! memory-disambiguation modes and chunk sizes.
+//! memory-disambiguation and value-prediction modes, and chunk sizes.
 
 use std::marker::PhantomData;
 
@@ -77,16 +85,12 @@ use clfp_metrics::{BindingEdge, EdgeKind, MetricsSink, NullSink, NO_PARENT};
 
 use crate::lastwrite::LastWriteTable;
 use crate::meta::{
-    EventClass, EventMeta, PcMeta, ProgramMeta, CD_INHERIT, CD_NONE, EV_BRANCH, EV_MISPRED,
-    EV_VALPRED, NO_REG, PC_CALL, PC_LOAD, PC_RET, PC_STORE,
+    vp_flag, EventClass, EventMeta, PcMeta, ProgramMeta, CD_INHERIT, CD_NONE, EV_BRANCH,
+    EV_MISPRED, NO_REG, PC_CALL, PC_LOAD, PC_RET, PC_STORE,
 };
-use crate::pass::{PassConfig, PassResult};
+use crate::pass::PassResult;
 use crate::stats::MispredictionStats;
-use crate::MachineKind;
-
-/// Default last-write-table capacity when no trace summary (or per-trace
-/// distinct-key count) is available to size it.
-pub(crate) const DEFAULT_MEM_CAPACITY: usize = 1 << 16;
+use crate::{AnalysisConfig, MachineKind, MemDisambiguation, ValuePrediction};
 
 /// A lane-widened [`LastWriteTable`](crate::LastWriteTable): the same
 /// open-addressed Fibonacci-hashed probe sequence, but each slot stores
@@ -298,15 +302,8 @@ impl Bound {
 
 /// One lane's request: which result slot it fills, which machine it
 /// models, which unroll classification it reads, and which per-event flag
-/// bit marks a correctly predicted value for it.
-///
-/// `vp_flag` generalizes the old fixed [`EV_VALPRED`] read: the
-/// preparation walk records a hit bit per value predictor
-/// ([`EV_DEF`](crate::meta::EV_DEF), `EV_VP_LAST`, `EV_VP_STRIDE`) next
-/// to the configured mode's [`EV_VALPRED`], so lanes modeling *different*
-/// value-prediction modes can share one walk — each lane just masks a
-/// different bit. [`crate::meta::vp_flag`] maps a mode to its bit; 0
-/// (mode `Off`) never matches.
+/// bit marks a correctly predicted value for it ([`vp_flag`] of its
+/// value-prediction mode; 0, mode `Off`, never matches).
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct LaneSlot {
     pub slot: usize,
@@ -315,44 +312,26 @@ pub(crate) struct LaneSlot {
     pub vp_flag: u8,
 }
 
-/// How a lane group derives the last-write key from an event — the
-/// second half of the multi-config axis. Groups modeling the same
-/// disambiguation mode as the prepared events read them directly
-/// (`Event`); groups modeling a *coarser* mode over a perfect-keyed
-/// preparation remap per event (`Class` is the static alias partition
-/// indexed by PC, `Single` collapses memory to one location). The remap
-/// is exactly the expression `MetaBuilder` would have evaluated, so the
-/// probe sequence — and therefore the schedule — is bit-identical to a
-/// dedicated preparation.
-#[derive(Clone, Debug)]
-pub(crate) enum KeyMode {
-    /// Use `EventMeta::mem_key` as prepared.
-    Event,
-    /// Static alias-analysis class per PC (`MemDisambiguation::Static`).
-    Class(Vec<u32>),
-    /// All of memory is one location (`MemDisambiguation::None`).
-    Single,
+/// The last-write key of a load or store under `mode`: the prepared
+/// dynamic key under `Perfect`, the pc's static alias class under
+/// `Static`, and one location for all of memory under `None`.
+#[inline(always)]
+fn last_write_key(mode: MemDisambiguation, event: &EventMeta, meta: &PcMeta) -> u32 {
+    match mode {
+        MemDisambiguation::Perfect => event.mem_key,
+        MemDisambiguation::Static => meta.alias_class,
+        MemDisambiguation::None => 0,
+    }
 }
 
-/// Per-group scheduling mode: the key derivation plus whether stores
-/// fold into the last-write table with `max`
-/// ([`crate::MemDisambiguation::accumulates`]). Lanes within a group
-/// always share these — they are state-shape properties of the shared
-/// tables, unlike the per-lane masks.
-#[derive(Clone, Debug)]
-pub(crate) struct GroupMode {
-    pub key_mode: KeyMode,
-    pub accumulate: bool,
-}
-
-impl GroupMode {
-    /// The single-config mode: keys as prepared, accumulation per the
-    /// pass configuration.
-    pub fn from_config(config: &PassConfig) -> GroupMode {
-        GroupMode {
-            key_mode: KeyMode::Event,
-            accumulate: config.disambiguation.accumulates(),
-        }
+/// How many keys a group's last-write tables hold under `mode`: the
+/// trace's distinct dynamic keys (`perfect_keys`), the static alias
+/// classes, or the one location.
+fn key_capacity(mode: MemDisambiguation, pcs: &ProgramMeta, perfect_keys: usize) -> usize {
+    match mode {
+        MemDisambiguation::Perfect => perfect_keys,
+        MemDisambiguation::Static => pcs.num_classes,
+        MemDisambiguation::None => 1,
     }
 }
 
@@ -360,17 +339,6 @@ impl GroupMode {
 /// walks (and the per-chunk `lane.feed` spans within one walk) can be
 /// correlated back to their group in the exported timeline.
 static NEXT_GROUP_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-impl KeyMode {
-    /// Short name for trace spans and the pipeline profile.
-    fn trace_name(&self) -> &'static str {
-        match self {
-            KeyMode::Event => "event",
-            KeyMode::Class(_) => "class",
-            KeyMode::Single => "single",
-        }
-    }
-}
 
 impl LaneSlot {
     /// Compact `slot:MACHINE±u[*vp]` description for trace spans, e.g.
@@ -457,11 +425,10 @@ struct GroupCursor<const L: usize, const CD: bool, const RENAME: bool, const FET
     /// Per-lane value-prediction hit bit (see [`LaneSlot::vp_flag`]).
     vp_flag: [u8; L],
 
-    /// How this group derives last-write keys (see [`KeyMode`]).
-    key_mode: KeyMode,
-    /// Stores fold into `mem_time` with `max` under coarse
-    /// disambiguation keys ([`crate::MemDisambiguation::accumulates`]).
-    mem_accumulate: bool,
+    /// The group's disambiguation mode: how it keys memory
+    /// ([`last_write_key`]), and whether stores fold into `mem_time` with
+    /// `max` ([`MemDisambiguation::accumulates`]).
+    disambiguation: MemDisambiguation,
     reg_time: [[u64; L]; 32],
     reg_read: [[u64; L]; 32],
     mem_time: LaneTable<L>,
@@ -494,16 +461,18 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
     GroupCursor<L, CD, RENAME, FETCH, S>
 {
     fn new(
-        (lanes, text_len, config, mem_capacity, mode): (
+        (lanes, pcs, config, perfect_keys, disambiguation): (
             &[LaneSlot],
+            &ProgramMeta,
+            &AnalysisConfig,
             usize,
-            &PassConfig,
-            usize,
-            GroupMode,
+            MemDisambiguation,
         ),
     ) -> Self {
         debug_assert!(!lanes.is_empty() && lanes.len() <= L);
         debug_assert!(!S::ENABLED || L == 1, "recording groups schedule one lane");
+        let text_len = pcs.pcs.len();
+        let mem_capacity = key_capacity(disambiguation, pcs, perfect_keys);
         let spec = |l: usize| lanes[l.min(lanes.len() - 1)];
         let mut unroll_sel = [0; L];
         let mut m_a = [0; L];
@@ -535,8 +504,7 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
             m_ord_lb,
             m_ord_lm,
             vp_flag,
-            key_mode: mode.key_mode,
-            mem_accumulate: mode.accumulate,
+            disambiguation,
             reg_time: [[0; L]; 32],
             reg_read: [[0; L]; 32],
             mem_time: LaneTable::with_capacity(mem_capacity),
@@ -771,15 +739,9 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
             }
             let is_load = meta.is(PC_LOAD);
             let is_store = meta.is(PC_STORE);
-            // Resolve the group's last-write key (identical to the
-            // prepared key unless this group remaps modes; see
-            // [`KeyMode`]). Only memory events probe the tables.
+            // Only memory events probe the tables.
             let mem_key = if is_load || is_store {
-                match &self.key_mode {
-                    KeyMode::Event => event.mem_key,
-                    KeyMode::Class(classes) => classes[event.pc as usize],
-                    KeyMode::Single => 0,
-                }
+                last_write_key(self.disambiguation, event, meta)
             } else {
                 0
             };
@@ -837,10 +799,8 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
                 // Value prediction as one more mask: a correctly predicted
                 // producer publishes availability 0 instead of `done`,
                 // releasing consumers immediately. Each lane masks its own
-                // hit bit (`vp_flag`, the configured mode's EV_VALPRED in
-                // single-config walks, a per-predictor bit in multi-config
-                // walks), keeping the kernel branch-free without another
-                // monomorphization axis.
+                // mode's hit bit (`vp_flag`), keeping the kernel
+                // branch-free without another monomorphization axis.
                 let rt = &mut self.reg_time[meta.def as usize];
                 for l in 0..L {
                     let vpm = 0u64.wrapping_sub(u64::from(event.flags & self.vp_flag[l] != 0));
@@ -848,13 +808,14 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
                 }
             }
             if is_store {
+                let accumulate = self.disambiguation.accumulates();
                 let mt = self.mem_time.entry(mem_key);
                 // A store that does not raise an accumulated maximum does
                 // not own the key's time, so it never binds a later load.
-                if S::ENABLED && am[0] != 0 && (!self.mem_accumulate || done[0] >= mt[0]) {
+                if S::ENABLED && am[0] != 0 && (!accumulate || done[0] >= mt[0]) {
                     self.attr.mem_writer.set(mem_key, u64::from(index) + 1);
                 }
-                if self.mem_accumulate {
+                if accumulate {
                     for l in 0..L {
                         mt[l] = (done[l].max(mt[l]) & am[l]) | (mt[l] & !am[l]);
                     }
@@ -1063,7 +1024,7 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
                     ("lanes", ArgValue::U64(self.lanes.len() as u64)),
                     ("width", ArgValue::U64(L as u64)),
                     ("isa", ArgValue::Str(isa.to_string())),
-                    ("key_mode", ArgValue::Str(self.key_mode.trace_name().to_string())),
+                    ("key_mode", ArgValue::Str(self.disambiguation.name().to_string())),
                     ("slots", ArgValue::Str(slots)),
                     ("events", ArgValue::U64(self.fed_events)),
                     ("chunks", ArgValue::U64(self.fed_chunks)),
@@ -1096,12 +1057,12 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
 /// renaming and fetch-bandwidth settings.
 fn boxed<const L: usize, const CD: bool, S: MetricsSink + 'static>(
     lanes: &[LaneSlot],
-    text_len: usize,
-    config: &PassConfig,
-    mem_capacity: usize,
-    mode: GroupMode,
+    pcs: &ProgramMeta,
+    config: &AnalysisConfig,
+    perfect_keys: usize,
+    disambiguation: MemDisambiguation,
 ) -> Box<dyn GroupFeed<S>> {
-    let args = (lanes, text_len, config, mem_capacity, mode);
+    let args = (lanes, pcs, config, perfect_keys, disambiguation);
     match (config.rename, config.fetch_bandwidth.is_some()) {
         (true, false) => Box::new(GroupCursor::<L, CD, true, false, S>::new(args)),
         (true, true) => Box::new(GroupCursor::<L, CD, true, true, S>::new(args)),
@@ -1114,10 +1075,10 @@ fn boxed<const L: usize, const CD: bool, S: MetricsSink + 'static>(
 /// at the narrowest monomorphized width that holds them.
 fn make_group<const CD: bool>(
     lanes: &[LaneSlot],
-    text_len: usize,
-    config: &PassConfig,
-    mem_capacity: usize,
-    mode: GroupMode,
+    pcs: &ProgramMeta,
+    config: &AnalysisConfig,
+    perfect_keys: usize,
+    disambiguation: MemDisambiguation,
 ) -> Box<dyn GroupFeed> {
     let make = match lanes.len() {
         1 => boxed::<1, CD, NullSink>,
@@ -1126,85 +1087,75 @@ fn make_group<const CD: bool>(
         5 | 6 => boxed::<6, CD, NullSink>,
         _ => boxed::<8, CD, NullSink>,
     };
-    make(lanes, text_len, config, mem_capacity, mode)
+    make(lanes, pcs, config, perfect_keys, disambiguation)
 }
 
-/// All lane groups for one set of requested machine × unroll slots,
-/// fed chunk by chunk and finished into request-ordered results.
+/// All lane groups for one set of requested mode × unroll × machine
+/// slots, fed chunk by chunk and finished into request-ordered results.
 ///
-/// Slots split into at most one CD group and one non-CD group of up to 8
-/// lanes each (the full 7-machine × 2-setting request is exactly 8 CD +
-/// 6 non-CD lanes); larger requests simply open further groups.
+/// Each mode's slots split into CD and non-CD groups of up to 8 lanes
+/// (the full 7-machine × 2-setting request is exactly 8 CD + 6 non-CD
+/// lanes); larger requests simply open further groups.
 pub(crate) struct LaneScheduler {
     pub(crate) groups: Vec<Box<dyn GroupFeed>>,
     total: usize,
 }
 
 impl LaneScheduler {
+    /// The groups for every slot of `modes` × `unrolls` ×
+    /// `config.machines`, numbered in that nesting order: mode-major,
+    /// then unroll setting, then machine in request order. A mode's
+    /// groups key memory under its disambiguation, and its lanes mask
+    /// its value-prediction bit. `perfect_keys` sizes the last-write
+    /// tables of perfect-disambiguation groups.
     pub fn new(
-        slots: &[(MachineKind, bool)],
-        text_len: usize,
-        config: &PassConfig,
-        mem_capacity: usize,
-    ) -> LaneScheduler {
-        let lanes = slots
-            .iter()
-            .enumerate()
-            .map(|(slot, &(kind, unrolling))| LaneSlot {
-                slot,
-                kind,
-                unrolling,
-                vp_flag: EV_VALPRED,
-            })
-            .collect();
-        LaneScheduler::with_groups(
-            vec![(GroupMode::from_config(config), lanes)],
-            slots.len(),
-            text_len,
-            config,
-            mem_capacity,
-        )
-    }
-
-    /// Builds a scheduler from explicit `(mode, lanes)` groupings — the
-    /// multi-config entry point. Each grouping shares one [`GroupMode`]
-    /// (its lanes must model the same disambiguation mode, since the
-    /// last-write tables are keyed per group), splits into CD and non-CD
-    /// cursor groups of up to 8 lanes, and every group walks the same
-    /// event stream. `total` is the number of result slots referenced by
-    /// the lanes.
-    pub fn with_groups(
-        specs: Vec<(GroupMode, Vec<LaneSlot>)>,
-        total: usize,
-        text_len: usize,
-        config: &PassConfig,
-        mem_capacity: usize,
+        pcs: &ProgramMeta,
+        config: &AnalysisConfig,
+        modes: &[(MemDisambiguation, ValuePrediction)],
+        unrolls: &[bool],
+        perfect_keys: usize,
     ) -> LaneScheduler {
         let mut groups: Vec<Box<dyn GroupFeed>> = Vec::new();
-        for (mode, lanes) in specs {
+        let mut slot = 0;
+        for &(disambiguation, value_prediction) in modes {
+            let mut lanes = Vec::with_capacity(unrolls.len() * config.machines.len());
+            for &unrolling in unrolls {
+                for &kind in &config.machines {
+                    lanes.push(LaneSlot {
+                        slot,
+                        kind,
+                        unrolling,
+                        vp_flag: vp_flag(value_prediction),
+                    });
+                    slot += 1;
+                }
+            }
             let (cd_lanes, plain_lanes): (Vec<LaneSlot>, Vec<LaneSlot>) = lanes
                 .into_iter()
                 .partition(|lane| lane.kind.uses_control_deps());
             for lanes in cd_lanes.chunks(8) {
                 groups.push(make_group::<true>(
                     lanes,
-                    text_len,
+                    pcs,
                     config,
-                    mem_capacity,
-                    mode.clone(),
+                    perfect_keys,
+                    disambiguation,
                 ));
             }
             for lanes in plain_lanes.chunks(8) {
                 groups.push(make_group::<false>(
                     lanes,
-                    text_len,
+                    pcs,
                     config,
-                    mem_capacity,
-                    mode.clone(),
+                    perfect_keys,
+                    disambiguation,
                 ));
             }
         }
-        LaneScheduler { groups, total }
+        LaneScheduler {
+            groups,
+            total: slot,
+        }
     }
 
     /// Feeds one chunk to every group.
@@ -1242,29 +1193,10 @@ impl LaneScheduler {
 /// still makes a single pass over trace-sized memory.
 const FEED_CHUNK: usize = 1 << 14;
 
-/// Runs every requested machine × unroll slot over an in-memory prepared
-/// trace through the lane kernel, returning results in request order.
-///
-/// Multiple cores fan the (at most two) groups out over scoped threads,
-/// each walking the whole event slice; a single core interleaves the
-/// groups chunk by chunk so the event stream is read from memory once.
-pub(crate) fn run_lanes(
-    pcs: &ProgramMeta,
-    events: &[EventMeta],
-    unrolled: &EventClass,
-    rolled: &EventClass,
-    config: &PassConfig,
-    slots: &[(MachineKind, bool)],
-    mem_capacity: usize,
-) -> Vec<PassResult> {
-    let sched = LaneScheduler::new(slots, pcs.pcs.len(), config, mem_capacity);
-    run_scheduler(sched, pcs, events, unrolled, rolled)
-}
-
-/// Drives a prebuilt scheduler over an in-memory event slice: groups fan
-/// out over scoped threads when cores allow, otherwise they interleave
-/// chunk by chunk so the stream is read from memory once. Shared by the
-/// single-config [`run_lanes`] and the multi-config matrix walk.
+/// Drives a scheduler over an in-memory event slice: groups fan out over
+/// scoped threads when cores allow, each walking the whole slice;
+/// otherwise they interleave chunk by chunk so the stream is read from
+/// memory once.
 pub(crate) fn run_scheduler(
     mut sched: LaneScheduler,
     pcs: &ProgramMeta,
@@ -1292,41 +1224,41 @@ pub(crate) fn run_scheduler(
     sched.finish()
 }
 
-/// The machine-major driver: schedules each of `machines` in a width-1
-/// group of its own, which `walk` feeds the whole event stream — with
-/// whatever sink it owns — and finishes before the next machine's group
-/// exists. A recording sink therefore has one live instance at a time.
-/// Returns each machine's pass result next to what its `walk` returned.
+/// The machine-major driver: schedules each of `config.machines` under
+/// `config`'s modes in a width-1 group of its own, which `walk` feeds the
+/// whole event stream — with whatever sink it owns — and finishes before
+/// the next machine's group exists. A recording sink therefore has one
+/// live instance at a time. Returns each machine's pass result next to
+/// what its `walk` returned.
 ///
-/// Drives the recording metrics paths (in memory and streamed) and
+/// Drives the recording metrics path and
 /// [`PreparedTrace::report_with_unrolling_scalar`](crate::PreparedTrace::report_with_unrolling_scalar).
-pub(crate) fn run_machine_major<S: MetricsSink + 'static, T, E>(
-    machines: &[MachineKind],
+pub(crate) fn run_machine_major<S: MetricsSink + 'static, T>(
+    pcs: &ProgramMeta,
+    config: &AnalysisConfig,
     unrolling: bool,
-    text_len: usize,
-    config: &PassConfig,
-    mem_capacity: usize,
-    mut walk: impl FnMut(&mut dyn GroupFeed<S>) -> Result<T, E>,
-) -> Result<Vec<(PassResult, T)>, E> {
-    machines
+    perfect_keys: usize,
+    mut walk: impl FnMut(&mut dyn GroupFeed<S>) -> T,
+) -> Vec<(PassResult, T)> {
+    config
+        .machines
         .iter()
         .map(|&kind| {
             let lane = LaneSlot {
                 slot: 0,
                 kind,
                 unrolling,
-                vp_flag: EV_VALPRED,
+                vp_flag: vp_flag(config.value_prediction),
             };
             let make = if kind.uses_control_deps() {
                 boxed::<1, true, S>
             } else {
                 boxed::<1, false, S>
             };
-            let mode = GroupMode::from_config(config);
-            let mut group = make(&[lane], text_len, config, mem_capacity, mode);
-            let walked = walk(group.as_mut())?;
+            let mut group = make(&[lane], pcs, config, perfect_keys, config.disambiguation);
+            let walked = walk(group.as_mut());
             let (_, pass) = group.finish().pop().expect("a width-1 group has one lane");
-            Ok((pass, walked))
+            (pass, walked)
         })
         .collect()
 }
@@ -1334,8 +1266,7 @@ pub(crate) fn run_machine_major<S: MetricsSink + 'static, T, E>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::meta::TraceMeta;
-    use crate::AnalysisConfig;
+    use crate::meta::{TraceMeta, EV_VP_STRIDE};
     use clfp_cfg::StaticInfo;
     use clfp_isa::assemble;
     use clfp_metrics::MetricsCollector;
@@ -1373,8 +1304,7 @@ mod tests {
         let info = StaticInfo::analyze(&program);
         for unrolling in [false, true] {
             let config = AnalysisConfig::quick().with_unrolling(unrolling);
-            let pass_config = PassConfig::from_analysis(&config);
-            let pcs = ProgramMeta::build(&program, &info, &pass_config);
+            let pcs = ProgramMeta::build(&program, &info, &config);
             let mut vm = Vm::new(
                 &program,
                 VmOptions {
@@ -1382,34 +1312,19 @@ mod tests {
                 },
             );
             let trace = vm.trace(config.max_instrs).unwrap();
-            let tm = TraceMeta::build(&program, &info, &pcs, &config, &trace, false);
+            let tm = TraceMeta::build(&program, &info, &pcs, &config, &trace);
             let (unrolled, rolled) = (tm.class(true), tm.class(false));
-            let text_len = program.text.len();
-            let Ok(plain) = run_machine_major(
-                &MachineKind::ALL,
-                unrolling,
-                text_len,
-                &pass_config,
-                DEFAULT_MEM_CAPACITY,
-                |group| {
-                    group.feed(&pcs, 0, &tm.events, unrolled, rolled, &mut NullSink);
-                    Ok::<_, std::convert::Infallible>(())
-                },
-            );
-            let Ok(observed) = run_machine_major(
-                &MachineKind::ALL,
-                unrolling,
-                text_len,
-                &pass_config,
-                DEFAULT_MEM_CAPACITY,
-                |group| {
-                    let mut collector = MetricsCollector::with_capacity(tm.events.len());
-                    group.feed(&pcs, 0, &tm.events, unrolled, rolled, &mut collector);
-                    Ok::<_, std::convert::Infallible>(collector)
-                },
-            );
-            for ((kind, (plain, ())), (observed, collector)) in
-                MachineKind::ALL.into_iter().zip(plain).zip(observed)
+            let keys = tm.distinct_mem_keys as usize;
+            let plain = run_machine_major(&pcs, &config, unrolling, keys, |group| {
+                group.feed(&pcs, 0, &tm.events, unrolled, rolled, &mut NullSink);
+            });
+            let observed = run_machine_major(&pcs, &config, unrolling, keys, |group| {
+                let mut collector = MetricsCollector::with_capacity(tm.events.len());
+                group.feed(&pcs, 0, &tm.events, unrolled, rolled, &mut collector);
+                collector
+            });
+            for ((&kind, (plain, ())), (observed, collector)) in
+                config.machines.iter().zip(plain).zip(observed)
             {
                 assert_eq!(observed.cycles, plain.cycles, "{kind}");
                 assert_eq!(observed.count, plain.count, "{kind}");
@@ -1441,41 +1356,14 @@ mod tests {
                     );
                 }
             }
-
-            // The streaming metrics path (chunked recording groups) must
-            // reproduce the in-memory metrics bit for bit, including
-            // across boundary-straddling 7-event chunks.
-            let analyzer = crate::Analyzer::new(&program, config.clone()).unwrap();
-            let prepared = analyzer.prepare(&trace);
-            let inmem = prepared.machine_metrics_with_unrolling(unrolling);
-            let streamed = analyzer.stream_machine_metrics(&trace, unrolling, 7);
-            let streamed = streamed.unwrap();
-            assert_eq!(inmem.len(), streamed.len());
-            for ((k, a), (k2, b)) in inmem.iter().zip(&streamed) {
-                let tag = format!("{k} unroll={unrolling}");
-                assert_eq!(k, k2, "{tag}");
-                assert_eq!(a.instrs, b.instrs, "{tag}");
-                assert_eq!(a.cycles, b.cycles, "{tag}");
-                assert_eq!(a.flow, b.flow, "{tag}");
-                assert_eq!(a.attribution, b.attribution, "{tag}");
-                assert_eq!(a.occupancy.buckets, b.occupancy.buckets, "{tag}");
-                assert_eq!(a.occupancy.cycles, b.occupancy.cycles, "{tag}");
-                assert_eq!(a.occupancy.busy_cycles, b.occupancy.busy_cycles, "{tag}");
-                assert_eq!(a.occupancy.instrs, b.occupancy.instrs, "{tag}");
-                assert_eq!(a.occupancy.peak, b.occupancy.peak, "{tag}");
-            }
         }
     }
 
-    /// One prepared trace for the twin-build test: qsort under stride value
-    /// prediction, so loads, stores, calls, mispredictions and value hits
-    /// all occur, plus the static alias classes a `KeyMode::Class` group
-    /// remaps to.
+    /// One prepared trace for the twin-build test: qsort, whose loads,
+    /// stores, calls, mispredictions and value-predictor hits all occur.
     struct TwinInput {
         pcs: ProgramMeta,
         tm: TraceMeta,
-        classes: Vec<u32>,
-        text_len: usize,
     }
 
     /// Feeds `input` in uneven chunks through twin groups: one by the
@@ -1484,8 +1372,8 @@ mod tests {
     fn assert_twins_agree<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool>(
         input: &TwinInput,
         lanes: &[LaneSlot],
-        config: &PassConfig,
-        mode: &GroupMode,
+        config: &AnalysisConfig,
+        disambiguation: MemDisambiguation,
     ) {
         assert!(
             runs_avx512::<L>(),
@@ -1494,13 +1382,8 @@ mod tests {
         assert_eq!(config.rename, RENAME);
         assert_eq!(config.fetch_bandwidth.is_some(), FETCH);
         let group = || {
-            let args = (
-                lanes,
-                input.text_len,
-                config,
-                DEFAULT_MEM_CAPACITY,
-                mode.clone(),
-            );
+            let keys = input.tm.distinct_mem_keys as usize;
+            let args = (lanes, &input.pcs, config, keys, disambiguation);
             GroupCursor::<L, CD, RENAME, FETCH, NullSink>::new(args)
         };
         let (mut portable, mut avx512) = (group(), group());
@@ -1515,24 +1398,25 @@ mod tests {
         assert_eq!(portable.len(), lanes.len());
         assert_eq!(
             portable, avx512,
-            "L={L} CD={CD} rename={RENAME} fetch={FETCH} {mode:?}"
+            "L={L} CD={CD} rename={RENAME} fetch={FETCH} {disambiguation:?}"
         );
     }
 
     /// Every twin configuration at width `L`: CD and non-CD lanes, under
-    /// the default pass configuration and under renaming off with a fetch
-    /// bandwidth of 4, for every key mode with accumulation on and off.
-    fn twins_at_width<const L: usize>(input: &TwinInput, config: &PassConfig) {
-        let stressed = PassConfig {
+    /// the default configuration and under renaming off with a fetch
+    /// bandwidth of 4, for every disambiguation mode.
+    fn twins_at_width<const L: usize>(input: &TwinInput, config: &AnalysisConfig) {
+        let stressed = AnalysisConfig {
             rename: false,
             fetch_bandwidth: Some(4),
-            ..*config
+            ..config.clone()
         };
         use MachineKind::*;
         let cd = [Cd, CdMf, SpCd, SpCdMf, Cd, CdMf, SpCd, SpCdMf];
         let plain = [Base, Sp, Oracle, Base, Sp, Oracle];
-        // Alternate unroll settings and value-prediction bits across lanes;
-        // a 6-machine pool fills a width-8 group with two padding lanes.
+        // Alternate unroll settings and value-prediction modes across
+        // lanes; a 6-machine pool fills a width-8 group with two padding
+        // lanes.
         let lanes = |kinds: &[MachineKind]| -> Vec<LaneSlot> {
             kinds
                 .iter()
@@ -1542,26 +1426,16 @@ mod tests {
                     slot,
                     kind,
                     unrolling: slot % 2 == 0,
-                    vp_flag: if slot % 3 == 0 { 0 } else { EV_VALPRED },
+                    vp_flag: vp_flag(ValuePrediction::ALL[slot % 4]),
                 })
                 .collect()
         };
         let (cd, plain) = (lanes(&cd), lanes(&plain));
-        for key_mode in [
-            KeyMode::Event,
-            KeyMode::Class(input.classes.clone()),
-            KeyMode::Single,
-        ] {
-            for accumulate in [false, true] {
-                let mode = GroupMode {
-                    key_mode: key_mode.clone(),
-                    accumulate,
-                };
-                assert_twins_agree::<L, true, true, false>(input, &cd, config, &mode);
-                assert_twins_agree::<L, true, false, true>(input, &cd, &stressed, &mode);
-                assert_twins_agree::<L, false, true, false>(input, &plain, config, &mode);
-                assert_twins_agree::<L, false, false, true>(input, &plain, &stressed, &mode);
-            }
+        for mode in MemDisambiguation::ALL {
+            assert_twins_agree::<L, true, true, false>(input, &cd, config, mode);
+            assert_twins_agree::<L, true, false, true>(input, &cd, &stressed, mode);
+            assert_twins_agree::<L, false, true, false>(input, &plain, config, mode);
+            assert_twins_agree::<L, false, false, true>(input, &plain, &stressed, mode);
         }
     }
 
@@ -1576,12 +1450,8 @@ mod tests {
         }
         let program = clfp_workloads::by_name("qsort").unwrap().compile().unwrap();
         let info = StaticInfo::analyze(&program);
-        let config = AnalysisConfig {
-            value_prediction: crate::ValuePrediction::Stride,
-            ..AnalysisConfig::quick().with_max_instrs(40_000)
-        };
-        let pass_config = PassConfig::from_analysis(&config);
-        let pcs = ProgramMeta::build(&program, &info, &pass_config);
+        let config = AnalysisConfig::quick().with_max_instrs(40_000);
+        let pcs = ProgramMeta::build(&program, &info, &config);
         let mut vm = Vm::new(
             &program,
             VmOptions {
@@ -1589,21 +1459,12 @@ mod tests {
             },
         );
         let trace = vm.trace(config.max_instrs).unwrap();
-        let tm = TraceMeta::build(&program, &info, &pcs, &config, &trace, false);
-        assert!(tm.events.iter().any(|e| e.flags & EV_VALPRED != 0));
-        let text_len = program.text.len();
-        let classes = (0..text_len as u32)
-            .map(|pc| info.alias.scheduler_class(pc))
-            .collect();
-        let input = TwinInput {
-            pcs,
-            tm,
-            classes,
-            text_len,
-        };
-        twins_at_width::<2>(&input, &pass_config);
-        twins_at_width::<4>(&input, &pass_config);
-        twins_at_width::<6>(&input, &pass_config);
-        twins_at_width::<8>(&input, &pass_config);
+        let tm = TraceMeta::build(&program, &info, &pcs, &config, &trace);
+        assert!(tm.events.iter().any(|e| e.flags & EV_VP_STRIDE != 0));
+        let input = TwinInput { pcs, tm };
+        twins_at_width::<2>(&input, &config);
+        twins_at_width::<4>(&input, &config);
+        twins_at_width::<6>(&input, &config);
+        twins_at_width::<8>(&input, &config);
     }
 }

@@ -8,18 +8,25 @@
 //!
 //! * [`ProgramMeta`] caches the per-**PC** facts once per program —
 //!   operand registers, destination, latency class, branch/call/ret/memory
-//!   classification, block-start and inline/unroll ignore flags;
+//!   classification, block-start and inline/unroll ignore flags, and the
+//!   static alias class;
 //! * [`TraceMeta`] caches the per-**event** facts once per trace — the
 //!   misprediction and ignore classification (packed two bits per event in
-//!   [`EventClass`]), the disambiguated memory key, and the resolved
-//!   control-dependence source (Section 4.4.1 of the paper; the *choice*
-//!   of controlling branch instance depends only on block-instance
-//!   sequence numbers, which are identical for every machine).
+//!   [`EventClass`]), the dynamic memory key, the value predictors' hit
+//!   bits, and the resolved control-dependence source (Section 4.4.1 of
+//!   the paper; the *choice* of controlling branch instance depends only
+//!   on block-instance sequence numbers, which are identical for every
+//!   machine).
 //!
 //! Everything in [`TraceMeta`] except the ignore bit is also independent
 //! of the unrolling setting, so the single walk records the ignore bitmap
 //! for *both* settings ([`TraceMeta::class`]) — Table 4's
 //! with/without-unrolling comparison shares one preparation.
+//!
+//! The preparation is also independent of the memory-disambiguation and
+//! value-prediction modes: it keys memory by dynamic address and trains
+//! every value predictor. The lane groups in [`lane`](crate::lane) apply
+//! a mode when they schedule, so one preparation serves every mode.
 //!
 //! The kernel's walks in [`lane`](crate::lane) then touch only their own
 //! timing state, sharing everything here.
@@ -29,9 +36,8 @@ use clfp_isa::{Instr, Program};
 use clfp_predict::BranchProfile;
 use clfp_vm::Trace;
 
-use crate::pass::PassConfig;
 use crate::stats::BranchReport;
-use crate::{AnalysisConfig, PredictorChoice};
+use crate::{AnalysisConfig, PredictorChoice, ValuePrediction};
 
 /// Sentinel register index: "no register".
 pub(crate) const NO_REG: u8 = u8::MAX;
@@ -62,6 +68,9 @@ pub(crate) struct PcMeta {
     pub uses: [u8; 3],
     /// Completion latency under the configured latency model.
     pub latency: u32,
+    /// The static alias analysis's scheduler class: the last-write key of
+    /// this load or store under static disambiguation.
+    pub alias_class: u32,
 }
 
 impl PcMeta {
@@ -75,11 +84,14 @@ impl PcMeta {
 #[derive(Clone, Debug)]
 pub(crate) struct ProgramMeta {
     pub pcs: Vec<PcMeta>,
+    /// Number of static alias classes: the distinct last-write keys under
+    /// static disambiguation.
+    pub num_classes: usize,
 }
 
 impl ProgramMeta {
     /// Decodes every static instruction once.
-    pub fn build(program: &Program, info: &StaticInfo, config: &PassConfig) -> ProgramMeta {
+    pub fn build(program: &Program, info: &StaticInfo, config: &AnalysisConfig) -> ProgramMeta {
         let cfg = &info.cfg;
         let pcs = program
             .text
@@ -123,11 +135,15 @@ impl ProgramMeta {
                     flags,
                     def: instr.def().map_or(NO_REG, |reg| reg.index() as u8),
                     uses,
-                    latency: config.latency_of(instr) as u32,
+                    latency: config.latency.of(instr) as u32,
+                    alias_class: info.alias.scheduler_class(pc),
                 }
             })
             .collect();
-        ProgramMeta { pcs }
+        ProgramMeta {
+            pcs,
+            num_classes: info.alias.num_classes() as usize,
+        }
     }
 }
 
@@ -217,30 +233,43 @@ impl EventClass {
 // the unroll-dependent ignore bit lives in the per-setting [`EventClass`]).
 pub(crate) const EV_MISPRED: u8 = 1 << 0;
 pub(crate) const EV_BRANCH: u8 = 1 << 1;
-/// The event defines a register and its produced value was predicted
-/// correctly under the configured [`ValuePrediction`](crate::ValuePrediction)
-/// mode — a correctly speculated producer does not delay its consumers.
-pub(crate) const EV_VALPRED: u8 = 1 << 2;
 /// The event defines a register (value-prediction eligible). Under
 /// `Perfect` value prediction this is exactly the predicted set.
-pub(crate) const EV_DEF: u8 = 1 << 3;
+pub(crate) const EV_DEF: u8 = 1 << 2;
 /// The last-value predictor hit on this def.
-pub(crate) const EV_VP_LAST: u8 = 1 << 4;
+pub(crate) const EV_VP_LAST: u8 = 1 << 3;
 /// The hybrid stride predictor hit on this def.
-pub(crate) const EV_VP_STRIDE: u8 = 1 << 5;
+pub(crate) const EV_VP_STRIDE: u8 = 1 << 4;
 
-/// The flag bit that marks a hit under `mode` — the bridge between the
-/// always-recorded per-predictor bits and a concrete value-prediction
-/// mode. `Off` maps to no bit (`flags & 0` is never set), `Perfect` to
-/// [`EV_DEF`] (every def hits). Mode-sliced preparation and the
-/// multi-config lane walk both select hits through this mask instead of
-/// re-running a predictor.
-pub(crate) fn vp_flag(mode: crate::ValuePrediction) -> u8 {
+/// The flag bit that marks a correctly predicted value under `mode`: a
+/// correctly speculated producer does not delay its consumers. `Off` maps
+/// to no bit (`flags & 0` is never set), `Perfect` to [`EV_DEF`] (every
+/// def hits). Each lane masks its own mode's bit, so lanes of different
+/// modes share one walk.
+pub(crate) fn vp_flag(mode: ValuePrediction) -> u8 {
     match mode {
-        crate::ValuePrediction::Off => 0,
-        crate::ValuePrediction::LastValue => EV_VP_LAST,
-        crate::ValuePrediction::Stride => EV_VP_STRIDE,
-        crate::ValuePrediction::Perfect => EV_DEF,
+        ValuePrediction::Off => 0,
+        ValuePrediction::LastValue => EV_VP_LAST,
+        ValuePrediction::Stride => EV_VP_STRIDE,
+        ValuePrediction::Perfect => EV_DEF,
+    }
+}
+
+/// `branches` with the value-prediction hits `mode` scores, taken from
+/// the per-mode totals of a preparation walk (`vp_hits`, indexed by
+/// [`ValuePrediction::ALL`]).
+pub(crate) fn branches_under(
+    branches: BranchReport,
+    vp_hits: &[u64; 4],
+    mode: ValuePrediction,
+) -> BranchReport {
+    let index = ValuePrediction::ALL
+        .iter()
+        .position(|&m| m == mode)
+        .expect("mode is in ALL");
+    BranchReport {
+        value_pred_hits: vp_hits[index],
+        ..branches
     }
 }
 
@@ -261,9 +290,9 @@ pub(crate) const CD_INHERIT: u32 = u32::MAX - 1;
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct EventMeta {
     pub pc: u32,
-    /// Last-write key, valid for loads/stores: `mem_addr >>
-    /// disambiguation_shift` under `Perfect` disambiguation, the static
-    /// alias scheduler class under `Static`, 0 under `None`.
+    /// The dynamic memory key of a load or store, `mem_addr >>
+    /// log2(disambiguation_bytes)`: its last-write key under `Perfect`
+    /// disambiguation.
     pub mem_key: u32,
     /// Controlling branch PC, [`CD_NONE`], or [`CD_INHERIT`].
     pub cd: u32,
@@ -280,34 +309,16 @@ pub(crate) struct TraceMeta {
     pub events: Vec<EventMeta>,
     class_unrolled: EventClass,
     class_rolled: EventClass,
+    /// The branch report; its `value_pred_hits` is 0 until a mode picks
+    /// one of [`TraceMeta::vp_hits`] (see [`branches_under`]).
     pub branches: BranchReport,
-    /// Distinct disambiguated memory keys touched by loads and stores —
-    /// sizes the machine walks' last-write tables to the trace's live
+    /// Distinct dynamic memory keys touched by loads and stores — sizes
+    /// the perfect-disambiguation last-write tables to the trace's live
     /// footprint instead of a fixed guess.
     pub distinct_mem_keys: u64,
-    /// Hits each value-prediction mode would score on this trace, indexed
-    /// by [`ValuePrediction::ALL`](crate::ValuePrediction::ALL) — recorded
-    /// during the one preparation walk so per-mode slices can report their
-    /// hit counts without re-running a predictor.
+    /// Hits each value-prediction mode scores on this trace, indexed by
+    /// [`ValuePrediction::ALL`].
     pub vp_hits: [u64; 4],
-    /// Whether the realistic value predictors were trained during the
-    /// preparation walk. Slicing or lane-walking a `LastValue`/`Stride`
-    /// mode requires a trained base (see
-    /// [`Analyzer::prepare_multimode`](crate::Analyzer::prepare_multimode));
-    /// single-mode preparations skip the training cost unless their own
-    /// mode needs it.
-    pub vp_trained: bool,
-}
-
-/// Whether scheduling under `mode` consumes the realistic value
-/// predictors' per-event hit bits (`EV_VP_LAST` / `EV_VP_STRIDE`).
-/// `Off` reads no bit and `Perfect` reads [`EV_DEF`], which is always
-/// recorded.
-pub(crate) fn needs_vp_training(mode: crate::ValuePrediction) -> bool {
-    matches!(
-        mode,
-        crate::ValuePrediction::LastValue | crate::ValuePrediction::Stride
-    )
 }
 
 impl TraceMeta {
@@ -332,11 +343,9 @@ impl TraceMeta {
         pcs: &ProgramMeta,
         config: &AnalysisConfig,
         trace: &Trace,
-        train_all_predictors: bool,
     ) -> TraceMeta {
-        let _span = clfp_metrics::trace::span("prepare.build", "prepare")
-            .arg("events", trace.len())
-            .arg("multimode", train_all_predictors);
+        let _span =
+            clfp_metrics::trace::span("prepare.build", "prepare").arg("events", trace.len());
         // The paper's profile-static predictor is trained on the measured
         // run's own inputs; deriving it from the measured trace itself is
         // exactly that semantics without a second VM execution.
@@ -345,9 +354,6 @@ impl TraceMeta {
             _ => BranchProfile::new(),
         };
         let mut builder = MetaBuilder::new(program, info, pcs, config, &profile);
-        if train_all_predictors {
-            builder.force_value_predictor_training();
-        }
         let mut class_unrolled = EventClass::with_capacity(trace.len());
         let mut class_rolled = EventClass::with_capacity(trace.len());
         let mut events = Vec::with_capacity(trace.len());
@@ -359,109 +365,6 @@ impl TraceMeta {
             branches: builder.branches(),
             distinct_mem_keys: builder.distinct_mem_keys(),
             vp_hits: builder.vp_hits(),
-            vp_trained: builder.vp_trained(),
-        }
-    }
-
-    /// Derives the metadata a full preparation under (`disambiguation`,
-    /// `value_prediction`) would produce, without re-walking the trace:
-    /// memory keys are remapped (`Static` is a per-PC table lookup,
-    /// `None` collapses to one key) and the [`EV_VALPRED`] bit is
-    /// rewritten from the per-predictor bits recorded by the base walk.
-    /// Classification bitmaps, control-dependence sources, and the branch
-    /// profile are mode-independent and copied as-is.
-    ///
-    /// Bit-identity with a from-scratch preparation holds because the base
-    /// walk trains every predictor on every def in trace order — exactly
-    /// the sequence a dedicated builder would see — and `Static`/`None`
-    /// keys are pure functions of the PC.
-    ///
-    /// # Panics
-    ///
-    /// The base must have been prepared under `Perfect` disambiguation
-    /// (the default) unless the requested mode equals the base mode:
-    /// coarser keys cannot be refined.
-    pub fn resliced(
-        &self,
-        info: &StaticInfo,
-        pcs: &ProgramMeta,
-        base_disambiguation: crate::MemDisambiguation,
-        disambiguation: crate::MemDisambiguation,
-        value_prediction: crate::ValuePrediction,
-    ) -> TraceMeta {
-        assert!(
-            base_disambiguation == crate::MemDisambiguation::Perfect
-                || disambiguation == base_disambiguation,
-            "mode slicing needs a perfect-disambiguation base (have {}, want {})",
-            base_disambiguation.name(),
-            disambiguation.name(),
-        );
-        assert!(
-            self.vp_trained || !needs_vp_training(value_prediction),
-            "slicing to {} needs a base preparation that trained the value \
-             predictors (use Analyzer::prepare_multimode)",
-            value_prediction.name(),
-        );
-        let hit_flag = vp_flag(value_prediction);
-        let remap = disambiguation != base_disambiguation;
-        let mut mem_seen: Vec<u64> = Vec::new();
-        let mut distinct_mem_keys = 0u64;
-        let events = self
-            .events
-            .iter()
-            .map(|event| {
-                let mem_key = if !remap {
-                    event.mem_key
-                } else {
-                    match disambiguation {
-                        crate::MemDisambiguation::Perfect => event.mem_key,
-                        crate::MemDisambiguation::Static => {
-                            info.alias.scheduler_class(event.pc)
-                        }
-                        crate::MemDisambiguation::None => 0,
-                    }
-                };
-                if remap && pcs.pcs[event.pc as usize].flags & (PC_LOAD | PC_STORE) != 0 {
-                    let word = (mem_key >> 6) as usize;
-                    if word >= mem_seen.len() {
-                        mem_seen.resize(word + 1, 0);
-                    }
-                    let bit = 1u64 << (mem_key & 63);
-                    if mem_seen[word] & bit == 0 {
-                        mem_seen[word] |= bit;
-                        distinct_mem_keys += 1;
-                    }
-                }
-                let mut flags = event.flags & !EV_VALPRED;
-                if flags & hit_flag != 0 {
-                    flags |= EV_VALPRED;
-                }
-                EventMeta {
-                    pc: event.pc,
-                    mem_key,
-                    cd: event.cd,
-                    flags,
-                }
-            })
-            .collect();
-        let mode_index = crate::ValuePrediction::ALL
-            .iter()
-            .position(|&m| m == value_prediction)
-            .expect("mode is in ALL");
-        let mut branches = self.branches;
-        branches.value_pred_hits = self.vp_hits[mode_index];
-        TraceMeta {
-            events,
-            class_unrolled: self.class_unrolled.clone(),
-            class_rolled: self.class_rolled.clone(),
-            branches,
-            distinct_mem_keys: if remap {
-                distinct_mem_keys
-            } else {
-                self.distinct_mem_keys
-            },
-            vp_hits: self.vp_hits,
-            vp_trained: self.vp_trained,
         }
     }
 }
@@ -481,17 +384,7 @@ pub(crate) struct MetaBuilder<'a> {
     info: &'a StaticInfo,
     inlining: bool,
     shift: u32,
-    disambiguation: crate::MemDisambiguation,
     predictor: Box<dyn clfp_predict::BranchPredictor>,
-    value_prediction: crate::ValuePrediction,
-    /// When set, both realistic value predictors are trained on every def
-    /// regardless of the configured mode, so the per-predictor hit bits
-    /// (and the [`TraceMeta::vp_hits`] totals) are available to mode
-    /// slicing and the multi-config lane walk from a single preparation.
-    /// Off by default unless the configured mode itself consumes a hit
-    /// bit — single-mode pipelines skip the training cost. The configured
-    /// mode only selects which bit becomes [`EV_VALPRED`].
-    train_predictors: bool,
     last_predictor: clfp_predict::LastValuePredictor,
     stride_predictor: clfp_predict::StridePredictor,
     vp_hits: [u64; 4],
@@ -504,9 +397,9 @@ pub(crate) struct MetaBuilder<'a> {
     branch_proc: Vec<u64>,
     stack: Vec<u64>,
     seq: u64,
-    /// Membership bitmap over disambiguated memory keys (grown on
-    /// demand; keys are word addresses shifted down, so the bitmap is
-    /// 1/32 of the touched address range).
+    /// Membership bitmap over dynamic memory keys (grown on demand; keys
+    /// are word addresses shifted down, so the bitmap is 1/32 of the
+    /// touched address range).
     mem_seen: Vec<u64>,
     distinct_mem_keys: u64,
 }
@@ -527,10 +420,7 @@ impl<'a> MetaBuilder<'a> {
             info,
             inlining: config.inlining,
             shift: config.disambiguation_bytes.trailing_zeros(),
-            disambiguation: config.disambiguation,
             predictor: config.predictor.build(program, profile),
-            value_prediction: config.value_prediction,
-            train_predictors: needs_vp_training(config.value_prediction),
             last_predictor: clfp_predict::LastValuePredictor::new(program.text.len()),
             stride_predictor: clfp_predict::StridePredictor::new(program.text.len()),
             vp_hits: [0; 4],
@@ -605,45 +495,27 @@ impl<'a> MetaBuilder<'a> {
             if meta.is(PC_BRANCH) {
                 flags |= EV_BRANCH;
             }
-            // The value-prediction mode decides the predicted bit here,
-            // and only here for the in-memory and streamed pipelines (the same
-            // seam as the mem_key choice below). When training is on,
-            // every def-producing event trains every predictor —
-            // including ignored events — so the training sequence is
-            // unroll-independent, mode-independent, and exactly what the
-            // reference pass and a dedicated single-mode builder would
-            // replay.
+            // Every def-producing event trains both value predictors,
+            // ignored events included, so the training sequence does not
+            // depend on the unroll setting. The lanes pick their mode's
+            // hit bit through `vp_flag`.
             if meta.def != NO_REG {
                 use clfp_predict::ValuePredictor as _;
                 self.branches.value_pred_eligible += 1;
                 flags |= EV_DEF;
-                if self.train_predictors {
-                    if self.last_predictor.predict_and_update(event.pc, event.value) {
-                        flags |= EV_VP_LAST;
-                        self.vp_hits[1] += 1;
-                    }
-                    if self.stride_predictor.predict_and_update(event.pc, event.value) {
-                        flags |= EV_VP_STRIDE;
-                        self.vp_hits[2] += 1;
-                    }
-                }
                 self.vp_hits[3] += 1;
-                if flags & vp_flag(self.value_prediction) != 0 {
-                    self.branches.value_pred_hits += 1;
-                    flags |= EV_VALPRED;
+                if self.last_predictor.predict_and_update(event.pc, event.value) {
+                    flags |= EV_VP_LAST;
+                    self.vp_hits[1] += 1;
+                }
+                if self.stride_predictor.predict_and_update(event.pc, event.value) {
+                    flags |= EV_VP_STRIDE;
+                    self.vp_hits[2] += 1;
                 }
             }
-            // The disambiguation mode decides the last-write key here, and
-            // only here for the in-memory and streamed pipelines:
-            // everything downstream consumes `EventMeta::mem_key` opaquely,
-            // so both agree bit-for-bit by construction.
-            let mem_key = match self.disambiguation {
-                crate::MemDisambiguation::Perfect => event.mem_addr >> self.shift,
-                crate::MemDisambiguation::Static => {
-                    self.info.alias.scheduler_class(event.pc)
-                }
-                crate::MemDisambiguation::None => 0,
-            };
+            // The dynamic key; a lane group under a coarser
+            // disambiguation mode derives its own key from the pc.
+            let mem_key = event.mem_addr >> self.shift;
             if meta.flags & (PC_LOAD | PC_STORE) != 0 {
                 let word = (mem_key >> 6) as usize;
                 if word >= self.mem_seen.len() {
@@ -689,29 +561,17 @@ impl<'a> MetaBuilder<'a> {
         self.not_ignored[unrolling as usize]
     }
 
-    /// Distinct disambiguated memory keys seen in load/store events so
-    /// far — the live footprint a last-write table must cover.
+    /// Distinct dynamic memory keys seen in load/store events so far —
+    /// the live footprint a perfect-disambiguation last-write table must
+    /// cover.
     pub fn distinct_mem_keys(&self) -> u64 {
         self.distinct_mem_keys
     }
 
-    /// Hits each value-prediction mode would score on the events pushed
-    /// so far, indexed by [`ValuePrediction::ALL`](crate::ValuePrediction::ALL).
+    /// Hits each value-prediction mode scores on the events pushed so
+    /// far, indexed by [`ValuePrediction::ALL`].
     pub fn vp_hits(&self) -> [u64; 4] {
         self.vp_hits
-    }
-
-    /// Trains the realistic value predictors on every def even though the
-    /// configured mode does not consume their hit bits — required before
-    /// the first [`MetaBuilder::push_chunk`] when the resulting metadata
-    /// will be mode-sliced or lane-walked across value-prediction modes.
-    pub fn force_value_predictor_training(&mut self) {
-        self.train_predictors = true;
-    }
-
-    /// Whether the realistic value predictors are being trained.
-    pub fn vp_trained(&self) -> bool {
-        self.train_predictors
     }
 }
 
@@ -800,7 +660,7 @@ mod tests {
         )
         .unwrap();
         let info = StaticInfo::analyze(&program);
-        let meta = ProgramMeta::build(&program, &info, &PassConfig::default());
+        let meta = ProgramMeta::build(&program, &info, &AnalysisConfig::default());
         assert!(meta.pcs[0].is(PC_BLOCK_START));
         assert!(meta.pcs[1].is(PC_LOAD));
         assert!(meta.pcs[2].is(PC_STORE));

@@ -26,7 +26,7 @@ use clfp_vm::TraceEvent;
 
 use crate::meta::EventClass;
 use crate::stats::MispredictionStats;
-use crate::{LastWriteTable, MachineKind};
+use crate::{AnalysisConfig, LastWriteTable, MachineKind};
 
 /// Everything shared by the seven machine passes over one trace.
 pub(crate) struct Prepared<'a> {
@@ -38,67 +38,7 @@ pub(crate) struct Prepared<'a> {
     /// predict them; ignored = removed by perfect inlining/unrolling).
     pub class: &'a EventClass,
     /// Idealization knobs (all at the paper's setting by default).
-    pub pass_config: PassConfig,
-}
-
-/// Per-pass idealization knobs, extracted from
-/// [`AnalysisConfig`](crate::AnalysisConfig).
-#[derive(Copy, Clone, Debug)]
-pub(crate) struct PassConfig {
-    /// Fetch bandwidth; `None` = unlimited (the paper).
-    pub fetch_bandwidth: Option<u64>,
-    /// log2 of the memory-disambiguation granularity in bytes (2 = word,
-    /// the paper's perfect disambiguation).
-    pub disambiguation_shift: u32,
-    /// How the last-write table is keyed (dynamic address, static alias
-    /// class, or a single location).
-    pub disambiguation: crate::MemDisambiguation,
-    /// Whether predicted result values break true data dependences (the
-    /// paper: no value speculation).
-    pub value_prediction: crate::ValuePrediction,
-    /// Whether renaming removes anti/output dependences (the paper: yes).
-    pub rename: bool,
-    /// Operation latencies (the paper: all 1).
-    pub latency: crate::Latencies,
-}
-
-impl Default for PassConfig {
-    fn default() -> PassConfig {
-        PassConfig {
-            fetch_bandwidth: None,
-            disambiguation_shift: 2,
-            disambiguation: crate::MemDisambiguation::Perfect,
-            value_prediction: crate::ValuePrediction::Off,
-            rename: true,
-            latency: crate::Latencies::unit(),
-        }
-    }
-}
-
-impl PassConfig {
-    pub(crate) fn from_analysis(config: &crate::AnalysisConfig) -> PassConfig {
-        PassConfig {
-            fetch_bandwidth: config.fetch_bandwidth,
-            disambiguation_shift: config.disambiguation_bytes.trailing_zeros(),
-            disambiguation: config.disambiguation,
-            value_prediction: config.value_prediction,
-            rename: config.rename,
-            latency: config.latency,
-        }
-    }
-
-    /// Completion latency of an instruction under this model.
-    pub(crate) fn latency_of(&self, instr: Instr) -> u64 {
-        use clfp_isa::AluOp;
-        match instr {
-            Instr::Lw { .. } => self.latency.load,
-            Instr::Alu { op: AluOp::Mul | AluOp::Div | AluOp::Rem, .. }
-            | Instr::AluI { op: AluOp::Mul | AluOp::Div | AluOp::Rem, .. } => {
-                self.latency.mul_div
-            }
-            _ => self.latency.other,
-        }
-    }
+    pub config: &'a AnalysisConfig,
 }
 
 /// Result of one machine pass.
@@ -161,11 +101,11 @@ pub(crate) fn run_pass_with_schedule(
     let uses_cd = kind.uses_control_deps();
     let track_segments = kind == MachineKind::Sp;
 
-    let config = prepared.pass_config;
-    let shift = config.disambiguation_shift;
-    // Independent replay of the preparation walk's value predictor: the
-    // reference is the oracle the prepared pipelines are checked against,
-    // so it must not consume their EV_VALPRED bits.
+    let config = prepared.config;
+    let shift = config.disambiguation_bytes.trailing_zeros();
+    // The reference runs its own value predictor: it is the oracle the
+    // prepared pipelines are checked against, so it reads no hit bit
+    // they recorded.
     let mut value_predictor = config.value_prediction.build(text.len());
     let mut reg_time = [0u64; 32];
     let mut mem_time = LastWriteTable::with_capacity(1 << 16);
@@ -198,10 +138,8 @@ pub(crate) fn run_pass_with_schedule(
         let is_branch = instr.is_cond_branch() || instr.is_computed_jump();
         let mispredicted = is_branch && prepared.class.mispred(i);
 
-        // Mirrors the value-prediction seam in `MetaBuilder::push_chunk`:
-        // every def-producing event trains the predictor — ignored or not,
-        // so the replayed hit sequence is unroll-independent and matches
-        // the prepared pipelines exactly.
+        // Every def-producing event trains the predictor, ignored or not,
+        // so the hit sequence does not depend on the unroll setting.
         let vp_hit = instr.def().is_some()
             && match config.value_prediction {
                 crate::ValuePrediction::Off => false,
@@ -255,8 +193,8 @@ pub(crate) fn run_pass_with_schedule(
             }
             let is_load = matches!(instr, Instr::Lw { .. });
             let is_store = matches!(instr, Instr::Sw { .. });
-            // Mirrors the key choice in `MetaBuilder::push_chunk` — the
-            // reference oracle must agree with the prepared pipelines.
+            // The last-write key under the configured disambiguation
+            // mode, derived here from the raw event.
             let mem_key = match config.disambiguation {
                 crate::MemDisambiguation::Perfect => event.mem_addr >> shift,
                 crate::MemDisambiguation::Static => {
@@ -278,7 +216,7 @@ pub(crate) fn run_pass_with_schedule(
                 }
             }
             exec = data.max(ctl) + 1;
-            let done = exec + config.latency_of(instr) - 1;
+            let done = exec + config.latency.of(instr) - 1;
             count += 1;
             cycles = cycles.max(done);
             if let Some(rd) = instr.def() {
@@ -460,7 +398,7 @@ mod tests {
             info: &info,
             events: trace.events(),
             class: &class,
-            pass_config: PassConfig::default(),
+            config: &AnalysisConfig::default(),
         };
         run_pass(&prepared, kind)
     }
@@ -698,7 +636,7 @@ mod tests {
                 info: &info,
                 events: trace.events(),
                 class: &unroll_class,
-                pass_config: PassConfig::default(),
+                config: &AnalysisConfig::default(),
             },
             MachineKind::CdMf,
         );
@@ -708,7 +646,7 @@ mod tests {
                 info: &info,
                 events: trace.events(),
                 class: &plain_class,
-                pass_config: PassConfig::default(),
+                config: &AnalysisConfig::default(),
             },
             MachineKind::CdMf,
         );

@@ -14,14 +14,16 @@
 //!   the trace summary.
 //! * **Pass 2** re-streams the identical execution. Each chunk flows
 //!   through a [`MetaBuilder`] (classification, operand decode, dynamic
-//!   control-dependence resolution — all carried state lives in the
-//!   builder) into per-chunk `EventMeta`/[`EventClass`] buffers, which are
-//!   then fed to the scheduling kernel ([`lane`](crate::lane)). Its lane
-//!   groups carry the scheduling state across chunks, so the resulting
-//!   reports are bit-identical to the in-memory path — both are the same
-//!   builders and the same kernel, fed different chunk sizes (asserted
-//!   across chunk sizes by the `stream_equivalence` and
-//!   `lane_equivalence` suites).
+//!   memory keys, value-predictor training, dynamic control-dependence
+//!   resolution — all carried state lives in the builder) into per-chunk
+//!   `EventMeta`/[`EventClass`] buffers, which are then fed to the
+//!   scheduling kernel ([`lane`](crate::lane)). As in memory, the builder
+//!   is mode-free and the lane groups apply the configured
+//!   disambiguation and value-prediction modes. The groups carry the
+//!   scheduling state across chunks, so the resulting reports are
+//!   bit-identical to the in-memory path — both are the same builders and
+//!   the same kernel, fed different chunk sizes (asserted across chunk
+//!   sizes by the `stream_equivalence` and `lane_equivalence` suites).
 //!
 //! Within pass 2 every chunk is fed to at most two lane *groups*
 //! (control-dependence-using machines and the rest), each scheduling all
@@ -32,7 +34,8 @@
 //! Two buffers are sufficient: the producer may prepare chunk *n+1*
 //! while workers drain chunk *n*, and blocks before overwriting a buffer
 //! any worker still needs. With one core (or `machine_threads = 1`) the
-//! same groups are fed inline, sequentially.
+//! same groups are fed inline, sequentially, and so are streams shorter
+//! than [`PAR_THRESHOLD_EVENTS`] under the automatic worker count.
 
 use std::sync::{Condvar, Mutex, RwLock};
 
@@ -42,10 +45,21 @@ use clfp_vm::{
 };
 
 use crate::analyzer::{assemble_report, Analyzer, Report};
-use crate::lane::{run_machine_major, GroupFeed, LaneScheduler, DEFAULT_MEM_CAPACITY};
-use crate::meta::{EventClass, EventMeta, MetaBuilder, ProgramMeta, PC_COND_BRANCH};
-use crate::pass::{PassConfig, PassResult};
-use crate::{AnalyzeError, MachineKind, PredictorChoice};
+use crate::lane::{GroupFeed, LaneScheduler};
+use crate::meta::{
+    branches_under, EventClass, EventMeta, MetaBuilder, ProgramMeta, PC_COND_BRANCH,
+};
+use crate::pass::PassResult;
+use crate::{AnalyzeError, PredictorChoice};
+
+/// Minimum trace length (events, measured exactly by pass 1) before the
+/// automatic worker count (`machine_threads = 0`) fans the machine passes
+/// out to the threaded broadcast; shorter streams run inline, where the
+/// broadcast's wake/publish handshakes cost more than the machine work
+/// they overlap. Below ~4M events the committed suite measures the
+/// sequential path faster than the broadcast on every host tried. An
+/// explicit `machine_threads >= 2` bypasses the fallback.
+const PAR_THRESHOLD_EVENTS: u64 = 4 << 20;
 
 /// Tuning knobs for the streaming pipeline.
 #[derive(Copy, Clone, Debug, Default)]
@@ -58,30 +72,9 @@ pub struct StreamOptions {
     /// core, capped at the number of lane groups. `1` forces the
     /// sequential in-line path.
     pub machine_threads: usize,
-    /// Minimum trace length (events, measured exactly by pass 1) before
-    /// the auto worker count (`machine_threads = 0`) fans the machine
-    /// passes out to the threaded broadcast; shorter streams run inline,
-    /// where the broadcast's wake/publish handshakes cost more than the
-    /// machine work they overlap. `0` picks the default
-    /// ([`StreamOptions::DEFAULT_PAR_THRESHOLD`]); an explicit
-    /// `machine_threads >= 2` bypasses the fallback entirely.
-    pub par_threshold_events: u64,
 }
 
 impl StreamOptions {
-    /// Default [`par_threshold_events`](StreamOptions::par_threshold_events):
-    /// below ~4M events the committed suite measures the sequential path
-    /// faster than the broadcast on every host tried.
-    pub const DEFAULT_PAR_THRESHOLD: u64 = 4 << 20;
-
-    /// The parallel-fallback threshold this configuration resolves to.
-    fn resolved_par_threshold(&self) -> u64 {
-        match self.par_threshold_events {
-            0 => Self::DEFAULT_PAR_THRESHOLD,
-            n => n,
-        }
-    }
-
     /// The worker count this configuration resolves to (before capping at
     /// the number of lane groups).
     fn resolved_workers(&self) -> usize {
@@ -278,26 +271,23 @@ impl<'a> Analyzer<'a> {
         let mem_capacity = summary.distinct_mem_words.min(1 << 28) as usize;
 
         // Pass 2: preparation walk feeding every machine × unroll slot
-        // through the lane kernel.
-        let pass_config = PassConfig::from_analysis(&self.config);
-        let mut builder = MetaBuilder::new(self.program, &self.info, pcs, &self.config, &profile);
-        let machines = &self.config.machines;
-        let mut slots: Vec<(MachineKind, bool)> = Vec::with_capacity(machines.len() * 2);
-        for unrolling in [true, false] {
-            slots.extend(machines.iter().map(|&kind| (kind, unrolling)));
-        }
-        let mut sched = LaneScheduler::new(&slots, text_len, &pass_config, mem_capacity);
+        // through the lane kernel, under the configured modes.
+        let config = &self.config;
+        let mut builder = MetaBuilder::new(self.program, &self.info, pcs, config, &profile);
+        let mode = (config.disambiguation, config.value_prediction);
+        let mut sched = LaneScheduler::new(pcs, config, &[mode], &[true, false], mem_capacity);
+        let slots = 2 * config.machines.len();
         let mut workers = options.resolved_workers().min(sched.groups.len());
         // Pass 1 measured the exact stream length; below the threshold the
         // broadcast's synchronization overhead exceeds the overlap it buys,
         // so the auto setting falls back to the inline path.
-        if options.machine_threads == 0 && summary.total < options.resolved_par_threshold() {
+        if options.machine_threads == 0 && summary.total < PAR_THRESHOLD_EVENTS {
             workers = 1;
         }
 
         let pass2_span = clfp_metrics::trace::span("stream.pass2", "stream")
             .arg("workers", workers as u64)
-            .arg("slots", slots.len() as u64)
+            .arg("slots", slots as u64)
             .arg("events", summary.total);
         let passes: Vec<PassResult> = if workers <= 1 {
             let mut buf = ChunkBuf::new(chunk_events);
@@ -313,107 +303,34 @@ impl<'a> Analyzer<'a> {
                 &mut builder,
                 pcs,
                 sched,
-                slots.len(),
+                slots,
                 workers,
             )?
         };
         drop(pass2_span);
 
-        let (unrolled_passes, rolled_passes) = {
-            let mut it = passes.into_iter();
-            let unrolled: Vec<PassResult> = it.by_ref().take(machines.len()).collect();
-            (unrolled, it.collect::<Vec<PassResult>>())
+        let branches = branches_under(
+            builder.branches(),
+            &builder.vp_hits(),
+            config.value_prediction,
+        );
+        let mut unrolled_passes = passes;
+        let rolled_passes = unrolled_passes.split_off(config.machines.len());
+        let report = |unrolling: bool, passes: Vec<PassResult>| {
+            let not_ignored = builder.not_ignored(unrolling);
+            assemble_report(
+                &config.machines,
+                passes,
+                not_ignored,
+                builder.raw_instrs(),
+                branches,
+            )
         };
         Ok(StreamedReports {
-            unrolled: assemble_report(
-                machines,
-                unrolled_passes,
-                builder.not_ignored(true),
-                builder.raw_instrs(),
-                builder.branches(),
-            ),
-            rolled: assemble_report(
-                machines,
-                rolled_passes,
-                builder.not_ignored(false),
-                builder.raw_instrs(),
-                builder.branches(),
-            ),
+            unrolled: report(true, unrolled_passes),
+            rolled: report(false, rolled_passes),
             summary,
         })
-    }
-
-    /// Streaming analogue of
-    /// [`PreparedTrace::machine_metrics_with_unrolling`](crate::PreparedTrace::machine_metrics_with_unrolling):
-    /// runs every configured machine over the streamed execution through
-    /// the kernel's width-1 recording groups. Machines run one at a time,
-    /// each over its own re-stream, so only one collector is live at
-    /// once. This bounds *trace*-side memory, not the diagnostic record:
-    /// the collector keeps 5 bytes per event (each binding edge's kind and
-    /// parent) plus a 4-byte issue count per cycle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalyzeError`] if producing the stream faults.
-    pub fn stream_machine_metrics(
-        &self,
-        source: &dyn TraceSource,
-        unrolling: bool,
-        chunk_events: usize,
-    ) -> Result<Vec<(MachineKind, clfp_metrics::MachineMetrics)>, AnalyzeError> {
-        use clfp_metrics::MetricsCollector;
-
-        let chunk_events = chunk_events.max(1);
-        let profile = self.stream_profile(source, chunk_events)?;
-        let hint = source.len_hint().map_or(0, |n| n as usize);
-        let walks = run_machine_major(
-            &self.config.machines,
-            unrolling,
-            self.program.text.len(),
-            &PassConfig::from_analysis(&self.config),
-            DEFAULT_MEM_CAPACITY,
-            |group| {
-                let mut builder =
-                    MetaBuilder::new(self.program, &self.info, &self.meta, &self.config, &profile);
-                let mut buf = ChunkBuf::new(chunk_events);
-                let mut collector = MetricsCollector::with_capacity(hint);
-                source.stream(chunk_events, &mut |chunk| {
-                    buf.fill(&mut builder, chunk);
-                    let (events, unrolled, rolled) = (&buf.events, &buf.unrolled, &buf.rolled);
-                    group.feed(&self.meta, 0, events, unrolled, rolled, &mut collector);
-                })?;
-                Ok::<_, AnalyzeError>(collector.finish())
-            },
-        )?;
-        Ok(self
-            .config
-            .machines
-            .iter()
-            .zip(walks)
-            .map(|(&kind, (_, metrics))| (kind, metrics))
-            .collect())
-    }
-
-    /// Pass 1 without the summary: just the branch profile (empty unless
-    /// the profile predictor is configured, in which case the stream is
-    /// walked once).
-    fn stream_profile(
-        &self,
-        source: &dyn TraceSource,
-        chunk_events: usize,
-    ) -> Result<BranchProfile, VmError> {
-        let mut profile = BranchProfile::new();
-        if matches!(self.config.predictor, PredictorChoice::Profile) {
-            let pcs = &self.meta;
-            source.stream(chunk_events, &mut |chunk| {
-                for event in chunk {
-                    if pcs.pcs[event.pc as usize].is(PC_COND_BRANCH) {
-                        profile.record(event.pc, event.taken);
-                    }
-                }
-            })?;
-        }
-        Ok(profile)
     }
 }
 

@@ -98,7 +98,6 @@ fn streamed_matches_in_memory_across_chunk_sizes() {
                     StreamOptions {
                         chunk_events: chunk,
                         machine_threads: 1,
-                        par_threshold_events: 0,
                     },
                 )
                 .unwrap();
@@ -128,7 +127,6 @@ fn parallel_broadcast_matches_sequential() {
                 StreamOptions {
                     chunk_events: 512,
                     machine_threads: 1,
-                    par_threshold_events: 0,
                 },
             )
             .unwrap();
@@ -140,7 +138,6 @@ fn parallel_broadcast_matches_sequential() {
                     StreamOptions {
                         chunk_events: 512,
                         machine_threads: threads,
-                        par_threshold_events: 0,
                     },
                 )
                 .unwrap();
@@ -194,7 +191,6 @@ fn repeated_source_streams_to_exact_limit() {
             StreamOptions {
                 chunk_events: 64,
                 machine_threads: 1,
-                par_threshold_events: 0,
             },
         )
         .unwrap();

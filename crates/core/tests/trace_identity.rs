@@ -1,7 +1,6 @@
 //! Tracing must observe the pipeline, never steer it: with the span
 //! recorder actively collecting (the `SpanTracer` path), every report —
-//! reference pass, lane kernel, streamed, and the multimode slices — must
-//! be **bit-identical** to the untraced run (the `NullTracer` path the
+//! reference pass, lane kernel and streamed — must be **bit-identical** to the untraced run (the `NullTracer` path the
 //! gated free functions compile down to). One test body, not several:
 //! the tracing switch is process-global, so the on/off comparison must
 //! not interleave with other tests in this binary.
@@ -40,7 +39,7 @@ fn all_reports(program: &clfp_isa::Program, config: &AnalysisConfig) -> Vec<Repo
         },
     );
     let trace = vm.trace(config.max_instrs).unwrap();
-    let prepared = analyzer.prepare_multimode(&trace);
+    let prepared = analyzer.prepare(&trace);
     let (lane_unrolled, lane_rolled) = prepared.report_both();
     let streamed = analyzer
         .run_streamed_on(&trace, StreamOptions::default())

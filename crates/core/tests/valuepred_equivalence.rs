@@ -2,8 +2,8 @@
 //! [`clfp_limits::ValuePrediction`] must produce the same schedule through
 //! all three pipelines — the lane kernel in memory, the streaming chunked
 //! pipeline (at chunk sizes that straddle call and branch boundaries),
-//! and the reference pass, which replays the value predictor
-//! independently instead of consuming the prepared `EV_VALPRED` flags.
+//! and the reference pass, which runs its own value predictor instead of
+//! reading the hit bits the preparation walk records for the lanes.
 //! Any divergence here means a pipeline read the publish rule (a
 //! correctly predicted definition publishes availability 0) differently
 //! from the others.
@@ -112,7 +112,6 @@ fn pipelines_agree_across_modes_chunks_and_unrolling() {
                             StreamOptions {
                                 chunk_events: chunk,
                                 machine_threads: 1,
-                                par_threshold_events: 0,
                             },
                         )
                         .unwrap();

@@ -5,8 +5,8 @@
 //! **spans** (named, timed regions with key/value args) and **counters**
 //! into a process-global ring shared by every pipeline stage — VM
 //! execution and trace-cache loads, `MetaBuilder` preparation chunks,
-//! `slice_modes` overlays, and each lane-group walk of the multi-config
-//! machine kernel — and serializes them as Chrome trace-event JSON that
+//! and each lane-group walk of the multi-config machine kernel — and
+//! serializes them as Chrome trace-event JSON that
 //! loads directly in [ui.perfetto.dev](https://ui.perfetto.dev).
 //!
 //! The design mirrors [`MetricsSink`](crate::MetricsSink)'s zero-cost

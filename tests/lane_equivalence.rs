@@ -9,13 +9,14 @@
 //! parallelism bits, branch statistics, and misprediction histograms —
 //! for every machine model, every suite workload, both unroll settings,
 //! and streaming chunk sizes {1, 7, 4096, whole-trace}, and under every
-//! memory-disambiguation mode on a sample of workloads
-//! ([`MODE_PROGRAMS`]). The reference pass shares no scheduling
+//! memory-disambiguation and value-prediction mode on a sample of
+//! workloads ([`MODE_PROGRAMS`]). The reference pass shares no scheduling
 //! code with the kernel and computes the identical max/add folds in the
 //! identical event order, so any divergence here is a wrong mask or a
-//! lost carry, not floating-point noise. The per-mode case also gates the
-//! disambiguation axis: the `clfp-verify` monotonicity check runs over the
-//! three modes' reference reports.
+//! lost carry, not floating-point noise. The per-mode cases also gate
+//! both axes: the `clfp-verify` monotonicity check runs over the
+//! disambiguation modes' and the value-prediction modes' reference
+//! reports.
 //!
 //! [`PreparedTrace::report_with_unrolling`]: clfp::limits::PreparedTrace::report_with_unrolling
 //! [`PreparedTrace::report_both`]: clfp::limits::PreparedTrace::report_both
@@ -26,6 +27,7 @@
 use clfp::isa::Program;
 use clfp::limits::{
     AnalysisConfig, Analyzer, MachineKind, MemDisambiguation, Report, StreamOptions,
+    ValuePrediction,
 };
 use clfp::metrics::OccupancyHistogram;
 use clfp::verify::check_monotonicity;
@@ -161,7 +163,6 @@ fn streamed_lane_kernel_matches_reference_across_chunk_sizes() {
             let options = StreamOptions {
                 chunk_events: chunk,
                 machine_threads: 1,
-                par_threshold_events: 0,
             };
             let streamed = analyzers[0].1.run_streamed_on(&trace, options).unwrap();
             let tag = format!("{name} chunk={chunk}");
@@ -226,6 +227,79 @@ fn coarse_disambiguation_modes_match_reference() {
                 .map(|(mode, want)| (*mode, &want[setting]))
                 .collect();
             let violations = check_monotonicity("memory disambiguation", &reports);
+            assert!(
+                violations.is_empty(),
+                "{name} unroll={unrolling}: {violations:#?}"
+            );
+        }
+    }
+}
+
+/// Every mode through one mode-free preparation of the default
+/// configuration: the four value-prediction modes under perfect
+/// disambiguation, plus (static, stride) and (none, perfect). Each mode's
+/// slice (one-walk and machine-major packings) and its mode-matrix cell
+/// match the reference pass of an analyzer configured under the mode, at
+/// both unroll settings; and the value-prediction modes' reference
+/// reports obey the axis's monotonicity theorem (`perfect >= stride >=
+/// last-value >= off`, pointwise) at both unroll settings.
+#[test]
+fn every_mode_slice_matches_reference() {
+    let modes: Vec<(MemDisambiguation, ValuePrediction)> = ValuePrediction::ALL
+        .into_iter()
+        .map(|vp| (MemDisambiguation::Perfect, vp))
+        .chain([
+            (MemDisambiguation::Static, ValuePrediction::Stride),
+            (MemDisambiguation::None, ValuePrediction::Perfect),
+        ])
+        .collect();
+    for (name, program) in programs() {
+        if !MODE_PROGRAMS.contains(&name.as_str()) {
+            continue;
+        }
+        let trace = trace_of(&program);
+        let analyzer = Analyzer::new(&program, config()).unwrap();
+        let prepared = analyzer.prepare(&trace);
+        let matrix = prepared.report_mode_matrix(&modes);
+        // Reference reports per value-prediction mode, `[unrolled,
+        // rolled]`, from the most constrained mode to the least.
+        let mut chain: Vec<(&str, [Report; 2])> = Vec::new();
+        for (&(dis, vp), (cell_unrolled, cell_rolled)) in modes.iter().zip(&matrix) {
+            let slice = prepared.slice_modes(dis, vp);
+            let (slice_unrolled, slice_rolled) = slice.report_both();
+            let mode_config = config().with_disambiguation(dis).with_value_prediction(vp);
+            let want = per_setting(&program, &mode_config)
+                .each_ref()
+                .map(|(_, analyzer)| analyzer.run_on_trace_reference(&trace));
+            for ((unrolling, sliced, cell), want) in [
+                (true, &slice_unrolled, cell_unrolled),
+                (false, &slice_rolled, cell_rolled),
+            ]
+            .into_iter()
+            .zip(&want)
+            {
+                let tag = format!("{name} {}/{} unroll={unrolling}", dis.name(), vp.name());
+                for (label, got) in [
+                    ("slice", sliced),
+                    ("matrix", cell),
+                    (
+                        "machine-major",
+                        &slice.report_with_unrolling_scalar(unrolling),
+                    ),
+                ] {
+                    assert_reports_identical(got, want, &format!("{tag} {label}"));
+                }
+            }
+            if dis == MemDisambiguation::Perfect {
+                chain.push((vp.name(), want));
+            }
+        }
+        for (setting, unrolling) in [true, false].into_iter().enumerate() {
+            let reports: Vec<(&str, &Report)> = chain
+                .iter()
+                .map(|(mode, want)| (*mode, &want[setting]))
+                .collect();
+            let violations = check_monotonicity("value prediction", &reports);
             assert!(
                 violations.is_empty(),
                 "{name} unroll={unrolling}: {violations:#?}"
