@@ -377,9 +377,11 @@ fn sweep_workload(
     let alias_sound = if axis.alias_soundness {
         let checks = TraceChecks::new(&program, info);
         Some([
-            checks.check_alias_soundness(&trace).is_empty(),
             checks
-                .check_alias_soundness_source(&trace, GATE_CHUNK_EVENTS)?
+                .check_alias_soundness(&trace, trace.len().max(1))?
+                .is_empty(),
+            checks
+                .check_alias_soundness(&trace, GATE_CHUNK_EVENTS)?
                 .is_empty(),
         ])
     } else {

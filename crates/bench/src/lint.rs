@@ -136,15 +136,8 @@ pub fn lint_workload(
     let mut diagnostics = lint_program(&program, info);
 
     let prepared = analyzer.prepare(&trace);
-    let checks = TraceChecks::new(&program, info);
-    diagnostics.extend(checks.check_edges(&trace));
-    diagnostics.extend(checks.check_cd_sources(&trace, prepared.cd_sources()));
-    diagnostics.extend(checks.check_unroll_masks(&trace));
-    diagnostics.extend(checks.check_alias_soundness(&trace));
-    let unrolled = prepared.report_with_unrolling(true);
-    let rolled = prepared.report_with_unrolling(false);
-    diagnostics.extend(checks.check_seq_count(&trace, true, unrolled.seq_instrs));
-    diagnostics.extend(checks.check_seq_count(&trace, false, rolled.seq_instrs));
+    diagnostics.extend(TraceChecks::new(&program, info).check_dynamic(&trace, &prepared));
+    let (unrolled, rolled) = prepared.report_both();
 
     Ok(LintReport {
         name: workload.name,

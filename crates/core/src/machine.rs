@@ -83,7 +83,7 @@ impl MachineKind {
     }
 
     /// Machines whose parallelism is *never above* this machine's, for any
-    /// trace — the partial order used by the property tests:
+    /// trace — the partial order the randomized suite asserts:
     /// `BASE ≤ CD ≤ CD-MF ≤ ORACLE`, `BASE ≤ SP ≤ SP-CD ≤ SP-CD-MF ≤
     /// ORACLE`, `CD ≤ SP-CD`, `CD-MF ≤ SP-CD-MF`.
     pub fn dominates(self) -> &'static [MachineKind] {

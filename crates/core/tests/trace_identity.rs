@@ -1,7 +1,7 @@
 //! Tracing must observe the pipeline, never steer it: with the span
-//! recorder actively collecting (the `SpanTracer` path), every report —
-//! reference pass, lane kernel and streamed — must be **bit-identical** to the untraced run (the `NullTracer` path the
-//! gated free functions compile down to). One test body, not several:
+//! recorder actively collecting, every report — reference pass, lane
+//! kernel and streamed — must be **bit-identical** to the untraced run,
+//! where every span is an inert guard. One test body, not several:
 //! the tracing switch is process-global, so the on/off comparison must
 //! not interleave with other tests in this binary.
 

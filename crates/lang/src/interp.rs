@@ -7,7 +7,7 @@
 //! does not depend on concrete code addresses, the interpreter and the
 //! compiled program must produce the same `main` result and the same final
 //! global values. The workspace test suite checks this on both handwritten
-//! programs and property-generated random programs.
+//! programs and seeded random programs (`tests/random_programs.rs`).
 
 use std::collections::HashMap;
 

@@ -9,12 +9,8 @@
 //! serializes them as Chrome trace-event JSON that
 //! loads directly in [ui.perfetto.dev](https://ui.perfetto.dev).
 //!
-//! The design mirrors [`MetricsSink`](crate::MetricsSink)'s zero-cost
-//! contract from the other direction:
+//! The design keeps the disabled path nearly free:
 //!
-//! * The [`Tracer`] trait carries a `const ENABLED` flag; [`NullTracer`]
-//!   (`ENABLED = false`) monomorphizes every instrumentation block away,
-//!   exactly like `NullSink`.
 //! * The free functions ([`span`], [`counter`], [`tally`]) guard on one
 //!   relaxed atomic load. Tracing defaults to **off**, and call sites sit
 //!   at chunk/stage granularity (never per trace event), so the disabled
@@ -259,7 +255,7 @@ pub fn drain() -> TraceLog {
     }
 }
 
-/// An RAII span: created by [`span`] (or a [`Tracer`]), records one
+/// An RAII span: created by [`span`], records one
 /// complete trace event when dropped. Inert (no timestamps taken, no
 /// allocation beyond the `None`) when tracing is off.
 #[must_use = "a span measures the scope it is alive for"]
@@ -276,11 +272,6 @@ impl SpanGuard {
     /// An inert guard that records nothing.
     pub fn inert() -> SpanGuard {
         SpanGuard(None)
-    }
-
-    /// Whether this guard will record an event on drop.
-    pub fn is_active(&self) -> bool {
-        self.0.is_some()
     }
 
     /// Attaches an argument (ignored on an inert guard).
@@ -425,55 +416,6 @@ pub fn counter_totals() -> Vec<(String, u64)> {
 /// Zeroes every running counter total (test isolation).
 pub fn reset_counters() {
     recorder().totals.lock().unwrap().clear();
-}
-
-/// Instrumentation hook the pipeline can be generic over, mirroring
-/// [`MetricsSink`](crate::MetricsSink): `const ENABLED` lets the
-/// [`NullTracer`] path compile instrumentation blocks out entirely
-/// (`if T::ENABLED { ... }` is statically eliminated).
-pub trait Tracer {
-    /// Whether this tracer records anything at all.
-    const ENABLED: bool;
-
-    /// Opens a span covering the returned guard's lifetime.
-    fn span(&self, name: &str, cat: &'static str) -> SpanGuard;
-
-    /// Adds `delta` to a named counter.
-    fn counter(&self, name: &str, cat: &'static str, delta: u64);
-}
-
-/// The default tracer: records nothing, costs nothing.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullTracer;
-
-impl Tracer for NullTracer {
-    const ENABLED: bool = false;
-
-    #[inline]
-    fn span(&self, _name: &str, _cat: &'static str) -> SpanGuard {
-        SpanGuard::inert()
-    }
-
-    #[inline]
-    fn counter(&self, _name: &str, _cat: &'static str, _delta: u64) {}
-}
-
-/// The recording tracer: delegates to the process-global log (still
-/// gated on [`set_tracing`], so constructing one does not by itself turn
-/// recording on).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SpanTracer;
-
-impl Tracer for SpanTracer {
-    const ENABLED: bool = true;
-
-    fn span(&self, name: &str, cat: &'static str) -> SpanGuard {
-        span(name.to_string(), cat)
-    }
-
-    fn counter(&self, name: &str, cat: &'static str, delta: u64) {
-        counter(name, cat, delta);
-    }
 }
 
 /// Aggregate statistics for one span name, from [`aggregate_spans`].
@@ -656,25 +598,6 @@ mod tests {
             vec![("cache.hit".to_string(), 3), ("cache.miss".to_string(), 1)]
         );
         reset_counters();
-    }
-
-    #[test]
-    fn null_tracer_is_inert_and_span_tracer_records() {
-        let _guard = TEST_LOCK.lock().unwrap();
-        set_tracing(true);
-        drain();
-        const _: () = assert!(!NullTracer::ENABLED);
-        const _: () = assert!(SpanTracer::ENABLED);
-        {
-            let g = NullTracer.span("nothing", "test");
-            assert!(!g.is_active());
-            let g = SpanTracer.span("something", "test");
-            assert!(g.is_active());
-        }
-        set_tracing(false);
-        let log = drain();
-        assert_eq!(log.spans().count(), 1);
-        assert_eq!(log.spans().next().unwrap().name, "something");
     }
 
     #[test]

@@ -554,22 +554,17 @@ impl<'a> TraceChecks<'a> {
     /// calls land on procedure entries and return to the instruction after
     /// the call, computed jumps land on block leaders, and nothing follows
     /// a halt.
-    pub fn check_edges(&self, trace: &Trace) -> Vec<Diagnostic> {
-        let mut walker = EdgeWalker::new(self);
-        for event in trace.iter() {
-            walker.push(*event);
-        }
-        walker.finish()
-    }
-
-    /// [`TraceChecks::check_edges`] over a streamed [`TraceSource`]: the
-    /// checker's carried state (the shadow return stack and the previous
-    /// event) crosses chunk boundaries, so trace memory stays O(chunk).
+    ///
+    /// The trace is streamed in chunks of `chunk_events` (a [`Trace`] is
+    /// a [`TraceSource`]; pass `trace.len().max(1)` for one whole-trace
+    /// chunk): the checker's carried state (the shadow return stack and
+    /// the previous event) crosses chunk boundaries, so trace memory stays
+    /// O(chunk).
     ///
     /// # Errors
     ///
     /// Propagates any [`VmError`] from producing the stream.
-    pub fn check_edges_source(
+    pub fn check_edges(
         &self,
         source: &dyn TraceSource,
         chunk_events: usize,
@@ -756,22 +751,15 @@ impl<'a> TraceChecks<'a> {
     /// trailing partial iteration, or a loop whose latch is a call block,
     /// is conservatively not checked). Counters are keyed by call depth so
     /// a loop re-entered through recursion is counted per invocation.
-    pub fn check_unroll_masks(&self, trace: &Trace) -> Vec<Diagnostic> {
-        let mut walker = UnrollWalker::new(self);
-        for event in trace.iter() {
-            walker.push(*event);
-        }
-        walker.finish()
-    }
-
-    /// [`TraceChecks::check_unroll_masks`] over a streamed
-    /// [`TraceSource`]; per-invocation iteration counters and the call
-    /// depth carry across chunk boundaries.
+    ///
+    /// Streamed in chunks of `chunk_events`, as in
+    /// [`TraceChecks::check_edges`]; per-invocation iteration counters and
+    /// the call depth carry across chunk boundaries.
     ///
     /// # Errors
     ///
     /// Propagates any [`VmError`] from producing the stream.
-    pub fn check_unroll_masks_source(
+    pub fn check_unroll_masks(
         &self,
         source: &dyn TraceSource,
         chunk_events: usize,
@@ -838,27 +826,13 @@ impl<'a> TraceChecks<'a> {
     /// unrolling setting equals an independent recount of trace events not
     /// covered by the ignore masks. Assumes perfect inlining was enabled
     /// (the paper's only configuration; the masks apply the inline set
-    /// unconditionally).
-    pub fn check_seq_count(
-        &self,
-        trace: &Trace,
-        unrolling: bool,
-        reported_seq: u64,
-    ) -> Vec<Diagnostic> {
-        let masks = &self.info.masks;
-        let counted = trace
-            .iter()
-            .filter(|event| !masks.ignored(event.pc, unrolling))
-            .count() as u64;
-        seq_count_diags(counted, reported_seq, unrolling)
-    }
-
-    /// [`TraceChecks::check_seq_count`] over a streamed [`TraceSource`].
+    /// unconditionally). Streamed in chunks of `chunk_events`, as in
+    /// [`TraceChecks::check_edges`].
     ///
     /// # Errors
     ///
     /// Propagates any [`VmError`] from producing the stream.
-    pub fn check_seq_count_source(
+    pub fn check_seq_count(
         &self,
         source: &dyn TraceSource,
         chunk_events: usize,
@@ -887,22 +861,15 @@ impl<'a> TraceChecks<'a> {
     /// earlier access to the same word, matching the last-write semantics
     /// the scheduler keys on; each offending static pair is reported
     /// once.
-    pub fn check_alias_soundness(&self, trace: &Trace) -> Vec<Diagnostic> {
-        let mut walker = AliasWalker::new(self);
-        for event in trace.iter() {
-            walker.push(*event);
-        }
-        walker.finish()
-    }
-
-    /// [`TraceChecks::check_alias_soundness`] over a streamed
-    /// [`TraceSource`]: the per-word last-access maps and the reported-pair
-    /// dedup set carry across chunk boundaries.
+    ///
+    /// Streamed in chunks of `chunk_events`, as in
+    /// [`TraceChecks::check_edges`]; the per-word last-access maps and the
+    /// reported-pair dedup set carry across chunk boundaries.
     ///
     /// # Errors
     ///
     /// Propagates any [`VmError`] from producing the stream.
-    pub fn check_alias_soundness_source(
+    pub fn check_alias_soundness(
         &self,
         source: &dyn TraceSource,
         chunk_events: usize,
@@ -921,17 +888,22 @@ impl<'a> TraceChecks<'a> {
     /// alias-classification soundness, and the sequential instruction
     /// count for both unrolling settings.
     ///
-    /// Note this re-runs the configured machine passes once per unrolling
-    /// setting to obtain the reported counts; callers that already hold
-    /// reports should invoke the individual checks instead.
+    /// Note this re-runs the configured machine passes (one walk for both
+    /// unrolling settings) to obtain the reported counts; callers that
+    /// already hold reports should invoke the individual checks instead.
     pub fn check_dynamic(&self, trace: &Trace, prepared: &PreparedTrace<'_, '_>) -> Vec<Diagnostic> {
-        let mut out = self.check_edges(trace);
+        let whole = trace.len().max(1);
+        let streamed = "an in-memory trace streams without error";
+        let mut out = self.check_edges(trace, whole).expect(streamed);
         out.extend(self.check_cd_sources(trace, prepared.cd_sources()));
-        out.extend(self.check_unroll_masks(trace));
-        out.extend(self.check_alias_soundness(trace));
-        for unrolling in [false, true] {
-            let report = prepared.report_with_unrolling(unrolling);
-            out.extend(self.check_seq_count(trace, unrolling, report.seq_instrs));
+        out.extend(self.check_unroll_masks(trace, whole).expect(streamed));
+        out.extend(self.check_alias_soundness(trace, whole).expect(streamed));
+        let (unrolled, rolled) = prepared.report_both();
+        for (unrolling, report) in [(false, rolled), (true, unrolled)] {
+            out.extend(
+                self.check_seq_count(trace, whole, unrolling, report.seq_instrs)
+                    .expect(streamed),
+            );
         }
         out
     }
@@ -952,8 +924,7 @@ impl<'a> TraceChecks<'a> {
 }
 
 /// Builds the [`DiagnosticKind::SeqCountMismatch`] diagnostic when the
-/// recount disagrees with the analyzer (shared by the slice and streaming
-/// checkers).
+/// recount disagrees with the analyzer.
 fn seq_count_diags(counted: u64, reported_seq: u64, unrolling: bool) -> Vec<Diagnostic> {
     if counted == reported_seq {
         return Vec::new();
@@ -1208,6 +1179,11 @@ mod tests {
         vm.trace(1_000_000).unwrap()
     }
 
+    /// One whole-trace chunk: the in-memory form of every streamed check.
+    fn whole(trace: &Trace) -> usize {
+        trace.len().max(1)
+    }
+
     fn kinds(diags: &[Diagnostic]) -> Vec<DiagnosticKind> {
         diags.iter().map(|d| d.kind).collect()
     }
@@ -1334,8 +1310,9 @@ mod tests {
         );
         let trace = trace_of(&program);
         let checks = TraceChecks::new(&program, &info);
-        assert_eq!(checks.check_edges(&trace), Vec::new());
-        assert_eq!(checks.check_unroll_masks(&trace), Vec::new());
+        let all = whole(&trace);
+        assert_eq!(checks.check_edges(&trace, all).unwrap(), Vec::new());
+        assert_eq!(checks.check_unroll_masks(&trace, all).unwrap(), Vec::new());
     }
 
     #[test]
@@ -1347,7 +1324,7 @@ mod tests {
         events[1].pc += 1;
         let corrupted = Trace::from_events(events);
         let checks = TraceChecks::new(&program, &info);
-        let diags = checks.check_edges(&corrupted);
+        let diags = checks.check_edges(&corrupted, whole(&corrupted)).unwrap();
         assert!(kinds(&diags).contains(&DiagnosticKind::EdgeViolation), "{diags:?}");
         assert!(has_errors(&diags));
     }
@@ -1384,7 +1361,8 @@ mod tests {
         let (program, info) = setup(LOOPY);
         let trace = trace_of(&program);
         let checks = TraceChecks::new(&program, &info);
-        assert_eq!(checks.check_unroll_masks(&trace), Vec::new());
+        let all = whole(&trace);
+        assert_eq!(checks.check_unroll_masks(&trace, all).unwrap(), Vec::new());
 
         // Duplicate the first execution of the increment (pc 3): the
         // iteration now updates r8 twice, which unrolling must not hide.
@@ -1392,7 +1370,9 @@ mod tests {
         let at = events.iter().position(|e| e.pc == 3).unwrap();
         events.insert(at, events[at]);
         let corrupted = Trace::from_events(events);
-        let diags = checks.check_unroll_masks(&corrupted);
+        let diags = checks
+            .check_unroll_masks(&corrupted, whole(&corrupted))
+            .unwrap();
         assert_eq!(kinds(&diags), vec![DiagnosticKind::UnrollMaskViolation]);
         assert_eq!(diags[0].pc, Some(3));
         assert!(diags[0].message.contains("2 times"), "{}", diags[0].message);
@@ -1412,17 +1392,18 @@ mod tests {
         let checks = TraceChecks::new(&program, analyzer.static_info());
         for unrolling in [false, true] {
             let seq = prepared.report_with_unrolling(unrolling).seq_instrs;
-            assert_eq!(checks.check_seq_count(&trace, unrolling, seq), Vec::new());
-            let diags = checks.check_seq_count(&trace, unrolling, seq + 1);
+            let count = |seq| checks.check_seq_count(&trace, whole(&trace), unrolling, seq);
+            assert_eq!(count(seq).unwrap(), Vec::new());
+            let diags = count(seq + 1).unwrap();
             assert_eq!(kinds(&diags), vec![DiagnosticKind::SeqCountMismatch]);
         }
     }
 
     #[test]
     fn streamed_checks_match_slice_checks() {
-        // Clean and corrupted traces: the chunked checkers must produce
-        // exactly the slice checkers' diagnostics, across chunk sizes that
-        // straddle call/branch boundaries.
+        // Clean and corrupted traces: small chunks must produce exactly
+        // the one-chunk diagnostics, across chunk sizes that straddle
+        // call/branch boundaries.
         let (program, info) = setup(LOOPY);
         let checks = TraceChecks::new(&program, &info);
         let clean = trace_of(&program);
@@ -1432,29 +1413,32 @@ mod tests {
         let corrupted = Trace::from_events(events);
 
         for trace in [&clean, &corrupted] {
+            let all = whole(trace);
             for chunk in [1, 7, 4096] {
                 assert_eq!(
-                    checks.check_edges_source(trace, chunk).unwrap(),
-                    checks.check_edges(trace),
+                    checks.check_edges(trace, chunk).unwrap(),
+                    checks.check_edges(trace, all).unwrap(),
                     "edges chunk={chunk}"
                 );
                 assert_eq!(
-                    checks.check_unroll_masks_source(trace, chunk).unwrap(),
-                    checks.check_unroll_masks(trace),
+                    checks.check_unroll_masks(trace, chunk).unwrap(),
+                    checks.check_unroll_masks(trace, all).unwrap(),
                     "unroll chunk={chunk}"
                 );
                 assert_eq!(
-                    checks.check_alias_soundness_source(trace, chunk).unwrap(),
-                    checks.check_alias_soundness(trace),
+                    checks.check_alias_soundness(trace, chunk).unwrap(),
+                    checks.check_alias_soundness(trace, all).unwrap(),
                     "alias chunk={chunk}"
                 );
                 for unrolling in [false, true] {
                     for reported in [10u64, 11] {
                         assert_eq!(
                             checks
-                                .check_seq_count_source(trace, chunk, unrolling, reported)
+                                .check_seq_count(trace, chunk, unrolling, reported)
                                 .unwrap(),
-                            checks.check_seq_count(trace, unrolling, reported),
+                            checks
+                                .check_seq_count(trace, all, unrolling, reported)
+                                .unwrap(),
                             "seq chunk={chunk}"
                         );
                     }
@@ -1483,7 +1467,11 @@ mod tests {
         let (program, info) = setup(SPLIT_TRAFFIC);
         let trace = trace_of(&program);
         let checks = TraceChecks::new(&program, &info);
-        assert_eq!(checks.check_alias_soundness(&trace), Vec::new());
+        let all = whole(&trace);
+        assert_eq!(
+            checks.check_alias_soundness(&trace, all).unwrap(),
+            Vec::new()
+        );
 
         // Forge the load to hit `a` at run time: the analysis still
         // claims the pair cannot alias, which the walker must flag.
@@ -1494,7 +1482,7 @@ mod tests {
             .unwrap();
         events[at].mem_addr = 0x1000;
         let forged = Trace::from_events(events);
-        let diags = checks.check_alias_soundness(&forged);
+        let diags = checks.check_alias_soundness(&forged, all).unwrap();
         assert_eq!(kinds(&diags), vec![DiagnosticKind::AliasSoundnessViolation]);
         assert!(has_errors(&diags));
         assert!(diags[0].message.contains("no-alias"), "{}", diags[0].message);
@@ -1503,8 +1491,8 @@ mod tests {
         for trace in [&trace, &forged] {
             for chunk in [1, 7, 4096] {
                 assert_eq!(
-                    checks.check_alias_soundness_source(trace, chunk).unwrap(),
-                    checks.check_alias_soundness(trace),
+                    checks.check_alias_soundness(trace, chunk).unwrap(),
+                    checks.check_alias_soundness(trace, whole(trace)).unwrap(),
                     "alias chunk={chunk}"
                 );
             }

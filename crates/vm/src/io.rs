@@ -18,10 +18,13 @@
 //!
 //! `CLFPTRC1` files (9-byte records, no produced value) predate the
 //! value-prediction axis and are rejected as [`TraceFileError::BadMagic`];
-//! recapture the trace to upgrade. A record whose pc lies outside the
-//! program's text is rejected as [`TraceFileError::BadPc`]; the records
-//! carry no checksum, so damage that leaves every pc in range is read
-//! back as executed.
+//! recapture the trace to upgrade. The file must end exactly after the
+//! N-th record: a short file is [`TraceFileError::Truncated`], and any
+//! byte after it is [`TraceFileError::TrailingBytes`], so a damaged count
+//! field cannot read back as a shorter trace. A record whose pc lies
+//! outside the program's text is rejected as [`TraceFileError::BadPc`];
+//! the records carry no checksum, so damage that leaves every pc in range
+//! is read back as executed.
 
 use std::fmt;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -49,6 +52,8 @@ pub enum TraceFileError {
     },
     /// The file ended before the declared event count.
     Truncated,
+    /// The file continues after the declared event count.
+    TrailingBytes,
     /// An event's pc lies outside the program's text segment.
     BadPc {
         /// Index of the event in the trace.
@@ -69,6 +74,9 @@ impl fmt::Display for TraceFileError {
                  (stored {stored:#018x}, expected {expected:#018x})"
             ),
             TraceFileError::Truncated => write!(f, "trace file is truncated"),
+            TraceFileError::TrailingBytes => {
+                write!(f, "trace file has bytes after its declared events")
+            }
             TraceFileError::BadPc { index, pc } => write!(
                 f,
                 "trace event {index} has pc {pc}, outside the program's text segment"
@@ -117,8 +125,8 @@ impl Trace {
     /// # Errors
     ///
     /// Returns [`TraceFileError`] on I/O failure, wrong magic, fingerprint
-    /// mismatch, truncation, or an event whose pc lies outside the
-    /// program's text.
+    /// mismatch, a length that disagrees with the declared event count,
+    /// or an event whose pc lies outside the program's text.
     pub fn read_from<R: Read>(program: &Program, reader: R) -> Result<Trace, TraceFileError> {
         let mut input = BufReader::new(reader);
         let mut magic = [0u8; 8];
@@ -151,6 +159,9 @@ impl Trace {
                 value: u32::from_le_bytes(record[8..12].try_into().expect("4 bytes")),
                 taken: record[12] != 0,
             });
+        }
+        if input.read(&mut [0u8; 1])? != 0 {
+            return Err(TraceFileError::TrailingBytes);
         }
         Ok(Trace::from_events(events))
     }
@@ -225,6 +236,23 @@ mod tests {
         buffer.truncate(buffer.len() - 5);
         let err = Trace::read_from(&program, buffer.as_slice()).unwrap_err();
         assert!(matches!(err, TraceFileError::Truncated));
+    }
+
+    #[test]
+    fn rejects_bytes_after_the_declared_events() {
+        let (program, trace) = sample();
+        let mut clean = Vec::new();
+        trace.write_to(&program, &mut clean).unwrap();
+        // A count field lowered by one would otherwise read back as a
+        // shorter trace, and an appended record would be ignored.
+        let mut shortened = clean.clone();
+        shortened[16..24].copy_from_slice(&(trace.len() as u64 - 1).to_le_bytes());
+        let mut appended = clean.clone();
+        appended.extend_from_slice(&clean[24..37]);
+        for bytes in [shortened, appended] {
+            let err = Trace::read_from(&program, bytes.as_slice()).unwrap_err();
+            assert!(matches!(err, TraceFileError::TrailingBytes), "{err}");
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! Shared test support: a proptest generator of random — but always
-//! terminating and well-formed — MiniC programs.
+//! Shared test support: a SplitMix64 generator, random — but always
+//! terminating and well-formed — MiniC programs, a case driver that
+//! shrinks a failing program before reporting it, and bit-exact report
+//! comparison.
 //!
 //! The generated programs exercise scalars, a global array, a global
 //! scalar, arithmetic/logical/comparison operators, nested `if`/`for`/
@@ -7,260 +9,363 @@
 //! masked to the array size, loops always have fixed small bounds, and
 //! recursion depth is capped, so every generated program halts on both the
 //! VM and the reference interpreter.
+//!
+//! Every case is drawn from a fixed seed, so a failure report alone
+//! reproduces it: [`random_program`] rebuilds the program from the
+//! printed case seed, and the printed (shrunk) source can be pasted into
+//! a test as a fixed input.
 
-use std::fmt::Write as _;
+// Each test binary compiles this module and uses only part of it.
+#![allow(dead_code)]
 
-use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use clfp::limits::Report;
+
+/// Minimal SplitMix64 PRNG — deterministic, dependency-free.
+pub struct Rng(u64);
+
+impl Rng {
+    pub fn new(seed: u64) -> Rng {
+        Rng(seed)
+    }
+
+    pub fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n` (`n > 0`).
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// Uniform in `lo..hi`.
+    pub fn range(&mut self, lo: i64, hi: i64) -> i64 {
+        lo + self.below((hi - lo) as usize) as i64
+    }
+
+    /// One element of a non-empty slice.
+    pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+        &items[self.below(items.len())]
+    }
+}
+
+/// The seed of case `case` in a run seeded by `seed`.
+pub fn case_seed(seed: u64, case: usize) -> u64 {
+    Rng::new(seed ^ (case as u64).wrapping_mul(0xA24B_AED4_963E_E407)).next()
+}
+
+/// Runs `check` on `count` values drawn by `generate` from the cases of
+/// `seed`. On the first failure — an `Err` or a panic — panics with the
+/// case seed and the failing value's `Debug` form.
+pub fn check_cases<T: std::fmt::Debug>(
+    seed: u64,
+    count: usize,
+    generate: impl Fn(&mut Rng) -> T,
+    check: impl Fn(&T) -> Result<(), String>,
+) {
+    for case in 0..count {
+        let case_seed = case_seed(seed, case);
+        let value = generate(&mut Rng::new(case_seed));
+        if let Err(message) = run_check(&|| check(&value)) {
+            panic!("case {case} (seed {case_seed:#018x}) failed: {message}\non input: {value:#?}");
+        }
+    }
+}
+
+/// Runs `check` on `count` random programs from the cases of `seed`, on
+/// two threads. On the first failing case — an `Err` or a panic — shrinks
+/// the program by deleting whole statements while it still compiles and
+/// still fails, then panics with the case seed, the shrunk program and its
+/// failure.
+pub fn check_programs(seed: u64, count: usize, check: impl Fn(&str) -> Result<(), String> + Sync) {
+    // Cases are taken in order, so every case below the lowest failure is
+    // checked whatever the thread timing.
+    let next = AtomicUsize::new(0);
+    let lowest_failure = AtomicUsize::new(count);
+    let worker = || loop {
+        let case = next.fetch_add(1, Ordering::Relaxed);
+        if case >= lowest_failure.load(Ordering::Relaxed) {
+            break;
+        }
+        let source = random_program(case_seed(seed, case));
+        if run_check(&|| check(&source)).is_err() {
+            lowest_failure.fetch_min(case, Ordering::Relaxed);
+        }
+    };
+    std::thread::scope(|scope| {
+        scope.spawn(worker);
+        worker();
+    });
+    let case = lowest_failure.into_inner();
+    if case < count {
+        let case_seed = case_seed(seed, case);
+        let source = random_program(case_seed);
+        let shrunk = shrink(&source, &check);
+        let message = run_check(&|| check(&shrunk)).expect_err("shrinking keeps the failure");
+        panic!(
+            "case {case} (seed {case_seed:#018x}) failed; shrunk from {} to {} lines:\n\
+             {shrunk}\nfailure: {message}",
+            source.lines().count(),
+            shrunk.lines().count(),
+        );
+    }
+}
+
+/// Runs one check, turning a panic into an `Err` with its message.
+fn run_check(check: &dyn Fn() -> Result<(), String>) -> Result<(), String> {
+    catch_unwind(AssertUnwindSafe(check)).unwrap_or_else(|payload| {
+        Err(match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .unwrap_or(&"panic")
+                .to_string(),
+        })
+    })
+}
+
+/// At most this many candidate programs are checked while shrinking.
+const SHRINK_ATTEMPTS: usize = 400;
+
+/// Deletes statements of `main` — brace-balanced line ranges, outermost
+/// first — while the program still compiles and `check` still fails.
+fn shrink(source: &str, check: &dyn Fn(&str) -> Result<(), String>) -> String {
+    let mut lines: Vec<&str> = source.lines().collect();
+    let mut attempts = 0;
+    let mut progress = true;
+    while progress && attempts < SHRINK_ATTEMPTS {
+        progress = false;
+        let mut at = PROLOGUE.lines().count();
+        while at < lines.len() - EPILOGUE.lines().count() && attempts < SHRINK_ATTEMPTS {
+            let Some(end) = statement_end(&lines, at) else {
+                at += 1;
+                continue;
+            };
+            let candidate: Vec<&str> = lines[..at].iter().chain(&lines[end..]).copied().collect();
+            let candidate_source = candidate.join("\n") + "\n";
+            attempts += 1;
+            if clfp::lang::compile(&candidate_source).is_ok()
+                && run_check(&|| check(&candidate_source)).is_err()
+            {
+                lines = candidate;
+                progress = true;
+            } else {
+                at += 1;
+            }
+        }
+    }
+    lines.join("\n") + "\n"
+}
+
+/// The end (exclusive) of the statement starting at line `at`: the
+/// shortest brace-balanced range whose running balance never dips below
+/// zero. `None` when `at` closes a block.
+fn statement_end(lines: &[&str], at: usize) -> Option<usize> {
+    if lines[at].trim_start().starts_with('}') {
+        return None;
+    }
+    let mut balance = 0i64;
+    for (offset, line) in lines[at..].iter().enumerate() {
+        balance += line.matches('{').count() as i64 - line.matches('}').count() as i64;
+        if balance <= 0 {
+            return (balance == 0).then_some(at + offset + 1);
+        }
+    }
+    None
+}
 
 /// Binary operators the generator emits.
 const BIN_OPS: [&str; 15] = [
     "+", "-", "*", "/", "%", "<<", ">>", "<", "<=", ">", ">=", "==", "!=", "&", "|",
 ];
 
-/// A generated expression over the fixed variable environment.
-#[derive(Clone, Debug)]
-pub enum GenExpr {
-    Lit(i32),
-    /// One of the six pre-declared scalars `v0..v5`.
-    Var(u8),
-    /// The global scalar `gs`.
-    Global,
-    /// `g0[(e) & 15]`.
-    Elem(Box<GenExpr>),
-    Bin(usize, Box<GenExpr>, Box<GenExpr>),
-    Neg(Box<GenExpr>),
-    Not(Box<GenExpr>),
-    /// `h1(e)`.
-    H1(Box<GenExpr>),
-    /// `h2(e, e)`.
-    H2(Box<GenExpr>, Box<GenExpr>),
-    /// `rec((e) & 7)` — bounded recursion.
-    Rec(Box<GenExpr>),
-    /// `e && e` / `e || e` (short-circuit).
-    Logic(bool, Box<GenExpr>, Box<GenExpr>),
+/// Everything before the generated statements: the globals, the helpers,
+/// and `main`'s six scalars `v0..v5`.
+const PROLOGUE: &str = "\
+var gs: int = 5;
+var g0: int[16] = {3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3};
+fn h1(x: int) -> int { return x * 3 - 7; }
+fn h2(x: int, y: int) -> int {
+    if (x > y) { return x - y; }
+    return y - x + g0[(x ^ y) & 15];
+}
+fn rec(n: int) -> int {
+    if (n <= 0) { return 1; }
+    return rec(n - 1) + n;
+}
+fn main() -> int {
+    var v0: int = 1;
+    var v1: int = 2;
+    var v2: int = 3;
+    var v3: int = 4;
+    var v4: int = 5;
+    var v5: int = 6;
+";
+
+/// Everything after the generated statements: `main` folds every scalar
+/// and array word into its result, so a wrong value anywhere shows.
+const EPILOGUE: &str = "    var acc: int = v0 + v1 * 3 + v2 * 5 + v3 * 7 + v4 * 11 + v5 * 13 + gs;
+    for (var k: int = 0; k < 16; k = k + 1) { acc = acc + g0[k] * (k + 1); }
+    return acc;
+}
+";
+
+/// The generator's program around `body`, the statements of `main`.
+pub fn program_with(body: &str) -> String {
+    format!("{PROLOGUE}{body}{EPILOGUE}")
 }
 
-/// A generated statement.
-#[derive(Clone, Debug)]
-pub enum GenStmt {
-    AssignVar(u8, GenExpr),
-    AssignElem(GenExpr, GenExpr),
-    AssignGlobal(GenExpr),
-    If(GenExpr, Vec<GenStmt>, Vec<GenStmt>),
-    /// `for` with a fixed bound 1..=5.
-    For(u8, Vec<GenStmt>),
-    /// `while` over a generated countdown, bound 1..=5.
-    While(u8, Vec<GenStmt>),
-}
-
-pub fn arb_expr() -> impl Strategy<Value = GenExpr> {
-    let leaf = prop_oneof![
-        (-20i32..100).prop_map(GenExpr::Lit),
-        (0u8..6).prop_map(GenExpr::Var),
-        Just(GenExpr::Global),
-    ];
-    leaf.prop_recursive(3, 24, 3, |inner| {
-        prop_oneof![
-            inner.clone().prop_map(|e| GenExpr::Elem(Box::new(e))),
-            (0..BIN_OPS.len(), inner.clone(), inner.clone())
-                .prop_map(|(op, l, r)| GenExpr::Bin(op, Box::new(l), Box::new(r))),
-            inner.clone().prop_map(|e| GenExpr::Neg(Box::new(e))),
-            inner.clone().prop_map(|e| GenExpr::Not(Box::new(e))),
-            inner.clone().prop_map(|e| GenExpr::H1(Box::new(e))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| GenExpr::H2(Box::new(a), Box::new(b))),
-            inner.clone().prop_map(|e| GenExpr::Rec(Box::new(e))),
-            (any::<bool>(), inner.clone(), inner)
-                .prop_map(|(and, l, r)| GenExpr::Logic(and, Box::new(l), Box::new(r))),
-        ]
-    })
-}
-
-pub fn arb_stmt() -> impl Strategy<Value = GenStmt> {
-    let simple = prop_oneof![
-        (0u8..6, arb_expr()).prop_map(|(v, e)| GenStmt::AssignVar(v, e)),
-        (arb_expr(), arb_expr()).prop_map(|(i, e)| GenStmt::AssignElem(i, e)),
-        arb_expr().prop_map(GenStmt::AssignGlobal),
-    ];
-    simple.prop_recursive(3, 16, 4, |inner| {
-        let block = prop::collection::vec(inner.clone(), 1..4);
-        prop_oneof![
-            (arb_expr(), block.clone(), prop::collection::vec(inner.clone(), 0..3))
-                .prop_map(|(c, t, e)| GenStmt::If(c, t, e)),
-            (1u8..6, block.clone()).prop_map(|(n, b)| GenStmt::For(n, b)),
-            (1u8..6, block).prop_map(|(n, b)| GenStmt::While(n, b)),
-        ]
-    })
-}
-
-/// A whole random program.
-pub fn arb_program() -> impl Strategy<Value = String> {
-    prop::collection::vec(arb_stmt(), 1..8).prop_map(render_program)
-}
-
-fn render_expr(expr: &GenExpr, out: &mut String) {
-    match expr {
-        GenExpr::Lit(v) => {
-            if *v < 0 {
-                let _ = write!(out, "(0 - {})", -v);
-            } else {
-                let _ = write!(out, "{v}");
-            }
-        }
-        GenExpr::Var(v) => {
-            let _ = write!(out, "v{v}");
-        }
-        GenExpr::Global => out.push_str("gs"),
-        GenExpr::Elem(index) => {
-            out.push_str("g0[(");
-            render_expr(index, out);
-            out.push_str(") & 15]");
-        }
-        GenExpr::Bin(op, lhs, rhs) => {
-            out.push('(');
-            render_expr(lhs, out);
-            let _ = write!(out, " {} ", BIN_OPS[*op]);
-            // Mask shift amounts so both the VM (`& 31`) and a strict
-            // reading agree.
-            if BIN_OPS[*op] == "<<" || BIN_OPS[*op] == ">>" {
-                out.push('(');
-                render_expr(rhs, out);
-                out.push_str(") & 15");
-            } else {
-                render_expr(rhs, out);
-            }
-            out.push(')');
-        }
-        GenExpr::Neg(e) => {
-            out.push_str("(0 - (");
-            render_expr(e, out);
-            out.push_str("))");
-        }
-        GenExpr::Not(e) => {
-            out.push_str("(!(");
-            render_expr(e, out);
-            out.push_str("))");
-        }
-        GenExpr::H1(e) => {
-            out.push_str("h1(");
-            render_expr(e, out);
-            out.push(')');
-        }
-        GenExpr::H2(a, b) => {
-            out.push_str("h2(");
-            render_expr(a, out);
-            out.push_str(", ");
-            render_expr(b, out);
-            out.push(')');
-        }
-        GenExpr::Rec(e) => {
-            out.push_str("rec((");
-            render_expr(e, out);
-            out.push_str(") & 7)");
-        }
-        GenExpr::Logic(and, lhs, rhs) => {
-            out.push('(');
-            render_expr(lhs, out);
-            out.push_str(if *and { " && " } else { " || " });
-            render_expr(rhs, out);
-            out.push(')');
-        }
+/// The random MiniC program of case seed `seed`: one to seven
+/// statements, nested at most three deep.
+pub fn random_program(seed: u64) -> String {
+    let mut gen = ProgramGen {
+        rng: Rng::new(seed),
+        out: String::new(),
+        fresh: 0,
+    };
+    for _ in 0..1 + gen.rng.below(7) {
+        gen.stmt(3, 1);
     }
+    program_with(&gen.out)
 }
 
-fn render_stmt(stmt: &GenStmt, out: &mut String, indent: usize, fresh: &mut u32) {
-    let pad = "    ".repeat(indent);
-    match stmt {
-        GenStmt::AssignVar(v, e) => {
-            let _ = write!(out, "{pad}v{v} = ");
-            render_expr(e, out);
-            out.push_str(";\n");
+struct ProgramGen {
+    rng: Rng,
+    out: String,
+    /// Next loop-counter suffix: every loop gets its own variable.
+    fresh: u32,
+}
+
+impl ProgramGen {
+    /// One expression, at most `depth` operators deep: `open e close`, or
+    /// `open e mid e close` for the two-operand forms.
+    fn expr(&mut self, depth: u32) {
+        if depth == 0 || self.rng.below(3) == 0 {
+            let leaf = match self.rng.below(3) {
+                0 => match self.rng.range(-20, 100) {
+                    v if v < 0 => format!("(0 - {})", -v),
+                    v => v.to_string(),
+                },
+                1 => format!("v{}", self.rng.below(6)),
+                _ => "gs".to_string(),
+            };
+            self.out.push_str(&leaf);
+            return;
         }
-        GenStmt::AssignElem(index, e) => {
-            let _ = write!(out, "{pad}g0[(");
-            render_expr(index, out);
-            out.push_str(") & 15] = ");
-            render_expr(e, out);
-            out.push_str(";\n");
+        let (open, mid, close) = match self.rng.below(8) {
+            0 => ("g0[(", None, ") & 15]"),
+            1 => match *self.rng.pick(&BIN_OPS) {
+                // Mask shift amounts so both the VM (`& 31`) and a strict
+                // reading agree.
+                op @ ("<<" | ">>") => ("(", Some(format!(" {op} (")), ") & 15)"),
+                op => ("(", Some(format!(" {op} ")), ")"),
+            },
+            2 => ("(0 - (", None, "))"),
+            3 => ("(!(", None, "))"),
+            4 => ("h1(", None, ")"),
+            5 => ("h2(", Some(", ".to_string()), ")"),
+            6 => ("rec((", None, ") & 7)"),
+            _ => (
+                "(",
+                Some([" && ", " || "][self.rng.below(2)].to_string()),
+                ")",
+            ),
+        };
+        self.out.push_str(open);
+        self.expr(depth - 1);
+        if let Some(mid) = mid {
+            self.out.push_str(&mid);
+            self.expr(depth - 1);
         }
-        GenStmt::AssignGlobal(e) => {
-            let _ = write!(out, "{pad}gs = ");
-            render_expr(e, out);
-            out.push_str(";\n");
-        }
-        GenStmt::If(cond, then_blk, else_blk) => {
-            let _ = write!(out, "{pad}if (");
-            render_expr(cond, out);
-            out.push_str(") {\n");
-            for s in then_blk {
-                render_stmt(s, out, indent + 1, fresh);
-            }
-            if else_blk.is_empty() {
-                let _ = writeln!(out, "{pad}}}");
-            } else {
-                let _ = writeln!(out, "{pad}}} else {{");
-                for s in else_blk {
-                    render_stmt(s, out, indent + 1, fresh);
+        self.out.push_str(close);
+    }
+
+    /// One statement at `indent`, compound statements nesting at most
+    /// `depth` deep. A `while` puts its counter's declaration and
+    /// decrement on its header line, so deleting whole lines can never
+    /// leave a loop that does not terminate.
+    fn stmt(&mut self, depth: u32, indent: usize) {
+        let pad = "    ".repeat(indent);
+        self.out.push_str(&pad);
+        if depth == 0 || self.rng.below(2) == 0 {
+            match self.rng.below(3) {
+                0 => {
+                    let v = self.rng.below(6);
+                    self.out.push_str(&format!("v{v}"));
                 }
-                let _ = writeln!(out, "{pad}}}");
+                1 => {
+                    self.out.push_str("g0[(");
+                    self.expr(3);
+                    self.out.push_str(") & 15]");
+                }
+                _ => self.out.push_str("gs"),
+            }
+            self.out.push_str(" = ");
+            self.expr(3);
+            self.out.push_str(";\n");
+            return;
+        }
+        match self.rng.below(3) {
+            0 => {
+                self.out.push_str("if (");
+                self.expr(3);
+                self.out.push_str(") {\n");
+                self.body(depth - 1, indent + 1);
+                let others = self.rng.below(3);
+                if others > 0 {
+                    self.out.push_str(&format!("{pad}}} else {{\n"));
+                    for _ in 0..others {
+                        self.stmt(depth - 1, indent + 1);
+                    }
+                }
+            }
+            kind => {
+                let (n, bound) = (self.fresh, 1 + self.rng.below(5));
+                self.fresh += 1;
+                self.out.push_str(&if kind == 1 {
+                    format!("for (var L{n}: int = 0; L{n} < {bound}; L{n} = L{n} + 1) {{\n")
+                } else {
+                    format!("var W{n}: int = {bound}; while (W{n} > 0) {{ W{n} = W{n} - 1;\n")
+                });
+                self.body(depth - 1, indent + 1);
             }
         }
-        GenStmt::For(bound, body) => {
-            let loop_var = *fresh;
-            *fresh += 1;
-            let _ = writeln!(
-                out,
-                "{pad}for (var L{loop_var}: int = 0; L{loop_var} < {bound}; L{loop_var} = L{loop_var} + 1) {{"
-            );
-            for s in body {
-                render_stmt(s, out, indent + 1, fresh);
-            }
-            let _ = writeln!(out, "{pad}}}");
-        }
-        GenStmt::While(bound, body) => {
-            let loop_var = *fresh;
-            *fresh += 1;
-            let _ = writeln!(out, "{pad}var W{loop_var}: int = {bound};");
-            let _ = writeln!(out, "{pad}while (W{loop_var} > 0) {{");
-            let _ = writeln!(out, "{pad}    W{loop_var} = W{loop_var} - 1;");
-            for s in body {
-                render_stmt(s, out, indent + 1, fresh);
-            }
-            let _ = writeln!(out, "{pad}}}");
+        self.out.push_str(&format!("{pad}}}\n"));
+    }
+
+    /// A loop or `then` body: one to three statements.
+    fn body(&mut self, depth: u32, indent: usize) {
+        for _ in 0..1 + self.rng.below(3) {
+            self.stmt(depth, indent);
         }
     }
 }
 
-fn render_program(stmts: Vec<GenStmt>) -> String {
-    let mut out = String::from(
-        "var gs: int = 5;\n\
-         var g0: int[16] = {3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3};\n\
-         fn h1(x: int) -> int { return x * 3 - 7; }\n\
-         fn h2(x: int, y: int) -> int {\n\
-             if (x > y) { return x - y; }\n\
-             return y - x + g0[(x ^ y) & 15];\n\
-         }\n\
-         fn rec(n: int) -> int {\n\
-             if (n <= 0) { return 1; }\n\
-             return rec(n - 1) + n;\n\
-         }\n\
-         fn main() -> int {\n\
-             var v0: int = 1;\n\
-             var v1: int = 2;\n\
-             var v2: int = 3;\n\
-             var v3: int = 4;\n\
-             var v4: int = 5;\n\
-             var v5: int = 6;\n",
-    );
-    let mut fresh = 0;
-    for stmt in &stmts {
-        render_stmt(stmt, &mut out, 1, &mut fresh);
+/// Bit-exact report equality: parallelism is compared by bit pattern, not
+/// tolerance — the kernel must run the same arithmetic, not similar
+/// arithmetic.
+pub fn same_report(got: &Report, want: &Report, tag: &str) -> Result<(), String> {
+    let counts = |r: &Report| (r.seq_instrs, r.raw_instrs);
+    let cycles = |r: &Report| -> Vec<_> { r.results.iter().map(|m| (m.kind, m.cycles)).collect() };
+    let bits =
+        |r: &Report| -> Vec<_> { r.results.iter().map(|m| m.parallelism.to_bits()).collect() };
+    if counts(got) != counts(want) || cycles(got) != cycles(want) || bits(got) != bits(want) {
+        return Err(format!(
+            "{tag}: (seq, raw) {:?} and cycles {:?}, want {:?} and {:?}",
+            counts(got),
+            cycles(got),
+            counts(want),
+            cycles(want)
+        ));
     }
-    out.push_str(
-        "    var acc: int = v0 + v1 * 3 + v2 * 5 + v3 * 7 + v4 * 11 + v5 * 13 + gs;\n\
-         \u{20}   for (var k: int = 0; k < 16; k = k + 1) { acc = acc + g0[k] * (k + 1); }\n\
-         \u{20}   return acc;\n\
-         }\n",
-    );
-    out
+    if got.branches != want.branches || got.mispred_stats != want.mispred_stats {
+        return Err(format!("{tag}: branch statistics differ"));
+    }
+    Ok(())
 }

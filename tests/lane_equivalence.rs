@@ -16,13 +16,17 @@
 //! lost carry, not floating-point noise. The per-mode cases also gate
 //! both axes: the `clfp-verify` monotonicity check runs over the
 //! disambiguation modes' and the value-prediction modes' reference
-//! reports.
+//! reports. Random machine subsets in random request orders, and a
+//! fixed MiniC program that catches a stale branch ceiling, round it out;
+//! `random_programs.rs` runs the same comparison on random programs.
 //!
 //! [`PreparedTrace::report_with_unrolling`]: clfp::limits::PreparedTrace::report_with_unrolling
 //! [`PreparedTrace::report_both`]: clfp::limits::PreparedTrace::report_both
 //! [`PreparedTrace::report_with_unrolling_scalar`]: clfp::limits::PreparedTrace::report_with_unrolling_scalar
 //! [`PreparedTrace::machine_metrics`]: clfp::limits::PreparedTrace::machine_metrics
 //! [`Analyzer::run_on_trace_reference`]: clfp::limits::Analyzer::run_on_trace_reference
+
+mod common;
 
 use clfp::isa::Program;
 use clfp::limits::{
@@ -32,6 +36,7 @@ use clfp::limits::{
 use clfp::metrics::OccupancyHistogram;
 use clfp::verify::check_monotonicity;
 use clfp::vm::{Trace, Vm, VmOptions};
+use common::{program_with, same_report, Rng};
 
 /// A procedure-heavy exerciser: calls, CD inheritance, loops, and memory
 /// traffic, with a trace length that is not a multiple of 7 so small
@@ -64,27 +69,8 @@ fn config() -> AnalysisConfig {
     AnalysisConfig::quick().with_max_instrs(20_000)
 }
 
-/// Bit-exact report equality: parallelism is compared by bit pattern, not
-/// tolerance — the kernel must run the same arithmetic, not similar
-/// arithmetic.
 fn assert_reports_identical(got: &Report, want: &Report, tag: &str) {
-    assert_eq!(got.seq_instrs, want.seq_instrs, "{tag}: seq_instrs");
-    assert_eq!(got.raw_instrs, want.raw_instrs, "{tag}: raw_instrs");
-    assert_eq!(got.branches, want.branches, "{tag}: branches");
-    assert_eq!(got.mispred_stats, want.mispred_stats, "{tag}: mispred");
-    assert_eq!(got.results.len(), want.results.len(), "{tag}: machines");
-    for (g, w) in got.results.iter().zip(&want.results) {
-        assert_eq!(g.kind, w.kind, "{tag}");
-        assert_eq!(g.cycles, w.cycles, "{tag} {}", g.kind);
-        assert_eq!(
-            g.parallelism.to_bits(),
-            w.parallelism.to_bits(),
-            "{tag} {}: {} vs {}",
-            g.kind,
-            g.parallelism,
-            w.parallelism
-        );
-    }
+    same_report(got, want, tag).unwrap();
 }
 
 /// The programs the per-mode cases sweep: the asm exerciser plus suite
@@ -122,6 +108,22 @@ fn per_setting<'a>(program: &'a Program, config: &AnalysisConfig) -> [(bool, Ana
         let analyzer = Analyzer::new(program, config.clone().with_unrolling(unrolling));
         (unrolling, analyzer.unwrap())
     })
+}
+
+/// `report_both` over one preparation under `config` equals the reference
+/// pass at both unroll settings.
+fn assert_both_match_reference(
+    program: &Program,
+    trace: &Trace,
+    config: &AnalysisConfig,
+    tag: &str,
+) {
+    let analyzers = per_setting(program, config);
+    let (unrolled, rolled) = analyzers[0].1.prepare(trace).report_both();
+    for ((unrolling, analyzer), got) in analyzers.iter().zip([&unrolled, &rolled]) {
+        let want = analyzer.run_on_trace_reference(trace);
+        assert_reports_identical(got, &want, &format!("{tag} unroll={unrolling}"));
+    }
 }
 
 #[test]
@@ -349,16 +351,8 @@ fn singleton_machine_requests_match_reference() {
     let program = workload.compile().unwrap();
     let trace = trace_of(&program);
     for kind in MachineKind::ALL {
-        let config = AnalysisConfig {
-            machines: vec![kind],
-            ..config()
-        };
-        let analyzers = per_setting(&program, &config);
-        let (unrolled, rolled) = analyzers[0].1.prepare(&trace).report_both();
-        for ((unrolling, analyzer), got) in analyzers.iter().zip([&unrolled, &rolled]) {
-            let want = analyzer.run_on_trace_reference(&trace);
-            assert_reports_identical(got, &want, &format!("singleton {kind} unroll={unrolling}"));
-        }
+        let config = config().with_machines(&[kind]);
+        assert_both_match_reference(&program, &trace, &config, &format!("singleton {kind}"));
     }
 }
 
@@ -381,15 +375,58 @@ fn mixed_machine_subsets_match_reference() {
     let program = workload.compile().unwrap();
     let trace = trace_of(&program);
     for subset in subsets {
-        let config = AnalysisConfig {
-            machines: subset.to_vec(),
-            ..config()
-        };
-        let analyzers = per_setting(&program, &config);
-        let (unrolled, rolled) = analyzers[0].1.prepare(&trace).report_both();
-        for ((unrolling, analyzer), got) in analyzers.iter().zip([&unrolled, &rolled]) {
-            let want = analyzer.run_on_trace_reference(&trace);
-            assert_reports_identical(got, &want, &format!("subset {subset:?} unroll={unrolling}"));
+        let config = config().with_machines(subset);
+        assert_both_match_reference(&program, &trace, &config, &format!("subset {subset:?}"));
+    }
+}
+
+/// For *any* machine subset in *any* request order, over any of five
+/// workloads and either unroll setting, the lane kernel reproduces the
+/// reference pass. This exercises the CD/non-CD split, partial lane
+/// groups (1–8 lanes, padding lanes replicated from lane 0), and the
+/// scatter of group results back into request order — including the
+/// singleton and full-14-lane extremes the cases above pin explicitly.
+#[test]
+fn random_machine_subsets_match_reference() {
+    let programs = ["qsort", "scan", "sparse", "matmul", "eventsim"].map(|name| {
+        let program = clfp::workloads::by_name(name).unwrap().compile();
+        let trace = trace_of(program.as_ref().unwrap());
+        (name, program.unwrap(), trace)
+    });
+    let mut rng = Rng::new(0x1992_0515_C0FF_EE00);
+    for round in 0..48 {
+        let (name, program, trace) = &programs[rng.below(programs.len())];
+        // A random non-empty subset in a random order (Fisher-Yates over
+        // ALL, then a random prefix).
+        let mut pool: Vec<MachineKind> = MachineKind::ALL.to_vec();
+        for i in (1..pool.len()).rev() {
+            pool.swap(i, rng.below(i + 1));
+        }
+        let machines = &pool[..1 + rng.below(pool.len())];
+        let config = config().with_machines(machines);
+        let tag = format!("round {round} {name} {machines:?}");
+        assert_both_match_reference(program, trace, &config, &tag);
+    }
+}
+
+/// A correctly predicted branch that an unrolled lane ignores must pass
+/// the constraint it would have waited on (`cd1`) through as its ceiling,
+/// not keep the ceiling of an earlier misprediction. This nest — an `if`
+/// around a one-trip `for` around a two-trip `while` — is a minimal form
+/// of the random programs that catch a kernel keeping the stale ceiling;
+/// pinning it catches that bug whatever the random case count.
+#[test]
+fn ignored_predicted_branch_passes_its_ceiling_through() {
+    let source = program_with(
+        "    if (v1) {
+        for (var L0: int = 0; L0 < 1; L0 = L0 + 1) {
+            var W1: int = 2; while (W1 > 0) { W1 = W1 - 1;
+                v0 = (v1 && v2);
+            }
         }
     }
+",
+    );
+    let program = clfp::lang::compile(&source).unwrap();
+    assert_both_match_reference(&program, &trace_of(&program), &config(), "nest");
 }
