@@ -136,8 +136,10 @@ pub fn lint_workload(
     let mut diagnostics = lint_program(&program, info);
 
     let prepared = analyzer.prepare(&trace);
-    diagnostics.extend(TraceChecks::new(&program, info).check_dynamic(&trace, &prepared));
     let (unrolled, rolled) = prepared.report_both();
+    diagnostics.extend(
+        TraceChecks::new(&program, info).check_dynamic(&trace, &prepared, &unrolled, &rolled),
+    );
 
     Ok(LintReport {
         name: workload.name,

@@ -886,26 +886,28 @@ impl<'a> TraceChecks<'a> {
     /// Runs every dynamic cross-check against a prepared trace: CFG edges,
     /// control-dependence resolution, unroll-mask iteration counts,
     /// alias-classification soundness, and the sequential instruction
-    /// count for both unrolling settings.
-    ///
-    /// Note this re-runs the configured machine passes (one walk for both
-    /// unrolling settings) to obtain the reported counts; callers that
-    /// already hold reports should invoke the individual checks instead.
-    pub fn check_dynamic(&self, trace: &Trace, prepared: &PreparedTrace<'_, '_>) -> Vec<Diagnostic> {
+    /// count for both unrolling settings, checked against `unrolled` and
+    /// `rolled` — the prepared trace's reports
+    /// ([`PreparedTrace::report_both`]).
+    pub fn check_dynamic(
+        &self,
+        trace: &Trace,
+        prepared: &PreparedTrace<'_, '_>,
+        unrolled: &Report,
+        rolled: &Report,
+    ) -> Vec<Diagnostic> {
         let whole = trace.len().max(1);
-        let streamed = "an in-memory trace streams without error";
-        let mut out = self.check_edges(trace, whole).expect(streamed);
-        out.extend(self.check_cd_sources(trace, prepared.cd_sources()));
-        out.extend(self.check_unroll_masks(trace, whole).expect(streamed));
-        out.extend(self.check_alias_soundness(trace, whole).expect(streamed));
-        let (unrolled, rolled) = prepared.report_both();
-        for (unrolling, report) in [(false, rolled), (true, unrolled)] {
-            out.extend(
-                self.check_seq_count(trace, whole, unrolling, report.seq_instrs)
-                    .expect(streamed),
-            );
-        }
-        out
+        [
+            self.check_edges(trace, whole),
+            Ok(self.check_cd_sources(trace, prepared.cd_sources())),
+            self.check_unroll_masks(trace, whole),
+            self.check_alias_soundness(trace, whole),
+            self.check_seq_count(trace, whole, false, rolled.seq_instrs),
+            self.check_seq_count(trace, whole, true, unrolled.seq_instrs),
+        ]
+        .into_iter()
+        .flat_map(|diags| diags.expect("an in-memory trace streams without error"))
+        .collect()
     }
 
     fn is_static_edge(&self, from_pc: u32, to_pc: u32) -> bool {
@@ -1523,7 +1525,8 @@ mod tests {
         let trace = vm.trace(30_000).unwrap();
         let prepared = analyzer.prepare(&trace);
         let checks = TraceChecks::new(&program, analyzer.static_info());
-        let diags = checks.check_dynamic(&trace, &prepared);
+        let (unrolled, rolled) = prepared.report_both();
+        let diags = checks.check_dynamic(&trace, &prepared, &unrolled, &rolled);
         assert!(diags.is_empty(), "cross-check violations: {diags:?}");
 
         let static_diags = lint_program(&program, analyzer.static_info());

@@ -19,12 +19,12 @@
 //! `CLFPTRC1` files (9-byte records, no produced value) predate the
 //! value-prediction axis and are rejected as [`TraceFileError::BadMagic`];
 //! recapture the trace to upgrade. The file must end exactly after the
-//! N-th record: a short file is [`TraceFileError::Truncated`], and any
-//! byte after it is [`TraceFileError::TrailingBytes`], so a damaged count
-//! field cannot read back as a shorter trace. A record whose pc lies
-//! outside the program's text is rejected as [`TraceFileError::BadPc`];
-//! the records carry no checksum, so damage that leaves every pc in range
-//! is read back as executed.
+//! N-th record: a file that is shorter or longer is
+//! [`TraceFileError::Truncated`], so a damaged count field cannot read
+//! back as a shorter trace. A record whose pc lies outside the program's
+//! text is rejected as [`TraceFileError::BadPc`]; the records carry no
+//! checksum, so damage that leaves every pc in range is read back as
+//! executed.
 
 use std::fmt;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -50,10 +50,8 @@ pub enum TraceFileError {
         /// Fingerprint of the program supplied for replay.
         expected: u64,
     },
-    /// The file ended before the declared event count.
+    /// The file's length disagrees with the declared event count.
     Truncated,
-    /// The file continues after the declared event count.
-    TrailingBytes,
     /// An event's pc lies outside the program's text segment.
     BadPc {
         /// Index of the event in the trace.
@@ -73,9 +71,8 @@ impl fmt::Display for TraceFileError {
                 "trace was captured from a different program \
                  (stored {stored:#018x}, expected {expected:#018x})"
             ),
-            TraceFileError::Truncated => write!(f, "trace file is truncated"),
-            TraceFileError::TrailingBytes => {
-                write!(f, "trace file has bytes after its declared events")
+            TraceFileError::Truncated => {
+                write!(f, "trace file length disagrees with its event count")
             }
             TraceFileError::BadPc { index, pc } => write!(
                 f,
@@ -161,7 +158,7 @@ impl Trace {
             });
         }
         if input.read(&mut [0u8; 1])? != 0 {
-            return Err(TraceFileError::TrailingBytes);
+            return Err(TraceFileError::Truncated);
         }
         Ok(Trace::from_events(events))
     }
@@ -231,27 +228,17 @@ mod tests {
     #[test]
     fn rejects_truncation() {
         let (program, trace) = sample();
-        let mut buffer = Vec::new();
-        trace.write_to(&program, &mut buffer).unwrap();
-        buffer.truncate(buffer.len() - 5);
-        let err = Trace::read_from(&program, buffer.as_slice()).unwrap_err();
-        assert!(matches!(err, TraceFileError::Truncated));
-    }
-
-    #[test]
-    fn rejects_bytes_after_the_declared_events() {
-        let (program, trace) = sample();
         let mut clean = Vec::new();
         trace.write_to(&program, &mut clean).unwrap();
-        // A count field lowered by one would otherwise read back as a
-        // shorter trace, and an appended record would be ignored.
+        // A file cut short; a count field lowered by one, which would
+        // otherwise read back as a shorter trace; an appended record.
+        let cut = clean[..clean.len() - 5].to_vec();
         let mut shortened = clean.clone();
         shortened[16..24].copy_from_slice(&(trace.len() as u64 - 1).to_le_bytes());
-        let mut appended = clean.clone();
-        appended.extend_from_slice(&clean[24..37]);
-        for bytes in [shortened, appended] {
+        let appended = [&clean[..], &clean[24..37]].concat();
+        for bytes in [cut, shortened, appended] {
             let err = Trace::read_from(&program, bytes.as_slice()).unwrap_err();
-            assert!(matches!(err, TraceFileError::TrailingBytes), "{err}");
+            assert!(matches!(err, TraceFileError::Truncated), "{err}");
         }
     }
 

@@ -60,6 +60,12 @@ impl Trace {
         self.events.iter()
     }
 
+    /// Iterates over consecutive event pairs — every dynamic control
+    /// transfer `(from, to)` the machine performed.
+    pub fn edges(&self) -> impl Iterator<Item = (&TraceEvent, &TraceEvent)> + '_ {
+        self.events.windows(2).map(|pair| (&pair[0], &pair[1]))
+    }
+
     /// Computes the instruction-mix summary of this trace.
     pub fn summarize(&self, program: &Program) -> TraceSummary {
         let mut builder = SummaryBuilder::new(program);
@@ -306,6 +312,18 @@ mod tests {
             ..TraceSummary::default()
         };
         assert!((no_branches.instrs_between_branches() - 42.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn edges_walk_consecutive_pairs() {
+        let trace: Trace = (0..3)
+            .map(|pc| TraceEvent { pc, mem_addr: 0, value: 0, taken: false })
+            .collect();
+        let pairs: Vec<(u32, u32)> = trace.edges().map(|(a, b)| (a.pc, b.pc)).collect();
+        assert_eq!(pairs, vec![(0, 1), (1, 2)]);
+        let single: Trace = std::iter::once(TraceEvent { pc: 0, mem_addr: 0, value: 0, taken: false })
+            .collect();
+        assert_eq!(single.edges().count(), 0);
     }
 
     #[test]

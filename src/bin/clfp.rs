@@ -295,8 +295,9 @@ fn lint_cmd(args: &[String]) -> Result<(), String> {
         let mut vm = Vm::new(&program, VmOptions::default());
         let trace = vm.trace(max_instrs).map_err(|err| err.to_string())?;
         let prepared = analyzer.prepare(&trace);
+        let (unrolled, rolled) = prepared.report_both();
         let checks = TraceChecks::new(&program, info);
-        diagnostics.extend(checks.check_dynamic(&trace, &prepared));
+        diagnostics.extend(checks.check_dynamic(&trace, &prepared, &unrolled, &rolled));
     }
 
     let count_of = |severity: Severity| {

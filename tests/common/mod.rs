@@ -18,6 +18,7 @@
 // Each test binary compiles this module and uses only part of it.
 #![allow(dead_code)]
 
+use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -63,7 +64,7 @@ pub fn case_seed(seed: u64, case: usize) -> u64 {
 /// Runs `check` on `count` values drawn by `generate` from the cases of
 /// `seed`. On the first failure — an `Err` or a panic — panics with the
 /// case seed and the failing value's `Debug` form.
-pub fn check_cases<T: std::fmt::Debug>(
+pub fn check_cases<T: Debug>(
     seed: u64,
     count: usize,
     generate: impl Fn(&mut Rng) -> T,
@@ -349,23 +350,30 @@ impl ProgramGen {
 
 /// Bit-exact report equality: parallelism is compared by bit pattern, not
 /// tolerance — the kernel must run the same arithmetic, not similar
-/// arithmetic.
+/// arithmetic. The error names the first field that differs, with both
+/// values.
 pub fn same_report(got: &Report, want: &Report, tag: &str) -> Result<(), String> {
+    let differs = |what: &str, got: &dyn Debug, want: &dyn Debug| {
+        Err(format!("{tag}: {what} {got:?}, want {want:?}"))
+    };
     let counts = |r: &Report| (r.seq_instrs, r.raw_instrs);
-    let cycles = |r: &Report| -> Vec<_> { r.results.iter().map(|m| (m.kind, m.cycles)).collect() };
-    let bits =
-        |r: &Report| -> Vec<_> { r.results.iter().map(|m| m.parallelism.to_bits()).collect() };
-    if counts(got) != counts(want) || cycles(got) != cycles(want) || bits(got) != bits(want) {
-        return Err(format!(
-            "{tag}: (seq, raw) {:?} and cycles {:?}, want {:?} and {:?}",
-            counts(got),
-            cycles(got),
-            counts(want),
-            cycles(want)
-        ));
+    if counts(got) != counts(want) {
+        return differs("(seq, raw) instrs", &counts(got), &counts(want));
     }
-    if got.branches != want.branches || got.mispred_stats != want.mispred_stats {
-        return Err(format!("{tag}: branch statistics differ"));
+    if got.branches != want.branches {
+        return differs("branches", &got.branches, &want.branches);
+    }
+    if got.mispred_stats != want.mispred_stats {
+        return differs("mispredictions", &got.mispred_stats, &want.mispred_stats);
+    }
+    let cycles = |r: &Report| -> Vec<_> { r.results.iter().map(|m| (m.kind, m.cycles)).collect() };
+    if cycles(got) != cycles(want) {
+        return differs("(machine, cycles)", &cycles(got), &cycles(want));
+    }
+    let parallelism = |r: &Report| -> Vec<_> { r.results.iter().map(|m| m.parallelism).collect() };
+    let bits = |r: &Report| -> Vec<_> { parallelism(r).iter().map(|p| p.to_bits()).collect() };
+    if bits(got) != bits(want) {
+        return differs("parallelism", &parallelism(got), &parallelism(want));
     }
     Ok(())
 }

@@ -69,10 +69,6 @@ fn config() -> AnalysisConfig {
     AnalysisConfig::quick().with_max_instrs(20_000)
 }
 
-fn assert_reports_identical(got: &Report, want: &Report, tag: &str) {
-    same_report(got, want, tag).unwrap();
-}
-
 /// The programs the per-mode cases sweep: the asm exerciser plus suite
 /// workloads with recursion (qsort), indirect accesses (sparse), and the
 /// most static alias classes (parse, stencil).
@@ -122,7 +118,7 @@ fn assert_both_match_reference(
     let (unrolled, rolled) = analyzers[0].1.prepare(trace).report_both();
     for ((unrolling, analyzer), got) in analyzers.iter().zip([&unrolled, &rolled]) {
         let want = analyzer.run_on_trace_reference(trace);
-        assert_reports_identical(got, &want, &format!("{tag} unroll={unrolling}"));
+        same_report(got, &want, &format!("{tag} unroll={unrolling}")).unwrap();
     }
 }
 
@@ -147,7 +143,7 @@ fn lane_kernel_matches_reference_on_every_workload() {
                 ),
                 ("per-setting", &analyzer.run_on_trace(&trace)),
             ] {
-                assert_reports_identical(got, &want, &format!("{tag} {label}"));
+                same_report(got, &want, &format!("{tag} {label}")).unwrap();
             }
         }
     }
@@ -168,8 +164,8 @@ fn streamed_lane_kernel_matches_reference_across_chunk_sizes() {
             };
             let streamed = analyzers[0].1.run_streamed_on(&trace, options).unwrap();
             let tag = format!("{name} chunk={chunk}");
-            assert_reports_identical(&streamed.unrolled, &want[0], &format!("{tag} unrolled"));
-            assert_reports_identical(&streamed.rolled, &want[1], &format!("{tag} rolled"));
+            same_report(&streamed.unrolled, &want[0], &format!("{tag} unrolled")).unwrap();
+            same_report(&streamed.rolled, &want[1], &format!("{tag} rolled")).unwrap();
         }
     }
 }
@@ -214,7 +210,7 @@ fn coarse_disambiguation_modes_match_reference() {
                         &dedicated.report_with_unrolling_scalar(*unrolling),
                     ),
                 ] {
-                    assert_reports_identical(got, want, &format!("{tag} {label}"));
+                    same_report(got, want, &format!("{tag} {label}")).unwrap();
                 }
             }
             chain.push((mode.name(), want));
@@ -289,7 +285,7 @@ fn every_mode_slice_matches_reference() {
                         &slice.report_with_unrolling_scalar(unrolling),
                     ),
                 ] {
-                    assert_reports_identical(got, want, &format!("{tag} {label}"));
+                    same_report(got, want, &format!("{tag} {label}")).unwrap();
                 }
             }
             if dis == MemDisambiguation::Perfect {
