@@ -6,10 +6,11 @@
 //! call and branch boundaries and a parallel broadcast with forced worker
 //! counts. Both pipelines run the same incremental builders (the
 //! in-memory path is the one-big-chunk special case), so any divergence
-//! here is carried-state lost at a chunk boundary.
+//! here is carried-state lost at a chunk boundary. A cache file that can
+//! no longer be read back must end the streamed analysis with an error.
 
-use clfp_limits::{AnalysisConfig, Analyzer, MachineKind, Report, StreamOptions};
-use clfp_vm::{ProgramSource, Vm, VmOptions};
+use clfp_limits::{AnalysisConfig, AnalyzeError, Analyzer, MachineKind, Report, StreamOptions};
+use clfp_vm::{ProgramSource, TraceCache, Vm, VmError, VmOptions};
 
 /// A procedure-heavy exerciser: calls, CD inheritance,
 /// loops, and memory traffic. Its 114-event trace is not a multiple of 7,
@@ -206,4 +207,42 @@ fn repeated_source_streams_to_exact_limit() {
             );
         }
     }
+}
+
+#[test]
+fn unreadable_cache_entry_is_an_analyze_error() {
+    let program = clfp_isa::assemble(SOURCE).unwrap();
+    let analyzer = Analyzer::new(&program, config()).unwrap();
+    let dir = std::env::temp_dir().join(format!("clfp-stream-cache-{}", std::process::id()));
+    let cache = TraceCache::new(&dir);
+    let options = VmOptions {
+        mem_words: config().mem_words,
+    };
+    let trace = Vm::new(&program, options)
+        .trace(config().max_instrs)
+        .unwrap();
+    let path = cache
+        .store(&program, config().max_instrs, &trace)
+        .unwrap()
+        .path()
+        .to_owned();
+    let clean = std::fs::read(&path).unwrap();
+    let source = cache.lookup(&program, config().max_instrs).unwrap();
+    let expect = |kind| {
+        let options = StreamOptions {
+            chunk_events: 7,
+            machine_threads: 1,
+        };
+        let err = analyzer
+            .run_streamed_on(&source, options)
+            .map(|_| ())
+            .unwrap_err();
+        assert_eq!(err, AnalyzeError::Vm(VmError::TraceRead { kind }));
+    };
+    // The entry shortened by one record, then removed, after the lookup.
+    std::fs::write(&path, &clean[..clean.len() - 13]).unwrap();
+    expect(std::io::ErrorKind::UnexpectedEof);
+    std::fs::remove_file(&path).unwrap();
+    expect(std::io::ErrorKind::NotFound);
+    std::fs::remove_dir_all(dir).ok();
 }

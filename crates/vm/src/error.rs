@@ -1,6 +1,8 @@
 use std::fmt;
+use std::io;
 
-/// Runtime error raised by the interpreter.
+/// Error raised by the interpreter, or by a trace source replaying its
+/// events.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum VmError {
     /// The program counter left the text segment.
@@ -30,6 +32,12 @@ pub enum VmError {
         /// The register value used as target.
         target: i32,
     },
+    /// A trace source could not read its events back: a cache file
+    /// removed or shortened after it was looked up, for instance.
+    TraceRead {
+        /// The kind of I/O error the read failed with.
+        kind: io::ErrorKind,
+    },
 }
 
 impl fmt::Display for VmError {
@@ -45,6 +53,7 @@ impl fmt::Display for VmError {
             VmError::BadJumpTarget { pc, target } => {
                 write!(f, "computed jump to invalid target {target} (pc {pc})")
             }
+            VmError::TraceRead { kind } => write!(f, "cannot read the trace back ({kind})"),
         }
     }
 }
@@ -67,5 +76,9 @@ mod tests {
         assert!(VmError::BadJumpTarget { pc: 1, target: -2 }
             .to_string()
             .contains("-2"));
+        let read = VmError::TraceRead {
+            kind: io::ErrorKind::NotFound,
+        };
+        assert!(read.to_string().contains("not found"));
     }
 }

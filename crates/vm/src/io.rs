@@ -25,9 +25,17 @@
 //! text is rejected as [`TraceFileError::BadPc`]; the records carry no
 //! checksum, so damage that leaves every pc in range is read back as
 //! executed.
+//!
+//! The 13-byte record has one block codec, shared with the trace cache's
+//! CLFPCCH1 files ([`TraceCache`](crate::TraceCache)). A writer encodes a
+//! block of events into one byte buffer and issues one `write_all`; a
+//! reader fills a block with one `read_exact`, decodes it while folding a
+//! running pc maximum, and compares that maximum with the text length
+//! once per block. Only a block that fails is scanned again, to name its
+//! first out-of-range record.
 
 use std::fmt;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::path::Path;
 
 use clfp_isa::Program;
@@ -35,6 +43,124 @@ use clfp_isa::Program;
 use crate::{Trace, TraceEvent};
 
 const MAGIC: &[u8; 8] = b"CLFPTRC2";
+const HEADER_LEN: usize = 24;
+
+/// Bytes per event record: pc u32, mem_addr u32, value u32, taken u8.
+pub(crate) const RECORD_LEN: usize = 13;
+
+/// Records per block where the codec picks the block size (the writers
+/// and the whole-trace readers): 52 KiB of bytes per system call.
+pub(crate) const BLOCK_EVENTS: usize = 4096;
+
+/// Writes `events` as consecutive records, one `write_all` per block.
+pub(crate) fn write_records<W: Write>(out: &mut W, events: &[TraceEvent]) -> io::Result<()> {
+    let mut bytes = vec![0u8; events.len().min(BLOCK_EVENTS) * RECORD_LEN];
+    for block in events.chunks(BLOCK_EVENTS) {
+        let raw = &mut bytes[..block.len() * RECORD_LEN];
+        for (record, event) in raw.chunks_exact_mut(RECORD_LEN).zip(block) {
+            record[0..4].copy_from_slice(&event.pc.to_le_bytes());
+            record[4..8].copy_from_slice(&event.mem_addr.to_le_bytes());
+            record[8..12].copy_from_slice(&event.value.to_le_bytes());
+            record[12] = event.taken as u8;
+        }
+        out.write_all(raw)?;
+    }
+    Ok(())
+}
+
+/// Why a block of records could not be read.
+pub(crate) enum RecordError {
+    /// The read failed or met the end of the input.
+    Io(io::Error),
+    /// The first record of the block whose pc lies outside the text.
+    BadPc {
+        /// Index of the record in the trace.
+        index: u64,
+        /// The out-of-range pc.
+        pc: u32,
+    },
+}
+
+/// Reads a known number of records from `input`, block by block.
+pub(crate) struct RecordReader<R> {
+    input: R,
+    bytes: Vec<u8>,
+    block_events: usize,
+    /// Records read so far: the trace index of the next one.
+    read: u64,
+    /// Records to read in all.
+    count: u64,
+    /// Every decoded pc must lie below this.
+    text_len: usize,
+}
+
+impl<R: Read> RecordReader<R> {
+    /// A reader of `count` records in blocks of at most `block_events`
+    /// (non-zero), positioned at the first record.
+    pub(crate) fn new(input: R, count: u64, block_events: usize, text_len: usize) -> Self {
+        RecordReader {
+            input,
+            bytes: Vec::new(),
+            block_events,
+            read: 0,
+            count,
+            text_len,
+        }
+    }
+
+    /// Reads the next block and appends its events to `out`, returning
+    /// how many it appended: `block_events`, fewer for the last block, 0
+    /// once every record has been read.
+    pub(crate) fn read_block(&mut self, out: &mut Vec<TraceEvent>) -> Result<usize, RecordError> {
+        let take = (self.count - self.read).min(self.block_events as u64) as usize;
+        if take == 0 {
+            return Ok(0);
+        }
+        self.bytes.resize(take * RECORD_LEN, 0);
+        self.input
+            .read_exact(&mut self.bytes)
+            .map_err(RecordError::Io)?;
+        let start = out.len();
+        // A running maximum keeps the per-record loop branch-free.
+        let mut max_pc = 0;
+        out.extend(self.bytes.chunks_exact(RECORD_LEN).map(|record| {
+            let event = decode_record(record);
+            max_pc = max_pc.max(event.pc);
+            event
+        }));
+        if max_pc as usize >= self.text_len {
+            let (offset, pc) = out[start..]
+                .iter()
+                .enumerate()
+                .find_map(|(i, event)| {
+                    (event.pc as usize >= self.text_len).then_some((i, event.pc))
+                })
+                .expect("the block's largest pc lies outside the text");
+            return Err(RecordError::BadPc {
+                index: self.read + offset as u64,
+                pc,
+            });
+        }
+        self.read += take as u64;
+        Ok(take)
+    }
+
+    /// Reads every remaining record, appending the events to `out`.
+    pub(crate) fn read_all(&mut self, out: &mut Vec<TraceEvent>) -> Result<(), RecordError> {
+        while self.read_block(out)? > 0 {}
+        Ok(())
+    }
+}
+
+fn decode_record(record: &[u8]) -> TraceEvent {
+    let word = |at: usize| u32::from_le_bytes(record[at..at + 4].try_into().expect("4 bytes"));
+    TraceEvent {
+        pc: word(0),
+        mem_addr: word(4),
+        value: word(8),
+        taken: record[12] != 0,
+    }
+}
 
 /// Error loading a trace file.
 #[derive(Debug)]
@@ -103,18 +229,14 @@ impl Trace {
     /// # Errors
     ///
     /// Propagates I/O errors.
-    pub fn write_to<W: Write>(&self, program: &Program, writer: W) -> io::Result<()> {
-        let mut out = BufWriter::new(writer);
-        out.write_all(MAGIC)?;
-        out.write_all(&program.fingerprint().to_le_bytes())?;
-        out.write_all(&(self.len() as u64).to_le_bytes())?;
-        for event in self.iter() {
-            out.write_all(&event.pc.to_le_bytes())?;
-            out.write_all(&event.mem_addr.to_le_bytes())?;
-            out.write_all(&event.value.to_le_bytes())?;
-            out.write_all(&[event.taken as u8])?;
-        }
-        out.flush()
+    pub fn write_to<W: Write>(&self, program: &Program, mut writer: W) -> io::Result<()> {
+        let mut header = [0u8; HEADER_LEN];
+        header[0..8].copy_from_slice(MAGIC);
+        header[8..16].copy_from_slice(&program.fingerprint().to_le_bytes());
+        header[16..24].copy_from_slice(&(self.len() as u64).to_le_bytes());
+        writer.write_all(&header)?;
+        write_records(&mut writer, self.events())?;
+        writer.flush()
     }
 
     /// Reads a trace from `reader`, verifying it belongs to `program`.
@@ -139,24 +261,14 @@ impl Trace {
             return Err(TraceFileError::FingerprintMismatch { stored, expected });
         }
         input.read_exact(&mut word)?;
-        let count = u64::from_le_bytes(word) as usize;
-        let mut events = Vec::with_capacity(count.min(1 << 24));
-        let mut record = [0u8; 13];
-        for index in 0..count as u64 {
-            input
-                .read_exact(&mut record)
-                .map_err(|_| TraceFileError::Truncated)?;
-            let pc = u32::from_le_bytes(record[0..4].try_into().expect("4 bytes"));
-            if pc as usize >= program.text.len() {
-                return Err(TraceFileError::BadPc { index, pc });
-            }
-            events.push(TraceEvent {
-                pc,
-                mem_addr: u32::from_le_bytes(record[4..8].try_into().expect("4 bytes")),
-                value: u32::from_le_bytes(record[8..12].try_into().expect("4 bytes")),
-                taken: record[12] != 0,
-            });
-        }
+        let count = u64::from_le_bytes(word);
+        let mut events = Vec::with_capacity(count.min(1 << 24) as usize);
+        RecordReader::new(&mut input, count, BLOCK_EVENTS, program.text.len())
+            .read_all(&mut events)
+            .map_err(|err| match err {
+                RecordError::Io(_) => TraceFileError::Truncated,
+                RecordError::BadPc { index, pc } => TraceFileError::BadPc { index, pc },
+            })?;
         if input.read(&mut [0u8; 1])? != 0 {
             return Err(TraceFileError::Truncated);
         }

@@ -2,13 +2,13 @@
 //!
 //! The materialize-then-analyze pipeline (`Vm::trace` → `Vec<TraceEvent>`
 //! → analyzer) hits a memory wall long before the paper's 100M-instruction
-//! traces: 12 bytes per event plus the analyzer's per-event metadata. A
-//! [`TraceSource`] instead delivers the event sequence as fixed-size
-//! chunks, so a consumer's trace-side memory is O(chunk), and — because
-//! the VM is deterministic — the same source can be streamed repeatedly,
-//! producing the identical sequence every time. That determinism is what
-//! lets the analyzer run two passes (profile, then schedule) without ever
-//! holding the trace.
+//! traces: 16 bytes per [`TraceEvent`] plus the analyzer's per-event
+//! metadata. A [`TraceSource`] instead delivers the event sequence as
+//! fixed-size chunks, so a consumer's trace-side memory is O(chunk), and
+//! — because the VM is deterministic — the same source can be streamed
+//! repeatedly, producing the identical sequence every time. That
+//! determinism is what lets the analyzer run two passes (profile, then
+//! schedule) without ever holding the trace.
 //!
 //! Implementations:
 //!
