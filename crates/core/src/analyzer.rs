@@ -8,7 +8,7 @@ use clfp_metrics::{MachineMetrics, MetricsCollector, MetricsSink, NullSink};
 
 use crate::lane::{run_machine_major, run_scheduler, LaneScheduler};
 use crate::meta::{branches_under, ProgramMeta, TraceMeta, CD_INHERIT, CD_NONE};
-use crate::pass::{run_pass, PassResult, Prepared};
+use crate::pass::{mispredictions, run_pass, run_pass_with_schedule, PassResult, Prepared};
 use crate::stats::MispredictionStats;
 use crate::{AnalysisConfig, AnalyzeError, MachineKind, MemDisambiguation, ValuePrediction};
 
@@ -169,8 +169,8 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Runs the machine-independent preparation walk over a trace:
-    /// branch-outcome profiling, prediction, inlining/unrolling
-    /// classification, operand decode, value-predictor training, and
+    /// branch-outcome profiling, prediction, the sequential counts under
+    /// inlining/unrolling, operand decode, value-predictor training, and
     /// dynamic control-dependence resolution — shared by every machine
     /// model, by both unroll settings (via
     /// [`PreparedTrace::report_with_unrolling`]) and by every
@@ -201,41 +201,45 @@ impl<'a> Analyzer<'a> {
     /// no scheduling code with the kernel. It is the independent oracle
     /// every pipeline is pinned against (the `lane_equivalence` suite
     /// asserts bit-for-bit equal reports) and the wall-time baseline of
-    /// `regen --timing`.
+    /// `regen --timing`. It classifies the events itself — it replays the
+    /// configured branch predictor and reads the ignore masks — so it
+    /// shares no classification with the preparation walk either; only
+    /// the report's branch statistics come from the preparation.
     pub fn run_on_trace_reference(&self, trace: &Trace) -> Report {
-        let prepared = self.prepare(trace);
-        let reference = Prepared {
-            program: self.program,
-            info: &self.info,
-            events: trace.events(),
-            class: prepared.meta.class(self.config.unrolling),
-            config: &self.config,
-        };
+        let mispred = mispredictions(self.program, &self.config, trace);
+        let reference = self.reference(trace, &mispred);
         let passes = self
             .config
             .machines
             .iter()
             .map(|&kind| run_pass(&reference, kind))
             .collect();
-        prepared.assemble(self.config.unrolling, self.config.value_prediction, passes)
+        self.prepare(trace)
+            .assemble(self.config.unrolling, self.config.value_prediction, passes)
     }
 
     /// Computes the per-instruction schedule for one machine over a trace:
     /// the cycle at which each dynamic instruction executes (0 for
     /// instructions removed by perfect inlining/unrolling). This is the
-    /// paper's Figure 3 view of a machine model.
+    /// paper's Figure 3 view of a machine model, computed by the reference
+    /// pass.
     pub fn schedule(&self, trace: &Trace, kind: MachineKind) -> Vec<u64> {
-        let prepared = self.prepare(trace);
-        let reference = Prepared {
+        let mispred = mispredictions(self.program, &self.config, trace);
+        let mut schedule = Vec::with_capacity(trace.len());
+        run_pass_with_schedule(&self.reference(trace, &mispred), kind, Some(&mut schedule));
+        schedule
+    }
+
+    /// The reference pass's input: `trace` under this analyzer's
+    /// configuration, with the misprediction bit of every event.
+    fn reference<'t>(&'t self, trace: &'t Trace, mispred: &'t [bool]) -> Prepared<'t> {
+        Prepared {
             program: self.program,
             info: &self.info,
             events: trace.events(),
-            class: prepared.meta.class(self.config.unrolling),
+            mispred,
             config: &self.config,
-        };
-        let mut schedule = Vec::with_capacity(trace.len());
-        crate::pass::run_pass_with_schedule(&reference, kind, Some(&mut schedule));
-        schedule
+        }
     }
 }
 
@@ -316,9 +320,9 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
     }
 
     /// Like [`PreparedTrace::report`], but overriding the unrolling
-    /// setting. The preparation walk records the ignore classification for
-    /// both settings (everything else it computes is unroll-independent),
-    /// so Table 4's with/without comparison needs only one prepared trace.
+    /// setting. Nothing the preparation walk records depends on the
+    /// setting (the ignore flags are per pc), so Table 4's with/without
+    /// comparison needs only one prepared trace.
     ///
     /// Runs the lane-parallel kernel: every configured machine is
     /// scheduled in one walk over the event stream (see the `lane`
@@ -392,8 +396,7 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
     ) -> Vec<PassResult> {
         let pcs = &self.analyzer.meta;
         let sched = LaneScheduler::new(pcs, &self.config, modes, unrolls, self.mem_capacity());
-        let (unrolled, rolled) = (self.meta.class(true), self.meta.class(false));
-        run_scheduler(sched, pcs, &self.meta.events, unrolled, rolled)
+        run_scheduler(sched, pcs, &self.meta.events)
     }
 
     /// Runs the configured machines through the kernel's machine-major
@@ -408,10 +411,9 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
         mut distill: impl FnMut(S) -> T,
     ) -> Vec<(PassResult, T)> {
         let pcs = &self.analyzer.meta;
-        let (unrolled, rolled) = (self.meta.class(true), self.meta.class(false));
         run_machine_major(pcs, &self.config, unrolling, self.mem_capacity(), |group| {
             let mut sink = new_sink();
-            group.feed(pcs, 0, &self.meta.events, unrolled, rolled, &mut sink);
+            group.feed(pcs, &self.meta.events, &mut sink);
             distill(sink)
         })
     }
@@ -432,12 +434,11 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
         value_prediction: ValuePrediction,
         passes: Vec<PassResult>,
     ) -> Report {
-        let class = self.meta.class(unrolling);
         assemble_report(
             &self.config.machines,
             passes,
-            class.not_ignored(),
-            class.len() as u64,
+            self.meta.not_ignored(unrolling),
+            self.meta.events.len() as u64,
             branches_under(self.meta.branches, &self.meta.vp_hits, value_prediction),
         )
     }

@@ -64,6 +64,15 @@ impl PredictorChoice {
         }
     }
 
+    /// Whether the predictor fixes one direction per static branch, so
+    /// its answer for a pc never depends on the dynamic instance.
+    pub(crate) fn is_static(self) -> bool {
+        matches!(
+            self,
+            PredictorChoice::Profile | PredictorChoice::AlwaysTaken | PredictorChoice::Btfn
+        )
+    }
+
     /// Short name for reports.
     pub fn name(self) -> &'static str {
         match self {

@@ -20,8 +20,11 @@
 //!   constant masks built once at group construction.
 //! * Conditional state updates ("only if this lane does not ignore the
 //!   event") become select operations `(new & m) | (old & !m)` with the
-//!   lane's per-event active mask, derived from the packed two-bit
-//!   [`EventClass`] for whichever unroll setting the lane requested.
+//!   lane's per-event active mask. Perfect inlining and unrolling delete
+//!   static instructions, so the mask comes from the ignore flag of the
+//!   lane's unroll setting ([`PC_IGNORED_UNROLLED`] or
+//!   [`PC_IGNORED_ROLLED`]) in the [`PcMeta`] row the kernel loads for
+//!   the event anyway.
 //!
 //! What cannot be masked is monomorphized instead. Lanes are grouped by
 //! the one structural feature that changes *which state exists*:
@@ -85,8 +88,8 @@ use clfp_metrics::{BindingEdge, EdgeKind, MetricsSink, NullSink, NO_PARENT};
 
 use crate::lastwrite::LastWriteTable;
 use crate::meta::{
-    vp_flag, EventClass, EventMeta, PcMeta, ProgramMeta, CD_INHERIT, CD_NONE, EV_BRANCH,
-    EV_MISPRED, NO_REG, PC_CALL, PC_LOAD, PC_RET, PC_STORE,
+    vp_flag, EventMeta, PcMeta, ProgramMeta, CD_INHERIT, CD_NONE, EV_BRANCH, EV_MISPRED, NO_REG,
+    PC_CALL, PC_IGNORED_ROLLED, PC_IGNORED_UNROLLED, PC_LOAD, PC_RET, PC_STORE,
 };
 use crate::pass::PassResult;
 use crate::stats::MispredictionStats;
@@ -301,9 +304,10 @@ impl Bound {
 }
 
 /// One lane's request: which result slot it fills, which machine it
-/// models, which unroll classification it reads, and which per-event flag
-/// bit marks a correctly predicted value for it ([`vp_flag`] of its
-/// value-prediction mode; 0, mode `Off`, never matches).
+/// models, which unroll setting's ignore flag it reads, and which
+/// per-event flag bit marks a correctly predicted value for it
+/// ([`vp_flag`] of its value-prediction mode; 0, mode `Off`, never
+/// matches).
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct LaneSlot {
     pub slot: usize,
@@ -409,7 +413,7 @@ struct GroupCursor<const L: usize, const CD: bool, const RENAME: bool, const FET
     /// and their results are discarded).
     lanes: Vec<LaneSlot>,
     fetch_width: u64,
-    /// All-ones for lanes reading the *unrolled* ignore classification.
+    /// All-ones for lanes reading the *unrolled* ignore flag.
     unroll_sel: [u64; L],
     /// Primary control-term masks. `CD`: `m_a` selects `branch_time`
     /// (CD, CD-MF), `m_b` selects `branch_ceiling` (SP-CD, SP-CD-MF).
@@ -630,21 +634,10 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
 /// groups and feed them chunk by chunk. `S` is the metrics sink every
 /// feed reports to; throughput groups take the default [`NullSink`].
 pub(crate) trait GroupFeed<S: MetricsSink = NullSink>: Send {
-    /// Schedules one chunk of consecutive events. `offset` is the
-    /// position of `events[0]` within the classifications, so callers can
-    /// feed sub-slices of an in-memory trace against whole-trace
-    /// [`EventClass`] bitmaps (the streaming path passes per-chunk
-    /// classifications with `offset == 0`). A recording group reports
-    /// every event to `sink`, in trace order.
-    fn feed(
-        &mut self,
-        pcs: &ProgramMeta,
-        offset: usize,
-        events: &[EventMeta],
-        unrolled: &EventClass,
-        rolled: &EventClass,
-        sink: &mut S,
-    );
+    /// Schedules one chunk of consecutive events: the next sub-slice of
+    /// an in-memory trace, or the streaming path's next chunk. A
+    /// recording group reports every event to `sink`, in trace order.
+    fn feed(&mut self, pcs: &ProgramMeta, events: &[EventMeta], sink: &mut S);
 
     /// Closes the walk, returning `(request slot, result)` per real lane.
     fn finish(self: Box<Self>) -> Vec<(usize, PassResult)>;
@@ -658,15 +651,7 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
     /// [`Self::feed_events_avx512`] each compile their own copy of this one
     /// source under their own target features.
     #[inline(always)]
-    fn feed_events(
-        &mut self,
-        pcs: &ProgramMeta,
-        offset: usize,
-        events: &[EventMeta],
-        unrolled: &EventClass,
-        rolled: &EventClass,
-        sink: &mut S,
-    ) {
+    fn feed_events(&mut self, pcs: &ProgramMeta, events: &[EventMeta], sink: &mut S) {
         for (j, event) in events.iter().enumerate() {
             let index = (self.fed_events + j as u64) as u32;
             let meta = &pcs.pcs[event.pc as usize];
@@ -674,10 +659,10 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
             let mispredicted = event.flags & EV_MISPRED != 0 && is_branch;
 
             // Per-lane active mask from the lane's unroll setting. The
-            // two settings differ only in the ignore bit, which the
-            // preparation walk records for both.
-            let igu = 0u64.wrapping_sub(unrolled.ignored(offset + j) as u64);
-            let igr = 0u64.wrapping_sub(rolled.ignored(offset + j) as u64);
+            // two settings differ only in which pcs are ignored, a flag
+            // of each pc's row.
+            let igu = 0u64.wrapping_sub(u64::from(meta.is(PC_IGNORED_UNROLLED)));
+            let igr = 0u64.wrapping_sub(u64::from(meta.is(PC_IGNORED_ROLLED)));
             let mut am = [0u64; L];
             for (a, &sel) in am.iter_mut().zip(&self.unroll_sel) {
                 *a = !((igu & sel) | (igr & !sel));
@@ -940,31 +925,15 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
     /// vector compare, so its build folds lanes with scalar `cmov`s).
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512vl")]
-    fn feed_events_avx512(
-        &mut self,
-        pcs: &ProgramMeta,
-        offset: usize,
-        events: &[EventMeta],
-        unrolled: &EventClass,
-        rolled: &EventClass,
-        sink: &mut S,
-    ) {
-        self.feed_events(pcs, offset, events, unrolled, rolled, sink);
+    fn feed_events_avx512(&mut self, pcs: &ProgramMeta, events: &[EventMeta], sink: &mut S) {
+        self.feed_events(pcs, events, sink);
     }
 }
 
 impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: MetricsSink>
     GroupFeed<S> for GroupCursor<L, CD, RENAME, FETCH, S>
 {
-    fn feed(
-        &mut self,
-        pcs: &ProgramMeta,
-        offset: usize,
-        events: &[EventMeta],
-        unrolled: &EventClass,
-        rolled: &EventClass,
-        sink: &mut S,
-    ) {
+    fn feed(&mut self, pcs: &ProgramMeta, events: &[EventMeta], sink: &mut S) {
         // Attribution is tracing-gated so the untraced hot path pays one
         // relaxed load per ~16K-event chunk and nothing else.
         let feed_start = if clfp_metrics::trace::tracing_enabled() {
@@ -984,10 +953,10 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
             // enables, on the running CPU.
             #[cfg(target_arch = "x86_64")]
             unsafe {
-                self.feed_events_avx512(pcs, offset, events, unrolled, rolled, sink);
+                self.feed_events_avx512(pcs, events, sink);
             }
         } else {
-            self.feed_events(pcs, offset, events, unrolled, rolled, sink);
+            self.feed_events(pcs, events, sink);
         }
         if let Some(t0) = feed_start {
             self.busy_ns += t0.elapsed().as_nanos() as u64;
@@ -1159,16 +1128,9 @@ impl LaneScheduler {
     }
 
     /// Feeds one chunk to every group.
-    pub fn feed(
-        &mut self,
-        pcs: &ProgramMeta,
-        offset: usize,
-        events: &[EventMeta],
-        unrolled: &EventClass,
-        rolled: &EventClass,
-    ) {
+    pub fn feed(&mut self, pcs: &ProgramMeta, events: &[EventMeta]) {
         for group in &mut self.groups {
-            group.feed(pcs, offset, events, unrolled, rolled, &mut NullSink);
+            group.feed(pcs, events, &mut NullSink);
         }
     }
 
@@ -1201,8 +1163,6 @@ pub(crate) fn run_scheduler(
     mut sched: LaneScheduler,
     pcs: &ProgramMeta,
     events: &[EventMeta],
-    unrolled: &EventClass,
-    rolled: &EventClass,
 ) -> Vec<PassResult> {
     let workers = std::thread::available_parallelism()
         .map_or(1, |n| n.get())
@@ -1210,15 +1170,12 @@ pub(crate) fn run_scheduler(
     if workers > 1 {
         std::thread::scope(|scope| {
             for group in &mut sched.groups {
-                scope.spawn(|| group.feed(pcs, 0, events, unrolled, rolled, &mut NullSink));
+                scope.spawn(|| group.feed(pcs, events, &mut NullSink));
             }
         });
     } else {
-        let mut base = 0;
-        while base < events.len() {
-            let end = (base + FEED_CHUNK).min(events.len());
-            sched.feed(pcs, base, &events[base..end], unrolled, rolled);
-            base = end;
+        for chunk in events.chunks(FEED_CHUNK) {
+            sched.feed(pcs, chunk);
         }
     }
     sched.finish()
@@ -1313,14 +1270,13 @@ mod tests {
             );
             let trace = vm.trace(config.max_instrs).unwrap();
             let tm = TraceMeta::build(&program, &info, &pcs, &config, &trace);
-            let (unrolled, rolled) = (tm.class(true), tm.class(false));
             let keys = tm.distinct_mem_keys as usize;
             let plain = run_machine_major(&pcs, &config, unrolling, keys, |group| {
-                group.feed(&pcs, 0, &tm.events, unrolled, rolled, &mut NullSink);
+                group.feed(&pcs, &tm.events, &mut NullSink);
             });
             let observed = run_machine_major(&pcs, &config, unrolling, keys, |group| {
                 let mut collector = MetricsCollector::with_capacity(tm.events.len());
-                group.feed(&pcs, 0, &tm.events, unrolled, rolled, &mut collector);
+                group.feed(&pcs, &tm.events, &mut collector);
                 collector
             });
             for ((&kind, (plain, ())), (observed, collector)) in
@@ -1387,12 +1343,9 @@ mod tests {
             GroupCursor::<L, CD, RENAME, FETCH, NullSink>::new(args)
         };
         let (mut portable, mut avx512) = (group(), group());
-        let (unrolled, rolled) = (input.tm.class(true), input.tm.class(false));
-        let mut base = 0;
         for chunk in input.tm.events.chunks(4093) {
-            portable.feed_events(&input.pcs, base, chunk, unrolled, rolled, &mut NullSink);
-            avx512.feed(&input.pcs, base, chunk, unrolled, rolled, &mut NullSink);
-            base += chunk.len();
+            portable.feed_events(&input.pcs, chunk, &mut NullSink);
+            avx512.feed(&input.pcs, chunk, &mut NullSink);
         }
         let (portable, avx512) = (Box::new(portable).finish(), Box::new(avx512).finish());
         assert_eq!(portable.len(), lanes.len());

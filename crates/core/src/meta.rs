@@ -8,20 +8,33 @@
 //!
 //! * [`ProgramMeta`] caches the per-**PC** facts once per program —
 //!   operand registers, destination, latency class, branch/call/ret/memory
-//!   classification, block-start and inline/unroll ignore flags, and the
-//!   static alias class;
+//!   classification, block-start flag, the static alias class, and one
+//!   ignore flag per unroll setting. Perfect inlining and unrolling delete
+//!   *static* instructions, so whether an event is ignored is a fact of
+//!   its pc: [`ProgramMeta::build`] resolves `config.inlining` and both
+//!   unroll settings into [`PC_IGNORED_ROLLED`] and
+//!   [`PC_IGNORED_UNROLLED`], and the lane kernel reads them from the
+//!   `PcMeta` row it loads anyway;
 //! * [`TraceMeta`] caches the per-**event** facts once per trace — the
-//!   misprediction and ignore classification (packed two bits per event in
-//!   [`EventClass`]), the dynamic memory key, the value predictors' hit
+//!   misprediction bit, the dynamic memory key, the value predictors' hit
 //!   bits, and the resolved control-dependence source (Section 4.4.1 of
 //!   the paper; the *choice* of controlling branch instance depends only
 //!   on block-instance sequence numbers, which are identical for every
 //!   machine).
 //!
-//! Everything in [`TraceMeta`] except the ignore bit is also independent
-//! of the unrolling setting, so the single walk records the ignore bitmap
-//! for *both* settings ([`TraceMeta::class`]) — Table 4's
-//! with/without-unrolling comparison shares one preparation.
+//! Nothing in [`TraceMeta`] depends on the unrolling setting except the
+//! two sequential counts it keeps ([`TraceMeta::not_ignored`]), so one
+//! walk serves both settings — Table 4's with/without-unrolling
+//! comparison shares one preparation.
+//!
+//! The walk ([`MetaBuilder::push_chunk`]) does per event only the work
+//! that varies per event. The static predictors (profile, always-taken,
+//! BTFN) fix one direction per static branch (§4.4.2), so they are asked
+//! once per branch pc when the builder is created; only the dynamic
+//! predictors are consulted per branch instance. The control-dependence
+//! source is looked up once per block instance: it is re-resolved at a
+//! block start, or after a branch, call or return, and reused otherwise.
+//! One pc-indexed table trains both value predictors.
 //!
 //! The preparation is also independent of the memory-disambiguation and
 //! value-prediction modes: it keys memory by dynamic address and trains
@@ -52,8 +65,12 @@ pub(crate) const PC_STORE: u16 = 1 << 4;
 pub(crate) const PC_CALL: u16 = 1 << 5;
 pub(crate) const PC_RET: u16 = 1 << 6;
 pub(crate) const PC_BLOCK_START: u16 = 1 << 7;
-pub(crate) const PC_INLINE_IGNORED: u16 = 1 << 8;
-pub(crate) const PC_UNROLL_IGNORED: u16 = 1 << 9;
+/// Removed without unrolling: perfect inlining deletes it, and the
+/// configuration applies inlining.
+pub(crate) const PC_IGNORED_ROLLED: u16 = 1 << 8;
+/// Removed with unrolling: [`PC_IGNORED_ROLLED`], or perfect unrolling
+/// deletes it.
+pub(crate) const PC_IGNORED_UNROLLED: u16 = 1 << 9;
 
 /// Everything the per-event hot loops need to know about one static
 /// instruction, decoded once per program instead of once per event per
@@ -90,7 +107,8 @@ pub(crate) struct ProgramMeta {
 }
 
 impl ProgramMeta {
-    /// Decodes every static instruction once.
+    /// Decodes every static instruction once, resolving `config.inlining`
+    /// into the two per-setting ignore flags.
     pub fn build(program: &Program, info: &StaticInfo, config: &AnalysisConfig) -> ProgramMeta {
         let cfg = &info.cfg;
         let pcs = program
@@ -121,11 +139,11 @@ impl ProgramMeta {
                 if cfg.block(cfg.block_of_instr(pc)).start == pc {
                     flags |= PC_BLOCK_START;
                 }
-                if info.masks.inline_ignored(pc) {
-                    flags |= PC_INLINE_IGNORED;
+                if config.inlining && info.masks.inline_ignored(pc) {
+                    flags |= PC_IGNORED_ROLLED | PC_IGNORED_UNROLLED;
                 }
                 if info.masks.unroll_ignored(pc) {
-                    flags |= PC_UNROLL_IGNORED;
+                    flags |= PC_IGNORED_UNROLLED;
                 }
                 let mut uses = [NO_REG; 3];
                 for (slot, reg) in uses.iter_mut().zip(instr.uses()) {
@@ -147,90 +165,8 @@ impl ProgramMeta {
     }
 }
 
-/// Packed per-event classification: one misprediction bit and one ignore
-/// bit per dynamic instruction (the seed used two `Vec<bool>`, eight times
-/// the working set the scheduling loops stream over).
-#[derive(Clone, Debug, Default)]
-pub(crate) struct EventClass {
-    mispred: Vec<u64>,
-    ignored: Vec<u64>,
-    len: usize,
-}
-
-impl EventClass {
-    pub fn with_capacity(events: usize) -> EventClass {
-        let words = events.div_ceil(64);
-        EventClass {
-            mispred: Vec::with_capacity(words),
-            ignored: Vec::with_capacity(words),
-            len: 0,
-        }
-    }
-
-    /// Empties the bitmaps, keeping the allocations (chunk-buffer reuse in
-    /// the streaming pipeline).
-    pub fn clear(&mut self) {
-        self.mispred.clear();
-        self.ignored.clear();
-        self.len = 0;
-    }
-
-    /// Appends one event's classification.
-    #[inline]
-    pub fn push(&mut self, mispred: bool, ignored: bool) {
-        if self.len.is_multiple_of(64) {
-            self.mispred.push(0);
-            self.ignored.push(0);
-        }
-        let word = self.len / 64;
-        let bit = 1u64 << (self.len % 64);
-        if mispred {
-            self.mispred[word] |= bit;
-        }
-        if ignored {
-            self.ignored[word] |= bit;
-        }
-        self.len += 1;
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether event `i`'s branch was mispredicted (computed jumps always
-    /// count as mispredicted; non-branches are never set).
-    #[inline]
-    pub fn mispred(&self, i: usize) -> bool {
-        self.mispred[i / 64] & (1 << (i % 64)) != 0
-    }
-
-    /// Whether event `i` was removed by perfect inlining/unrolling.
-    #[inline]
-    pub fn ignored(&self, i: usize) -> bool {
-        self.ignored[i / 64] & (1 << (i % 64)) != 0
-    }
-
-    /// Number of non-ignored events — the sequential instruction count.
-    pub fn not_ignored(&self) -> u64 {
-        let ignored: u32 = self.ignored.iter().map(|word| word.count_ones()).sum();
-        self.len as u64 - ignored as u64
-    }
-
-    /// Builds the bitmaps from plain slices (test support).
-    #[cfg(test)]
-    pub fn from_slices(mispred: &[bool], ignored: &[bool]) -> EventClass {
-        assert_eq!(mispred.len(), ignored.len());
-        let mut class = EventClass::with_capacity(mispred.len());
-        for (&m, &s) in mispred.iter().zip(ignored) {
-            class.push(m, s);
-        }
-        class
-    }
-}
-
-// Per-event flags (unroll-independent classification, duplicated into the
-// event stream so the machine walks touch a single cache line per event;
-// the unroll-dependent ignore bit lives in the per-setting [`EventClass`]).
+// Per-event flags (the classification that varies per dynamic instance;
+// the ignore flags are per pc, in [`PcMeta`]).
 pub(crate) const EV_MISPRED: u8 = 1 << 0;
 pub(crate) const EV_BRANCH: u8 = 1 << 1;
 /// The event defines a register (value-prediction eligible). Under
@@ -302,13 +238,15 @@ pub(crate) struct EventMeta {
 
 /// Everything machine-independent about one captured trace: the paper's
 /// classification pass, the branch report, and the resolved
-/// control-dependence stream — computed in a single walk, for **both**
-/// unroll settings (they differ only in the ignore bitmap).
+/// control-dependence stream — computed in a single walk that serves
+/// **both** unroll settings (they differ only in which pcs are ignored,
+/// a per-pc fact the lane kernel reads from [`PcMeta`]).
 #[derive(Clone, Debug)]
 pub(crate) struct TraceMeta {
     pub events: Vec<EventMeta>,
-    class_unrolled: EventClass,
-    class_rolled: EventClass,
+    /// Non-ignored events per unroll setting, indexed by `unrolling as
+    /// usize`: the sequential counts.
+    not_ignored: [u64; 2],
     /// The branch report; its `value_pred_hits` is 0 until a mode picks
     /// one of [`TraceMeta::vp_hits`] (see [`branches_under`]).
     pub branches: BranchReport,
@@ -322,21 +260,18 @@ pub(crate) struct TraceMeta {
 }
 
 impl TraceMeta {
-    /// The packed classification for one unroll setting.
-    pub fn class(&self, unrolling: bool) -> &EventClass {
-        if unrolling {
-            &self.class_unrolled
-        } else {
-            &self.class_rolled
-        }
+    /// The sequential instruction count under one unroll setting: the
+    /// events its ignore flag keeps.
+    pub fn not_ignored(&self, unrolling: bool) -> u64 {
+        self.not_ignored[unrolling as usize]
     }
 
-    /// The shared preparation walk: classification (branch prediction +
-    /// ignore masks for both unroll settings), operand pre-decode, and
-    /// dynamic control-dependence resolution, one trace walk for all
-    /// machines. The whole-trace special case of [`MetaBuilder`] — one
-    /// chunk spanning the trace — so the in-memory and streaming pipelines
-    /// share one walk implementation.
+    /// The shared preparation walk: classification (branch prediction and
+    /// the sequential counts for both unroll settings), operand
+    /// pre-decode, and dynamic control-dependence resolution, one trace
+    /// walk for all machines. The whole-trace special case of
+    /// [`MetaBuilder`] — one chunk spanning the trace — so the in-memory
+    /// and streaming pipelines share one walk implementation.
     pub fn build(
         program: &Program,
         info: &StaticInfo,
@@ -354,14 +289,11 @@ impl TraceMeta {
             _ => BranchProfile::new(),
         };
         let mut builder = MetaBuilder::new(program, info, pcs, config, &profile);
-        let mut class_unrolled = EventClass::with_capacity(trace.len());
-        let mut class_rolled = EventClass::with_capacity(trace.len());
         let mut events = Vec::with_capacity(trace.len());
-        builder.push_chunk(trace.events(), &mut events, &mut class_unrolled, &mut class_rolled);
+        builder.push_chunk(trace.events(), &mut events);
         TraceMeta {
             events,
-            class_unrolled,
-            class_rolled,
+            not_ignored: builder.not_ignored,
             branches: builder.branches(),
             distinct_mem_keys: builder.distinct_mem_keys(),
             vp_hits: builder.vp_hits(),
@@ -369,34 +301,112 @@ impl TraceMeta {
     }
 }
 
+/// How the preparation walk predicts conditional branches.
+enum BranchPrediction {
+    /// A static predictor's direction for every pc (`false` off the
+    /// conditional branches), asked once per static branch: a static
+    /// predictor's answer never depends on the dynamic instance.
+    Fixed(Vec<bool>),
+    /// A dynamic predictor, asked and trained at every dynamic branch.
+    Dynamic(Box<dyn clfp_predict::BranchPredictor>),
+}
+
+impl BranchPrediction {
+    fn new(
+        program: &Program,
+        pcs: &ProgramMeta,
+        config: &AnalysisConfig,
+        profile: &BranchProfile,
+    ) -> BranchPrediction {
+        let mut predictor = config.predictor.build(program, profile);
+        if !config.predictor.is_static() {
+            return BranchPrediction::Dynamic(predictor);
+        }
+        let directions = pcs
+            .pcs
+            .iter()
+            .enumerate()
+            .map(|(pc, meta)| {
+                // A static predictor ignores the outcome it is shown.
+                meta.is(PC_COND_BRANCH) && predictor.predict_and_update(pc as u32, false)
+            })
+            .collect();
+        BranchPrediction::Fixed(directions)
+    }
+
+    /// The prediction for the branch instance at `pc`, whose outcome is
+    /// `taken` (a dynamic predictor trains on it).
+    #[inline]
+    fn predict(&mut self, pc: u32, taken: bool) -> bool {
+        match self {
+            BranchPrediction::Fixed(directions) => directions[pc as usize],
+            BranchPrediction::Dynamic(predictor) => predictor.predict_and_update(pc, taken),
+        }
+    }
+}
+
+/// One static instruction's value-predictor state. The hybrid stride
+/// predictor's `seen` and `last` train exactly as the last-value
+/// predictor's do, so one row yields both predictors' hit bits.
+#[derive(Copy, Clone, Default)]
+struct ValueRow {
+    last: u32,
+    stride: u32,
+    seen: bool,
+}
+
+impl ValueRow {
+    /// Whether the last-value and the stride predictor would have
+    /// predicted `value`, then trains both on it — the updates of
+    /// `clfp_predict::LastValuePredictor` and
+    /// `clfp_predict::StridePredictor` in one.
+    #[inline]
+    fn predict_and_update(&mut self, value: u32) -> (bool, bool) {
+        let last_hit = self.seen && self.last == value;
+        let stride_hit = last_hit || (self.seen && self.last.wrapping_add(self.stride) == value);
+        self.stride = value.wrapping_sub(self.last);
+        self.seen = true;
+        self.last = value;
+        (last_hit, stride_hit)
+    }
+}
+
 /// The preparation walk as an incremental, chunk-fed builder.
 ///
 /// All walk state that must survive a chunk boundary lives here: the
-/// branch predictor, the branch report, and the Section 4.4.1
-/// control-dependence bookkeeping (block-instance sequence numbers, the
-/// latest instance of every branch, the procedure-invocation stack).
-/// Feeding the whole trace as one chunk is exactly the historical
-/// [`TraceMeta::build`] walk, so chunked and in-memory preparation are the
-/// same code path — bit-identical by construction, asserted across chunk
-/// sizes by the `stream_equivalence` suite.
+/// branch predictor, the value-predictor table, the branch report, and
+/// the Section 4.4.1 control-dependence bookkeeping (block-instance
+/// sequence numbers, the latest instance of every branch, the
+/// procedure-invocation stack, the source resolved for the current
+/// block instance). Feeding the whole trace as one chunk is exactly the
+/// historical [`TraceMeta::build`] walk, so chunked and in-memory
+/// preparation are the same code path — bit-identical by construction,
+/// asserted across chunk sizes by the `stream_equivalence` suite.
 pub(crate) struct MetaBuilder<'a> {
     pcs: &'a ProgramMeta,
     info: &'a StaticInfo,
-    inlining: bool,
     shift: u32,
-    predictor: Box<dyn clfp_predict::BranchPredictor>,
-    last_predictor: clfp_predict::LastValuePredictor,
-    stride_predictor: clfp_predict::StridePredictor,
+    prediction: BranchPrediction,
+    values: Vec<ValueRow>,
     vp_hits: [u64; 4],
     branches: BranchReport,
-    /// Running non-ignored event counts per unroll setting — the
-    /// streaming pipeline's `seq_instrs` fallback when no machines run
-    /// (mirrors `EventClass::not_ignored` without retaining the bitmaps).
+    /// Running non-ignored event counts per unroll setting, indexed by
+    /// `unrolling as usize` — the report's `seq_instrs` when no machines
+    /// run.
     not_ignored: [u64; 2],
     branch_seq: Vec<u64>, // 0 = never executed
     branch_proc: Vec<u64>,
     stack: Vec<u64>,
     seq: u64,
+    /// The control-dependence source resolved for the previous event.
+    /// `resolve_cd_source` reads the event's block, the latest branch
+    /// instances and the call stack, so the source holds until a block
+    /// start or a branch, call or return event (a `jr`, `callr` or `ret`
+    /// may land in the middle of a block).
+    cd: u32,
+    /// Whether the previous event was a branch, call or return, so the
+    /// next event re-resolves `cd`.
+    cd_stale: bool,
     /// Membership bitmap over dynamic memory keys (grown on demand; keys
     /// are word addresses shifted down, so the bitmap is 1/32 of the
     /// touched address range).
@@ -418,11 +428,9 @@ impl<'a> MetaBuilder<'a> {
         MetaBuilder {
             pcs,
             info,
-            inlining: config.inlining,
             shift: config.disambiguation_bytes.trailing_zeros(),
-            predictor: config.predictor.build(program, profile),
-            last_predictor: clfp_predict::LastValuePredictor::new(program.text.len()),
-            stride_predictor: clfp_predict::StridePredictor::new(program.text.len()),
+            prediction: BranchPrediction::new(program, pcs, config, profile),
+            values: vec![ValueRow::default(); pcs.pcs.len()],
             vp_hits: [0; 4],
             branches: BranchReport::default(),
             not_ignored: [0; 2],
@@ -430,28 +438,26 @@ impl<'a> MetaBuilder<'a> {
             branch_proc: vec![0u64; pcs.pcs.len()],
             stack: Vec::new(),
             seq: 0,
+            cd: CD_NONE,
+            cd_stale: true,
             mem_seen: Vec::new(),
             distinct_mem_keys: 0,
         }
     }
 
     /// Processes one chunk of consecutive trace events, appending the
-    /// decoded [`EventMeta`] stream and both per-setting classifications
-    /// into the caller's buffers (which the streaming pipeline clears and
-    /// reuses per chunk; the in-memory path accumulates the whole trace).
-    pub fn push_chunk(
-        &mut self,
-        chunk: &[clfp_vm::TraceEvent],
-        events: &mut Vec<EventMeta>,
-        class_unrolled: &mut EventClass,
-        class_rolled: &mut EventClass,
-    ) {
-        let _span = clfp_metrics::trace::span("prepare.chunk", "prepare").arg("events", chunk.len());
+    /// decoded [`EventMeta`] stream to the caller's buffer (which the
+    /// streaming pipeline clears and reuses per chunk; the in-memory path
+    /// accumulates the whole trace).
+    pub fn push_chunk(&mut self, chunk: &[clfp_vm::TraceEvent], events: &mut Vec<EventMeta>) {
+        let _span =
+            clfp_metrics::trace::span("prepare.chunk", "prepare").arg("events", chunk.len());
         self.branches.raw_instrs += chunk.len() as u64;
         events.reserve(chunk.len());
         for event in chunk {
             let meta = &self.pcs.pcs[event.pc as usize];
-            if meta.is(PC_BLOCK_START) {
+            let block_start = meta.is(PC_BLOCK_START);
+            if block_start {
                 self.seq += 1;
             }
 
@@ -460,8 +466,7 @@ impl<'a> MetaBuilder<'a> {
                 if event.taken {
                     self.branches.taken += 1;
                 }
-                let prediction = self.predictor.predict_and_update(event.pc, event.taken);
-                let correct = prediction == event.taken;
+                let correct = self.prediction.predict(event.pc, event.taken) == event.taken;
                 if correct {
                     self.branches.predicted_correctly += 1;
                 }
@@ -472,21 +477,19 @@ impl<'a> MetaBuilder<'a> {
             } else {
                 false
             };
-            let inline_ignored = self.inlining && meta.is(PC_INLINE_IGNORED);
-            let unroll_ignored = inline_ignored || meta.is(PC_UNROLL_IGNORED);
-            class_unrolled.push(mispred, unroll_ignored);
-            class_rolled.push(mispred, inline_ignored);
-            self.not_ignored[0] += !inline_ignored as u64;
-            self.not_ignored[1] += !unroll_ignored as u64;
+            self.not_ignored[0] += u64::from(!meta.is(PC_IGNORED_ROLLED));
+            self.not_ignored[1] += u64::from(!meta.is(PC_IGNORED_UNROLLED));
 
-            let cd = resolve_cd_source(
-                self.info
-                    .deps
-                    .rdf_branches(self.info.cfg.block_of_instr(event.pc)),
-                &self.branch_seq,
-                &self.branch_proc,
-                &self.stack,
-            );
+            if block_start || self.cd_stale {
+                self.cd = resolve_cd_source(
+                    self.info
+                        .deps
+                        .rdf_branches(self.info.cfg.block_of_instr(event.pc)),
+                    &self.branch_seq,
+                    &self.branch_proc,
+                    &self.stack,
+                );
+            }
 
             let mut flags = 0u8;
             if mispred {
@@ -500,15 +503,16 @@ impl<'a> MetaBuilder<'a> {
             // depend on the unroll setting. The lanes pick their mode's
             // hit bit through `vp_flag`.
             if meta.def != NO_REG {
-                use clfp_predict::ValuePredictor as _;
                 self.branches.value_pred_eligible += 1;
                 flags |= EV_DEF;
                 self.vp_hits[3] += 1;
-                if self.last_predictor.predict_and_update(event.pc, event.value) {
+                let (last_hit, stride_hit) =
+                    self.values[event.pc as usize].predict_and_update(event.value);
+                if last_hit {
                     flags |= EV_VP_LAST;
                     self.vp_hits[1] += 1;
                 }
-                if self.stride_predictor.predict_and_update(event.pc, event.value) {
+                if stride_hit {
                     flags |= EV_VP_STRIDE;
                     self.vp_hits[2] += 1;
                 }
@@ -530,7 +534,7 @@ impl<'a> MetaBuilder<'a> {
             events.push(EventMeta {
                 pc: event.pc,
                 mem_key,
-                cd,
+                cd: self.cd,
                 flags,
             });
 
@@ -543,6 +547,7 @@ impl<'a> MetaBuilder<'a> {
             } else if meta.is(PC_RET) {
                 self.stack.pop();
             }
+            self.cd_stale = meta.flags & (PC_BRANCH | PC_CALL | PC_RET) != 0;
         }
     }
 
@@ -616,32 +621,6 @@ fn resolve_cd_source(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn event_class_packs_bits() {
-        let mut class = EventClass::with_capacity(3);
-        for i in 0..130 {
-            class.push(i % 3 == 0, i % 5 == 0);
-        }
-        assert_eq!(class.len(), 130);
-        for i in 0..130 {
-            assert_eq!(class.mispred(i), i % 3 == 0, "mispred {i}");
-            assert_eq!(class.ignored(i), i % 5 == 0, "ignored {i}");
-        }
-        assert_eq!(class.not_ignored(), 130 - 26);
-    }
-
-    #[test]
-    fn event_class_from_slices_roundtrips() {
-        let mispred = vec![true, false, true, true, false];
-        let ignored = vec![false, false, true, false, true];
-        let class = EventClass::from_slices(&mispred, &ignored);
-        for i in 0..5 {
-            assert_eq!(class.mispred(i), mispred[i]);
-            assert_eq!(class.ignored(i), ignored[i]);
-        }
-        assert_eq!(class.not_ignored(), 3);
-    }
 
     #[test]
     fn program_meta_decodes_flags() {

@@ -22,23 +22,52 @@
 
 use clfp_cfg::StaticInfo;
 use clfp_isa::{Instr, Program};
-use clfp_vm::TraceEvent;
+use clfp_predict::BranchProfile;
+use clfp_vm::{Trace, TraceEvent};
 
-use crate::meta::EventClass;
 use crate::stats::MispredictionStats;
-use crate::{AnalysisConfig, LastWriteTable, MachineKind};
+use crate::{AnalysisConfig, LastWriteTable, MachineKind, PredictorChoice};
 
 /// Everything shared by the seven machine passes over one trace.
 pub(crate) struct Prepared<'a> {
     pub program: &'a Program,
     pub info: &'a StaticInfo,
     pub events: &'a [TraceEvent],
-    /// Parallel to `events`: the packed misprediction/ignored bits
-    /// (computed jumps are always "mispredicted" — the paper does not
-    /// predict them; ignored = removed by perfect inlining/unrolling).
-    pub class: &'a EventClass,
-    /// Idealization knobs (all at the paper's setting by default).
+    /// Parallel to `events`: whether each event's branch was mispredicted
+    /// (computed jumps always are — the paper does not predict them;
+    /// non-branches never are). See [`mispredictions`].
+    pub mispred: &'a [bool],
+    /// Idealization knobs (all at the paper's setting by default); the
+    /// pass reads the ignore masks under its `inlining` and `unrolling`.
     pub config: &'a AnalysisConfig,
+}
+
+/// The reference's own misprediction bit for every event of `trace`:
+/// `config.predictor` replayed over the trace, one prediction per
+/// dynamic conditional branch, with the profile predictor trained on the
+/// trace itself (the paper profiles "with the same inputs used in the
+/// simulations"). Computed jumps are always mispredicted.
+pub(crate) fn mispredictions(
+    program: &Program,
+    config: &AnalysisConfig,
+    trace: &Trace,
+) -> Vec<bool> {
+    let profile = match config.predictor {
+        PredictorChoice::Profile => BranchProfile::from_trace(program, trace),
+        _ => BranchProfile::new(),
+    };
+    let mut predictor = config.predictor.build(program, &profile);
+    trace
+        .iter()
+        .map(|event| {
+            let instr = program.text[event.pc as usize];
+            if instr.is_cond_branch() {
+                predictor.predict_and_update(event.pc, event.taken) != event.taken
+            } else {
+                instr.is_computed_jump()
+            }
+        })
+        .collect()
 }
 
 /// Result of one machine pass.
@@ -102,6 +131,7 @@ pub(crate) fn run_pass_with_schedule(
     let track_segments = kind == MachineKind::Sp;
 
     let config = prepared.config;
+    let masks = &prepared.info.masks;
     let shift = config.disambiguation_bytes.trailing_zeros();
     // The reference runs its own value predictor: it is the oracle the
     // prepared pipelines are checked against, so it reads no hit bit
@@ -134,9 +164,11 @@ pub(crate) fn run_pass_with_schedule(
         if pc == cfg.block(block).start {
             seq += 1;
         }
-        let ignored = prepared.class.ignored(i);
+        // Perfect inlining and unrolling delete static instructions.
+        let ignored = (config.inlining && masks.inline_ignored(pc))
+            || (config.unrolling && masks.unroll_ignored(pc));
         let is_branch = instr.is_cond_branch() || instr.is_computed_jump();
-        let mispredicted = is_branch && prepared.class.mispred(i);
+        let mispredicted = is_branch && prepared.mispred[i];
 
         // Every def-producing event trains the predictor, ignored or not,
         // so the hit sequence does not depend on the unroll setting.
@@ -372,9 +404,9 @@ mod tests {
     use clfp_isa::assemble;
     use clfp_vm::{Vm, VmOptions};
 
-    /// Assembles, traces, and runs one machine pass with the given
-    /// misprediction flags derived from an always-correct or per-branch
-    /// predictor stub.
+    /// Assembles, traces, and runs one machine pass without unrolling,
+    /// with the misprediction flags of an always-correct or an
+    /// always-wrong predictor stub.
     fn analyze(source: &str, kind: MachineKind, mispredict_all: bool) -> PassResult {
         let program = assemble(source).unwrap();
         let info = StaticInfo::analyze(&program);
@@ -388,17 +420,12 @@ mod tests {
                 instr.is_computed_jump() || (instr.is_cond_branch() && mispredict_all)
             })
             .collect();
-        let ignored: Vec<bool> = trace
-            .iter()
-            .map(|e| info.masks.ignored(e.pc, false))
-            .collect();
-        let class = EventClass::from_slices(&mispred, &ignored);
         let prepared = Prepared {
             program: &program,
             info: &info,
             events: trace.events(),
-            class: &class,
-            config: &AnalysisConfig::default(),
+            mispred: &mispred,
+            config: &AnalysisConfig::default().with_unrolling(false),
         };
         run_pass(&prepared, kind)
     }
@@ -626,30 +653,17 @@ mod tests {
         let mut vm = Vm::new(&program, VmOptions { mem_words: 1 << 16 });
         let trace = vm.trace(1_000_000).unwrap();
         let mispred = vec![false; trace.len()];
-        let with_unroll: Vec<bool> = trace.iter().map(|e| info.masks.ignored(e.pc, true)).collect();
-        let without: Vec<bool> = trace.iter().map(|e| info.masks.ignored(e.pc, false)).collect();
-        let unroll_class = EventClass::from_slices(&mispred, &with_unroll);
-        let plain_class = EventClass::from_slices(&mispred, &without);
-        let on = run_pass(
-            &Prepared {
+        let pass = |unrolling: bool| {
+            let prepared = Prepared {
                 program: &program,
                 info: &info,
                 events: trace.events(),
-                class: &unroll_class,
-                config: &AnalysisConfig::default(),
-            },
-            MachineKind::CdMf,
-        );
-        let off = run_pass(
-            &Prepared {
-                program: &program,
-                info: &info,
-                events: trace.events(),
-                class: &plain_class,
-                config: &AnalysisConfig::default(),
-            },
-            MachineKind::CdMf,
-        );
+                mispred: &mispred,
+                config: &AnalysisConfig::default().with_unrolling(unrolling),
+            };
+            run_pass(&prepared, MachineKind::CdMf)
+        };
+        let (on, off) = (pass(true), pass(false));
         // Unrolling removes addi+blt per iteration: 100 loads + li*2 + halt.
         assert_eq!(on.count, 103);
         assert_eq!(off.count, 303);

@@ -2,9 +2,9 @@
 //!
 //! The in-memory pipeline materializes the whole trace (16 bytes/event)
 //! plus per-event metadata (a 16-byte `EventMeta`, 13 bytes of fields
-//! padded, and two bits per unroll setting) before any machine runs —
-//! about 320 MB per 10M instructions, and the reason the
-//! committed suite stopped at 2M. The paper measured 100M-instruction
+//! padded; the ignore flags are per pc) before any machine runs — about
+//! 320 MB per 10M instructions, and the reason the committed suite
+//! stopped at 2M. The paper measured 100M-instruction
 //! traces. This module reaches that scale with O(chunk) trace memory by
 //! exploiting the VM's determinism:
 //!
@@ -15,9 +15,9 @@
 //! * **Pass 2** re-streams the identical execution. Each chunk flows
 //!   through a [`MetaBuilder`] (classification, operand decode, dynamic
 //!   memory keys, value-predictor training, dynamic control-dependence
-//!   resolution — all carried state lives in the builder) into per-chunk
-//!   `EventMeta`/[`EventClass`] buffers, which are then fed to the
-//!   scheduling kernel ([`lane`](crate::lane)). As in memory, the builder
+//!   resolution — all carried state lives in the builder) into a
+//!   per-chunk `EventMeta` buffer, which is then fed to the scheduling
+//!   kernel ([`lane`](crate::lane)). As in memory, the builder
 //!   is mode-free and the lane groups apply the configured
 //!   disambiguation and value-prediction modes. The groups carry the
 //!   scheduling state across chunks, so the resulting reports are
@@ -40,15 +40,11 @@
 use std::sync::{Condvar, Mutex, RwLock};
 
 use clfp_predict::BranchProfile;
-use clfp_vm::{
-    ProgramSource, SummaryBuilder, TraceEvent, TraceSource, TraceSummary, VmError, VmOptions,
-};
+use clfp_vm::{ProgramSource, SummaryBuilder, TraceSource, TraceSummary, VmError, VmOptions};
 
 use crate::analyzer::{assemble_report, Analyzer, Report};
 use crate::lane::{GroupFeed, LaneScheduler};
-use crate::meta::{
-    branches_under, EventClass, EventMeta, MetaBuilder, ProgramMeta, PC_COND_BRANCH,
-};
+use crate::meta::{branches_under, EventMeta, MetaBuilder, ProgramMeta, PC_COND_BRANCH};
 use crate::pass::PassResult;
 use crate::{AnalyzeError, PredictorChoice};
 
@@ -88,11 +84,11 @@ impl StreamOptions {
     /// `text_len` static instructions: `chunk_events` when non-zero,
     /// otherwise the adaptive heuristic.
     ///
-    /// The heuristic targets chunk-resident data (raw `TraceEvent`s,
-    /// decoded per-event metadata rows, classification bits — ~30
-    /// bytes/event) at
-    /// half a nominal 1 MiB L2, so the second lane group's walk over a
-    /// chunk and the next chunk's fill read warm cache. The budget
+    /// The heuristic targets chunk-resident data (a 16-byte raw
+    /// `TraceEvent` and a 16-byte decoded `EventMeta` row per event,
+    /// budgeted at the ~30 bytes/event the sizes were tuned with) at half
+    /// a nominal 1 MiB L2, so the second lane group's walk over a chunk
+    /// and the next chunk's fill read warm cache. The budget
     /// shrinks with the per-PC lane state the groups keep hot (the
     /// CD group's `branch_time`/`branch_ceiling` vectors, ~128 bytes per
     /// text instruction at full lane width), halves again under the
@@ -108,8 +104,7 @@ impl StreamOptions {
         let budget = CACHE_BUDGET.saturating_sub(state_bytes).max(64 << 10);
         let buffers = if self.resolved_workers() > 1 { 2 } else { 1 };
         let events = budget / (EVENT_BYTES * buffers);
-        // Round down to a power of two so chunk boundaries stay aligned
-        // with the classification bitmap words.
+        // Round down to a power of two.
         let rounded = (events / 2 + 1).next_power_of_two();
         rounded.clamp(1 << 12, 1 << 16)
     }
@@ -140,32 +135,6 @@ impl StreamedReports {
     }
 }
 
-/// One prepared chunk: the decoded event stream and both per-setting
-/// classifications. Cleared and refilled in place, so steady-state pass 2
-/// allocates nothing.
-struct ChunkBuf {
-    events: Vec<EventMeta>,
-    unrolled: EventClass,
-    rolled: EventClass,
-}
-
-impl ChunkBuf {
-    fn new(chunk_events: usize) -> ChunkBuf {
-        ChunkBuf {
-            events: Vec::with_capacity(chunk_events),
-            unrolled: EventClass::with_capacity(chunk_events),
-            rolled: EventClass::with_capacity(chunk_events),
-        }
-    }
-
-    fn fill(&mut self, builder: &mut MetaBuilder<'_>, chunk: &[TraceEvent]) {
-        self.events.clear();
-        self.unrolled.clear();
-        self.rolled.clear();
-        builder.push_chunk(chunk, &mut self.events, &mut self.unrolled, &mut self.rolled);
-    }
-}
-
 /// Broadcast control block. `published` is the highest chunk id written
 /// (−1 before the first); `consumed[w]` the highest id worker `w` has
 /// fully processed. The producer overwrites buffer `id % 2` only once
@@ -177,7 +146,9 @@ struct Ctrl {
 }
 
 struct Broadcast {
-    bufs: [RwLock<ChunkBuf>; 2],
+    /// Two prepared chunks, cleared and refilled in place, so
+    /// steady-state pass 2 allocates nothing.
+    bufs: [RwLock<Vec<EventMeta>>; 2],
     ctrl: Mutex<Ctrl>,
     cv: Condvar,
 }
@@ -290,10 +261,11 @@ impl<'a> Analyzer<'a> {
             .arg("slots", slots as u64)
             .arg("events", summary.total);
         let passes: Vec<PassResult> = if workers <= 1 {
-            let mut buf = ChunkBuf::new(chunk_events);
+            let mut buf = Vec::with_capacity(chunk_events);
             source.stream(chunk_events, &mut |chunk| {
-                buf.fill(&mut builder, chunk);
-                sched.feed(pcs, 0, &buf.events, &buf.unrolled, &buf.rolled);
+                buf.clear();
+                builder.push_chunk(chunk, &mut buf);
+                sched.feed(pcs, &buf);
             })?;
             sched.finish()
         } else {
@@ -351,8 +323,8 @@ fn run_broadcast(
 ) -> Result<Vec<PassResult>, VmError> {
     let shared = Broadcast {
         bufs: [
-            RwLock::new(ChunkBuf::new(chunk_events)),
-            RwLock::new(ChunkBuf::new(chunk_events)),
+            RwLock::new(Vec::with_capacity(chunk_events)),
+            RwLock::new(Vec::with_capacity(chunk_events)),
         ],
         ctrl: Mutex::new(Ctrl {
             published: -1,
@@ -399,14 +371,7 @@ fn run_broadcast(
                         for id in next..=upto {
                             let buf = shared.bufs[(id % 2) as usize].read().unwrap();
                             for group in my_groups.iter_mut() {
-                                group.feed(
-                                    pcs,
-                                    0,
-                                    &buf.events,
-                                    &buf.unrolled,
-                                    &buf.rolled,
-                                    &mut clfp_metrics::NullSink,
-                                );
+                                group.feed(pcs, &buf, &mut clfp_metrics::NullSink);
                             }
                         }
                         next = upto + 1;
@@ -430,10 +395,11 @@ fn run_broadcast(
                     ctrl = shared.cv.wait(ctrl).unwrap();
                 }
             }
-            shared.bufs[(id % 2) as usize]
-                .write()
-                .unwrap()
-                .fill(builder, chunk);
+            {
+                let mut buf = shared.bufs[(id % 2) as usize].write().unwrap();
+                buf.clear();
+                builder.push_chunk(chunk, &mut buf);
+            }
             shared.ctrl.lock().unwrap().published = id;
             shared.cv.notify_all();
             id += 1;

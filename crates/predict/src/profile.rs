@@ -1,5 +1,3 @@
-use std::collections::HashMap;
-
 use clfp_isa::Program;
 use clfp_vm::{Trace, Vm, VmError, VmOptions};
 
@@ -8,9 +6,13 @@ use clfp_vm::{Trace, Vm, VmError, VmOptions};
 /// The paper collects these "from running the benchmarks with the same
 /// inputs used in the simulations", making the derived static predictions
 /// an upper bound for profile-guided prediction.
+///
+/// The counts are stored densely, indexed by pc up to the highest pc
+/// recorded: recording a branch outcome is one indexed add. A pc with no
+/// recorded outcome holds `(0, 0)` and counts as unprofiled.
 #[derive(Clone, Debug, Default)]
 pub struct BranchProfile {
-    counts: HashMap<u32, (u64, u64)>, // pc -> (taken, not taken)
+    counts: Vec<(u64, u64)>, // indexed by pc: (taken, not taken)
 }
 
 impl BranchProfile {
@@ -69,7 +71,11 @@ impl BranchProfile {
 
     /// Records one dynamic branch outcome.
     pub fn record(&mut self, pc: u32, taken: bool) {
-        let entry = self.counts.entry(pc).or_insert((0, 0));
+        let index = pc as usize;
+        if index >= self.counts.len() {
+            self.counts.resize(index + 1, (0, 0));
+        }
+        let entry = &mut self.counts[index];
         if taken {
             entry.0 += 1;
         } else {
@@ -82,20 +88,18 @@ impl BranchProfile {
     /// Branches never seen in the profile predict not-taken (ties predict
     /// taken, the common loop-branch direction).
     pub fn majority(&self, pc: u32) -> bool {
-        match self.counts.get(&pc) {
-            Some(&(taken, not_taken)) => taken >= not_taken,
-            None => false,
-        }
+        let (taken, not_taken) = self.counts(pc);
+        taken + not_taken > 0 && taken >= not_taken
     }
 
     /// `(taken, not_taken)` counts for a branch.
     pub fn counts(&self, pc: u32) -> (u64, u64) {
-        self.counts.get(&pc).copied().unwrap_or((0, 0))
+        self.counts.get(pc as usize).copied().unwrap_or((0, 0))
     }
 
     /// Total dynamic conditional branches profiled.
     pub fn total_branches(&self) -> u64 {
-        self.counts.values().map(|&(t, n)| t + n).sum()
+        self.counts.iter().map(|&(t, n)| t + n).sum()
     }
 
     /// The accuracy the majority predictor achieves on the profiled run
@@ -107,15 +111,20 @@ impl BranchProfile {
         }
         let correct: u64 = self
             .counts
-            .values()
+            .iter()
             .map(|&(taken, not_taken)| taken.max(not_taken))
             .sum();
         correct as f64 / total as f64
     }
 
-    /// Iterates over `(pc, taken, not_taken)` for every profiled branch.
+    /// Iterates over `(pc, taken, not_taken)` for every profiled branch,
+    /// in ascending pc order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u64, u64)> + '_ {
-        self.counts.iter().map(|(&pc, &(t, n))| (pc, t, n))
+        self.counts
+            .iter()
+            .enumerate()
+            .filter(|(_, &(t, n))| t + n > 0)
+            .map(|(pc, &(t, n))| (pc as u32, t, n))
     }
 }
 
@@ -180,5 +189,32 @@ mod tests {
         let mut pcs: Vec<u32> = profile.iter().map(|(pc, _, _)| pc).collect();
         pcs.sort_unstable();
         assert_eq!(pcs, vec![3, 7]);
+    }
+
+    /// The dense storage holds a slot for every pc up to the highest one
+    /// recorded; the unrecorded slots below it read as unprofiled.
+    #[test]
+    fn dense_storage_gaps_read_as_unprofiled() {
+        let mut profile = BranchProfile::new();
+        profile.record(9, true);
+        profile.record(2, false);
+        profile.record(9, true);
+        profile.record(5, true);
+        profile.record(5, false);
+        for gap in [0, 1, 3, 4, 6, 7, 8] {
+            assert_eq!(profile.counts(gap), (0, 0), "pc {gap}");
+            assert!(!profile.majority(gap), "pc {gap} predicts not-taken");
+        }
+        assert_eq!(profile.counts(10), (0, 0), "above the highest pc");
+        assert!(!profile.majority(10));
+        // Recorded pcs only, in ascending order, whatever the recording
+        // order was.
+        let listed: Vec<(u32, u64, u64)> = profile.iter().collect();
+        assert_eq!(listed, vec![(2, 0, 1), (5, 1, 1), (9, 2, 0)]);
+        assert!(!profile.majority(2));
+        assert!(profile.majority(5), "a tie predicts taken");
+        assert!(profile.majority(9));
+        assert_eq!(profile.total_branches(), 5);
+        assert!((profile.accuracy() - 4.0 / 5.0).abs() < 1e-12);
     }
 }

@@ -87,6 +87,35 @@ fn encode_header(fingerprint: u64, max_instrs: u64, events: u64) -> [u8; HEADER_
     header
 }
 
+/// The fields of a cache header whose magic and hash checked out.
+struct Header {
+    version: u32,
+    fingerprint: u64,
+    max_instrs: u64,
+    events: u64,
+}
+
+/// Reads and decodes a cache header — the one decoder of the layout
+/// [`encode_header`] writes. A short read, a wrong magic or a header hash
+/// that does not match is [`CacheFileError::Corrupt`]; the version, key
+/// and count are returned unchecked.
+fn read_header(reader: &mut impl Read) -> Result<Header, CacheFileError> {
+    let mut header = [0u8; HEADER_LEN];
+    if reader.read_exact(&mut header).is_err() || &header[0..8] != MAGIC {
+        return Err(CacheFileError::Corrupt);
+    }
+    let u64_at = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
+    if u64_at(36) != fnv1a(&header[0..36]) {
+        return Err(CacheFileError::Corrupt);
+    }
+    Ok(Header {
+        version: u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")),
+        fingerprint: u64_at(12),
+        max_instrs: u64_at(20),
+        events: u64_at(28),
+    })
+}
+
 /// Why a cache file was rejected (and deleted) at lookup.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum CacheFileError {
@@ -153,32 +182,23 @@ impl FileTraceSource {
     ) -> io::Result<Result<u64, CacheFileError>> {
         let mut file = fs::File::open(path)?;
         let file_len = file.metadata()?.len();
-        let mut header = [0u8; HEADER_LEN];
-        if file.read_exact(&mut header).is_err() {
-            return Ok(Err(CacheFileError::Corrupt));
+        let header = match read_header(&mut file) {
+            Ok(header) => header,
+            Err(why) => return Ok(Err(why)),
+        };
+        if header.version != TRACE_FORMAT_VERSION {
+            return Ok(Err(CacheFileError::WrongVersion {
+                stored: header.version,
+            }));
         }
-        if &header[0..8] != MAGIC {
-            return Ok(Err(CacheFileError::Corrupt));
-        }
-        let stored_hash = u64::from_le_bytes(header[36..44].try_into().expect("8 bytes"));
-        if stored_hash != fnv1a(&header[0..36]) {
-            return Ok(Err(CacheFileError::Corrupt));
-        }
-        let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-        if version != TRACE_FORMAT_VERSION {
-            return Ok(Err(CacheFileError::WrongVersion { stored: version }));
-        }
-        let stored_fp = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
-        let stored_max = u64::from_le_bytes(header[20..28].try_into().expect("8 bytes"));
-        if stored_fp != fingerprint || stored_max != max_instrs {
+        if header.fingerprint != fingerprint || header.max_instrs != max_instrs {
             return Ok(Err(CacheFileError::StaleKey));
         }
-        let events = u64::from_le_bytes(header[28..36].try_into().expect("8 bytes"));
-        let records_len = events.checked_mul(RECORD_LEN as u64);
+        let records_len = header.events.checked_mul(RECORD_LEN as u64);
         if records_len.and_then(|len| len.checked_add(HEADER_LEN as u64)) != Some(file_len) {
             return Ok(Err(CacheFileError::Truncated));
         }
-        Ok(Ok(events))
+        Ok(Ok(header.events))
     }
 
     /// Opens the file and reads past its header, for a reader of its
@@ -432,23 +452,19 @@ impl TraceCache {
                 continue;
             }
             let bytes = entry.metadata()?.len();
-            let mut file = match fs::File::open(&path) {
-                Ok(file) => file,
-                Err(_) => continue,
-            };
-            let mut header = [0u8; HEADER_LEN];
-            if file.read_exact(&mut header).is_err()
-                || &header[0..8] != MAGIC
-                || u64::from_le_bytes(header[36..44].try_into().expect("8 bytes"))
-                    != fnv1a(&header[0..36])
-            {
+            let Ok(mut file) = fs::File::open(&path) else {
                 continue;
-            }
+            };
+            // Any version is listed: `clfp cache` shows what `clear` would
+            // remove.
+            let Ok(header) = read_header(&mut file) else {
+                continue;
+            };
             out.push(CacheEntry {
                 path,
-                fingerprint: u64::from_le_bytes(header[12..20].try_into().expect("8 bytes")),
-                max_instrs: u64::from_le_bytes(header[20..28].try_into().expect("8 bytes")),
-                events: u64::from_le_bytes(header[28..36].try_into().expect("8 bytes")),
+                fingerprint: header.fingerprint,
+                max_instrs: header.max_instrs,
+                events: header.events,
                 bytes,
             });
         }

@@ -16,9 +16,11 @@
 //! lost carry, not floating-point noise. The per-mode cases also gate
 //! both axes: the `clfp-verify` monotonicity check runs over the
 //! disambiguation modes' and the value-prediction modes' reference
-//! reports. Random machine subsets in random request orders, and a
-//! fixed MiniC program that catches a stale branch ceiling, round it out;
-//! `random_programs.rs` runs the same comparison on random programs.
+//! reports. Random machine subsets in random request orders, a fixed
+//! MiniC program that catches a stale branch ceiling, an assembly program
+//! whose computed transfers land in the middle of blocks, and the
+//! inlining-off configuration round it out; `random_programs.rs` runs the
+//! same comparison on random programs.
 //!
 //! [`PreparedTrace::report_with_unrolling`]: clfp::limits::PreparedTrace::report_with_unrolling
 //! [`PreparedTrace::report_both`]: clfp::limits::PreparedTrace::report_both
@@ -104,6 +106,177 @@ fn per_setting<'a>(program: &'a Program, config: &AnalysisConfig) -> [(bool, Ana
         let analyzer = Analyzer::new(program, config.clone().with_unrolling(unrolling));
         (unrolling, analyzer.unwrap())
     })
+}
+
+/// Computed transfers into the middle of blocks: `jr`, `callr` and `ret`
+/// each land one instruction past a label (`label + 1`), on a pc that is
+/// not a block leader, so the preparation walk meets a new block, a new
+/// latest branch instance or a new call-stack top without a block start.
+///
+/// Each landing starts a dependence chain whose first instruction only
+/// its control-dependence source can delay, and the chains feed one
+/// another, so a source resolved for the wrong block moves the critical
+/// path of the CD and CD-MF machines. The `jr` leaves a block that
+/// depends on `b1`, which waits for chain `r10`, and lands in a block
+/// that depends on nothing (`jtarget` is a procedure entry, since its
+/// address is taken). The `ret` leaves the callee's last block, which
+/// inherits, and lands in the caller's block after the `callr`, which
+/// depends on `b2`; `b2` waits for chain `r11`, which continues the
+/// landing chain `r13`. The chain lengths differ, so the delays a stale
+/// source adds at one landing and removes at the other cannot cancel. (A
+/// `callr` landing inherits its call site's source, so a stale source
+/// there times the same.)
+fn mid_block_source() -> String {
+    let chain = |reg: &str, n: usize| format!("        addi {reg}, {reg}, 1\n").repeat(n);
+    format!(
+        r#"
+    .text
+    main:
+        li r10, 5
+{a}
+    b1: beq r10, r0, done1
+        li r9, jtarget
+        addi r9, r9, 1
+        jr r9
+    done1:
+        halt
+    jtarget:
+        addi r12, r12, 100
+        li r13, 3
+{b}
+        addi r11, r13, 1
+{c}
+    b2: beq r11, r0, done2
+        li r9, callee
+        addi r9, r9, 1
+        callr r9
+    rtarget:
+        addi r15, r15, 1
+        addi r16, r13, 1
+{d}
+    done2:
+        halt
+    callee:
+        addi r20, r20, 1
+        li r21, 9
+        beq r21, r0, cskip
+        addi r22, r22, 1
+    cskip:
+        addi ra, ra, 1
+        ret
+    "#,
+        a = chain("r10", 12),
+        b = chain("r13", 20),
+        c = chain("r11", 17),
+        d = chain("r16", 30),
+    )
+}
+
+/// Every pipeline over one trace under `config`, at both unroll settings,
+/// against the reference pass: one preparation's `report_both`, its
+/// one-walk and machine-major packings, and the streamed pass at chunk
+/// sizes 1, 7 and the whole trace.
+fn assert_every_path_matches_reference(
+    program: &Program,
+    trace: &Trace,
+    config: &AnalysisConfig,
+    tag: &str,
+) {
+    let analyzers = per_setting(program, config);
+    let prepared = analyzers[0].1.prepare(trace);
+    let (unrolled, rolled) = prepared.report_both();
+    let streamed = [1, 7, trace.len()].map(|chunk| {
+        let options = StreamOptions {
+            chunk_events: chunk,
+            machine_threads: 1,
+        };
+        (
+            chunk,
+            analyzers[0].1.run_streamed_on(trace, options).unwrap(),
+        )
+    });
+    for ((unrolling, analyzer), both) in analyzers.iter().zip([&unrolled, &rolled]) {
+        let want = analyzer.run_on_trace_reference(trace);
+        let tag = format!("{tag} unroll={unrolling}");
+        for (label, got) in [
+            ("both", both),
+            ("lane", &prepared.report_with_unrolling(*unrolling)),
+            (
+                "machine-major",
+                &prepared.report_with_unrolling_scalar(*unrolling),
+            ),
+        ] {
+            same_report(got, &want, &format!("{tag} {label}")).unwrap();
+        }
+        for (chunk, streamed) in &streamed {
+            let got = streamed.report(*unrolling);
+            same_report(got, &want, &format!("{tag} chunk={chunk}")).unwrap();
+        }
+    }
+}
+
+/// The mid-block exerciser, checked to do what it claims: each of its
+/// computed transfers lands on `label + 1`, a pc that is not a block
+/// leader.
+fn mid_block_exerciser() -> (Program, Trace) {
+    let program = clfp::isa::assemble(&mid_block_source()).unwrap();
+    let trace = trace_of(&program);
+    let cfg = clfp::cfg::Cfg::build(&program);
+    let events = trace.events();
+    for label in ["jtarget", "callee", "rtarget"] {
+        let landing = program.symbols.code(label).unwrap() + 1;
+        assert_ne!(
+            cfg.block(cfg.block_of_instr(landing)).start,
+            landing,
+            "{label} + 1 must not lead a block"
+        );
+        let transfers = events
+            .windows(2)
+            .filter(|pair| pair[1].pc == landing && pair[0].pc + 1 != landing)
+            .count();
+        assert_eq!(transfers, 1, "{label} + 1 is reached by a transfer");
+    }
+    (program, trace)
+}
+
+#[test]
+fn computed_transfers_into_mid_block_match_reference() {
+    let (program, trace) = mid_block_exerciser();
+    assert_every_path_matches_reference(&program, &trace, &config(), "mid-block");
+}
+
+/// Perfect inlining off (`clfp analyze --no-inline`): calls, returns and
+/// stack-pointer arithmetic stay in the schedule at both unroll settings.
+/// The reference reads the inline mask under `config.inlining` itself.
+#[test]
+fn inlining_off_matches_reference() {
+    let config = AnalysisConfig {
+        inlining: false,
+        ..config()
+    };
+    let qsort = clfp::workloads::by_name("qsort")
+        .unwrap()
+        .compile()
+        .unwrap();
+    let qsort_trace = trace_of(&qsort);
+    let (exerciser, exerciser_trace) = mid_block_exerciser();
+    for (name, program, trace) in [
+        ("mid-block", &exerciser, &exerciser_trace),
+        ("qsort", &qsort, &qsort_trace),
+    ] {
+        let tag = format!("{name} no-inline");
+        assert_every_path_matches_reference(program, trace, &config, &tag);
+        // Inlining off keeps the instructions inlining deletes.
+        let seq_instrs = |inlining| {
+            let config = AnalysisConfig {
+                inlining,
+                ..config.clone()
+            };
+            let analyzer = Analyzer::new(program, config.with_unrolling(false)).unwrap();
+            analyzer.run_on_trace_reference(trace).seq_instrs
+        };
+        assert!(seq_instrs(false) > seq_instrs(true), "{tag}: calls kept");
+    }
 }
 
 /// `report_both` over one preparation under `config` equals the reference
