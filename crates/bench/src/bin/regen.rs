@@ -38,7 +38,8 @@
 //! Each run does one thing. Two modes (`--timing`, `--trace` and
 //! `--check-perf` together count as one), a table outside 1-4, a figure
 //! outside 4-7, or `--perf-tolerance` without `--check-perf` exit 1 with a
-//! message before any suite runs.
+//! message before any suite runs. The timed modes exit 1, naming every
+//! false bit-identity gate, before they write any artifact.
 //!
 //! By default regen installs the on-disk trace cache
 //! (`$CLFP_CACHE_DIR` or `target/clfp-cache`): the first run of a
@@ -121,8 +122,10 @@ With --check-perf, runs the timed suite and compares its
 lane and reference pipeline walls (lane_wall_ms,
 reference_wall_ms) against the BENCH_suite.json in DIR (default
 the current directory); a wall more than --perf-tolerance
-percent (default 50) over the baseline, or any failed
-bit-identity gate, exits with status 4.
+percent (default 50) over the baseline exits with status 4.
+--timing, --trace and --check-perf print the timed suite's six
+bit-identity gates and exit 1, naming every false one, before
+they write anything.
 Raw traces are cached on disk under $CLFP_CACHE_DIR (default
 target/clfp-cache) keyed by program, trace cap, and format
 version, so reruns skip VM execution and branch profiling;
@@ -567,6 +570,15 @@ fn timed(
     clfp_metrics::trace::set_tracing(false);
     let timing_run = result.map_err(|err| fail(format!("timing suite failed: {err}")))?;
     println!("{}", timing_run.summary());
+    // A false gate means a fast path computed different numbers: no
+    // artifact of the run is written, whatever its timings.
+    let failed = timing_run.failed_gates();
+    if !failed.is_empty() {
+        return Err(fail(format!(
+            "bit-identity gate(s) false: {}",
+            failed.join(", ")
+        )));
+    }
 
     if let Some(trace_path) = trace {
         let log = clfp_metrics::trace::drain();

@@ -67,7 +67,7 @@ pub use tables::{
     figure4, figure5, figure6, figure7, static_inventory, table1, table2, table3, table4,
 };
 pub use timing::{
-    check_perf, pipeline_profile_md, run_suite_timed, PerfCheck, SuiteTiming, WorkloadTiming,
+    check_perf, pipeline_profile_md, run_suite_timed, Gate, PerfCheck, SuiteTiming, WorkloadTiming,
 };
 
 use std::sync::atomic::{AtomicUsize, Ordering};

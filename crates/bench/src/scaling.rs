@@ -43,7 +43,8 @@ pub struct ScalingSuite {
     /// Chunk size (events) requested; 0 means the adaptive per-workload
     /// default ([`StreamOptions::resolved_chunk_events`]).
     pub chunk_events: usize,
-    /// Worker threads the machine broadcast ran with (resolved).
+    /// The worker-thread setting pass 2 ran with (`machine_threads`,
+    /// with `0` resolved to the host's available parallelism).
     pub machine_threads: usize,
     /// Provenance of this run (config hash, git describe, timestamp).
     pub manifest: RunManifest,

@@ -42,11 +42,11 @@ pub struct WorkloadTiming {
     /// settings.
     pub reference_analysis_ms: f64,
     /// Streaming chunked analysis over the same trace (two-pass, all 14
-    /// machine slots, sequential — `machine_threads: 1`).
+    /// machine slots, lane groups fed inline — `machine_threads: 1`).
     pub stream_ms: f64,
-    /// Streaming chunked analysis with the parallel machine broadcast
-    /// (`machine_threads: 0`, i.e. the host's available parallelism,
-    /// subject to the short-stream sequential fallback).
+    /// The same streamed analysis with each lane group on its own thread
+    /// (`machine_threads: 2`, which the short-stream inline fallback of
+    /// the automatic setting does not apply to).
     pub stream_par_ms: f64,
     /// Whether the measured trace came from a warm cache file (in which
     /// case `trace_ms` is the file load and `profiling_ms` is zero — the
@@ -303,7 +303,9 @@ pub fn run_suite_timed(config: &AnalysisConfig) -> Result<SuiteTiming, AnalyzeEr
 
         // The streaming chunked pipeline over the same trace: two
         // re-streams (profile + machines) in O(chunk) working memory,
-        // first sequential, then with the parallel machine broadcast.
+        // first inline, then with one thread per lane group. Every suite
+        // trace is shorter than the automatic setting's threshold, so
+        // the threaded run asks for two threads outright.
         let t0 = stage_start();
         let start = Instant::now();
         let streamed = unrolled.run_streamed_on(
@@ -321,7 +323,7 @@ pub fn run_suite_timed(config: &AnalysisConfig) -> Result<SuiteTiming, AnalyzeEr
             &trace,
             StreamOptions {
                 chunk_events,
-                machine_threads: 0,
+                machine_threads: 2,
             },
         )?;
         let stream_par_ms = ms(start);
@@ -433,7 +435,41 @@ pub fn run_suite_timed(config: &AnalysisConfig) -> Result<SuiteTiming, AnalyzeEr
     })
 }
 
+/// One bit-identity gate of a [`SuiteTiming`].
+#[derive(Copy, Clone, Debug)]
+pub struct Gate {
+    /// The gate's key in `BENCH_suite.json`.
+    pub key: &'static str,
+    /// How the terminal summary names it.
+    pub label: &'static str,
+    /// Whether the compared pipelines agreed bit for bit.
+    pub held: bool,
+}
+
 impl SuiteTiming {
+    /// The six bit-identity gates, in report order. The JSON, the
+    /// summary, [`check_perf`] and `regen` all read them from here.
+    pub fn gates(&self) -> [Gate; 6] {
+        [
+            ("reports_match", "tables identical", self.reports_match),
+            ("stream_matches", "streaming bit-identical", self.stream_matches),
+            ("lane_matches", "lane bit-identical", self.lane_matches),
+            ("alias_matches", "static-alias bit-identical", self.alias_matches),
+            ("valuepred_matches", "value-pred bit-identical", self.valuepred_matches),
+            ("cache_matches", "cache roundtrip bit-identical", self.cache_matches),
+        ]
+        .map(|(key, label, held)| Gate { key, label, held })
+    }
+
+    /// The keys of the gates that read `false`; any one fails the run.
+    pub fn failed_gates(&self) -> Vec<&'static str> {
+        self.gates()
+            .iter()
+            .filter(|gate| !gate.held)
+            .map(|gate| gate.key)
+            .collect()
+    }
+
     /// Serializes the comparison as JSON (`BENCH_suite.json`).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
@@ -448,19 +484,10 @@ impl SuiteTiming {
             self.reference_wall_ms
         ));
         out.push_str(&format!("  \"speedup\": {:.2},\n", self.speedup));
-        out.push_str(&format!("  \"reports_match\": {},\n", self.reports_match));
         out.push_str(&format!("  \"chunk_events\": {},\n", self.chunk_events));
-        out.push_str(&format!(
-            "  \"stream_matches\": {},\n",
-            self.stream_matches
-        ));
-        out.push_str(&format!("  \"lane_matches\": {},\n", self.lane_matches));
-        out.push_str(&format!("  \"alias_matches\": {},\n", self.alias_matches));
-        out.push_str(&format!(
-            "  \"valuepred_matches\": {},\n",
-            self.valuepred_matches
-        ));
-        out.push_str(&format!("  \"cache_matches\": {},\n", self.cache_matches));
+        for gate in self.gates() {
+            out.push_str(&format!("  \"{}\": {},\n", gate.key, gate.held));
+        }
         out.push_str(&format!(
             "  \"manifest\": {},\n",
             self.manifest.to_json_object("  ")
@@ -495,8 +522,8 @@ impl SuiteTiming {
     pub fn summary(&self) -> String {
         let mut out = String::from(
             "## Suite Timing: lane kernel vs reference pipeline\n\n\
-             | workload | raw instrs | compile | profiling (ref only) | trace | prepare | lane passes | reference analysis | stream (1t) | stream (par) |\n\
-             |----------|------------|---------|----------------------|-------|---------|-------------|--------------------|-------------|--------------|\n",
+             | workload | raw instrs | compile | profiling (ref only) | trace | prepare | lane passes | reference analysis | stream (inline) | stream (2 threads) |\n\
+             |----------|------------|---------|----------------------|-------|---------|-------------|--------------------|-----------------|--------------------|\n",
         );
         for w in &self.workloads {
             out.push_str(&format!(
@@ -513,32 +540,31 @@ impl SuiteTiming {
                 w.stream_par_ms,
             ));
         }
-        // The reference analysis runs its own preparation walk, so the
-        // lane side of the comparison is preparation plus machine passes.
+        // The reference analysis classifies and counts the events itself,
+        // so the lane side of the comparison is preparation plus machine
+        // passes.
         let lane_total: f64 = self
             .workloads
             .iter()
             .map(|w| w.prepare_ms + w.lane_machines_ms)
             .sum();
         let reference_total: f64 = self.workloads.iter().map(|w| w.reference_analysis_ms).sum();
+        let gates: Vec<String> = self
+            .gates()
+            .iter()
+            .map(|gate| format!("{}: {}", gate.label, gate.held))
+            .collect();
         out.push_str(&format!(
             "\nfull-suite wall time: lane {:.2}s vs reference {:.2}s -> {:.2}x speedup; \
              analysis: reference {:.0} ms vs lane {:.0} ms -> {:.2}x\n\
-             (tables identical: {}; streaming bit-identical: {}; lane bit-identical: {}; \
-             static-alias bit-identical: {}; value-pred bit-identical: {}; \
-             cache roundtrip bit-identical: {}; cache {}; pool {} thread(s); kernel {}; {})\n",
+             ({}; cache {}; pool {} thread(s); kernel {}; {})\n",
             self.lane_wall_ms / 1e3,
             self.reference_wall_ms / 1e3,
             self.speedup,
             reference_total,
             lane_total,
             reference_total / lane_total.max(f64::MIN_POSITIVE),
-            self.reports_match,
-            self.stream_matches,
-            self.lane_matches,
-            self.alias_matches,
-            self.valuepred_matches,
-            self.cache_matches,
+            gates.join("; "),
             self.cache,
             self.pool_threads,
             self.manifest.kernel.as_deref().unwrap_or("portable"),
@@ -814,19 +840,10 @@ pub fn check_perf(
                 .push(format!("{key} {now:.1} ms > limit {limit:.1} ms"));
         }
     }
-    for (name, ok) in [
-        ("reports_match", current.reports_match),
-        ("stream_matches", current.stream_matches),
-        ("lane_matches", current.lane_matches),
-        ("alias_matches", current.alias_matches),
-        ("valuepred_matches", current.valuepred_matches),
-        ("cache_matches", current.cache_matches),
-    ] {
-        if !ok {
-            check
-                .regressions
-                .push(format!("bit-identity gate {name} failed in the current run"));
-        }
+    for key in current.failed_gates() {
+        check
+            .regressions
+            .push(format!("bit-identity gate {key} failed in the current run"));
     }
     Ok(check)
 }
@@ -947,6 +964,25 @@ mod tests {
         let check = check_perf(&timing, &baseline, 50.0).unwrap();
         assert!(!check.passed());
         assert!(check.regressions.iter().any(|r| r.contains("lane_matches")));
+    }
+
+    #[test]
+    fn one_false_gate_is_named_by_every_reader() {
+        let mut timing = synthetic_timing();
+        assert!(timing.failed_gates().is_empty());
+        timing.cache_matches = false;
+        assert_eq!(timing.failed_gates(), ["cache_matches"]);
+        let summary = timing.summary();
+        assert!(summary.contains("cache roundtrip bit-identical: false"), "{summary}");
+        assert!(summary.contains("tables identical: true; streaming bit-identical: true"));
+        let json = timing.to_json();
+        assert!(json.contains("\"cache_matches\": false"), "{json}");
+        assert!(json.contains("\"lane_matches\": true"), "{json}");
+        let check = check_perf(&timing, &synthetic_timing().to_json(), 50.0).unwrap();
+        assert_eq!(
+            check.regressions,
+            ["bit-identity gate cache_matches failed in the current run"]
+        );
     }
 
     #[test]

@@ -8,7 +8,9 @@ use clfp_metrics::{MachineMetrics, MetricsCollector, MetricsSink, NullSink};
 
 use crate::lane::{run_machine_major, run_scheduler, LaneScheduler};
 use crate::meta::{branches_under, ProgramMeta, TraceMeta, CD_INHERIT, CD_NONE};
-use crate::pass::{mispredictions, run_pass, run_pass_with_schedule, PassResult, Prepared};
+use crate::pass::{
+    mispredictions, reference_counts, run_pass, run_pass_with_schedule, PassResult, Prepared,
+};
 use crate::stats::MispredictionStats;
 use crate::{AnalysisConfig, AnalyzeError, MachineKind, MemDisambiguation, ValuePrediction};
 
@@ -202,9 +204,10 @@ impl<'a> Analyzer<'a> {
     /// every pipeline is pinned against (the `lane_equivalence` suite
     /// asserts bit-for-bit equal reports) and the wall-time baseline of
     /// `regen --timing`. It classifies the events itself — it replays the
-    /// configured branch predictor and reads the ignore masks — so it
-    /// shares no classification with the preparation walk either; only
-    /// the report's branch statistics come from the preparation.
+    /// configured branch predictor and value predictor and reads the
+    /// ignore masks — and counts the report's branch and value-prediction
+    /// statistics the same way, so it shares nothing with the preparation
+    /// walk either.
     pub fn run_on_trace_reference(&self, trace: &Trace) -> Report {
         let mispred = mispredictions(self.program, &self.config, trace);
         let reference = self.reference(trace, &mispred);
@@ -214,8 +217,14 @@ impl<'a> Analyzer<'a> {
             .iter()
             .map(|&kind| run_pass(&reference, kind))
             .collect();
-        self.prepare(trace)
-            .assemble(self.config.unrolling, self.config.value_prediction, passes)
+        let (branches, not_ignored) = reference_counts(&reference);
+        assemble_report(
+            &self.config.machines,
+            passes,
+            not_ignored,
+            trace.len() as u64,
+            branches,
+        )
     }
 
     /// Computes the per-instruction schedule for one machine over a trace:

@@ -630,8 +630,8 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
 }
 
 /// Object-safe handle over one monomorphized lane group, so the
-/// scheduler (and the streaming broadcast) can hold a mixed set of
-/// groups and feed them chunk by chunk. `S` is the metrics sink every
+/// scheduler can hold a mixed set of groups and feed them chunk by
+/// chunk, on one thread or one thread per group. `S` is the metrics sink every
 /// feed reports to; throughput groups take the default [`NullSink`].
 pub(crate) trait GroupFeed<S: MetricsSink = NullSink>: Send {
     /// Schedules one chunk of consecutive events: the next sub-slice of

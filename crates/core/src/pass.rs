@@ -22,11 +22,11 @@
 
 use clfp_cfg::StaticInfo;
 use clfp_isa::{Instr, Program};
-use clfp_predict::BranchProfile;
+use clfp_predict::{BranchProfile, ValuePredictor};
 use clfp_vm::{Trace, TraceEvent};
 
-use crate::stats::MispredictionStats;
-use crate::{AnalysisConfig, LastWriteTable, MachineKind, PredictorChoice};
+use crate::stats::{BranchReport, MispredictionStats};
+use crate::{AnalysisConfig, LastWriteTable, MachineKind, PredictorChoice, ValuePrediction};
 
 /// Everything shared by the seven machine passes over one trace.
 pub(crate) struct Prepared<'a> {
@@ -131,7 +131,6 @@ pub(crate) fn run_pass_with_schedule(
     let track_segments = kind == MachineKind::Sp;
 
     let config = prepared.config;
-    let masks = &prepared.info.masks;
     let shift = config.disambiguation_bytes.trailing_zeros();
     // The reference runs its own value predictor: it is the oracle the
     // prepared pipelines are checked against, so it reads no hit bit
@@ -164,23 +163,13 @@ pub(crate) fn run_pass_with_schedule(
         if pc == cfg.block(block).start {
             seq += 1;
         }
-        // Perfect inlining and unrolling delete static instructions.
-        let ignored = (config.inlining && masks.inline_ignored(pc))
-            || (config.unrolling && masks.unroll_ignored(pc));
+        let ignored = is_ignored(prepared, pc);
         let is_branch = instr.is_cond_branch() || instr.is_computed_jump();
         let mispredicted = is_branch && prepared.mispred[i];
 
         // Every def-producing event trains the predictor, ignored or not,
         // so the hit sequence does not depend on the unroll setting.
-        let vp_hit = instr.def().is_some()
-            && match config.value_prediction {
-                crate::ValuePrediction::Off => false,
-                crate::ValuePrediction::Perfect => true,
-                _ => value_predictor
-                    .as_mut()
-                    .expect("realistic mode has a predictor")
-                    .predict_and_update(pc, event.value),
-            };
+        let vp_hit = instr.def().is_some() && value_hit(config, &mut value_predictor, event);
 
         // Resolve control dependence (needed for CD machines, and for the
         // stack inheritance at calls even on non-CD machines it is cheap to
@@ -350,6 +339,65 @@ pub(crate) fn run_pass_with_schedule(
         cycles,
         count,
         mispred_stats: track_segments.then_some(stats),
+    }
+}
+
+/// The report's counts over the reference's input, taken from the
+/// program text and the trace without the preparation walk: the branch
+/// report (conditional branches, taken and correctly predicted ones by
+/// `mispred`, computed jumps, raw events, and the register defs and hits
+/// of the reference's own value predictor under
+/// `config.value_prediction`), and the events that perfect inlining and
+/// unrolling keep.
+pub(crate) fn reference_counts(prepared: &Prepared<'_>) -> (BranchReport, u64) {
+    let text = &prepared.program.text;
+    let mut value_predictor = prepared.config.value_prediction.build(text.len());
+    let mut branches = BranchReport {
+        raw_instrs: prepared.events.len() as u64,
+        ..BranchReport::default()
+    };
+    let mut not_ignored = 0;
+    for (event, &mispredicted) in prepared.events.iter().zip(prepared.mispred) {
+        let instr = text[event.pc as usize];
+        if instr.is_cond_branch() {
+            branches.cond_branches += 1;
+            branches.taken += u64::from(event.taken);
+            branches.predicted_correctly += u64::from(!mispredicted);
+        } else if instr.is_computed_jump() {
+            branches.computed_jumps += 1;
+        }
+        if instr.def().is_some() {
+            branches.value_pred_eligible += 1;
+            let hit = value_hit(prepared.config, &mut value_predictor, event);
+            branches.value_pred_hits += u64::from(hit);
+        }
+        not_ignored += u64::from(!is_ignored(prepared, event.pc));
+    }
+    (branches, not_ignored)
+}
+
+/// Whether perfect inlining or unrolling, as configured, deletes the
+/// static instruction at `pc`.
+fn is_ignored(prepared: &Prepared<'_>, pc: u32) -> bool {
+    let (config, masks) = (prepared.config, &prepared.info.masks);
+    (config.inlining && masks.inline_ignored(pc)) || (config.unrolling && masks.unroll_ignored(pc))
+}
+
+/// Whether the reference's own value predictor, built by
+/// `config.value_prediction`, predicts the value a register-defining
+/// `event` produces; a realistic predictor trains on it.
+fn value_hit(
+    config: &AnalysisConfig,
+    predictor: &mut Option<Box<dyn ValuePredictor>>,
+    event: &TraceEvent,
+) -> bool {
+    match config.value_prediction {
+        ValuePrediction::Off => false,
+        ValuePrediction::Perfect => true,
+        _ => predictor
+            .as_mut()
+            .expect("realistic mode has a predictor")
+            .predict_and_update(event.pc, event.value),
     }
 }
 

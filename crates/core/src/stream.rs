@@ -28,17 +28,20 @@
 //! Within pass 2 every chunk is fed to at most two lane *groups*
 //! (control-dependence-using machines and the rest), each scheduling all
 //! its machine × unroll lanes in one walk over the chunk.
-//! When cores are available the groups run concurrently: the producer
-//! (preparation walk) publishes chunks through a double-buffered
-//! broadcast and each worker thread owns a fixed subset of the groups.
-//! Two buffers are sufficient: the producer may prepare chunk *n+1*
-//! while workers drain chunk *n*, and blocks before overwriting a buffer
-//! any worker still needs. With one core (or `machine_threads = 1`) the
-//! same groups are fed inline, sequentially, and so are streams shorter
-//! than [`PAR_THRESHOLD_EVENTS`] under the automatic worker count.
+//! When cores are available the groups run concurrently, in the shape
+//! the in-memory `run_scheduler` uses: one scoped thread per group. The
+//! producer (the preparation walk, on the calling thread) sends every
+//! prepared chunk to each group through a bounded channel that holds one
+//! chunk, so it runs at most two chunks ahead of the slowest group and
+//! refills three shared buffers in turn. With one core (or
+//! `machine_threads = 1`) the same groups are fed inline, sequentially,
+//! and so are streams shorter than [`PAR_THRESHOLD_EVENTS`] under the
+//! automatic worker count.
 
-use std::sync::{Condvar, Mutex, RwLock};
+use std::sync::{mpsc, Arc};
+use std::thread::ScopedJoinHandle;
 
+use clfp_metrics::NullSink;
 use clfp_predict::BranchProfile;
 use clfp_vm::{ProgramSource, SummaryBuilder, TraceSource, TraceSummary, VmError, VmOptions};
 
@@ -50,11 +53,11 @@ use crate::{AnalyzeError, PredictorChoice};
 
 /// Minimum trace length (events, measured exactly by pass 1) before the
 /// automatic worker count (`machine_threads = 0`) fans the machine passes
-/// out to the threaded broadcast; shorter streams run inline, where the
-/// broadcast's wake/publish handshakes cost more than the machine work
-/// they overlap. Below ~4M events the committed suite measures the
-/// sequential path faster than the broadcast on every host tried. An
-/// explicit `machine_threads >= 2` bypasses the fallback.
+/// out to the group threads; shorter streams run inline, where the
+/// per-chunk hand-offs cost more than the machine work they overlap.
+/// Below ~4M events the committed suite measures the sequential path
+/// faster than the threaded one on every host tried. An explicit
+/// `machine_threads >= 2` bypasses the fallback.
 const PAR_THRESHOLD_EVENTS: u64 = 4 << 20;
 
 /// Tuning knobs for the streaming pipeline.
@@ -91,8 +94,9 @@ impl StreamOptions {
     /// and the next chunk's fill read warm cache. The budget
     /// shrinks with the per-PC lane state the groups keep hot (the
     /// CD group's `branch_time`/`branch_ceiling` vectors, ~128 bytes per
-    /// text instruction at full lane width), halves again under the
-    /// threaded broadcast's double buffering, and is clamped to
+    /// text instruction at full lane width), halves again when more than
+    /// one thread is allowed (threaded, the producer fills one chunk while
+    /// the groups walk another), and is clamped to
     /// [2¹², 2¹⁶] events, rounded down to a power of two.
     pub fn resolved_chunk_events(&self, text_len: usize) -> usize {
         if self.chunk_events > 0 {
@@ -133,24 +137,6 @@ impl StreamedReports {
             &self.rolled
         }
     }
-}
-
-/// Broadcast control block. `published` is the highest chunk id written
-/// (−1 before the first); `consumed[w]` the highest id worker `w` has
-/// fully processed. The producer overwrites buffer `id % 2` only once
-/// every worker has consumed chunk `id − 2`, its previous occupant.
-struct Ctrl {
-    published: i64,
-    done: bool,
-    consumed: Vec<i64>,
-}
-
-struct Broadcast {
-    /// Two prepared chunks, cleared and refilled in place, so
-    /// steady-state pass 2 allocates nothing.
-    bufs: [RwLock<Vec<EventMeta>>; 2],
-    ctrl: Mutex<Ctrl>,
-    cv: Condvar,
 }
 
 impl<'a> Analyzer<'a> {
@@ -248,37 +234,29 @@ impl<'a> Analyzer<'a> {
         let mode = (config.disambiguation, config.value_prediction);
         let mut sched = LaneScheduler::new(pcs, config, &[mode], &[true, false], mem_capacity);
         let slots = 2 * config.machines.len();
-        let mut workers = options.resolved_workers().min(sched.groups.len());
         // Pass 1 measured the exact stream length; below the threshold the
-        // broadcast's synchronization overhead exceeds the overlap it buys,
-        // so the auto setting falls back to the inline path.
-        if options.machine_threads == 0 && summary.total < PAR_THRESHOLD_EVENTS {
-            workers = 1;
-        }
+        // hand-offs cost more than the overlap they buy, so the auto
+        // setting falls back to the inline path.
+        let threaded = options.resolved_workers() > 1
+            && sched.groups.len() > 1
+            && !(options.machine_threads == 0 && summary.total < PAR_THRESHOLD_EVENTS);
+        let workers = if threaded { sched.groups.len() } else { 1 };
 
         let pass2_span = clfp_metrics::trace::span("stream.pass2", "stream")
             .arg("workers", workers as u64)
             .arg("slots", slots as u64)
             .arg("events", summary.total);
-        let passes: Vec<PassResult> = if workers <= 1 {
+        if threaded {
+            feed_threaded(source, chunk_events, &mut builder, pcs, &mut sched.groups)?;
+        } else {
             let mut buf = Vec::with_capacity(chunk_events);
             source.stream(chunk_events, &mut |chunk| {
                 buf.clear();
                 builder.push_chunk(chunk, &mut buf);
                 sched.feed(pcs, &buf);
             })?;
-            sched.finish()
-        } else {
-            run_broadcast(
-                source,
-                chunk_events,
-                &mut builder,
-                pcs,
-                sched,
-                slots,
-                workers,
-            )?
-        };
+        }
+        let mut passes = sched.finish();
         drop(pass2_span);
 
         let branches = branches_under(
@@ -286,8 +264,7 @@ impl<'a> Analyzer<'a> {
             &builder.vp_hits(),
             config.value_prediction,
         );
-        let mut unrolled_passes = passes;
-        let rolled_passes = unrolled_passes.split_off(config.machines.len());
+        let rolled_passes = passes.split_off(config.machines.len());
         let report = |unrolling: bool, passes: Vec<PassResult>| {
             let not_ignored = builder.not_ignored(unrolling);
             assemble_report(
@@ -299,126 +276,75 @@ impl<'a> Analyzer<'a> {
             )
         };
         Ok(StreamedReports {
-            unrolled: report(true, unrolled_passes),
+            unrolled: report(true, passes),
             rolled: report(false, rolled_passes),
             summary,
         })
     }
 }
 
-/// The parallel pass-2 engine: the caller's thread runs the preparation
-/// walk (the branch predictor need not be `Send`) and publishes prepared
-/// chunks through the double-buffered [`Broadcast`]; each worker owns
-/// `groups[idx]` for `idx % workers == w` and feeds every published chunk
-/// to them in order. Returns the finished passes in request-slot order.
-#[allow(clippy::too_many_arguments)]
-fn run_broadcast(
+/// The threaded pass 2. The calling thread runs the preparation walk (the
+/// branch predictor need not be `Send`) and hands every prepared chunk to
+/// one scoped thread per lane group through a channel that holds one
+/// chunk: while the slowest group walks chunk *n*, chunk *n+1* waits in
+/// its channel and the producer fills *n+2*. So three buffers, refilled in
+/// turn, are enough, and steady-state pass 2 allocates nothing. A group
+/// thread that panics ends the walk with its panic.
+fn feed_threaded(
     source: &dyn TraceSource,
     chunk_events: usize,
     builder: &mut MetaBuilder<'_>,
     pcs: &ProgramMeta,
-    sched: LaneScheduler,
-    total: usize,
-    workers: usize,
-) -> Result<Vec<PassResult>, VmError> {
-    let shared = Broadcast {
-        bufs: [
-            RwLock::new(Vec::with_capacity(chunk_events)),
-            RwLock::new(Vec::with_capacity(chunk_events)),
-        ],
-        ctrl: Mutex::new(Ctrl {
-            published: -1,
-            done: false,
-            consumed: vec![-1; workers],
-        }),
-        cv: Condvar::new(),
-    };
-    let mut worker_groups: Vec<Vec<Box<dyn GroupFeed>>> =
-        (0..workers).map(|_| Vec::new()).collect();
-    for (idx, group) in sched.groups.into_iter().enumerate() {
-        worker_groups[idx % workers].push(group);
-    }
-
-    let collected: Vec<(usize, PassResult)> = std::thread::scope(|scope| {
-        let shared = &shared;
-        let handles: Vec<_> = worker_groups
-            .into_iter()
+    groups: &mut [Box<dyn GroupFeed>],
+) -> Result<(), VmError> {
+    std::thread::scope(|scope| {
+        let mut feeds: Vec<_> = groups
+            .iter_mut()
             .enumerate()
-            .map(|(w, mut my_groups)| {
-                scope.spawn(move || {
-                    // Worker-lifetime span: the gap between this and the
-                    // worker's lane.group busy time is broadcast wait.
+            .map(|(index, group)| {
+                let (send, chunks) = mpsc::sync_channel::<Arc<Vec<EventMeta>>>(1);
+                let thread = scope.spawn(move || {
+                    // Thread-lifetime span: the gap between this and the
+                    // group's lane.group busy time is waiting for chunks.
                     let _worker_span = clfp_metrics::trace::span("stream.worker", "stream")
-                        .arg("worker", w as u64)
-                        .arg("groups", my_groups.len() as u64);
-                    let mut next: i64 = 0;
-                    loop {
-                        let upto = {
-                            let mut ctrl = shared.ctrl.lock().unwrap();
-                            loop {
-                                if ctrl.published >= next {
-                                    break ctrl.published;
-                                }
-                                if ctrl.done {
-                                    break i64::MIN;
-                                }
-                                ctrl = shared.cv.wait(ctrl).unwrap();
-                            }
-                        };
-                        if upto == i64::MIN {
-                            break;
-                        }
-                        for id in next..=upto {
-                            let buf = shared.bufs[(id % 2) as usize].read().unwrap();
-                            for group in my_groups.iter_mut() {
-                                group.feed(pcs, &buf, &mut clfp_metrics::NullSink);
-                            }
-                        }
-                        next = upto + 1;
-                        shared.ctrl.lock().unwrap().consumed[w] = upto;
-                        shared.cv.notify_all();
+                        .arg("worker", index as u64)
+                        .arg("groups", 1u64);
+                    for chunk in chunks {
+                        group.feed(pcs, &chunk, &mut NullSink);
                     }
-                    my_groups
-                        .into_iter()
-                        .flat_map(|group| group.finish())
-                        .collect::<Vec<(usize, PassResult)>>()
-                })
+                });
+                (send, thread)
             })
             .collect();
-
-        // Producer: prepare and publish chunks from this thread.
-        let mut id: i64 = 0;
+        let mut buffers: [Arc<Vec<EventMeta>>; 3] = Default::default();
+        let mut next = 0;
         let produced = source.stream(chunk_events, &mut |chunk| {
+            let shared = &mut buffers[next % 3];
+            next += 1;
+            // Sending chunk n-1 waited until every group had taken chunk
+            // n-2 and so dropped n-3, this buffer's previous chunk.
+            let buf = Arc::get_mut(shared).expect("every group dropped the buffer's last chunk");
+            buf.clear();
+            builder.push_chunk(chunk, buf);
+            // A group's channel closes early only when its thread panicked.
+            if let Some(closed) = feeds
+                .iter()
+                .position(|(send, _)| send.send(Arc::clone(shared)).is_err())
             {
-                let mut ctrl = shared.ctrl.lock().unwrap();
-                while ctrl.consumed.iter().copied().min().unwrap_or(id) < id - 2 {
-                    ctrl = shared.cv.wait(ctrl).unwrap();
-                }
+                join(feeds.swap_remove(closed).1);
             }
-            {
-                let mut buf = shared.bufs[(id % 2) as usize].write().unwrap();
-                buf.clear();
-                builder.push_chunk(chunk, &mut buf);
-            }
-            shared.ctrl.lock().unwrap().published = id;
-            shared.cv.notify_all();
-            id += 1;
         });
-        shared.ctrl.lock().unwrap().done = true;
-        shared.cv.notify_all();
-        let mut collected = Vec::with_capacity(total);
-        for handle in handles {
-            collected.extend(handle.join().expect("machine worker panicked"));
+        for (send, thread) in feeds {
+            drop(send);
+            join(thread);
         }
-        produced.map(|()| collected)
-    })?;
+        produced
+    })
+}
 
-    let mut passes: Vec<Option<PassResult>> = (0..total).map(|_| None).collect();
-    for (idx, pass) in collected {
-        passes[idx] = Some(pass);
+/// Waits for a group thread, re-raising its panic on this thread.
+fn join(thread: ScopedJoinHandle<'_, ()>) {
+    if let Err(panic) = thread.join() {
+        std::panic::resume_unwind(panic);
     }
-    Ok(passes
-        .into_iter()
-        .map(|pass| pass.expect("every slot produced a result"))
-        .collect())
 }

@@ -3,14 +3,19 @@
 //! path bit for bit — cycles, counts, branch statistics, misprediction
 //! histograms, and the trace summary — for every machine model, both
 //! unroll settings, and every chunk size, including chunks that straddle
-//! call and branch boundaries and a parallel broadcast with forced worker
+//! call and branch boundaries and the threaded pass 2 with forced thread
 //! counts. Both pipelines run the same incremental builders (the
 //! in-memory path is the one-big-chunk special case), so any divergence
 //! here is carried-state lost at a chunk boundary. A cache file that can
-//! no longer be read back must end the streamed analysis with an error.
+//! no longer be read back must end the streamed analysis with an error,
+//! inline and threaded.
+
+use std::cell::Cell;
 
 use clfp_limits::{AnalysisConfig, AnalyzeError, Analyzer, MachineKind, Report, StreamOptions};
-use clfp_vm::{ProgramSource, TraceCache, Vm, VmError, VmOptions};
+use clfp_vm::{
+    FileTraceSource, ProgramSource, TraceCache, TraceEvent, TraceSource, Vm, VmError, VmOptions,
+};
 
 /// A procedure-heavy exerciser: calls, CD inheritance,
 /// loops, and memory traffic. Its 114-event trace is not a multiple of 7,
@@ -121,7 +126,7 @@ fn parallel_broadcast_matches_sequential() {
             },
         );
         let trace = vm.trace(config().max_instrs).unwrap();
-        // Small chunks force many broadcast handoffs.
+        // Small chunks force many hand-offs to the group threads.
         let sequential = analyzer
             .run_streamed_on(
                 &trace,
@@ -131,7 +136,7 @@ fn parallel_broadcast_matches_sequential() {
                 },
             )
             .unwrap();
-        // 4 and 3 workers: even and uneven splits of the 14 slots.
+        // Any count of two or more runs one thread per lane group.
         for threads in [4, 3] {
             let parallel = analyzer
                 .run_streamed_on(
@@ -228,21 +233,60 @@ fn unreadable_cache_entry_is_an_analyze_error() {
         .to_owned();
     let clean = std::fs::read(&path).unwrap();
     let source = cache.lookup(&program, config().max_instrs).unwrap();
-    let expect = |kind| {
-        let options = StreamOptions {
-            chunk_events: 7,
-            machine_threads: 1,
-        };
-        let err = analyzer
-            .run_streamed_on(&source, options)
-            .map(|_| ())
-            .unwrap_err();
-        assert_eq!(err, AnalyzeError::Vm(VmError::TraceRead { kind }));
+    // Inline and threaded pass 2: the threaded one must close its group
+    // threads and return the error, not wait on them.
+    let expect = |source: &dyn TraceSource, kind| {
+        for machine_threads in [1, 2] {
+            let options = StreamOptions {
+                chunk_events: 7,
+                machine_threads,
+            };
+            let err = analyzer
+                .run_streamed_on(source, options)
+                .map(|_| ())
+                .unwrap_err();
+            assert_eq!(
+                err,
+                AnalyzeError::Vm(VmError::TraceRead { kind }),
+                "machine_threads={machine_threads}"
+            );
+        }
     };
-    // The entry shortened by one record, then removed, after the lookup.
+    // The entry shortened by one record after pass 1 read it whole, so
+    // pass 2 fails part-way; then shortened, and removed, after the
+    // lookup, so pass 1 fails.
+    let short_in_pass2 = ShortInPass2 {
+        file: &source,
+        clean: &clean,
+        streams: Cell::new(0),
+    };
+    expect(&short_in_pass2, std::io::ErrorKind::UnexpectedEof);
     std::fs::write(&path, &clean[..clean.len() - 13]).unwrap();
-    expect(std::io::ErrorKind::UnexpectedEof);
+    expect(&source, std::io::ErrorKind::UnexpectedEof);
     std::fs::remove_file(&path).unwrap();
-    expect(std::io::ErrorKind::NotFound);
+    expect(&source, std::io::ErrorKind::NotFound);
     std::fs::remove_dir_all(dir).ok();
+}
+
+/// A cache entry that is whole for every odd stream (a streamed
+/// analysis's pass 1) and one 13-byte record short for every even one
+/// (its pass 2).
+struct ShortInPass2<'a> {
+    file: &'a FileTraceSource,
+    clean: &'a [u8],
+    streams: Cell<usize>,
+}
+
+impl TraceSource for ShortInPass2<'_> {
+    fn stream(
+        &self,
+        chunk_events: usize,
+        sink: &mut dyn FnMut(&[TraceEvent]),
+    ) -> Result<(), VmError> {
+        let pass2 = self.streams.get() % 2;
+        self.streams.set(self.streams.get() + 1);
+        let len = self.clean.len() - 13 * pass2;
+        std::fs::write(self.file.path(), &self.clean[..len]).unwrap();
+        self.file.stream(chunk_events, sink)
+    }
 }
