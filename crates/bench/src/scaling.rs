@@ -41,7 +41,7 @@ pub struct ScalingPoint {
 #[derive(Clone, Debug)]
 pub struct ScalingSuite {
     /// Chunk size (events) requested; 0 means the adaptive per-workload
-    /// default ([`StreamOptions::resolved_chunk_events`]).
+    /// default ([`StreamOptions::chunk_events`]).
     pub chunk_events: usize,
     /// The worker-thread setting pass 2 ran with (`machine_threads`,
     /// with `0` resolved to the host's available parallelism).

@@ -45,8 +45,7 @@ pub struct WorkloadTiming {
     /// machine slots, lane groups fed inline — `machine_threads: 1`).
     pub stream_ms: f64,
     /// The same streamed analysis with each lane group on its own thread
-    /// (`machine_threads: 2`, which the short-stream inline fallback of
-    /// the automatic setting does not apply to).
+    /// (`machine_threads: 2`).
     pub stream_par_ms: f64,
     /// Whether the measured trace came from a warm cache file (in which
     /// case `trace_ms` is the file load and `profiling_ms` is zero — the
@@ -303,9 +302,9 @@ pub fn run_suite_timed(config: &AnalysisConfig) -> Result<SuiteTiming, AnalyzeEr
 
         // The streaming chunked pipeline over the same trace: two
         // re-streams (profile + machines) in O(chunk) working memory,
-        // first inline, then with one thread per lane group. Every suite
-        // trace is shorter than the automatic setting's threshold, so
-        // the threaded run asks for two threads outright.
+        // first inline, then with one thread per lane group (two threads
+        // asked for outright, so the stage times the threaded pass on a
+        // host of any size).
         let t0 = stage_start();
         let start = Instant::now();
         let streamed = unrolled.run_streamed_on(

@@ -1059,6 +1059,9 @@ fn make_group<const CD: bool>(
     make(lanes, pcs, config, perfect_keys, disambiguation)
 }
 
+/// Lanes per group: the widest monomorphized build.
+const GROUP_LANES: usize = 8;
+
 /// All lane groups for one set of requested mode × unroll × machine
 /// slots, fed chunk by chunk and finished into request-ordered results.
 ///
@@ -1102,7 +1105,7 @@ impl LaneScheduler {
             let (cd_lanes, plain_lanes): (Vec<LaneSlot>, Vec<LaneSlot>) = lanes
                 .into_iter()
                 .partition(|lane| lane.kind.uses_control_deps());
-            for lanes in cd_lanes.chunks(8) {
+            for lanes in cd_lanes.chunks(GROUP_LANES) {
                 groups.push(make_group::<true>(
                     lanes,
                     pcs,
@@ -1111,7 +1114,7 @@ impl LaneScheduler {
                     disambiguation,
                 ));
             }
-            for lanes in plain_lanes.chunks(8) {
+            for lanes in plain_lanes.chunks(GROUP_LANES) {
                 groups.push(make_group::<false>(
                     lanes,
                     pcs,
@@ -1125,6 +1128,14 @@ impl LaneScheduler {
             groups,
             total: slot,
         }
+    }
+
+    /// How many groups [`LaneScheduler::new`] opens for one mode's
+    /// `unrolls` × `machines` slots.
+    pub fn group_count(machines: &[MachineKind], unrolls: usize) -> usize {
+        let cd = machines.iter().filter(|k| k.uses_control_deps()).count();
+        let plain = machines.len() - cd;
+        (unrolls * cd).div_ceil(GROUP_LANES) + (unrolls * plain).div_ceil(GROUP_LANES)
     }
 
     /// Feeds one chunk to every group.

@@ -33,10 +33,9 @@
 //! producer (the preparation walk, on the calling thread) sends every
 //! prepared chunk to each group through a bounded channel that holds one
 //! chunk, so it runs at most two chunks ahead of the slowest group and
-//! refills three shared buffers in turn. With one core (or
-//! `machine_threads = 1`) the same groups are fed inline, sequentially,
-//! and so are streams shorter than [`PAR_THRESHOLD_EVENTS`] under the
-//! automatic worker count.
+//! refills three shared buffers in turn. With one core,
+//! `machine_threads = 1`, or a single lane group, the same groups are fed
+//! inline, sequentially: the rule `run_scheduler` follows in memory.
 
 use std::sync::{mpsc, Arc};
 use std::thread::ScopedJoinHandle;
@@ -51,36 +50,29 @@ use crate::meta::{branches_under, EventMeta, MetaBuilder, ProgramMeta, PC_COND_B
 use crate::pass::PassResult;
 use crate::{AnalyzeError, PredictorChoice};
 
-/// Minimum trace length (events, measured exactly by pass 1) before the
-/// automatic worker count (`machine_threads = 0`) fans the machine passes
-/// out to the group threads; shorter streams run inline, where the
-/// per-chunk hand-offs cost more than the machine work they overlap.
-/// Below ~4M events the committed suite measures the sequential path
-/// faster than the threaded one on every host tried. An explicit
-/// `machine_threads >= 2` bypasses the fallback.
-const PAR_THRESHOLD_EVENTS: u64 = 4 << 20;
-
 /// Tuning knobs for the streaming pipeline.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct StreamOptions {
-    /// Events per chunk; `0` (the default) picks an adaptive size from
-    /// the program's text size and the worker count — see
-    /// [`StreamOptions::resolved_chunk_events`] for the heuristic.
+    /// Events per chunk; `0` (the default) picks a size from the
+    /// program's text size that keeps a chunk and the lane state it
+    /// touches cache-resident, halved when pass 2 is threaded.
     pub chunk_events: usize,
-    /// Worker threads for the machine passes; `0` = one per available
-    /// core, capped at the number of lane groups. `1` forces the
-    /// sequential in-line path.
+    /// Threads allowed for the machine passes; `0` (the default) allows
+    /// one per available core. Pass 2 runs one thread per lane group when
+    /// more than one thread is allowed and there is more than one group;
+    /// `1` forces the sequential in-line path.
     pub machine_threads: usize,
 }
 
 impl StreamOptions {
-    /// The worker count this configuration resolves to (before capping at
-    /// the number of lane groups).
-    fn resolved_workers(&self) -> usize {
-        match self.machine_threads {
+    /// Whether pass 2 runs one thread per lane group: more than one thread
+    /// allowed, and more than one of the `lane_groups` to feed.
+    fn threaded(&self, lane_groups: usize) -> bool {
+        let allowed = match self.machine_threads {
             0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
             n => n,
-        }
+        };
+        allowed > 1 && lane_groups > 1
     }
 
     /// The chunk size this configuration resolves to for a program with
@@ -94,11 +86,11 @@ impl StreamOptions {
     /// and the next chunk's fill read warm cache. The budget
     /// shrinks with the per-PC lane state the groups keep hot (the
     /// CD group's `branch_time`/`branch_ceiling` vectors, ~128 bytes per
-    /// text instruction at full lane width), halves again when more than
-    /// one thread is allowed (threaded, the producer fills one chunk while
-    /// the groups walk another), and is clamped to
-    /// [2¹², 2¹⁶] events, rounded down to a power of two.
-    pub fn resolved_chunk_events(&self, text_len: usize) -> usize {
+    /// text instruction at full lane width), halves again when pass 2 is
+    /// `threaded` (the producer fills one chunk while the groups walk
+    /// another), and is clamped to [2¹², 2¹⁶] events, rounded down to a
+    /// power of two.
+    fn resolved_chunk_events(&self, text_len: usize, threaded: bool) -> usize {
         if self.chunk_events > 0 {
             return self.chunk_events;
         }
@@ -106,7 +98,7 @@ impl StreamOptions {
         const EVENT_BYTES: usize = 30;
         let state_bytes = text_len * 128;
         let budget = CACHE_BUDGET.saturating_sub(state_bytes).max(64 << 10);
-        let buffers = if self.resolved_workers() > 1 { 2 } else { 1 };
+        let buffers = if threaded { 2 } else { 1 };
         let events = budget / (EVENT_BYTES * buffers);
         // Round down to a power of two.
         let rounded = (events / 2 + 1).next_power_of_two();
@@ -195,8 +187,12 @@ impl<'a> Analyzer<'a> {
         source: &dyn TraceSource,
         options: StreamOptions,
     ) -> Result<StreamedReports, AnalyzeError> {
-        let text_len = self.program.text.len();
-        let chunk_events = options.resolved_chunk_events(text_len).max(1);
+        let config = &self.config;
+        let lane_groups = LaneScheduler::group_count(&config.machines, 2);
+        let threaded = options.threaded(lane_groups);
+        let chunk_events = options
+            .resolved_chunk_events(self.program.text.len(), threaded)
+            .max(1);
         let pcs = &self.meta;
 
         // Pass 1: branch profile (when the profile predictor is selected)
@@ -204,7 +200,7 @@ impl<'a> Analyzer<'a> {
         // `BranchProfile::from_trace` would record the event, so the
         // streamed profile matches the in-memory one bit for bit.
         let mut profile = BranchProfile::new();
-        let want_profile = matches!(self.config.predictor, PredictorChoice::Profile);
+        let want_profile = matches!(config.predictor, PredictorChoice::Profile);
         let mut summary = SummaryBuilder::new(self.program);
         let pass1_span = clfp_metrics::trace::span("stream.pass1", "stream")
             .arg("chunk_events", chunk_events as u64)
@@ -229,18 +225,12 @@ impl<'a> Analyzer<'a> {
 
         // Pass 2: preparation walk feeding every machine × unroll slot
         // through the lane kernel, under the configured modes.
-        let config = &self.config;
         let mut builder = MetaBuilder::new(self.program, &self.info, pcs, config, &profile);
         let mode = (config.disambiguation, config.value_prediction);
         let mut sched = LaneScheduler::new(pcs, config, &[mode], &[true, false], mem_capacity);
+        debug_assert_eq!(sched.groups.len(), lane_groups);
         let slots = 2 * config.machines.len();
-        // Pass 1 measured the exact stream length; below the threshold the
-        // hand-offs cost more than the overlap they buy, so the auto
-        // setting falls back to the inline path.
-        let threaded = options.resolved_workers() > 1
-            && sched.groups.len() > 1
-            && !(options.machine_threads == 0 && summary.total < PAR_THRESHOLD_EVENTS);
-        let workers = if threaded { sched.groups.len() } else { 1 };
+        let workers = if threaded { lane_groups } else { 1 };
 
         let pass2_span = clfp_metrics::trace::span("stream.pass2", "stream")
             .arg("workers", workers as u64)

@@ -1,4 +1,4 @@
-//! On-disk binary trace cache.
+//! On-disk trace cache: a directory of trace files.
 //!
 //! Capturing a trace costs about twice as much as reading it back:
 //! perfbench's per-layer run (`--trace 1`, pinned to one CPU of a 2-vCPU
@@ -8,266 +8,27 @@
 //! a time. The original study leaned on the same asymmetry — `pixie`
 //! traces were captured once and analyzed many times. [`TraceCache`]
 //! makes that workflow automatic: the first run of a workload stores its
-//! CLFPTRC2 event stream under a key derived from the program
-//! fingerprint, the instruction budget, and the trace format version;
-//! later runs stream the file back through [`FileTraceSource`] and skip
-//! VM execution entirely.
+//! trace as a trace file (the one format, see [`FileTraceSource`]) named
+//! after a key derived from the program fingerprint, the instruction
+//! budget, and the trace format version; later runs stream the file back
+//! through [`FileTraceSource`] and skip VM execution entirely.
 //!
-//! Cache files are *hints*: every lookup re-validates an FNV-1a hash over
-//! the 36-byte key header and the exact byte length implied by the event
-//! count, and a stale, truncated, or header-damaged file is deleted with a
-//! warning while the caller re-executes. The event records themselves
-//! carry no checksum — hashing the payload would slow the load that makes
-//! the cache worth having. Loading rejects a record whose pc lies outside
-//! the program's text (the damage that would otherwise panic the
-//! analyzer), but a flipped bit that leaves a record well-formed — an
-//! address, a value, a branch outcome, or a pc moved to another valid
-//! instruction — is read back as if it had been executed. Clear the cache
-//! (`clfp cache clear`) when the disk it lives on is in doubt.
-//!
-//! File format (all little-endian):
-//!
-//! ```text
-//! offset  size  field
-//! 0       8     magic "CLFPCCH1"
-//! 8       4     trace format version (TRACE_FORMAT_VERSION)
-//! 12      8     program fingerprint (Program::fingerprint)
-//! 20      8     max_instrs the trace was captured with
-//! 28      8     event count N
-//! 36      8     FNV-1a hash of bytes 0..36
-//! 44      13*N  events: pc u32, mem_addr u32, value u32, taken u8
-//! ```
-//!
-//! The records are the `.trc` file's CLFPTRC2 records, written and read by
-//! the same block codec (see [`Trace::write_to`]): [`TraceCache::store`]
-//! writes 4096 encoded records per `write_all`, and
-//! [`FileTraceSource::load_trace`] and [`FileTraceSource::stream`] read a
-//! block with one `read_exact` and check its pcs against the text once.
+//! Cache files are *hints*: every lookup opens the file with
+//! [`FileTraceSource::open`] (magic, header hash, version, fingerprint,
+//! exact length) and checks the stored budget, and a file that fails is
+//! deleted with a warning while the caller re-executes. The records carry
+//! no checksum, so a flipped bit that leaves a record well-formed is read
+//! back as if it had been executed. Clear the cache (`clfp cache clear`)
+//! when the disk it lives on is in doubt.
 
-use std::fmt;
 use std::fs;
-use std::io::{self, BufReader, Read, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use clfp_isa::Program;
 
-use crate::io::{write_records, RecordError, RecordReader, BLOCK_EVENTS, RECORD_LEN};
-use crate::{Trace, TraceEvent, TraceSource, Vm, VmError, VmOptions};
-
-const MAGIC: &[u8; 8] = b"CLFPCCH1";
-const HEADER_LEN: usize = 44;
-
-/// Version of the event record layout stored in cache files (the CLFPTRC2
-/// 13-byte record). Part of the cache key: bumping it invalidates every
-/// cached trace, which is exactly what a record-format change requires.
-pub const TRACE_FORMAT_VERSION: u32 = 2;
-
-/// FNV-1a over raw bytes — the same construction as
-/// [`Program::fingerprint`], applied to the cache header so that a partial
-/// write or bit flip in the key fields is detected before any record is
-/// trusted.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for &byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
-}
-
-fn encode_header(fingerprint: u64, max_instrs: u64, events: u64) -> [u8; HEADER_LEN] {
-    let mut header = [0u8; HEADER_LEN];
-    header[0..8].copy_from_slice(MAGIC);
-    header[8..12].copy_from_slice(&TRACE_FORMAT_VERSION.to_le_bytes());
-    header[12..20].copy_from_slice(&fingerprint.to_le_bytes());
-    header[20..28].copy_from_slice(&max_instrs.to_le_bytes());
-    header[28..36].copy_from_slice(&events.to_le_bytes());
-    let hash = fnv1a(&header[0..36]);
-    header[36..44].copy_from_slice(&hash.to_le_bytes());
-    header
-}
-
-/// The fields of a cache header whose magic and hash checked out.
-struct Header {
-    version: u32,
-    fingerprint: u64,
-    max_instrs: u64,
-    events: u64,
-}
-
-/// Reads and decodes a cache header — the one decoder of the layout
-/// [`encode_header`] writes. A short read, a wrong magic or a header hash
-/// that does not match is [`CacheFileError::Corrupt`]; the version, key
-/// and count are returned unchecked.
-fn read_header(reader: &mut impl Read) -> Result<Header, CacheFileError> {
-    let mut header = [0u8; HEADER_LEN];
-    if reader.read_exact(&mut header).is_err() || &header[0..8] != MAGIC {
-        return Err(CacheFileError::Corrupt);
-    }
-    let u64_at = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
-    if u64_at(36) != fnv1a(&header[0..36]) {
-        return Err(CacheFileError::Corrupt);
-    }
-    Ok(Header {
-        version: u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")),
-        fingerprint: u64_at(12),
-        max_instrs: u64_at(20),
-        events: u64_at(28),
-    })
-}
-
-/// Why a cache file was rejected (and deleted) at lookup.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum CacheFileError {
-    /// Wrong magic or header hash — not a cache file, or a damaged one.
-    Corrupt,
-    /// Written by a different record-format version.
-    WrongVersion {
-        /// Version stored in the file.
-        stored: u32,
-    },
-    /// Key fields do not match the requested program / budget.
-    StaleKey,
-    /// File length disagrees with the declared event count.
-    Truncated,
-}
-
-impl fmt::Display for CacheFileError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            CacheFileError::Corrupt => write!(f, "corrupt cache header"),
-            CacheFileError::WrongVersion { stored } => {
-                write!(f, "cache format version {stored} (want {TRACE_FORMAT_VERSION})")
-            }
-            CacheFileError::StaleKey => write!(f, "cache key does not match request"),
-            CacheFileError::Truncated => write!(f, "cache file length disagrees with header"),
-        }
-    }
-}
-
-/// A validated cache entry streaming its events back as a [`TraceSource`].
-///
-/// Constructed only by [`TraceCache::lookup`] / [`TraceCache::store`], so
-/// holding one implies the header hash and byte length checked out at open
-/// time. The file is re-opened on every [`TraceSource::stream`] call, and
-/// every block's pcs are checked against the program's text as it is
-/// decoded; replay determinism holds because the bytes on disk do not
-/// change. A file removed or shortened since is an error, not a panic.
-#[derive(Clone, Debug)]
-pub struct FileTraceSource {
-    path: PathBuf,
-    events: u64,
-    /// Text length of the program the entry was keyed by: every decoded
-    /// pc must lie below it.
-    text_len: usize,
-}
-
-impl FileTraceSource {
-    /// Path of the underlying cache file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Number of events stored in the file.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Opens the file and verifies header hash, version, key, and length,
-    /// returning the event count.
-    fn open_checked(
-        path: &Path,
-        fingerprint: u64,
-        max_instrs: u64,
-    ) -> io::Result<Result<u64, CacheFileError>> {
-        let mut file = fs::File::open(path)?;
-        let file_len = file.metadata()?.len();
-        let header = match read_header(&mut file) {
-            Ok(header) => header,
-            Err(why) => return Ok(Err(why)),
-        };
-        if header.version != TRACE_FORMAT_VERSION {
-            return Ok(Err(CacheFileError::WrongVersion {
-                stored: header.version,
-            }));
-        }
-        if header.fingerprint != fingerprint || header.max_instrs != max_instrs {
-            return Ok(Err(CacheFileError::StaleKey));
-        }
-        let records_len = header.events.checked_mul(RECORD_LEN as u64);
-        if records_len.and_then(|len| len.checked_add(HEADER_LEN as u64)) != Some(file_len) {
-            return Ok(Err(CacheFileError::Truncated));
-        }
-        Ok(Ok(header.events))
-    }
-
-    /// Opens the file and reads past its header, for a reader of its
-    /// records in blocks of `block_events`. The buffer serves small
-    /// blocks; a block larger than its 8 KiB goes straight from the file.
-    fn records(&self, block_events: usize) -> io::Result<RecordReader<BufReader<fs::File>>> {
-        let mut reader = BufReader::new(fs::File::open(&self.path)?);
-        reader.read_exact(&mut [0u8; HEADER_LEN])?;
-        Ok(RecordReader::new(
-            reader,
-            self.events,
-            block_events,
-            self.text_len,
-        ))
-    }
-
-    /// Materializes the whole file as a [`Trace`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors (the header was validated at open, so one
-    /// here means the file changed underneath us), and reports a record
-    /// whose pc lies outside the program's text as
-    /// [`io::ErrorKind::InvalidData`].
-    pub fn load_trace(&self) -> io::Result<Trace> {
-        let mut events = Vec::with_capacity((self.events as usize).min(1 << 24));
-        self.records(BLOCK_EVENTS)?
-            .read_all(&mut events)
-            .map_err(|err| match err {
-                RecordError::Io(err) => err,
-                RecordError::BadPc { index, pc } => io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("record {index} has pc {pc}, outside the program's text"),
-                ),
-            })?;
-        Ok(Trace::from_events(events))
-    }
-}
-
-impl TraceSource for FileTraceSource {
-    /// Streams the stored events. The header was validated when this
-    /// source was handed out, so a read that fails now means the file was
-    /// removed or changed since: that is reported as
-    /// [`VmError::TraceRead`], a record pc outside the text as
-    /// [`VmError::BadPc`].
-    fn stream(
-        &self,
-        chunk_events: usize,
-        sink: &mut dyn FnMut(&[TraceEvent]),
-    ) -> Result<(), VmError> {
-        assert!(chunk_events > 0, "chunk size must be non-zero");
-        let read_failed = |err: io::Error| VmError::TraceRead { kind: err.kind() };
-        let mut records = self.records(chunk_events).map_err(read_failed)?;
-        let mut buf: Vec<TraceEvent> = Vec::with_capacity(chunk_events.min(self.events as usize));
-        loop {
-            buf.clear();
-            match records.read_block(&mut buf) {
-                Ok(0) => return Ok(()),
-                Ok(_) => sink(&buf),
-                Err(RecordError::Io(err)) => return Err(read_failed(err)),
-                Err(RecordError::BadPc { pc, .. }) => return Err(VmError::BadPc { pc }),
-            }
-        }
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.events)
-    }
-}
+use crate::io::{read_header, write_file, TRACE_FORMAT_VERSION};
+use crate::{FileTraceSource, Trace, TraceFileError, Vm, VmError, VmOptions};
 
 /// One file in the cache directory, as listed by [`TraceCache::entries`].
 #[derive(Clone, Debug)]
@@ -318,8 +79,8 @@ impl TraceCache {
 
     /// Looks up a cached trace for `program` at `max_instrs`.
     ///
-    /// Returns `None` on a miss. A file that exists but fails validation
-    /// (corrupt, truncated, stale, wrong version) is deleted with a
+    /// Returns `None` on a miss. A file that exists but fails
+    /// [`FileTraceSource::open`] or holds another budget is deleted with a
     /// warning on stderr and reported as a miss — it is never trusted.
     pub fn lookup(&self, program: &Program, max_instrs: u64) -> Option<FileTraceSource> {
         let path = self.entry_path(program.fingerprint(), max_instrs);
@@ -327,33 +88,29 @@ impl TraceCache {
             clfp_metrics::trace::tally("cache.miss", "cache", 1);
             return None;
         }
-        match FileTraceSource::open_checked(&path, program.fingerprint(), max_instrs) {
-            Ok(Ok(events)) => {
+        let why = match FileTraceSource::open(program, &path) {
+            Ok(source) if source.max_instrs == max_instrs => {
                 clfp_metrics::trace::tally("cache.hit", "cache", 1);
-                Some(FileTraceSource {
-                    path,
-                    events,
-                    text_len: program.text.len(),
-                })
+                return Some(source);
             }
-            Ok(Err(why)) => {
-                clfp_metrics::trace::tally("cache.miss", "cache", 1);
-                eprintln!(
-                    "warning: discarding invalid trace cache file {} ({why}); re-executing",
-                    path.display()
-                );
-                fs::remove_file(&path).ok();
-                None
-            }
-            Err(err) => {
+            Ok(source) => format!("captured under a budget of {}", source.max_instrs),
+            Err(TraceFileError::Io(err)) => {
                 clfp_metrics::trace::tally("cache.miss", "cache", 1);
                 eprintln!(
                     "warning: cannot read trace cache file {} ({err}); re-executing",
                     path.display()
                 );
-                None
+                return None;
             }
-        }
+            Err(why) => why.to_string(),
+        };
+        clfp_metrics::trace::tally("cache.miss", "cache", 1);
+        eprintln!(
+            "warning: discarding invalid trace cache file {} ({why}); re-executing",
+            path.display()
+        );
+        fs::remove_file(&path).ok();
+        None
     }
 
     /// Stores `trace` for `program` at `max_instrs`, atomically: the file
@@ -377,17 +134,13 @@ impl TraceCache {
         let tmp = path.with_extension(format!("tmp{}", std::process::id()));
         {
             let mut out = fs::File::create(&tmp)?;
-            out.write_all(&encode_header(
-                program.fingerprint(),
-                max_instrs,
-                trace.len() as u64,
-            ))?;
-            write_records(&mut out, trace.events())?;
+            write_file(&mut out, program, max_instrs, trace.events())?;
         }
         fs::rename(&tmp, &path)?;
         Ok(FileTraceSource {
             path,
             events: trace.len() as u64,
+            max_instrs,
             text_len: program.text.len(),
         })
     }
@@ -417,7 +170,7 @@ impl TraceCache {
                     drop(span);
                     eprintln!(
                         "warning: cannot load trace cache file {} ({err}); re-executing",
-                        source.path.display()
+                        source.path().display()
                     );
                 }
             }
@@ -498,6 +251,8 @@ impl TraceCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::{HEADER_LEN, RECORD_LEN};
+    use crate::{TraceEvent, TraceSource};
     use clfp_isa::assemble;
 
     const LOOP: &str = ".text\nmain: li r8, 9\nloop: addi r8, r8, -1\n lw r9, 0x1000(r0)\n sw r8, 0x1004(r0)\n bgt r8, r0, loop\n halt";
@@ -524,6 +279,24 @@ mod tests {
         let (reloaded, warm) = cache.ensure(&program, VmOptions::default(), 10_000).unwrap();
         assert!(warm, "second run must hit");
         assert_eq!(reloaded.events(), trace.events());
+        std::fs::remove_dir_all(cache.dir()).ok();
+    }
+
+    #[test]
+    fn saved_and_cached_traces_are_one_format() {
+        let cache = temp_cache("format");
+        let (program, trace) = sample();
+        let stored = cache.store(&program, 10_000, &trace).unwrap();
+        assert_eq!(
+            Trace::load(&program, stored.path()).unwrap().events(),
+            trace.events()
+        );
+        // `Trace::save` writes what the cache stores under the trace's own
+        // length as its budget.
+        let saved = cache.dir().join("saved.trc");
+        trace.save(&program, &saved).unwrap();
+        let cached = cache.store(&program, trace.len() as u64, &trace).unwrap();
+        assert_eq!(fs::read(&saved).unwrap(), fs::read(cached.path()).unwrap());
         std::fs::remove_dir_all(cache.dir()).ok();
     }
 
@@ -555,7 +328,7 @@ mod tests {
     fn stale_key_misses() {
         let cache = temp_cache("stale");
         let (program, trace) = sample();
-        cache.store(&program, 10_000, &trace).unwrap();
+        let stored = cache.store(&program, 10_000, &trace).unwrap();
         // Different budget → different key → miss.
         assert!(cache.lookup(&program, 20_000).is_none());
         // Different program → different key → miss.
@@ -563,6 +336,12 @@ mod tests {
         assert!(cache.lookup(&other, 10_000).is_none());
         // The original entry is untouched by those misses.
         assert!(cache.lookup(&program, 10_000).is_some());
+        // A file under another budget's key holds the wrong budget: it is
+        // discarded.
+        let misplaced = cache.entry_path(program.fingerprint(), 30_000);
+        fs::copy(stored.path(), &misplaced).unwrap();
+        assert!(cache.lookup(&program, 30_000).is_none());
+        assert!(!misplaced.exists());
         std::fs::remove_dir_all(cache.dir()).ok();
     }
 

@@ -35,9 +35,9 @@ mod trace;
 #[allow(clippy::module_inception)]
 mod vm;
 
-pub use cache::{CacheEntry, CacheFileError, FileTraceSource, TraceCache, TRACE_FORMAT_VERSION};
+pub use cache::{CacheEntry, TraceCache};
 pub use error::VmError;
-pub use io::TraceFileError;
+pub use io::{FileTraceSource, TraceFileError, TRACE_FORMAT_VERSION};
 pub use memory::Memory;
 pub use source::{ProgramSource, TraceSource};
 pub use trace::{SummaryBuilder, Trace, TraceEvent, TraceSummary};

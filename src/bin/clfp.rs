@@ -10,6 +10,9 @@
 //! clfp analyze --workload qsort --max-instrs 100000000 --stream
 //!                                 # stream in O(chunk) trace memory
 //! clfp analyze prog.s --no-unroll --predictor bimodal --fetch 8
+//! clfp trace prog.mc -o prog.trc  # capture a trace file
+//! clfp analyze prog.mc --trace prog.trc --stream
+//!                                 # stream it back from disk
 //! clfp analyze --workload qsort --valuepred stride
 //!                                 # schedule with value speculation
 //! clfp lint prog.mc               # lint + static/dynamic cross-check
@@ -33,7 +36,7 @@ use clfp::lang::CodegenOptions;
 use clfp::limits::{
     AnalysisConfig, Analyzer, MachineKind, PredictorChoice, StreamOptions, ValuePrediction,
 };
-use clfp::vm::{Vm, VmOptions};
+use clfp::vm::{FileTraceSource, Vm, VmOptions};
 
 fn main() -> ExitCode {
     match run() {
@@ -558,25 +561,31 @@ fn analyze_inner(args: &Args) -> Result<(), String> {
     let unrolling = config.unrolling;
     let value_prediction = config.value_prediction;
     let analyzer = Analyzer::new(&program, config).map_err(|err| err.to_string())?;
+    let trace_file = args
+        .value("--trace")
+        .map(|path| {
+            FileTraceSource::open(&program, path)
+                .map_err(|err| format!("cannot load `{path}`: {err}"))
+        })
+        .transpose()?;
     let report = if args.has("--stream") {
         // Streaming chunked pipeline: never materializes the trace, so
-        // paper-scale caps (100M+) run in O(chunk) trace memory.
+        // paper-scale caps (100M+) and trace files run in O(chunk) trace
+        // memory.
         let mut options = StreamOptions::default();
         if let Some(v) = args.value("--chunk") {
             options.chunk_events = v.parse().map_err(|_| format!("bad --chunk `{v}`"))?;
         }
-        let streamed = if let Some(trace_path) = args.value("--trace") {
-            let trace = clfp::vm::Trace::load(&program, trace_path)
-                .map_err(|err| format!("cannot load `{trace_path}`: {err}"))?;
-            analyzer.run_streamed_on(&trace, options)
-        } else {
-            analyzer.run_streamed(options)
+        let streamed = match &trace_file {
+            Some(file) => analyzer.run_streamed_on(file, options),
+            None => analyzer.run_streamed(options),
         }
         .map_err(|err| err.to_string())?;
         streamed.report(unrolling).clone()
-    } else if let Some(trace_path) = args.value("--trace") {
-        let trace = clfp::vm::Trace::load(&program, trace_path)
-            .map_err(|err| format!("cannot load `{trace_path}`: {err}"))?;
+    } else if let Some(file) = &trace_file {
+        let trace = file
+            .load_trace()
+            .map_err(|err| format!("cannot load `{}`: {err}", file.path().display()))?;
         analyzer.run_on_trace(&trace)
     } else {
         analyzer.run().map_err(|err| err.to_string())?

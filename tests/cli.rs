@@ -156,6 +156,20 @@ fn trace_roundtrip_via_files() {
         .output()
         .unwrap();
     assert!(output.status.success());
+    // Streamed from the file, the same table.
+    let streamed = clfp()
+        .arg("analyze")
+        .arg(&path)
+        .arg("--trace")
+        .arg(&trc)
+        .arg("--stream")
+        .output()
+        .unwrap();
+    assert!(streamed.status.success(), "{streamed:?}");
+    assert_eq!(
+        String::from_utf8(streamed.stdout).unwrap(),
+        String::from_utf8(output.stdout).unwrap()
+    );
 
     // A different program must reject the trace.
     let other = write_temp("other.mc", "fn main() -> int { return 1; }");
@@ -261,7 +275,7 @@ fn errors_are_reported_not_panicked() {
         .unwrap();
     assert!(output.status.success(), "{output:?}");
     let mut bytes = std::fs::read(&trc).unwrap();
-    bytes[24 + 3] ^= 0x40; // the pc's top byte: header is 24 bytes
+    bytes[44 + 3] ^= 0x40; // the pc's top byte: header is 44 bytes
     std::fs::write(&trc, &bytes).unwrap();
     let output = clfp()
         .arg("analyze")

@@ -50,9 +50,12 @@ fn analysis_is_deterministic_and_trace_replay_matches_live() {
     // Replaying a saved trace must reproduce the live analysis exactly.
     let mut vm = Vm::new(&program, VmOptions::default());
     let trace = vm.trace(config.max_instrs).unwrap();
-    let mut buffer = Vec::new();
-    trace.write_to(&program, &mut buffer).unwrap();
-    let replayed = clfp::vm::Trace::read_from(&program, buffer.as_slice()).unwrap();
+    let dir = std::env::temp_dir().join(format!("clfp-determinism-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("replay.trc");
+    trace.save(&program, &path).unwrap();
+    let replayed = clfp::vm::Trace::load(&program, &path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
     let from_replay = analyzer.run_on_trace(&replayed);
     for kind in MachineKind::ALL {
         assert_eq!(

@@ -5,15 +5,16 @@
 //!   each language's own vocabulary, and randomly mutated valid programs.
 //!   Input that assembles must validate, input that parses and checks
 //!   must compile, and every error carries a plausible line number.
-//! - **Trace files** (`.trc`). Every header bit flipped, a fixed sample of
-//!   payload bits flipped, and every truncation: a damaged header or a
-//!   wrong length is an error, and a damaged record either is an error or
-//!   reads back at the same length (the records carry no checksum).
-//! - **Trace-cache files.** The contract documented in `clfp-vm`'s
-//!   `cache` module: a flipped header bit or a truncation ends in a
-//!   rebuild (`ensure` reports a cold run and returns the freshly captured
-//!   events), and a flipped payload bit either rebuilds or reads back at
-//!   the same length.
+//! - **Trace files** (`.trc`, as `Trace::save` writes them). Every header
+//!   bit flipped, a fixed sample of payload bits flipped, and every
+//!   truncation: a damaged header or a wrong length is an error, and a
+//!   damaged record either is an error or reads back at the same length
+//!   (the records carry no checksum).
+//! - **Trace-cache files**, the same format under the cache's key. The
+//!   contract documented in `clfp-vm`'s `cache` module: a flipped header
+//!   bit or a truncation ends in a rebuild (`ensure` reports a cold run and
+//!   returns the freshly captured events), and a flipped payload bit
+//!   either rebuilds or reads back at the same length.
 
 mod common;
 
@@ -173,11 +174,17 @@ fn flip(bytes: &[u8], bit: usize) -> Vec<u8> {
 
 #[test]
 fn trace_file_damage_is_an_error_or_a_same_length_trace() {
-    const HEADER_BYTES: usize = 24;
+    const HEADER_BYTES: usize = 44;
     let (program, trace) = sample();
-    let mut clean = Vec::new();
-    trace.write_to(&program, &mut clean).unwrap();
-    let read = |bytes: &[u8]| Trace::read_from(&program, bytes);
+    let dir = std::env::temp_dir().join(format!("clfp-no-panic-trc-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("sample.trc");
+    trace.save(&program, &path).unwrap();
+    let clean = std::fs::read(&path).unwrap();
+    let read = |bytes: &[u8]| {
+        std::fs::write(&path, bytes).unwrap();
+        Trace::load(&program, &path)
+    };
     for bit in 0..HEADER_BYTES * 8 {
         assert!(read(&flip(&clean, bit)).is_err(), "header bit {bit}");
     }
@@ -191,6 +198,7 @@ fn trace_file_damage_is_an_error_or_a_same_length_trace() {
         assert!(read(&clean[..len]).is_err(), "truncated to {len} bytes");
     }
     assert_eq!(read(&clean).unwrap().events(), trace.events());
+    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
