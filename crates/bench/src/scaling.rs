@@ -24,13 +24,16 @@ pub struct ScalingPoint {
     pub wall_ms: f64,
     /// Analysis throughput: `raw_instrs / wall seconds`.
     pub events_per_sec: f64,
-    /// Peak resident set size of the whole process so far, in MiB
-    /// (`VmHWM` from `/proc/self/status`; 0 when unavailable). The
-    /// high-water mark is monotone, so points must be visited in
-    /// increasing size order for per-point attribution to be meaningful.
+    /// Peak resident set size of the whole process so far, in MiB: the
+    /// largest `VmHWM` read from `/proc/self/status` up to this point (0
+    /// when unavailable). The kernel's reading is approximate and can
+    /// fall back by a few hundred KiB between reads, so the suite keeps
+    /// the running maximum. Points must be visited in increasing size
+    /// order for per-point attribution to be meaningful.
     pub peak_rss_mb: f64,
     /// For the smallest point only: whether a plain (non-repeated)
-    /// streamed run reproduced the in-memory analysis bit for bit.
+    /// streamed run reproduced the reports of an in-memory preparation
+    /// bit for bit.
     pub matches_inmemory: Option<bool>,
 }
 
@@ -78,8 +81,8 @@ pub fn peak_rss_mb() -> f64 {
 /// ([`ProgramSource::repeated`]). Points are visited in increasing order
 /// (across all workloads) because the RSS high-water mark only grows. At
 /// the smallest point each workload is additionally cross-checked: a
-/// plain single-execution stream must reproduce the in-memory analysis
-/// bit for bit.
+/// plain single-execution stream must reproduce the reports of an
+/// in-memory preparation bit for bit.
 ///
 /// # Errors
 ///
@@ -103,6 +106,7 @@ pub fn run_scaling_suite(
     }
 
     let mut results = Vec::new();
+    let mut peak_rss = 0.0f64;
     for (pi, &limit) in caps.iter().enumerate() {
         for (name, program) in &compiled {
             let analyzer = Analyzer::new(program, config.clone())?;
@@ -120,20 +124,20 @@ pub fn run_scaling_suite(
                 let check = analyzer.run_streamed_on(&plain, options)?;
                 Some(
                     reports_equal(&check.unrolled, &prepared.report_with_unrolling(true))
-                        && reports_equal(&check.rolled, &prepared.report_with_unrolling(false))
-                        && check.summary == trace.summarize(program),
+                        && reports_equal(&check.rolled, &prepared.report_with_unrolling(false)),
                 )
             } else {
                 None
             };
 
+            peak_rss = peak_rss.max(peak_rss_mb());
             results.push(ScalingPoint {
                 workload: name,
                 max_instrs: limit,
                 raw_instrs,
                 wall_ms,
                 events_per_sec: raw_instrs as f64 / (wall_ms / 1e3).max(f64::MIN_POSITIVE),
-                peak_rss_mb: peak_rss_mb(),
+                peak_rss_mb: peak_rss,
                 matches_inmemory,
             });
         }

@@ -2,17 +2,20 @@ use std::sync::Arc;
 
 use clfp_cfg::StaticInfo;
 use clfp_isa::Program;
-use clfp_vm::{Trace, Vm, VmOptions};
+use clfp_vm::Trace;
 
 use clfp_metrics::{MachineMetrics, MetricsCollector, MetricsSink, NullSink};
 
-use crate::lane::{run_machine_major, run_scheduler, LaneScheduler};
+use crate::lane::{run_machine_major, LaneScheduler};
 use crate::meta::{branches_under, ProgramMeta, TraceMeta, CD_INHERIT, CD_NONE};
 use crate::pass::{
     mispredictions, reference_counts, run_pass, run_pass_with_schedule, PassResult, Prepared,
 };
 use crate::stats::MispredictionStats;
-use crate::{AnalysisConfig, AnalyzeError, MachineKind, MemDisambiguation, ValuePrediction};
+use crate::{
+    AnalysisConfig, AnalyzeError, MachineKind, MemDisambiguation, StreamOptions, StreamedReports,
+    ValuePrediction,
+};
 
 /// The control-dependence source the preparation walk resolved for one
 /// dynamic instruction (Section 4.4.1): which controlling-branch instance
@@ -84,9 +87,9 @@ impl Report {
 ///
 /// Construction runs the static analyses (CFG, control dependence, loops,
 /// induction variables) and pre-decodes the per-PC metadata table;
-/// [`Analyzer::run`] then captures the measured trace and simulates every
-/// configured machine model over it in one walk of the scheduling kernel.
-/// The paper's
+/// [`Analyzer::run`] then streams the measured execution and simulates
+/// every configured machine model over it in one walk of the scheduling
+/// kernel. The paper's
 /// profile-based branch predictor is trained on the measured trace itself
 /// (the paper profiles "with the same inputs used in the simulations"), so
 /// no separate profiling execution is needed.
@@ -101,11 +104,14 @@ pub struct Analyzer<'a> {
 /// A trace plus everything machine-independent derived from it in a
 /// single shared walk: event classification, branch statistics, decoded
 /// operands, dynamic memory keys, value-predictor hits, and resolved
-/// control-dependence sources. Produced by [`Analyzer::prepare`];
-/// [`PreparedTrace::report`] runs the machine models over it. The walk
-/// is independent of the memory-disambiguation and value-prediction
-/// modes, so [`PreparedTrace::slice_modes`] reports the same events under
-/// any other mode.
+/// control-dependence sources. Produced by [`Analyzer::prepare`] for
+/// callers that walk one preparation more than once (both unroll
+/// settings, mode slices, machine-major metrics) or time it as a stage
+/// of its own; a request that walks a trace once streams it instead
+/// ([`Analyzer::run_streamed_on`]). The walk is independent of the
+/// memory-disambiguation and value-prediction modes, so
+/// [`PreparedTrace::slice_modes`] reports the same events under any
+/// other mode.
 #[derive(Debug)]
 pub struct PreparedTrace<'a, 'b> {
     analyzer: &'b Analyzer<'a>,
@@ -154,20 +160,20 @@ impl<'a> Analyzer<'a> {
         &self.info
     }
 
-    /// Captures the trace and runs every configured machine model.
+    /// Streams the measured execution through every configured machine
+    /// model ([`Analyzer::run_streamed`] with the default options) and
+    /// returns the report for the configured unroll setting.
     ///
     /// # Errors
     ///
     /// Returns [`AnalyzeError`] if the measured execution faults.
     pub fn run(&self) -> Result<Report, AnalyzeError> {
-        let mut vm = Vm::new(
-            self.program,
-            VmOptions {
-                mem_words: self.config.mem_words,
-            },
-        );
-        let trace: Trace = vm.trace(self.config.max_instrs)?;
-        Ok(self.run_on_trace(&trace))
+        let StreamedReports { unrolled, rolled } = self.run_streamed(StreamOptions::default())?;
+        Ok(if self.config.unrolling {
+            unrolled
+        } else {
+            rolled
+        })
     }
 
     /// Runs the machine-independent preparation walk over a trace:
@@ -192,14 +198,8 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// Runs every configured machine model over an existing trace (one
-    /// preparation walk, then one walk of the scheduling kernel).
-    pub fn run_on_trace(&self, trace: &Trace) -> Report {
-        self.prepare(trace).report()
-    }
-
-    /// Reference implementation of [`Analyzer::run_on_trace`]: the
-    /// original one-machine-at-a-time pass over the raw trace, which shares
+    /// Reference implementation of [`Analyzer::run`] over a captured
+    /// trace: the original one-machine-at-a-time pass, which shares
     /// no scheduling code with the kernel. It is the independent oracle
     /// every pipeline is pinned against (the `lane_equivalence` suite
     /// asserts bit-for-bit equal reports) and the wall-time baseline of
@@ -253,11 +253,6 @@ impl<'a> Analyzer<'a> {
 }
 
 impl<'a, 'b> PreparedTrace<'a, 'b> {
-    /// Runs every configured machine model over the prepared trace.
-    pub fn report(&self) -> Report {
-        self.report_with_unrolling(self.config.unrolling)
-    }
-
     /// This preparation under (`disambiguation`, `value_prediction`): the
     /// same shared events under a mode-swapped configuration, at no cost.
     /// The preparation walk is mode-free (dynamic memory keys, every
@@ -298,7 +293,7 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
     /// cycle-occupancy histograms, critical-path attribution, and
     /// binding-edge counters (see `clfp-metrics`). The machines run one
     /// at a time, each in a width-1 recording group of the scheduling
-    /// kernel — unlike [`PreparedTrace::report`] this path is for offline
+    /// kernel — unlike [`PreparedTrace::report_both`] this path is for offline
     /// diagnosis, not throughput; its results re-derive the report's
     /// cycle and instruction counts exactly (asserted by the
     /// `recording_sink_does_not_perturb_results` test and, against the
@@ -328,14 +323,15 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
             .collect()
     }
 
-    /// Like [`PreparedTrace::report`], but overriding the unrolling
-    /// setting. Nothing the preparation walk records depends on the
-    /// setting (the ignore flags are per pc), so Table 4's with/without
-    /// comparison needs only one prepared trace.
+    /// Runs every configured machine model over the prepared trace under
+    /// one unroll setting. Nothing the preparation walk records depends on
+    /// the setting (the ignore flags are per pc), so Table 4's
+    /// with/without comparison needs only one prepared trace.
     ///
     /// Runs the lane-parallel kernel: every configured machine is
     /// scheduled in one walk over the event stream (see the `lane`
-    /// module). Bit-identical to [`Analyzer::run_on_trace_reference`].
+    /// module). Bit-identical to [`Analyzer::run_on_trace_reference`] under
+    /// that setting.
     pub fn report_with_unrolling(&self, unrolling: bool) -> Report {
         let passes = self.walk(&[self.mode()], &[unrolling]);
         self.assemble(unrolling, self.config.value_prediction, passes)
@@ -397,7 +393,8 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
 
     /// One lane-kernel walk over the prepared events, scheduling every
     /// `modes` × `unrolls` × machine slot; results in slot order (see
-    /// [`LaneScheduler::new`]).
+    /// [`LaneScheduler::new`]). The prepared events are emitted to the
+    /// lane driver as one chunk.
     fn walk(
         &self,
         modes: &[(MemDisambiguation, ValuePrediction)],
@@ -405,7 +402,11 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
     ) -> Vec<PassResult> {
         let pcs = &self.analyzer.meta;
         let sched = LaneScheduler::new(pcs, &self.config, modes, unrolls, self.mem_capacity());
-        run_scheduler(sched, pcs, &self.meta.events)
+        let walked = sched.run(pcs, 0, |emit| {
+            emit(&self.meta.events[..]);
+            Ok::<(), std::convert::Infallible>(())
+        });
+        walked.unwrap_or_else(|never| match never {})
     }
 
     /// Runs the configured machines through the kernel's machine-major
@@ -455,8 +456,8 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
 
 /// Folds per-machine pass results into a [`Report`] — shared between the
 /// in-memory path ([`PreparedTrace`]) and the streaming path
-/// (`Analyzer::run_streamed`), so both produce reports through identical
-/// arithmetic.
+/// (`Analyzer::run_streamed_on`), so both produce reports through
+/// identical arithmetic.
 pub(crate) fn assemble_report(
     machines: &[MachineKind],
     passes: Vec<PassResult>,
@@ -498,6 +499,7 @@ mod tests {
     use super::*;
     use crate::PredictorChoice;
     use clfp_lang::compile;
+    use clfp_vm::VmOptions;
 
     fn analyze(source: &str, config: AnalysisConfig) -> Report {
         let program = compile(source).unwrap();
@@ -760,7 +762,7 @@ mod tests {
                 },
             );
             let trace = vm.trace(analyzer.config.max_instrs).unwrap();
-            let lane = analyzer.run_on_trace(&trace);
+            let lane = analyzer.prepare(&trace).report_with_unrolling(true);
             let reference = analyzer.run_on_trace_reference(&trace);
             let streamed = analyzer
                 .run_streamed(crate::StreamOptions {
@@ -796,7 +798,7 @@ mod tests {
                 },
             );
             let trace = vm.trace(analyzer.config.max_instrs).unwrap();
-            let lane = analyzer.run_on_trace(&trace);
+            let lane = analyzer.prepare(&trace).report_with_unrolling(true);
             let reference = analyzer.run_on_trace_reference(&trace);
             let streamed = analyzer
                 .run_streamed(crate::StreamOptions {
@@ -1143,7 +1145,7 @@ mod tests {
             },
         );
         let trace = vm.trace(analyzer.config.max_instrs).unwrap();
-        let lane = analyzer.run_on_trace(&trace);
+        let lane = analyzer.run().unwrap();
         let reference = analyzer.run_on_trace_reference(&trace);
         assert_eq!(lane.seq_instrs, reference.seq_instrs);
         assert_eq!(lane.raw_instrs, reference.raw_instrs);

@@ -83,6 +83,9 @@
 //! memory-disambiguation and value-prediction modes, and chunk sizes.
 
 use std::marker::PhantomData;
+use std::ops::Deref;
+use std::sync::mpsc;
+use std::thread::ScopedJoinHandle;
 
 use clfp_metrics::{BindingEdge, EdgeKind, MetricsSink, NullSink, NO_PARENT};
 
@@ -1063,13 +1066,15 @@ fn make_group<const CD: bool>(
 const GROUP_LANES: usize = 8;
 
 /// All lane groups for one set of requested mode × unroll × machine
-/// slots, fed chunk by chunk and finished into request-ordered results.
+/// slots, driven over a chunked event stream by [`LaneScheduler::run`]
+/// and finished into request-ordered results: the one lane driver of
+/// the in-memory walk and the streamed pass.
 ///
 /// Each mode's slots split into CD and non-CD groups of up to 8 lanes
 /// (the full 7-machine × 2-setting request is exactly 8 CD + 6 non-CD
 /// lanes); larger requests simply open further groups.
 pub(crate) struct LaneScheduler {
-    pub(crate) groups: Vec<Box<dyn GroupFeed>>,
+    groups: Vec<Box<dyn GroupFeed>>,
     total: usize,
 }
 
@@ -1138,15 +1143,83 @@ impl LaneScheduler {
         (unrolls * cd).div_ceil(GROUP_LANES) + (unrolls * plain).div_ceil(GROUP_LANES)
     }
 
-    /// Feeds one chunk to every group.
-    pub fn feed(&mut self, pcs: &ProgramMeta, events: &[EventMeta]) {
-        for group in &mut self.groups {
-            group.feed(pcs, events, &mut NullSink);
+    /// Schedules every chunk `produce` emits, in emission order, and
+    /// closes the walk, returning results in request-slot order — or the
+    /// producer's error.
+    ///
+    /// When [`runs_threaded`] allows it for `threads` (`0` allows one per
+    /// available core), each group walks on its own scoped thread and
+    /// receives every emitted chunk whole through a channel that holds
+    /// one chunk, so `produce` (on the calling thread) runs at most two
+    /// chunks ahead of the slowest group. A chunk is a borrowed slice (the
+    /// in-memory walk emits its whole preparation once) or a shared
+    /// buffer (the streamed pass emits each prepared chunk). A group
+    /// thread's panic is re-raised on the calling thread.
+    ///
+    /// Otherwise every group walks on the calling thread: each emitted
+    /// chunk is walked across the groups in [`FEED_CHUNK`] pieces, so the
+    /// stream is read from memory once.
+    pub fn run<C, E>(
+        mut self,
+        pcs: &ProgramMeta,
+        threads: usize,
+        produce: impl FnOnce(&mut dyn FnMut(C)) -> Result<(), E>,
+    ) -> Result<Vec<PassResult>, E>
+    where
+        C: Deref + Clone + Send,
+        C::Target: AsRef<[EventMeta]>,
+    {
+        if !runs_threaded(threads, self.groups.len()) {
+            produce(&mut |chunk: C| {
+                for piece in (*chunk).as_ref().chunks(FEED_CHUNK) {
+                    for group in &mut self.groups {
+                        group.feed(pcs, piece, &mut NullSink);
+                    }
+                }
+            })?;
+            return Ok(self.finish());
         }
+        std::thread::scope(|scope| {
+            let mut feeds: Vec<_> = self
+                .groups
+                .iter_mut()
+                .enumerate()
+                .map(|(index, group)| {
+                    let (send, chunks) = mpsc::sync_channel::<C>(1);
+                    let thread = scope.spawn(move || {
+                        // Thread-lifetime span: the gap between this and the
+                        // group's lane.group busy time is waiting for chunks.
+                        let _worker_span = clfp_metrics::trace::span("stream.worker", "stream")
+                            .arg("worker", index as u64)
+                            .arg("groups", 1u64);
+                        for chunk in chunks {
+                            group.feed(pcs, (*chunk).as_ref(), &mut NullSink);
+                        }
+                    });
+                    (send, thread)
+                })
+                .collect();
+            let produced = produce(&mut |chunk: C| {
+                // A group's channel closes early only when its thread
+                // panicked.
+                if let Some(closed) = feeds
+                    .iter()
+                    .position(|(send, _)| send.send(chunk.clone()).is_err())
+                {
+                    join(feeds.swap_remove(closed).1);
+                }
+            });
+            for (send, thread) in feeds {
+                drop(send);
+                join(thread);
+            }
+            produced
+        })?;
+        Ok(self.finish())
     }
 
     /// Closes every group, returning results in request-slot order.
-    pub fn finish(self) -> Vec<PassResult> {
+    fn finish(self) -> Vec<PassResult> {
         let mut out: Vec<Option<PassResult>> = (0..self.total).map(|_| None).collect();
         for group in self.groups {
             for (slot, result) in group.finish() {
@@ -1159,38 +1232,30 @@ impl LaneScheduler {
     }
 }
 
-/// Events per in-memory feed chunk: 16 bytes of prepared event data per
+/// The threading rule of [`LaneScheduler::run`]: one thread per lane
+/// group when more than one thread is allowed (`threads`, `0` for one per
+/// available core) and there is more than one of the `groups` to feed.
+pub(crate) fn runs_threaded(threads: usize, groups: usize) -> bool {
+    let allowed = match threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    };
+    allowed > 1 && groups > 1
+}
+
+/// Waits for a group thread, re-raising its panic on this thread.
+fn join(thread: ScopedJoinHandle<'_, ()>) {
+    if let Err(panic) = thread.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
+
+/// Events per inline feed piece: 16 bytes of prepared event data per
 /// entry (a 13-byte [`EventMeta`] padded to its 4-byte alignment) keeps
-/// a 256 KiB chunk L2-resident, so when the CD and non-CD groups walk it
+/// a 256 KiB piece L2-resident, so when the CD and non-CD groups walk it
 /// back to back the second walk reads warm cache — the whole request
 /// still makes a single pass over trace-sized memory.
 const FEED_CHUNK: usize = 1 << 14;
-
-/// Drives a scheduler over an in-memory event slice: groups fan out over
-/// scoped threads when cores allow, each walking the whole slice;
-/// otherwise they interleave chunk by chunk so the stream is read from
-/// memory once.
-pub(crate) fn run_scheduler(
-    mut sched: LaneScheduler,
-    pcs: &ProgramMeta,
-    events: &[EventMeta],
-) -> Vec<PassResult> {
-    let workers = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(sched.groups.len());
-    if workers > 1 {
-        std::thread::scope(|scope| {
-            for group in &mut sched.groups {
-                scope.spawn(|| group.feed(pcs, events, &mut NullSink));
-            }
-        });
-    } else {
-        for chunk in events.chunks(FEED_CHUNK) {
-            sched.feed(pcs, chunk);
-        }
-    }
-    sched.finish()
-}
 
 /// The machine-major driver: schedules each of `config.machines` under
 /// `config`'s modes in a width-1 group of its own, which `walk` feeds the
@@ -1400,6 +1465,85 @@ mod tests {
             assert_twins_agree::<L, true, false, true>(input, &cd, &stressed, mode);
             assert_twins_agree::<L, false, true, false>(input, &plain, config, mode);
             assert_twins_agree::<L, false, false, true>(input, &plain, &stressed, mode);
+        }
+    }
+
+    /// A lane group that schedules nothing and panics on its second
+    /// chunk, when `panics` is set.
+    struct FakeGroup {
+        panics: bool,
+        chunks: usize,
+    }
+
+    impl GroupFeed for FakeGroup {
+        fn feed(&mut self, _: &ProgramMeta, _: &[EventMeta], _: &mut NullSink) {
+            self.chunks += 1;
+            if self.panics && self.chunks == 2 {
+                panic!("fake group: second chunk");
+            }
+        }
+
+        fn finish(self: Box<Self>) -> Vec<(usize, PassResult)> {
+            Vec::new()
+        }
+    }
+
+    /// A group's panic reaches the caller of `LaneScheduler::run` with its
+    /// own payload, whether the groups walk inline or on threads of their
+    /// own, and whether the producer emits borrowed slices or shared
+    /// buffers.
+    #[test]
+    fn run_reraises_a_group_panic_on_the_calling_thread() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::Arc;
+
+        let pcs = ProgramMeta {
+            pcs: Vec::new(),
+            num_classes: 0,
+        };
+        let event = EventMeta {
+            pc: 0,
+            mem_key: 0,
+            cd: CD_NONE,
+            flags: 0,
+        };
+        let events = vec![event; 3];
+        let shared = Arc::new(events.clone());
+        let scheduler = || LaneScheduler {
+            groups: vec![
+                Box::new(FakeGroup {
+                    panics: true,
+                    chunks: 0,
+                }),
+                Box::new(FakeGroup {
+                    panics: false,
+                    chunks: 0,
+                }),
+            ],
+            total: 0,
+        };
+        for threads in [1, 2] {
+            assert_eq!(runs_threaded(threads, 2), threads > 1);
+            let borrowed = catch_unwind(AssertUnwindSafe(|| {
+                scheduler().run(&pcs, threads, |emit| {
+                    (0..3).for_each(|_| emit(&events[..]));
+                    Ok::<(), ()>(())
+                })
+            }));
+            let arced = catch_unwind(AssertUnwindSafe(|| {
+                scheduler().run(&pcs, threads, |emit| {
+                    (0..3).for_each(|_| emit(Arc::clone(&shared)));
+                    Ok::<(), ()>(())
+                })
+            }));
+            for (producer, walked) in [("borrowed", borrowed), ("arc", arced)] {
+                let payload = walked.expect_err("the group's panic must reach the caller");
+                assert_eq!(
+                    payload.downcast_ref::<&str>(),
+                    Some(&"fake group: second chunk"),
+                    "threads={threads} {producer}"
+                );
+            }
         }
     }
 

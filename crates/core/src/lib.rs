@@ -29,7 +29,8 @@
 //! lane kernel walks the pre-decoded event stream once and schedules
 //! every requested machine × unroll slot in parallel lanes, in memory
 //! ([`PreparedTrace::report_both`]) or chunk by chunk
-//! ([`Analyzer::run_streamed`]). Every pipeline is pinned bit for bit
+//! ([`Analyzer::run_streamed`], which [`Analyzer::run`] is), through one
+//! lane driver. Every pipeline is pinned bit for bit
 //! against one independent oracle, [`Analyzer::run_on_trace_reference`]:
 //! the paper's one-machine-at-a-time pass, which shares no scheduling
 //! code with the kernel.

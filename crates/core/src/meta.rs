@@ -27,6 +27,13 @@
 //! walk serves both settings — Table 4's with/without-unrolling
 //! comparison shares one preparation.
 //!
+//! A preparation reads its events twice, chunk by chunk. [`Pass1`]
+//! collects what must be known before the first event is prepared (the
+//! branch profile and the distinct memory-key count), then
+//! [`MetaBuilder`] prepares the events. The streamed pipeline feeds both
+//! from a [`TraceSource`](clfp_vm::TraceSource); [`TraceMeta::build`]
+//! feeds each the whole trace as one chunk.
+//!
 //! The walk ([`MetaBuilder::push_chunk`]) does per event only the work
 //! that varies per event. The static predictors (profile, always-taken,
 //! BTFN) fix one direction per static branch (§4.4.2), so they are asked
@@ -269,9 +276,10 @@ impl TraceMeta {
     /// The shared preparation walk: classification (branch prediction and
     /// the sequential counts for both unroll settings), operand
     /// pre-decode, and dynamic control-dependence resolution, one trace
-    /// walk for all machines. The whole-trace special case of
-    /// [`MetaBuilder`] — one chunk spanning the trace — so the in-memory
-    /// and streaming pipelines share one walk implementation.
+    /// walk for all machines. The whole-trace special case of the streamed
+    /// pipeline's two passes: [`Pass1`] and then [`MetaBuilder`] are each
+    /// fed the trace as one chunk, so the in-memory and streaming
+    /// pipelines share one implementation of both walks.
     pub fn build(
         program: &Program,
         info: &StaticInfo,
@@ -281,22 +289,85 @@ impl TraceMeta {
     ) -> TraceMeta {
         let _span =
             clfp_metrics::trace::span("prepare.build", "prepare").arg("events", trace.len());
-        // The paper's profile-static predictor is trained on the measured
-        // run's own inputs; deriving it from the measured trace itself is
-        // exactly that semantics without a second VM execution.
-        let profile = match config.predictor {
-            PredictorChoice::Profile => BranchProfile::from_trace(program, trace),
-            _ => BranchProfile::new(),
-        };
-        let mut builder = MetaBuilder::new(program, info, pcs, config, &profile);
+        let mut pass1 = Pass1::new(pcs, config);
+        pass1.push_chunk(trace.events());
+        let mut builder = MetaBuilder::new(program, info, pcs, config, &pass1.profile);
         let mut events = Vec::with_capacity(trace.len());
         builder.push_chunk(trace.events(), &mut events);
         TraceMeta {
             events,
             not_ignored: builder.not_ignored,
             branches: builder.branches(),
-            distinct_mem_keys: builder.distinct_mem_keys(),
+            distinct_mem_keys: pass1.distinct_mem_keys,
             vp_hits: builder.vp_hits(),
+        }
+    }
+}
+
+/// Pass 1 of a preparation: what the preparation walk needs before its
+/// first event, collected chunk by chunk over the whole stream.
+///
+/// * The branch profile, only when the profile predictor is selected:
+///   the paper's profile-static predictor is trained on the measured
+///   run's own inputs, so the profile of the stream itself is exactly
+///   that semantics without a second VM execution.
+/// * The count of distinct dynamic memory keys (`mem_addr >>
+///   log2(disambiguation_bytes)` over loads and stores), which sizes the
+///   perfect-disambiguation last-write tables to the trace's live
+///   footprint instead of a fixed guess.
+pub(crate) struct Pass1<'a> {
+    pcs: &'a ProgramMeta,
+    /// Whether the profile predictor is selected, so branches are
+    /// profiled.
+    pub profile_branches: bool,
+    shift: u32,
+    /// The branch profile so far (empty unless `profile_branches`).
+    pub profile: BranchProfile,
+    /// Membership bitmap over dynamic memory keys, grown on demand.
+    mem_seen: Vec<u64>,
+    /// Distinct dynamic memory keys so far.
+    pub distinct_mem_keys: u64,
+    /// Events pushed so far.
+    pub events: u64,
+}
+
+impl<'a> Pass1<'a> {
+    /// An empty pass 1 for `config`'s predictor and disambiguation
+    /// granularity.
+    pub fn new(pcs: &'a ProgramMeta, config: &AnalysisConfig) -> Pass1<'a> {
+        Pass1 {
+            pcs,
+            profile_branches: matches!(config.predictor, PredictorChoice::Profile),
+            shift: config.disambiguation_bytes.trailing_zeros(),
+            profile: BranchProfile::new(),
+            mem_seen: Vec::new(),
+            distinct_mem_keys: 0,
+            events: 0,
+        }
+    }
+
+    /// Folds one chunk of consecutive trace events in. `PC_COND_BRANCH`
+    /// is set exactly where `BranchProfile::from_trace` records an event,
+    /// so the profile matches a whole-trace one bit for bit.
+    pub fn push_chunk(&mut self, chunk: &[clfp_vm::TraceEvent]) {
+        self.events += chunk.len() as u64;
+        for event in chunk {
+            let meta = &self.pcs.pcs[event.pc as usize];
+            if self.profile_branches && meta.is(PC_COND_BRANCH) {
+                self.profile.record(event.pc, event.taken);
+            }
+            if meta.flags & (PC_LOAD | PC_STORE) != 0 {
+                let key = event.mem_addr >> self.shift;
+                let word = (key >> 6) as usize;
+                if word >= self.mem_seen.len() {
+                    self.mem_seen.resize(word + 1, 0);
+                }
+                let bit = 1u64 << (key & 63);
+                if self.mem_seen[word] & bit == 0 {
+                    self.mem_seen[word] |= bit;
+                    self.distinct_mem_keys += 1;
+                }
+            }
         }
     }
 }
@@ -407,17 +478,12 @@ pub(crate) struct MetaBuilder<'a> {
     /// Whether the previous event was a branch, call or return, so the
     /// next event re-resolves `cd`.
     cd_stale: bool,
-    /// Membership bitmap over dynamic memory keys (grown on demand; keys
-    /// are word addresses shifted down, so the bitmap is 1/32 of the
-    /// touched address range).
-    mem_seen: Vec<u64>,
-    distinct_mem_keys: u64,
 }
 
 impl<'a> MetaBuilder<'a> {
     /// Creates a builder with empty carried state. `profile` is the
-    /// branch profile of the *entire* stream (pass 1 of the streaming
-    /// pipeline); it is only consulted for the profile predictor.
+    /// branch profile of the *entire* stream ([`Pass1`]); it is only
+    /// consulted for the profile predictor.
     pub fn new(
         program: &Program,
         info: &'a StaticInfo,
@@ -440,8 +506,6 @@ impl<'a> MetaBuilder<'a> {
             seq: 0,
             cd: CD_NONE,
             cd_stale: true,
-            mem_seen: Vec::new(),
-            distinct_mem_keys: 0,
         }
     }
 
@@ -519,21 +583,9 @@ impl<'a> MetaBuilder<'a> {
             }
             // The dynamic key; a lane group under a coarser
             // disambiguation mode derives its own key from the pc.
-            let mem_key = event.mem_addr >> self.shift;
-            if meta.flags & (PC_LOAD | PC_STORE) != 0 {
-                let word = (mem_key >> 6) as usize;
-                if word >= self.mem_seen.len() {
-                    self.mem_seen.resize(word + 1, 0);
-                }
-                let bit = 1u64 << (mem_key & 63);
-                if self.mem_seen[word] & bit == 0 {
-                    self.mem_seen[word] |= bit;
-                    self.distinct_mem_keys += 1;
-                }
-            }
             events.push(EventMeta {
                 pc: event.pc,
-                mem_key,
+                mem_key: event.mem_addr >> self.shift,
                 cd: self.cd,
                 flags,
             });
@@ -564,13 +616,6 @@ impl<'a> MetaBuilder<'a> {
     /// Non-ignored events pushed so far, for one unroll setting.
     pub fn not_ignored(&self, unrolling: bool) -> u64 {
         self.not_ignored[unrolling as usize]
-    }
-
-    /// Distinct dynamic memory keys seen in load/store events so far —
-    /// the live footprint a perfect-disambiguation last-write table must
-    /// cover.
-    pub fn distinct_mem_keys(&self) -> u64 {
-        self.distinct_mem_keys
     }
 
     /// Hits each value-prediction mode scores on the events pushed so

@@ -72,7 +72,9 @@ fn run_prepare_report_and_hierarchy_agree() {
         },
     );
     let trace = vm.trace(config.max_instrs).unwrap();
-    let explicit = analyzer.prepare(&trace).report();
+    let explicit = analyzer
+        .prepare(&trace)
+        .report_with_unrolling(config.unrolling);
 
     assert_eq!(report.seq_instrs, explicit.seq_instrs);
     assert_eq!(report.branches, explicit.branches);

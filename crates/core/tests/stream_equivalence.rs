@@ -1,12 +1,13 @@
 //! Exact-equivalence suite for the streaming chunked pipeline: analyzing
-//! through [`Analyzer::run_streamed_on`] must reproduce the in-memory
-//! path bit for bit — cycles, counts, branch statistics, misprediction
-//! histograms, and the trace summary — for every machine model, both
-//! unroll settings, and every chunk size, including chunks that straddle
-//! call and branch boundaries and the threaded pass 2 with forced thread
+//! through [`Analyzer::run_streamed_on`] must reproduce an in-memory
+//! preparation bit for bit — cycles, counts, branch statistics and
+//! misprediction histograms — for every machine model, both unroll
+//! settings, and every chunk size, including chunks that straddle call
+//! and branch boundaries and the threaded pass 2 with forced thread
 //! counts. Both pipelines run the same incremental builders (the
 //! in-memory path is the one-big-chunk special case), so any divergence
-//! here is carried-state lost at a chunk boundary. A cache file that can
+//! here is carried-state lost at a chunk boundary. [`Analyzer::run`],
+//! which streams, must match the reference pass. A cache file that can
 //! no longer be read back must end the streamed analysis with an error,
 //! inline and threaded.
 
@@ -95,7 +96,6 @@ fn streamed_matches_in_memory_across_chunk_sizes() {
         let prepared = analyzer.prepare(&trace);
         let want_unrolled = prepared.report_with_unrolling(true);
         let want_rolled = prepared.report_with_unrolling(false);
-        let want_summary = trace.summarize(&program);
 
         for chunk in [1, 7, 4096, trace.len()] {
             let streamed = analyzer
@@ -110,7 +110,6 @@ fn streamed_matches_in_memory_across_chunk_sizes() {
             let tag = format!("{name} chunk={chunk}");
             assert_reports_equal(&streamed.unrolled, &want_unrolled, &format!("{tag} unrolled"));
             assert_reports_equal(&streamed.rolled, &want_rolled, &format!("{tag} rolled"));
-            assert_eq!(streamed.summary, want_summary, "{tag}: summary");
         }
     }
 }
@@ -158,22 +157,27 @@ fn parallel_broadcast_matches_sequential() {
                 &sequential.rolled,
                 &format!("{tag} rolled"),
             );
-            assert_eq!(parallel.summary, sequential.summary, "{tag}: summary");
         }
     }
 }
 
 #[test]
-fn run_streamed_matches_run() {
+fn run_matches_reference() {
     let workload = clfp_workloads::by_name("qsort").unwrap();
     let program = workload.compile().unwrap();
+    let trace = Vm::new(
+        &program,
+        VmOptions {
+            mem_words: config().mem_words,
+        },
+    )
+    .trace(config().max_instrs)
+    .unwrap();
     for unrolling in [true, false] {
         let analyzer = Analyzer::new(&program, config().with_unrolling(unrolling)).unwrap();
-        let want = analyzer.run().unwrap();
-        let streamed = analyzer.run_streamed(StreamOptions::default()).unwrap();
         assert_reports_equal(
-            streamed.report(unrolling),
-            &want,
+            &analyzer.run().unwrap(),
+            &analyzer.run_on_trace_reference(&trace),
             &format!("unroll={unrolling}"),
         );
     }
@@ -201,7 +205,7 @@ fn repeated_source_streams_to_exact_limit() {
         )
         .unwrap();
     assert_eq!(streamed.unrolled.raw_instrs, limit);
-    assert_eq!(streamed.summary.total, limit);
+    assert_eq!(streamed.rolled.raw_instrs, limit);
     // The machine hierarchy must hold on the synthesized stream too.
     for kind in MachineKind::ALL {
         for &weaker in kind.dominates() {

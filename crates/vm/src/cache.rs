@@ -306,7 +306,6 @@ mod tests {
         let (program, trace) = sample();
         cache.store(&program, 10_000, &trace).unwrap();
         let source = cache.lookup(&program, 10_000).unwrap();
-        assert_eq!(source.len_hint(), Some(trace.len() as u64));
         for chunk in [1usize, 7, 4096] {
             let mut events = Vec::new();
             let mut sizes = Vec::new();

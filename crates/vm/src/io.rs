@@ -416,10 +416,6 @@ impl TraceSource for FileTraceSource {
             }
         }
     }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.events)
-    }
 }
 
 impl Trace {

@@ -40,5 +40,5 @@ pub use error::VmError;
 pub use io::{FileTraceSource, TraceFileError, TRACE_FORMAT_VERSION};
 pub use memory::Memory;
 pub use source::{ProgramSource, TraceSource};
-pub use trace::{SummaryBuilder, Trace, TraceEvent, TraceSummary};
+pub use trace::{Trace, TraceEvent, TraceSummary};
 pub use vm::{ExecOutcome, Vm, VmOptions};

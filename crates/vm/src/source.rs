@@ -41,11 +41,6 @@ pub trait TraceSource {
         chunk_events: usize,
         sink: &mut dyn FnMut(&[TraceEvent]),
     ) -> Result<(), VmError>;
-
-    /// The exact total event count, when known without executing.
-    fn len_hint(&self) -> Option<u64> {
-        None
-    }
 }
 
 impl TraceSource for Trace {
@@ -59,10 +54,6 @@ impl TraceSource for Trace {
             sink(chunk);
         }
         Ok(())
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.len() as u64)
     }
 }
 
@@ -141,12 +132,6 @@ impl TraceSource for ProgramSource<'_> {
         }
         Ok(())
     }
-
-    fn len_hint(&self) -> Option<u64> {
-        // Exact only when repeating (and the program makes progress); a
-        // single execution may halt before the cap.
-        self.repeat.then_some(self.limit)
-    }
 }
 
 #[cfg(test)]
@@ -215,7 +200,6 @@ mod tests {
         let (events, sizes) = collect(&trace, 7);
         assert_eq!(events, trace.events());
         assert_eq!(sizes.iter().sum::<usize>(), trace.len());
-        assert_eq!(trace.len_hint(), Some(trace.len() as u64));
     }
 
     #[test]
@@ -225,7 +209,6 @@ mod tests {
         let one_run = Vm::new(&program, options).trace(1_000_000).unwrap();
         let limit = one_run.len() as u64 * 2 + 5;
         let source = ProgramSource::new(&program, options, limit).repeated();
-        assert_eq!(source.len_hint(), Some(limit));
         let (events, _) = collect(&source, 16);
         assert_eq!(events.len() as u64, limit);
         // The stream is the one-run sequence tiled back-to-back.

@@ -62,9 +62,42 @@ impl Trace {
 
     /// Computes the instruction-mix summary of this trace.
     pub fn summarize(&self, program: &Program) -> TraceSummary {
-        let mut builder = SummaryBuilder::new(program);
-        builder.push_chunk(&self.events);
-        builder.finish()
+        let mut summary = TraceSummary::default();
+        let mut depth = 0u64;
+        let mut words = WordBitmap::default();
+        for event in &self.events {
+            summary.total += 1;
+            match event.instr(program) {
+                Instr::Branch { .. } => {
+                    summary.cond_branches += 1;
+                    if event.taken {
+                        summary.taken_branches += 1;
+                    }
+                }
+                Instr::JumpR { .. } => summary.computed_jumps += 1,
+                Instr::Jump { .. } => summary.jumps += 1,
+                Instr::Call { .. } | Instr::CallR { .. } => {
+                    summary.calls += 1;
+                    depth += 1;
+                    summary.max_call_depth = summary.max_call_depth.max(depth);
+                }
+                Instr::Ret => {
+                    summary.returns += 1;
+                    depth = depth.saturating_sub(1);
+                }
+                Instr::Lw { .. } => {
+                    summary.loads += 1;
+                    words.insert(event.mem_addr >> 2);
+                }
+                Instr::Sw { .. } => {
+                    summary.stores += 1;
+                    words.insert(event.mem_addr >> 2);
+                }
+                _ => summary.alu += 1,
+            }
+        }
+        summary.distinct_mem_words = words.count;
+        summary
     }
 }
 
@@ -91,80 +124,6 @@ impl WordBitmap {
             self.bits[index] |= mask;
             self.count += 1;
         }
-    }
-}
-
-/// Incremental [`TraceSummary`] computation that composes per-chunk: feed
-/// event chunks in trace order with [`SummaryBuilder::push_chunk`] and
-/// [`SummaryBuilder::finish`] at the end. `Trace::summarize` is the
-/// whole-trace special case (one chunk), so streaming pipelines get
-/// bit-identical summaries without materializing the trace.
-#[derive(Clone, Debug)]
-pub struct SummaryBuilder<'a> {
-    program: &'a Program,
-    summary: TraceSummary,
-    depth: u64,
-    words: WordBitmap,
-}
-
-impl<'a> SummaryBuilder<'a> {
-    /// Creates an empty builder for a program's trace.
-    pub fn new(program: &'a Program) -> SummaryBuilder<'a> {
-        SummaryBuilder {
-            program,
-            summary: TraceSummary::default(),
-            depth: 0,
-            words: WordBitmap::default(),
-        }
-    }
-
-    /// Folds one event into the summary.
-    #[inline]
-    pub fn push(&mut self, event: &TraceEvent) {
-        let summary = &mut self.summary;
-        summary.total += 1;
-        match event.instr(self.program) {
-            Instr::Branch { .. } => {
-                summary.cond_branches += 1;
-                if event.taken {
-                    summary.taken_branches += 1;
-                }
-            }
-            Instr::JumpR { .. } => summary.computed_jumps += 1,
-            Instr::Jump { .. } => summary.jumps += 1,
-            Instr::Call { .. } | Instr::CallR { .. } => {
-                summary.calls += 1;
-                self.depth += 1;
-                summary.max_call_depth = summary.max_call_depth.max(self.depth);
-            }
-            Instr::Ret => {
-                summary.returns += 1;
-                self.depth = self.depth.saturating_sub(1);
-            }
-            Instr::Lw { .. } => {
-                summary.loads += 1;
-                self.words.insert(event.mem_addr >> 2);
-            }
-            Instr::Sw { .. } => {
-                summary.stores += 1;
-                self.words.insert(event.mem_addr >> 2);
-            }
-            _ => summary.alu += 1,
-        }
-    }
-
-    /// Folds a chunk of consecutive events into the summary.
-    pub fn push_chunk(&mut self, events: &[TraceEvent]) {
-        for event in events {
-            self.push(event);
-        }
-    }
-
-    /// The finished summary.
-    pub fn finish(self) -> TraceSummary {
-        let mut summary = self.summary;
-        summary.distinct_mem_words = self.words.count;
-        summary
     }
 }
 
@@ -306,49 +265,6 @@ mod tests {
             ..TraceSummary::default()
         };
         assert!((no_branches.instrs_between_branches() - 42.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_builder_composes_per_chunk() {
-        let program = assemble(
-            r#"
-            .text
-            main:
-                li r8, 1
-                beq r8, r0, skip
-                lw r9, 0x1000(r0)
-                sw r9, 0x1004(r0)
-                call f
-            skip:
-                halt
-            f:
-                sw r9, 0x1000(r0)
-                ret
-            "#,
-        )
-        .unwrap();
-        let events: Vec<TraceEvent> = vec![
-            TraceEvent { pc: 0, mem_addr: 0, value: 0, taken: false },
-            TraceEvent { pc: 1, mem_addr: 0, value: 0, taken: false },
-            TraceEvent { pc: 2, mem_addr: 0x1000, value: 0, taken: false },
-            TraceEvent { pc: 3, mem_addr: 0x1004, value: 0, taken: false },
-            TraceEvent { pc: 4, mem_addr: 0, value: 0, taken: false },
-            TraceEvent { pc: 6, mem_addr: 0x1000, value: 0, taken: false },
-            TraceEvent { pc: 7, mem_addr: 0, value: 0, taken: false },
-            TraceEvent { pc: 5, mem_addr: 0, value: 0, taken: false },
-        ];
-        let whole = Trace::from_events(events.clone()).summarize(&program);
-        // Every chunking — including sizes that straddle the call and the
-        // store revisiting 0x1000 — must produce the identical summary.
-        for chunk in [1, 2, 3, 5, events.len()] {
-            let mut builder = SummaryBuilder::new(&program);
-            for part in events.chunks(chunk) {
-                builder.push_chunk(part);
-            }
-            assert_eq!(builder.finish(), whole, "chunk size {chunk}");
-        }
-        assert_eq!(whole.distinct_mem_words, 2);
-        assert_eq!(whole.max_call_depth, 1);
     }
 
     #[test]

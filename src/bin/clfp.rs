@@ -6,12 +6,11 @@
 //! clfp disasm prog.mc             # print linked disassembly
 //! clfp run prog.mc                # execute, print main's result
 //! clfp analyze prog.mc            # parallelism for all 7 machines
-//! clfp analyze --workload qsort --max-instr 500000
-//! clfp analyze --workload qsort --max-instrs 100000000 --stream
-//!                                 # stream in O(chunk) trace memory
+//! clfp analyze --workload qsort --max-instrs 100000000
+//!                                 # paper scale, in O(chunk) trace memory
 //! clfp analyze prog.s --no-unroll --predictor bimodal --fetch 8
 //! clfp trace prog.mc -o prog.trc  # capture a trace file
-//! clfp analyze prog.mc --trace prog.trc --stream
+//! clfp analyze prog.mc --trace prog.trc
 //!                                 # stream it back from disk
 //! clfp analyze --workload qsort --valuepred stride
 //!                                 # schedule with value speculation
@@ -28,6 +27,10 @@
 //!
 //! Files ending in `.mc` are treated as MiniC; anything else is assembled
 //! as clfp assembly.
+//!
+//! `clfp analyze` streams the measured execution (or the `--trace` file)
+//! through the two-pass chunked pipeline, so its trace memory is
+//! O(chunk) at any trace length.
 
 use std::process::ExitCode;
 
@@ -96,8 +99,9 @@ fn print_usage() {
          \u{20}         [--max-instrs N] [--no-unroll] [--no-inline]\n\
          \u{20}         [--predictor profile|btfn|taken|bimodal|gshare|two-level]\n\
          \u{20}         [--valuepred off|last-value|stride|perfect]\n\
-         \u{20}         [--fetch W] [--if-convert] [--trace file.trc]\n\
-         \u{20}         [--stream [--chunk EVENTS]] analyze in O(chunk) trace memory\n\
+         \u{20}         [--fetch W] [--if-convert]\n\
+         \u{20}         [--trace file.trc]         analyze a captured trace whole\n\
+         \u{20}                                    (not with --max-instrs)\n\
          \u{20}         [--trace-json out.json]    record pipeline spans and export\n\
          \u{20}         Chrome trace-event JSON (load in ui.perfetto.dev)\n\
          \u{20} lint    <file | --workload NAME>   lint + cross-check one program\n\
@@ -465,13 +469,7 @@ fn diagnostics_json(diagnostics: &[clfp::verify::Diagnostic]) -> String {
 }
 
 fn analyze_cmd(args: &[String]) -> Result<(), String> {
-    let switches = [
-        "--if-convert",
-        "--optimize",
-        "--no-unroll",
-        "--no-inline",
-        "--stream",
-    ];
+    let switches = ["--if-convert", "--optimize", "--no-unroll", "--no-inline"];
     let valued = [
         "--workload",
         "--max-instr",
@@ -481,7 +479,6 @@ fn analyze_cmd(args: &[String]) -> Result<(), String> {
         "--valuepred",
         "--trace",
         "--trace-json",
-        "--chunk",
     ];
     let args = Args::parse("analyze", args, &switches, &valued)?;
     // `--trace-json OUT` records pipeline spans for exactly this analysis
@@ -506,6 +503,13 @@ fn analyze_cmd(args: &[String]) -> Result<(), String> {
 }
 
 fn analyze_inner(args: &Args) -> Result<(), String> {
+    if args.has("--trace") && args.max_instrs()?.is_some() {
+        return Err(
+            "`--max-instrs` cannot be combined with `--trace`: the cap applies \
+                    to a VM run, and a trace file is analyzed whole"
+                .into(),
+        );
+    }
     let program = if let Some(name) = args.value("--workload") {
         let workload = clfp::workloads::by_name(name).map_err(|err| err.to_string())?;
         workload
@@ -561,35 +565,16 @@ fn analyze_inner(args: &Args) -> Result<(), String> {
     let unrolling = config.unrolling;
     let value_prediction = config.value_prediction;
     let analyzer = Analyzer::new(&program, config).map_err(|err| err.to_string())?;
-    let trace_file = args
-        .value("--trace")
-        .map(|path| {
-            FileTraceSource::open(&program, path)
-                .map_err(|err| format!("cannot load `{path}`: {err}"))
-        })
-        .transpose()?;
-    let report = if args.has("--stream") {
-        // Streaming chunked pipeline: never materializes the trace, so
-        // paper-scale caps (100M+) and trace files run in O(chunk) trace
-        // memory.
-        let mut options = StreamOptions::default();
-        if let Some(v) = args.value("--chunk") {
-            options.chunk_events = v.parse().map_err(|_| format!("bad --chunk `{v}`"))?;
+    let streamed = match args.value("--trace") {
+        Some(path) => {
+            let file = FileTraceSource::open(&program, path)
+                .map_err(|err| format!("cannot load `{path}`: {err}"))?;
+            analyzer.run_streamed_on(&file, StreamOptions::default())
         }
-        let streamed = match &trace_file {
-            Some(file) => analyzer.run_streamed_on(file, options),
-            None => analyzer.run_streamed(options),
-        }
-        .map_err(|err| err.to_string())?;
-        streamed.report(unrolling).clone()
-    } else if let Some(file) = &trace_file {
-        let trace = file
-            .load_trace()
-            .map_err(|err| format!("cannot load `{}`: {err}", file.path().display()))?;
-        analyzer.run_on_trace(&trace)
-    } else {
-        analyzer.run().map_err(|err| err.to_string())?
-    };
+        None => analyzer.run_streamed(StreamOptions::default()),
+    }
+    .map_err(|err| err.to_string())?;
+    let report = streamed.report(unrolling);
 
     println!(
         "trace: {} instructions ({} after inlining/unrolling)",

@@ -148,26 +148,19 @@ fn trace_roundtrip_via_files() {
     let text = String::from_utf8(output.stdout).unwrap();
     assert!(text.contains("wrote"), "{text}");
 
-    let output = clfp()
+    let output = clfp().arg("analyze").arg(&path).output().unwrap();
+    assert!(output.status.success(), "{output:?}");
+    // Streamed from the file, the same table as from the VM.
+    let from_file = clfp()
         .arg("analyze")
         .arg(&path)
         .arg("--trace")
         .arg(&trc)
         .output()
         .unwrap();
-    assert!(output.status.success());
-    // Streamed from the file, the same table.
-    let streamed = clfp()
-        .arg("analyze")
-        .arg(&path)
-        .arg("--trace")
-        .arg(&trc)
-        .arg("--stream")
-        .output()
-        .unwrap();
-    assert!(streamed.status.success(), "{streamed:?}");
+    assert!(from_file.status.success(), "{from_file:?}");
     assert_eq!(
-        String::from_utf8(streamed.stdout).unwrap(),
+        String::from_utf8(from_file.stdout).unwrap(),
         String::from_utf8(output.stdout).unwrap()
     );
 
@@ -228,24 +221,30 @@ fn errors_are_reported_not_panicked() {
     let text = String::from_utf8(output.stderr).unwrap();
     assert!(text.contains("fetch bandwidth"), "{text}");
 
-    // A misspelled flag, or a value flag with no value, would otherwise
-    // analyze silently with the defaults.
-    let rejected: [(&[&str], &str); 8] = [
+    // A misspelled or removed flag, a value flag with no value, or a cap
+    // on a trace file would otherwise analyze silently with the defaults.
+    let rejected: [(&[&str], &str); 11] = [
         (
             &["analyze", "--valuepredd", "stride"],
             "unknown flag `--valuepredd`",
         ),
+        (&["analyze", "--stream"], "unknown flag `--stream`"),
+        (&["analyze", "--chunk", "4096"], "unknown flag `--chunk`"),
         (&["analyze", "--max-instr"], "`--max-instr` needs a value"),
         (&["analyze", "--valuepred"], "`--valuepred` needs a value"),
         (
-            &["analyze", "--stream", "--chunk"],
-            "`--chunk` needs a value",
+            &["analyze", "--no-unroll", "--fetch"],
+            "`--fetch` needs a value",
         ),
         (&["analyze", "--predictor"], "`--predictor` needs a value"),
         (&["analyze", "--trace-json"], "`--trace-json` needs a value"),
         (
-            &["analyze", "--max-instr", "--stream"],
+            &["analyze", "--max-instr", "--no-unroll"],
             "`--max-instr` needs a value",
+        ),
+        (
+            &["analyze", "--trace", "qsort.trc", "--max-instrs", "1000"],
+            "`--max-instrs` cannot be combined with `--trace`",
         ),
         (&["lint", "--jsn"], "unknown flag `--jsn`"),
     ];
@@ -263,7 +262,8 @@ fn errors_are_reported_not_panicked() {
     }
 
     // A trace file whose first event's pc has a high bit flipped names an
-    // instruction the program does not have.
+    // instruction the program does not have: the stream reports it as the
+    // VM's bad-pc error, naming the pc.
     let path = write_temp("flipped.mc", PROGRAM);
     let trc = path.with_extension("trc");
     let output = clfp()
@@ -285,8 +285,13 @@ fn errors_are_reported_not_panicked() {
         .output()
         .unwrap();
     assert_eq!(output.status.code(), Some(1), "{output:?}");
+    assert!(output.stdout.is_empty(), "{output:?}");
+    let pc = u32::from_le_bytes(bytes[44..48].try_into().unwrap());
     let text = String::from_utf8(output.stderr).unwrap();
-    assert!(text.contains("outside the program's text"), "{text}");
+    assert!(
+        text.contains(&format!("program counter {pc} outside text segment")),
+        "{text}"
+    );
 }
 
 #[test]

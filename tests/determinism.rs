@@ -2,8 +2,8 @@
 //! functions of their inputs. This is what makes the published tables
 //! reproducible bit-for-bit and the trace-file workflow sound.
 
-use clfp::limits::{AnalysisConfig, Analyzer, MachineKind};
-use clfp::vm::{Vm, VmOptions};
+use clfp::limits::{AnalysisConfig, Analyzer, MachineKind, StreamOptions};
+use clfp::vm::{FileTraceSource, Vm, VmOptions};
 use clfp::workloads::by_name;
 
 #[test]
@@ -47,16 +47,20 @@ fn analysis_is_deterministic_and_trace_replay_matches_live() {
         );
     }
 
-    // Replaying a saved trace must reproduce the live analysis exactly.
+    // Replaying a saved trace file must reproduce the live analysis
+    // exactly.
     let mut vm = Vm::new(&program, VmOptions::default());
     let trace = vm.trace(config.max_instrs).unwrap();
     let dir = std::env::temp_dir().join(format!("clfp-determinism-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("replay.trc");
     trace.save(&program, &path).unwrap();
-    let replayed = clfp::vm::Trace::load(&program, &path).unwrap();
+    let replayed = FileTraceSource::open(&program, &path).unwrap();
+    let streamed = analyzer
+        .run_streamed_on(&replayed, StreamOptions::default())
+        .unwrap();
     std::fs::remove_dir_all(&dir).ok();
-    let from_replay = analyzer.run_on_trace(&replayed);
+    let from_replay = streamed.report(config.unrolling);
     for kind in MachineKind::ALL {
         assert_eq!(
             live.result(kind).unwrap().cycles,

@@ -314,7 +314,10 @@ fn lane_kernel_matches_reference_on_every_workload() {
                     "machine-major",
                     &prepared.report_with_unrolling_scalar(*unrolling),
                 ),
-                ("per-setting", &analyzer.run_on_trace(&trace)),
+                (
+                    "per-setting",
+                    &analyzer.prepare(&trace).report_with_unrolling(*unrolling),
+                ),
             ] {
                 same_report(got, &want, &format!("{tag} {label}")).unwrap();
             }
