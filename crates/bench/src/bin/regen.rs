@@ -26,20 +26,20 @@
 //! regen --trace trace.json   # run the timed suite with span tracing on,
 //!                            # write a Perfetto/chrome://tracing JSON plus
 //!                            # results/pipeline_profile.md
-//! regen --check-perf         # run the timed suite and gate its lane and
-//!                            # reference walls against the committed
-//!                            # BENCH_suite.json
-//!                            # (--perf-tolerance PCT, default 50); exit 4
-//!                            # on regression
+//! regen --check-perf         # run the timed suite and hold each lane
+//!                            # stage to a floor against the reference
+//!                            # pass of the same run; exit 4 naming a
+//!                            # stage that misses its floor
 //! regen --no-cache           # skip the on-disk trace cache, always re-execute
 //! regen --force              # overwrite results from a different config
 //! ```
 //!
 //! Each run does one thing. Two modes (`--timing`, `--trace` and
 //! `--check-perf` together count as one), a table outside 1-4, a figure
-//! outside 4-7, or `--perf-tolerance` without `--check-perf` exit 1 with a
-//! message before any suite runs. The timed modes exit 1, naming every
-//! false bit-identity gate, before they write any artifact.
+//! outside 4-7, or `--check-perf` where it has no floors (another trace
+//! cap, or a kernel build with none) exit 1 with a message before any
+//! suite runs. The timed modes exit 1, naming every false bit-identity
+//! gate, before they write any artifact.
 //!
 //! By default regen installs the on-disk trace cache
 //! (`$CLFP_CACHE_DIR` or `target/clfp-cache`): the first run of a
@@ -61,15 +61,15 @@
 //! in `results/`. The timed artifacts (`BENCH_suite.json`,
 //! `BENCH_scaling.json`, `pipeline_profile.md`) also name the kernel build
 //! that ran (`kernel: avx512` or `portable`, see
-//! `clfp_limits::kernel_isa`), and `--check-perf` refuses a baseline
-//! recorded under a different build.
+//! `clfp_limits::kernel_isa`), and `--check-perf` reads its floors for
+//! that build. It reads no file: `BENCH_suite.json` is an output only.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use clfp_bench::{
-    check_perf, figure4, figure5, figure6, figure7, pipeline_profile_md, run_axis_sweep,
-    run_lint_suite, run_metrics_suite, run_scaling_suite, run_suite, run_suite_timed,
+    figure4, figure5, figure6, figure7, pipeline_profile_md, run_axis_sweep, run_lint_suite,
+    run_metrics_suite, run_scaling_suite, run_suite, run_suite_timed, stage_floors,
     static_inventory, suite_manifest, table1, table2, table3, table4, AxisSweep, WorkloadReport,
     DISAMBIGUATION, VALUE_PREDICTION,
 };
@@ -81,7 +81,7 @@ const USAGE: &str = "\
 usage: regen [--table N] [--figure N] [--max-instrs M] [--out DIR]
              [--timing] [--scaling] [--lint] [--alias] [--valuepred]
              [--metrics] [--trace FILE] [--check-perf]
-             [--perf-tolerance PCT] [--no-cache] [--force]
+             [--no-cache] [--force]
 Regenerates the paper's tables (1-4) and figures (4-7); with
 --out, also writes each as a markdown file under DIR, and
 --max-instrs M caps every measured trace at M dynamic
@@ -118,11 +118,12 @@ With --trace FILE, runs the timed suite with span tracing on
 and writes FILE as Chrome trace-event JSON (load it in
 ui.perfetto.dev) plus pipeline_profile.md to DIR (default
 results/): per-stage and per-lane-group wall-time attribution.
-With --check-perf, runs the timed suite and compares its
-lane and reference pipeline walls (lane_wall_ms,
-reference_wall_ms) against the BENCH_suite.json in DIR (default
-the current directory); a wall more than --perf-tolerance
-percent (default 50) over the baseline exits with status 4.
+With --check-perf, runs the timed suite and divides its
+reference analysis wall by each of three lane stages
+(prepare_ms, lane_machines_ms, stream_ms); a ratio below that
+stage's floor exits with status 4, naming the stage. The
+floors hold at the default cap on a host that runs the
+AVX-512 kernel build; another cap or build exits 1.
 --timing, --trace and --check-perf print the timed suite's six
 bit-identity gates and exit 1, naming every false one, before
 they write anything.
@@ -142,11 +143,12 @@ enum Mode {
         table: Option<u32>,
         figure: Option<u32>,
     },
-    /// The instrumented suite walk: `--timing`, `--trace`, `--check-perf`.
+    /// The instrumented suite walk: `--timing`, `--trace`, and
+    /// `--check-perf` with its stage floors.
     Timed {
         timing: bool,
         trace: Option<PathBuf>,
-        check_perf: bool,
+        floors: Option<[f64; 3]>,
     },
     Scaling,
     Lint,
@@ -160,7 +162,6 @@ struct Args {
     out: Option<PathBuf>,
     no_cache: bool,
     force: bool,
-    perf_tolerance: f64,
 }
 
 /// Records that `flag` selects the mode `group`; a flag of a different
@@ -187,7 +188,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, St
     let mut chosen = None;
     let (mut table, mut figure, mut trace) = (None, None, None);
     let (mut timing, mut check_perf) = (false, false);
-    let mut perf_tolerance = None;
     let mut args = Args {
         mode: Mode::Tables {
             table: None,
@@ -197,7 +197,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, St
         out: None,
         no_cache: false,
         force: false,
-        perf_tolerance: 50.0,
     };
     let mut iter = argv.into_iter();
     while let Some(arg) = iter.next() {
@@ -231,16 +230,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, St
             "--check-perf" => {
                 check_perf = true;
                 select(&mut chosen, "timed", &arg)?;
-            }
-            "--perf-tolerance" => {
-                let value = value("a percentage")?;
-                let pct: f64 = value
-                    .parse()
-                    .map_err(|_| format!("bad tolerance `{value}`"))?;
-                if pct < 0.0 || pct.is_nan() {
-                    return Err(format!("bad tolerance `{value}`"));
-                }
-                perf_tolerance = Some(pct);
             }
             "--scaling" => {
                 args.mode = Mode::Scaling;
@@ -277,18 +266,18 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, St
     if let Some(n) = figure.filter(|n| !(4..=7).contains(n)) {
         return Err(format!("no figure {n}: the figures are 4-7"));
     }
-    match (perf_tolerance, check_perf) {
-        (Some(_), false) => return Err("--perf-tolerance needs --check-perf".to_string()),
-        (Some(pct), true) => args.perf_tolerance = pct,
-        (None, _) => {}
-    }
+    let floors = if check_perf {
+        Some(stage_floors(args.max_instrs, clfp_limits::kernel_isa())?)
+    } else {
+        None
+    };
     match chosen.as_ref().map(|(group, _)| *group) {
         Some("tables") => args.mode = Mode::Tables { table, figure },
         Some("timed") => {
             args.mode = Mode::Timed {
                 timing,
                 trace,
-                check_perf,
+                floors,
             }
         }
         _ => {}
@@ -412,14 +401,8 @@ fn run(args: &Args) -> Result<(), Failure> {
         Mode::Timed {
             timing,
             trace,
-            check_perf,
-        } => timed(
-            *timing,
-            trace.as_deref(),
-            check_perf.then_some(args.perf_tolerance),
-            &config,
-            &writer,
-        ),
+            floors,
+        } => timed(*timing, trace.as_deref(), floors.as_ref(), &config, &writer),
         Mode::Scaling => {
             const WORKLOADS: [&str; 2] = ["qsort", "stencil"];
             const POINTS: [u64; 4] = [2_000_000, 10_000_000, 50_000_000, 100_000_000];
@@ -550,11 +533,11 @@ fn tables(
 }
 
 /// `--timing`, `--trace FILE` and `--check-perf`: one instrumented suite
-/// walk, then its artifacts. `perf_tolerance` is set under `--check-perf`.
+/// walk, then its artifacts. `floors` is set under `--check-perf`.
 fn timed(
     timing: bool,
     trace: Option<&Path>,
-    perf_tolerance: Option<f64>,
+    floors: Option<&[f64; 3]>,
     config: &AnalysisConfig,
     writer: &Writer,
 ) -> Result<(), Failure> {
@@ -599,31 +582,17 @@ fn timed(
         )?;
     }
 
-    // Gate before any baseline write: a regressed run must never
-    // replace the baseline it just failed against.
-    if let Some(tolerance) = perf_tolerance {
-        let baseline_path = writer.dir(".").join("BENCH_suite.json");
-        let baseline = std::fs::read_to_string(&baseline_path).map_err(|err| {
-            fail(format!(
-                "cannot read baseline {}: {err}",
-                baseline_path.display()
-            ))
-        })?;
-        let check = check_perf(&timing_run, &baseline, tolerance)
-            .map_err(|message| fail(format!("perf baseline unusable: {message}")))?;
-        for line in &check.lines {
-            eprintln!("perf: {line}");
-        }
-        if !check.passed() {
+    // Gate before the record is written: a regressed run writes no
+    // BENCH_suite.json.
+    if let Some(floors) = floors {
+        let missed = timing_run.missed_floors(floors);
+        if !missed.is_empty() {
             return Err(Failure {
                 status: 4,
-                message: format!("perf regression: {}", check.regressions.join("; ")),
+                message: format!("perf regression: {}", missed.join("; ")),
             });
         }
-        eprintln!(
-            "perf gate passed against {} (tolerance +{tolerance:.0}%)",
-            baseline_path.display()
-        );
+        eprintln!("perf gate passed: every gated stage cleared its floor");
     }
 
     if timing {

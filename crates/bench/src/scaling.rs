@@ -122,9 +122,10 @@ pub fn run_scaling_suite(
                 let prepared = analyzer.prepare(&trace);
                 let plain = ProgramSource::new(program, options_vm, limit);
                 let check = analyzer.run_streamed_on(&plain, options)?;
+                let (unrolled, rolled) = prepared.report_both();
                 Some(
-                    reports_equal(&check.unrolled, &prepared.report_with_unrolling(true))
-                        && reports_equal(&check.rolled, &prepared.report_with_unrolling(false)),
+                    reports_equal(&check.unrolled, &unrolled)
+                        && reports_equal(&check.rolled, &rolled),
                 )
             } else {
                 None

@@ -1,7 +1,7 @@
 //! `regen` rejects what it will not do: two modes in one run, a table or
-//! figure the paper does not have, and a flag that only means something
-//! in another mode. Every case fails while parsing, so no suite runs and
-//! nothing is printed to stdout.
+//! figure the paper does not have, an unknown flag, and a perf gate at a
+//! cap it has no floors for. Every case fails while parsing, so no suite
+//! runs and nothing is printed to stdout.
 
 use std::process::Command;
 
@@ -63,18 +63,26 @@ fn two_modes_are_rejected() {
 
 #[test]
 fn timed_flags_count_as_one_mode() {
-    // The timed flags combine; the run is refused only for the tolerance
-    // that follows them, which proves they did not conflict.
+    // The timed flags combine; the run is refused only for the cap that
+    // follows them, which proves they did not conflict.
     assert_rejected(
         &[
             "--timing",
             "--trace",
             "t.json",
             "--check-perf",
-            "--perf-tolerance",
-            "-1",
+            "--max-instr",
+            "x",
         ],
-        "bad tolerance `-1`",
+        "bad instruction cap `x`",
+    );
+}
+
+#[test]
+fn perf_gate_needs_the_calibrated_cap() {
+    assert_rejected(
+        &["--check-perf", "--max-instr", "300000"],
+        "--check-perf gates at the cap its floors were calibrated at",
     );
 }
 
@@ -92,20 +100,12 @@ fn sections_outside_the_paper_are_rejected() {
 }
 
 #[test]
-fn perf_tolerance_needs_check_perf() {
-    assert_rejected(
-        &["--perf-tolerance", "5"],
-        "--perf-tolerance needs --check-perf",
-    );
-    assert_rejected(
-        &["--timing", "--perf-tolerance", "5"],
-        "--perf-tolerance needs --check-perf",
-    );
-}
-
-#[test]
 fn malformed_flags_are_rejected() {
     assert_rejected(&["--tables", "3"], "unknown argument `--tables`");
+    assert_rejected(
+        &["--perf-tolerance", "5"],
+        "unknown argument `--perf-tolerance`",
+    );
     assert_rejected(&["--max-instr"], "--max-instr needs a number");
     assert_rejected(&["--trace"], "--trace needs an output file");
 }

@@ -126,16 +126,22 @@ impl MemDisambiguation {
     }
 
     /// Whether stores fold into the last-write table with `max` instead
-    /// of overwriting it. Under `Perfect` keys the latest store to a
-    /// word *is* the load's true producer, so overwrite is exact. Under
-    /// a coarser key a later store to a *different* word in the same
-    /// class would hide the true producer's completion time — a machine
-    /// without the oracle must hold every load until all earlier
-    /// may-aliasing stores complete, so the table tracks their running
-    /// maximum. This is what makes `perfect >= static >= none` a
-    /// pointwise theorem rather than an empirical trend.
-    pub fn accumulates(self) -> bool {
-        !matches!(self, MemDisambiguation::Perfect)
+    /// of overwriting it, when `Perfect` keys are `granularity_bytes`
+    /// wide ([`AnalysisConfig::disambiguation_bytes`]). Only a one-word
+    /// key (`Perfect` at 4 bytes) names a single location: the latest
+    /// store to it *is* the load's true producer, so overwrite is exact.
+    /// Every coarser key (`Static`, `None`, or a `Perfect` block wider
+    /// than a word) covers several words, and a later store to a
+    /// *different* word under the same key would hide the true
+    /// producer's completion time — a machine without the oracle must
+    /// hold every load until all earlier may-aliasing stores complete, so
+    /// the table tracks their running maximum. This is what makes
+    /// `perfect >= static >= none`, and a finer granularity at least as
+    /// parallel as a coarser one, pointwise theorems rather than
+    /// empirical trends. The lane kernel and the reference pass both read
+    /// this one rule.
+    pub fn accumulates(self, granularity_bytes: u32) -> bool {
+        !matches!(self, MemDisambiguation::Perfect) || granularity_bytes > 4
     }
 }
 
@@ -250,7 +256,9 @@ pub struct AnalysisConfig {
     /// Memory-disambiguation granularity in bytes (power of two, ≥ 4).
     /// The paper assumes *perfect* disambiguation = word granularity (4).
     /// Coarser values model imperfect alias analysis: accesses within the
-    /// same block conflict, adding false dependences.
+    /// same block conflict, adding false dependences, and a load waits
+    /// for every earlier store to its block, not only the latest
+    /// ([`MemDisambiguation::accumulates`]).
     pub disambiguation_bytes: u32,
     /// How the last-write table is keyed: by dynamic address (the paper's
     /// perfect oracle), by static alias region class, or not at all.

@@ -433,9 +433,11 @@ struct GroupCursor<const L: usize, const CD: bool, const RENAME: bool, const FET
     vp_flag: [u8; L],
 
     /// The group's disambiguation mode: how it keys memory
-    /// ([`last_write_key`]), and whether stores fold into `mem_time` with
-    /// `max` ([`MemDisambiguation::accumulates`]).
+    /// ([`last_write_key`]).
     disambiguation: MemDisambiguation,
+    /// Whether stores fold into `mem_time` with `max`: the group's keys
+    /// are coarser than a word ([`MemDisambiguation::accumulates`]).
+    accumulate: bool,
     reg_time: [[u64; L]; 32],
     reg_read: [[u64; L]; 32],
     mem_time: LaneTable<L>,
@@ -512,6 +514,7 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
             m_ord_lm,
             vp_flag,
             disambiguation,
+            accumulate: disambiguation.accumulates(config.disambiguation_bytes),
             reg_time: [[0; L]; 32],
             reg_read: [[0; L]; 32],
             mem_time: LaneTable::with_capacity(mem_capacity),
@@ -796,14 +799,13 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
                 }
             }
             if is_store {
-                let accumulate = self.disambiguation.accumulates();
                 let mt = self.mem_time.entry(mem_key);
                 // A store that does not raise an accumulated maximum does
                 // not own the key's time, so it never binds a later load.
-                if S::ENABLED && am[0] != 0 && (!accumulate || done[0] >= mt[0]) {
+                if S::ENABLED && am[0] != 0 && (!self.accumulate || done[0] >= mt[0]) {
                     self.attr.mem_writer.set(mem_key, u64::from(index) + 1);
                 }
-                if accumulate {
+                if self.accumulate {
                     for l in 0..L {
                         mt[l] = (done[l].max(mt[l]) & am[l]) | (mt[l] & !am[l]);
                     }

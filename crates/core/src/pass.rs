@@ -132,6 +132,9 @@ pub(crate) fn run_pass_with_schedule(
 
     let config = prepared.config;
     let shift = config.disambiguation_bytes.trailing_zeros();
+    let accumulate = config
+        .disambiguation
+        .accumulates(config.disambiguation_bytes);
     // The reference runs its own value predictor: it is the oracle the
     // prepared pipelines are checked against, so it reads no hit bit
     // they recorded.
@@ -248,10 +251,11 @@ pub(crate) fn run_pass_with_schedule(
                 reg_time[rd.index()] = if vp_hit { 0 } else { done };
             }
             if is_store {
-                // Coarse keys accumulate: without the oracle, a load
-                // must wait for *every* earlier may-aliasing store, not
-                // just the latest (`MemDisambiguation::accumulates`).
-                let t = if config.disambiguation.accumulates() {
+                // Keys coarser than a word accumulate: without the
+                // oracle, a load must wait for *every* earlier
+                // may-aliasing store, not just the latest
+                // (`MemDisambiguation::accumulates`).
+                let t = if accumulate {
                     mem_time.get(mem_key).max(done)
                 } else {
                     done

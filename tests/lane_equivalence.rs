@@ -409,6 +409,65 @@ fn coarse_disambiguation_modes_match_reference() {
     }
 }
 
+/// A disambiguation block wider than a word keeps the true dependence it
+/// covers. At 64 bytes the `lw` from 0x1000 must wait for the slow store
+/// to 0x1000 (done at cycle 6), though a quicker store to 0x1004, in the
+/// same block, comes later in the trace. A block that kept only its
+/// latest store's time let that store hide the true producer: the load
+/// executed at cycle 3, and ORACLE finished in 6 cycles against the word
+/// granularity's 10. Every pipeline must agree at 64 bytes, and none may
+/// beat the word.
+#[test]
+fn coarse_granularity_keeps_the_true_producer() {
+    const BLOCK: &str = "
+    .text
+    main:
+        li r8, 1
+        addi r8, r8, 1
+        addi r8, r8, 1
+        addi r8, r8, 1
+        addi r8, r8, 1
+        sw r8, 0x1000(r0)
+        li r9, 3
+        sw r9, 0x1004(r0)
+        lw r10, 0x1000(r0)
+        addi r10, r10, 1
+        addi r10, r10, 1
+        addi r10, r10, 1
+        halt
+    ";
+    let program = clfp::isa::assemble(BLOCK).unwrap();
+    let trace = trace_of(&program);
+    let word = config().with_disambiguation_bytes(4);
+    let block = config().with_disambiguation_bytes(64);
+    assert_both_match_reference(&program, &trace, &block, "64-byte blocks");
+    let analyzer = Analyzer::new(&program, block).unwrap();
+    let reference = analyzer.run_on_trace_reference(&trace);
+    same_report(&analyzer.run().unwrap(), &reference, "64-byte blocks run").unwrap();
+
+    let oracle_cycles = |report: &Report| report.result(MachineKind::Oracle).unwrap().cycles;
+    let word_cycles = oracle_cycles(
+        &Analyzer::new(&program, word)
+            .unwrap()
+            .run_on_trace_reference(&trace),
+    );
+    assert_eq!(word_cycles, 10);
+    assert!(
+        oracle_cycles(&reference) >= word_cycles,
+        "ORACLE at 64 bytes: {} cycles, at 4 bytes: {word_cycles}",
+        oracle_cycles(&reference)
+    );
+    let at = |pc: usize| trace.events().iter().position(|e| e.pc as usize == pc).unwrap();
+    let (store, load) = (at(5), at(8));
+    let schedule = analyzer.schedule(&trace, MachineKind::Oracle);
+    assert!(
+        schedule[load] > schedule[store],
+        "the load executes at cycle {}, its store at {}",
+        schedule[load],
+        schedule[store]
+    );
+}
+
 /// Every mode through one mode-free preparation of the default
 /// configuration: the four value-prediction modes under perfect
 /// disambiguation, plus (static, stride) and (none, perfect). Each mode's
