@@ -74,6 +74,7 @@ use clfp_bench::{
     DISAMBIGUATION, VALUE_PREDICTION,
 };
 use clfp_limits::{AnalysisConfig, StreamOptions};
+use clfp_metrics::json::render;
 use clfp_metrics::RunManifest;
 use clfp_vm::TraceCache;
 
@@ -413,7 +414,8 @@ fn run(args: &Args) -> Result<(), Failure> {
             let suite = run_scaling_suite(&config, &WORKLOADS, &POINTS, StreamOptions::default())
                 .map_err(|err| fail(format!("scaling suite failed: {err}")))?;
             println!("{}", suite.summary());
-            writer.write(&writer.dir("."), "BENCH_scaling.json", &suite.to_json())?;
+            let record = render(&suite.to_json());
+            writer.write(&writer.dir("."), "BENCH_scaling.json", &record)?;
             gate(
                 suite
                     .points
@@ -427,7 +429,8 @@ fn run(args: &Args) -> Result<(), Failure> {
             let suite =
                 run_lint_suite(&config).map_err(|err| fail(format!("lint suite failed: {err}")))?;
             println!("{}", suite.summary());
-            writer.write(&writer.dir("results"), "lint_suite.json", &suite.to_json())?;
+            let record = render(&suite.to_json());
+            writer.write(&writer.dir("results"), "lint_suite.json", &record)?;
             gate(suite.is_clean(), "outstanding lint diagnostics")
         }
         Mode::Sweep(axis) => {
@@ -456,7 +459,7 @@ fn run(args: &Args) -> Result<(), Failure> {
             let attribution = suite.attribution_md();
             println!("{attribution}");
             let dir = writer.dir("results");
-            writer.write(&dir, "metrics_suite.json", &suite.to_json())?;
+            writer.write(&dir, "metrics_suite.json", &render(&suite.to_json()))?;
             writer.write(
                 &dir,
                 "attribution.md",
@@ -567,7 +570,7 @@ fn timed(
         let log = clfp_metrics::trace::drain();
         // The trace export goes to the path the user named; it carries
         // no manifest, so it is not a guarded artifact.
-        std::fs::write(trace_path, clfp_metrics::trace::chrome_trace_json(&log))
+        std::fs::write(trace_path, render(&log.to_json()))
             .map_err(|err| fail(format!("cannot write {}: {err}", trace_path.display())))?;
         eprintln!(
             "wrote {} ({} spans; open in ui.perfetto.dev or chrome://tracing)",
@@ -596,7 +599,8 @@ fn timed(
     }
 
     if timing {
-        writer.write(&writer.dir("."), "BENCH_suite.json", &timing_run.to_json())?;
+        let record = render(&timing_run.to_json());
+        writer.write(&writer.dir("."), "BENCH_suite.json", &record)?;
     }
     Ok(())
 }

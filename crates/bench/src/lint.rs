@@ -3,7 +3,8 @@
 //! (`results/lint_suite.json`).
 
 use clfp_limits::{AnalysisConfig, AnalyzeError, Analyzer, MachineKind};
-use clfp_metrics::{escape_json, RunManifest};
+use clfp_metrics::json::Value;
+use clfp_metrics::RunManifest;
 use clfp_verify::{lint_program, Diagnostic, DiagnosticKind, Severity, TraceChecks};
 use clfp_workloads::Workload;
 
@@ -178,55 +179,36 @@ impl LintSuite {
         self.reports.iter().all(|r| r.outstanding().next().is_none())
     }
 
-    /// Serializes the results as JSON (`results/lint_suite.json`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"suite\": \"static lint + static/dynamic cross-check\",\n");
-        out.push_str(&format!("  \"max_instrs\": {},\n", self.max_instrs));
-        out.push_str("  \"unroll_settings\": [false, true],\n");
-        out.push_str(&format!("  \"clean\": {},\n", self.is_clean()));
-        out.push_str(&format!(
-            "  \"manifest\": {},\n",
-            self.manifest.to_json_object("  ")
-        ));
-        out.push_str("  \"workloads\": [\n");
-        for (i, report) in self.reports.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"raw_instrs\": {}, \
-                 \"seq_instrs_unrolled\": {}, \"seq_instrs_rolled\": {}, \
-                 \"errors\": {}, \"warnings\": {}, \"infos\": {},\n",
-                report.name,
-                report.raw_instrs,
-                report.seq_unrolled,
-                report.seq_rolled,
-                report.count(Severity::Error),
-                report.count(Severity::Warning),
-                report.count(Severity::Info),
-            ));
-            out.push_str("     \"diagnostics\": [");
-            for (j, finding) in report.findings.iter().enumerate() {
-                let d = &finding.diagnostic;
-                out.push_str(&format!(
-                    "\n       {{\"kind\": \"{}\", \"severity\": \"{}\", \"pc\": {}, \
-                     \"message\": \"{}\", \"waived\": {}, \"waiver_reason\": {}}}{}",
-                    d.kind,
-                    d.severity(),
-                    d.pc.map_or("null".to_string(), |pc| pc.to_string()),
-                    escape_json(&d.message),
-                    finding.waived_reason.is_some(),
-                    finding
-                        .waived_reason
-                        .map_or("null".to_string(), |r| format!("\"{}\"", escape_json(r))),
-                    if j + 1 == report.findings.len() { "\n     " } else { "," },
-                ));
-            }
-            out.push_str(&format!(
-                "]}}{}\n",
-                if i + 1 == self.reports.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+    /// The results as JSON (`results/lint_suite.json`).
+    pub fn to_json(&self) -> Value {
+        let workloads = self.reports.iter().map(|report| {
+            let diagnostics = report.findings.iter().map(|finding| {
+                finding
+                    .diagnostic
+                    .to_json()
+                    .with("waived", finding.waived_reason.is_some())
+                    .with("waiver_reason", finding.waived_reason)
+            });
+            Value::object()
+                .with("name", report.name)
+                .with("raw_instrs", report.raw_instrs)
+                .with("seq_instrs_unrolled", report.seq_unrolled)
+                .with("seq_instrs_rolled", report.seq_rolled)
+                .with("errors", report.count(Severity::Error))
+                .with("warnings", report.count(Severity::Warning))
+                .with("infos", report.count(Severity::Info))
+                .with("diagnostics", Value::Array(diagnostics.collect()))
+        });
+        Value::object()
+            .with("suite", "static lint + static/dynamic cross-check")
+            .with("max_instrs", self.max_instrs)
+            .with(
+                "unroll_settings",
+                Value::Array(vec![false.into(), true.into()]),
+            )
+            .with("clean", self.is_clean())
+            .with("manifest", self.manifest.to_json())
+            .with("workloads", Value::Array(workloads.collect()))
     }
 
     /// Human-readable summary for the terminal.
@@ -288,7 +270,7 @@ mod tests {
         for report in &lint.reports {
             assert_eq!(report.count(Severity::Error), 0, "{}", report.name);
         }
-        let json = lint.to_json();
+        let json = clfp_metrics::json::render(&lint.to_json());
         assert!(json.contains("\"clean\": true"));
         assert!(json.contains("\"seq_instrs_unrolled\""));
         assert!(json.contains("\"manifest\""));

@@ -2,6 +2,7 @@
 //! metrics sink (`results/metrics_suite.json`, `results/attribution.md`).
 
 use clfp_limits::{AnalysisConfig, AnalyzeError, Analyzer, EdgeKind, MachineKind, MachineMetrics};
+use clfp_metrics::json::Value;
 use clfp_metrics::RunManifest;
 use clfp_vm::TraceSummary;
 use clfp_workloads::Workload;
@@ -83,83 +84,67 @@ pub fn run_metrics_suite(config: &AnalysisConfig) -> Result<MetricsSuite, Analyz
 }
 
 impl MetricsSuite {
-    /// Serializes the results as JSON (`results/metrics_suite.json`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"suite\": \"per-machine execution metrics\",\n");
-        out.push_str(&format!("  \"max_instrs\": {},\n", self.max_instrs));
-        out.push_str(&format!("  \"unrolling\": {},\n", self.unrolling));
-        out.push_str(&format!(
-            "  \"manifest\": {},\n",
-            self.manifest.to_json_object("  ")
-        ));
-        out.push_str("  \"workloads\": [\n");
-        for (i, w) in self.reports.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"raw_instrs\": {}, \"seq_instrs\": {},\n",
-                w.name, w.raw_instrs, w.seq_instrs
-            ));
+    /// The results as JSON (`results/metrics_suite.json`).
+    pub fn to_json(&self) -> Value {
+        let workloads = self.reports.iter().map(|w| {
             let t = &w.trace;
-            out.push_str(&format!(
-                "     \"trace\": {{\"cond_branches\": {}, \"taken_branches\": {}, \
-                 \"loads\": {}, \"stores\": {}, \"calls\": {}, \"returns\": {}, \
-                 \"max_call_depth\": {}, \"distinct_mem_words\": {}}},\n",
-                t.cond_branches,
-                t.taken_branches,
-                t.loads,
-                t.stores,
-                t.calls,
-                t.returns,
-                t.max_call_depth,
-                t.distinct_mem_words,
-            ));
-            out.push_str("     \"machines\": [\n");
-            for (j, (kind, m)) in w.machines.iter().enumerate() {
+            let trace = Value::object()
+                .with("cond_branches", t.cond_branches)
+                .with("taken_branches", t.taken_branches)
+                .with("loads", t.loads)
+                .with("stores", t.stores)
+                .with("calls", t.calls)
+                .with("returns", t.returns)
+                .with("max_call_depth", t.max_call_depth)
+                .with("distinct_mem_words", t.distinct_mem_words);
+            let machines = w.machines.iter().map(|(kind, m)| {
                 let attr = &m.attribution;
-                out.push_str(&format!(
-                    "       {{\"machine\": \"{}\", \"cycles\": {}, \"instrs\": {}, \
-                     \"parallelism\": {:.2},\n",
-                    kind.name(),
-                    m.cycles,
-                    m.instrs,
-                    m.parallelism(),
-                ));
-                out.push_str(&format!(
-                    "        \"occupancy\": {{\"peak\": {}, \"busy_cycles\": {}, \
-                     \"frac_instrs_ge_4\": {:.3}, \"frac_instrs_ge_64\": {:.3}}},\n",
-                    m.occupancy.peak,
-                    m.occupancy.busy_cycles,
-                    m.occupancy.fraction_in_wide_cycles(4),
-                    m.occupancy.fraction_in_wide_cycles(64),
-                ));
-                out.push_str(&format!(
-                    "        \"critical_path\": {{\"chain_instrs\": {}, \"heads\": {}, \
-                     \"reg_data\": {}, \"mem_data\": {}, \"control\": {}, \"mf_merge\": {}}},\n",
-                    attr.chain_len,
-                    attr.terminators,
-                    attr.counts[0],
-                    attr.counts[1],
-                    attr.counts[2],
-                    attr.counts[3],
-                ));
-                out.push_str(&format!(
-                    "        \"binding\": {{\"reg_data\": {}, \"mem_data\": {}, \
-                     \"control\": {}, \"mf_merge\": {}, \"unconstrained\": {}}}}}{}\n",
-                    m.flow.by_kind[0],
-                    m.flow.by_kind[1],
-                    m.flow.by_kind[2],
-                    m.flow.by_kind[3],
-                    m.flow.unconstrained,
-                    if j + 1 == w.machines.len() { "" } else { "," },
-                ));
-            }
-            out.push_str(&format!(
-                "     ]}}{}\n",
-                if i + 1 == self.reports.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+                let occupancy = Value::object()
+                    .with("peak", m.occupancy.peak)
+                    .with("busy_cycles", m.occupancy.busy_cycles)
+                    .with(
+                        "frac_instrs_ge_4",
+                        Value::Fixed(m.occupancy.fraction_in_wide_cycles(4), 3),
+                    )
+                    .with(
+                        "frac_instrs_ge_64",
+                        Value::Fixed(m.occupancy.fraction_in_wide_cycles(64), 3),
+                    );
+                let critical_path = Value::object()
+                    .with("chain_instrs", attr.chain_len)
+                    .with("heads", attr.terminators)
+                    .with("reg_data", attr.counts[0])
+                    .with("mem_data", attr.counts[1])
+                    .with("control", attr.counts[2])
+                    .with("mf_merge", attr.counts[3]);
+                let binding = Value::object()
+                    .with("reg_data", m.flow.by_kind[0])
+                    .with("mem_data", m.flow.by_kind[1])
+                    .with("control", m.flow.by_kind[2])
+                    .with("mf_merge", m.flow.by_kind[3])
+                    .with("unconstrained", m.flow.unconstrained);
+                Value::object()
+                    .with("machine", kind.name())
+                    .with("cycles", m.cycles)
+                    .with("instrs", m.instrs)
+                    .with("parallelism", Value::Fixed(m.parallelism(), 2))
+                    .with("occupancy", occupancy)
+                    .with("critical_path", critical_path)
+                    .with("binding", binding)
+            });
+            Value::object()
+                .with("name", w.name)
+                .with("raw_instrs", w.raw_instrs)
+                .with("seq_instrs", w.seq_instrs)
+                .with("trace", trace)
+                .with("machines", Value::Array(machines.collect()))
+        });
+        Value::object()
+            .with("suite", "per-machine execution metrics")
+            .with("max_instrs", self.max_instrs)
+            .with("unrolling", self.unrolling)
+            .with("manifest", self.manifest.to_json())
+            .with("workloads", Value::Array(workloads.collect()))
     }
 
     /// The critical-path attribution and cycle-occupancy report
@@ -258,7 +243,7 @@ mod tests {
                 }
             }
         }
-        let json = suite.to_json();
+        let json = clfp_metrics::json::render(&suite.to_json());
         assert!(json.contains("\"critical_path\""));
         assert!(json.contains("\"binding\""));
         assert!(json.contains("\"config_hash\""));

@@ -4,6 +4,7 @@
 use std::time::Instant;
 
 use clfp_limits::{AnalysisConfig, AnalyzeError, Analyzer, StreamOptions};
+use clfp_metrics::json::Value;
 use clfp_metrics::RunManifest;
 use clfp_vm::ProgramSource;
 
@@ -158,40 +159,27 @@ pub fn run_scaling_suite(
 }
 
 impl ScalingSuite {
-    /// Serializes the curve as JSON (`BENCH_scaling.json`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(
-            "  \"suite\": \"streaming scaling: wall time and peak RSS vs trace length\",\n",
-        );
-        out.push_str(&format!("  \"chunk_events\": {},\n", self.chunk_events));
-        out.push_str(&format!(
-            "  \"machine_threads\": {},\n",
-            self.machine_threads
-        ));
-        out.push_str(&format!(
-            "  \"manifest\": {},\n",
-            self.manifest.to_json_object("  ")
-        ));
-        out.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"max_instrs\": {}, \"raw_instrs\": {}, \
-                 \"wall_ms\": {:.1}, \"events_per_sec\": {:.0}, \"peak_rss_mb\": {:.1}, \
-                 \"matches_inmemory\": {}}}{}\n",
-                p.workload,
-                p.max_instrs,
-                p.raw_instrs,
-                p.wall_ms,
-                p.events_per_sec,
-                p.peak_rss_mb,
-                p.matches_inmemory
-                    .map_or("null".to_string(), |m| m.to_string()),
-                if i + 1 == self.points.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+    /// The curve as JSON (`BENCH_scaling.json`).
+    pub fn to_json(&self) -> Value {
+        let points = self.points.iter().map(|p| {
+            Value::object()
+                .with("workload", p.workload)
+                .with("max_instrs", p.max_instrs)
+                .with("raw_instrs", p.raw_instrs)
+                .with("wall_ms", Value::Fixed(p.wall_ms, 1))
+                .with("events_per_sec", Value::Fixed(p.events_per_sec, 0))
+                .with("peak_rss_mb", Value::Fixed(p.peak_rss_mb, 1))
+                .with("matches_inmemory", p.matches_inmemory)
+        });
+        Value::object()
+            .with(
+                "suite",
+                "streaming scaling: wall time and peak RSS vs trace length",
+            )
+            .with("chunk_events", self.chunk_events)
+            .with("machine_threads", self.machine_threads)
+            .with("manifest", self.manifest.to_json())
+            .with("points", Value::Array(points.collect()))
     }
 
     /// Human-readable summary for the terminal.
@@ -263,7 +251,7 @@ mod tests {
         // VmHWM is available on this platform and monotone.
         assert!(suite.points[0].peak_rss_mb > 0.0);
         assert!(suite.points[3].peak_rss_mb >= suite.points[0].peak_rss_mb);
-        let json = suite.to_json();
+        let json = clfp_metrics::json::render(&suite.to_json());
         assert!(json.contains("\"peak_rss_mb\""));
         assert!(json.contains("\"matches_inmemory\": true"));
         assert!(json.contains("\"matches_inmemory\": null"));

@@ -9,6 +9,7 @@ use std::time::Instant;
 use clfp_limits::{
     AnalysisConfig, AnalyzeError, Analyzer, MemDisambiguation, StreamOptions, ValuePrediction,
 };
+use clfp_metrics::json::Value;
 use clfp_metrics::RunManifest;
 use clfp_predict::BranchProfile;
 use clfp_vm::TraceCache;
@@ -470,52 +471,43 @@ impl SuiteTiming {
             .collect()
     }
 
-    /// Serializes the comparison as JSON (`BENCH_suite.json`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"suite\": \"full-suite regen, lane kernel vs reference pipeline\",\n");
-        out.push_str(&format!("  \"max_instrs\": {},\n", self.max_instrs));
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str(&format!("  \"pool_threads\": {},\n", self.pool_threads));
-        out.push_str(&format!("  \"cache\": \"{}\",\n", self.cache));
-        out.push_str(&format!("  \"lane_wall_ms\": {:.1},\n", self.lane_wall_ms));
-        out.push_str(&format!(
-            "  \"reference_wall_ms\": {:.1},\n",
-            self.reference_wall_ms
-        ));
-        out.push_str(&format!("  \"speedup\": {:.2},\n", self.speedup));
-        out.push_str(&format!("  \"chunk_events\": {},\n", self.chunk_events));
+    /// The comparison as JSON (`BENCH_suite.json`).
+    pub fn to_json(&self) -> Value {
+        let workloads = self.workloads.iter().map(|w| {
+            Value::object()
+                .with("name", w.name)
+                .with("raw_instrs", w.raw_instrs)
+                .with("compile_ms", Value::Fixed(w.compile_ms, 1))
+                .with("profiling_ms", Value::Fixed(w.profiling_ms, 1))
+                .with("trace_ms", Value::Fixed(w.trace_ms, 1))
+                .with("prepare_ms", Value::Fixed(w.prepare_ms, 1))
+                .with("lane_machines_ms", Value::Fixed(w.lane_machines_ms, 1))
+                .with(
+                    "reference_analysis_ms",
+                    Value::Fixed(w.reference_analysis_ms, 1),
+                )
+                .with("stream_ms", Value::Fixed(w.stream_ms, 1))
+                .with("stream_par_ms", Value::Fixed(w.stream_par_ms, 1))
+                .with("cache_hit", w.cache_hit)
+        });
+        let mut json = Value::object()
+            .with(
+                "suite",
+                "full-suite regen, lane kernel vs reference pipeline",
+            )
+            .with("max_instrs", self.max_instrs)
+            .with("threads", self.threads)
+            .with("pool_threads", self.pool_threads)
+            .with("cache", self.cache)
+            .with("lane_wall_ms", Value::Fixed(self.lane_wall_ms, 1))
+            .with("reference_wall_ms", Value::Fixed(self.reference_wall_ms, 1))
+            .with("speedup", Value::Fixed(self.speedup, 2))
+            .with("chunk_events", self.chunk_events);
         for gate in self.gates() {
-            out.push_str(&format!("  \"{}\": {},\n", gate.key, gate.held));
+            json = json.with(gate.key, gate.held);
         }
-        out.push_str(&format!(
-            "  \"manifest\": {},\n",
-            self.manifest.to_json_object("  ")
-        ));
-        out.push_str("  \"workloads\": [\n");
-        for (i, w) in self.workloads.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"raw_instrs\": {}, \"compile_ms\": {:.1}, \
-                 \"profiling_ms\": {:.1}, \"trace_ms\": {:.1}, \
-                 \"prepare_ms\": {:.1}, \"lane_machines_ms\": {:.1}, \
-                 \"reference_analysis_ms\": {:.1}, \
-                 \"stream_ms\": {:.1}, \"stream_par_ms\": {:.1}, \"cache_hit\": {}}}{}\n",
-                w.name,
-                w.raw_instrs,
-                w.compile_ms,
-                w.profiling_ms,
-                w.trace_ms,
-                w.prepare_ms,
-                w.lane_machines_ms,
-                w.reference_analysis_ms,
-                w.stream_ms,
-                w.stream_par_ms,
-                w.cache_hit,
-                if i + 1 == self.workloads.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        json.with("manifest", self.manifest.to_json())
+            .with("workloads", Value::Array(workloads.collect()))
     }
 
     /// Human-readable summary for the terminal.
@@ -686,7 +678,7 @@ impl SuiteTiming {
 /// span, so the quoted coverage is of the instrumented suite wall itself,
 /// not of whatever the caller did around it.
 pub fn pipeline_profile_md(timing: &SuiteTiming, log: &clfp_metrics::trace::TraceLog) -> String {
-    use clfp_metrics::trace::{aggregate_spans, ArgValue};
+    use clfp_metrics::trace::aggregate_spans;
 
     let total_us = log.span_total_us("suite.total").max(1);
     let stages: Vec<_> = aggregate_spans(log)
@@ -742,16 +734,16 @@ pub fn pipeline_profile_md(timing: &SuiteTiming, log: &clfp_metrics::trace::Trac
         busy_us: u64,
     }
     let arg_u64 = |span: &clfp_metrics::trace::SpanEvent, key: &str| match span.arg(key) {
-        Some(ArgValue::U64(v)) => *v,
+        Some(Value::U64(v)) => *v,
         _ => 0,
     };
     let arg_str = |span: &clfp_metrics::trace::SpanEvent, key: &str| match span.arg(key) {
-        Some(ArgValue::Str(v)) => v.clone(),
+        Some(Value::Str(v)) => v.clone(),
         _ => String::new(),
     };
     let mut groups: Vec<GroupRow> = Vec::new();
     for span in log.spans().filter(|s| s.name == "lane.group") {
-        let cd = matches!(span.arg("cd"), Some(ArgValue::Bool(true)));
+        let cd = matches!(span.arg("cd"), Some(Value::Bool(true)));
         let width = arg_u64(span, "width");
         let isa = arg_str(span, "isa");
         let key_mode = arg_str(span, "key_mode");
@@ -861,7 +853,7 @@ mod tests {
         assert!(timing.workloads.iter().all(|w| !w.cache_hit));
         assert!(timing.lane_wall_ms > 0.0);
         assert!(timing.reference_wall_ms > 0.0);
-        let json = timing.to_json();
+        let json = clfp_metrics::json::render(&timing.to_json());
         assert!(json.contains("\"speedup\""));
         assert!(json.contains("\"reports_match\": true"));
         assert!(json.contains("\"stream_matches\": true"));
@@ -1016,15 +1008,15 @@ mod tests {
         let summary = timing.summary();
         assert!(summary.contains("cache roundtrip bit-identical: false"), "{summary}");
         assert!(summary.contains("tables identical: true; streaming bit-identical: true"));
-        let json = timing.to_json();
+        let json = clfp_metrics::json::render(&timing.to_json());
         assert!(json.contains("\"cache_matches\": false"), "{json}");
         assert!(json.contains("\"lane_matches\": true"), "{json}");
     }
 
     #[test]
     fn pipeline_profile_renders_stages_groups_and_counters() {
-        use clfp_metrics::trace::{ArgValue, CounterEvent, SpanEvent, TraceLog, TraceRecord};
-        let span = |name: &str, ts_us: u64, dur_us: u64, args: Vec<(&'static str, ArgValue)>| {
+        use clfp_metrics::trace::{CounterEvent, SpanEvent, TraceLog, TraceRecord};
+        let span = |name: &str, ts_us: u64, dur_us: u64, args: Vec<(&'static str, Value)>| {
             TraceRecord::Span(SpanEvent {
                 name: name.to_string(),
                 cat: "suite",
@@ -1044,14 +1036,14 @@ mod tests {
                     120,
                     700,
                     vec![
-                        ("group", ArgValue::U64(0)),
-                        ("cd", ArgValue::Bool(true)),
-                        ("lanes", ArgValue::U64(2)),
-                        ("width", ArgValue::U64(2)),
-                        ("key_mode", ArgValue::Str("perfect".into())),
-                        ("slots", ArgValue::Str("0:CD+u,1:CD-MF+u".into())),
-                        ("events", ArgValue::U64(5000)),
-                        ("chunks", ArgValue::U64(3)),
+                        ("group", Value::U64(0)),
+                        ("cd", Value::Bool(true)),
+                        ("lanes", Value::U64(2)),
+                        ("width", Value::U64(2)),
+                        ("key_mode", Value::Str("perfect".into())),
+                        ("slots", Value::Str("0:CD+u,1:CD-MF+u".into())),
+                        ("events", Value::U64(5000)),
+                        ("chunks", Value::U64(3)),
                     ],
                 ),
                 TraceRecord::Counter(CounterEvent {

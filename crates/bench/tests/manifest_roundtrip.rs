@@ -5,6 +5,7 @@
 //! (which refuses to clobber results of unknown provenance) would lock
 //! the repo's own artifacts out of regeneration.
 
+use clfp_metrics::json::{render, Value};
 use clfp_metrics::RunManifest;
 
 fn repo_root() -> std::path::PathBuf {
@@ -69,7 +70,15 @@ fn fresh_manifest_headers_round_trip() {
         RunManifest::config_hash_of(&header).as_deref(),
         Some(manifest.config_hash.as_str())
     );
-    let json = manifest.to_json_object("  ");
+    // A record embeds the manifest as one member among its own.
+    let record = Value::object()
+        .with("suite", "fresh")
+        .with("manifest", manifest.to_json())
+        .with(
+            "workloads",
+            Value::Array(vec![Value::object().with("name", "scan")]),
+        );
+    let json = render(&record);
     assert_eq!(
         RunManifest::config_hash_of(&json).as_deref(),
         Some(manifest.config_hash.as_str())

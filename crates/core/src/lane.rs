@@ -975,7 +975,6 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
         // would overcount). This is the per-machine lane attribution the
         // pipeline profile reads back out of the trace log.
         if self.walk_start_us != 0 {
-            use clfp_metrics::trace::ArgValue;
             let isa = if runs_avx512::<L>() {
                 "avx512"
             } else {
@@ -993,15 +992,15 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
                 self.walk_start_us,
                 self.busy_ns / 1_000,
                 vec![
-                    ("group", ArgValue::U64(self.group_id)),
-                    ("cd", ArgValue::Bool(CD)),
-                    ("lanes", ArgValue::U64(self.lanes.len() as u64)),
-                    ("width", ArgValue::U64(L as u64)),
-                    ("isa", ArgValue::Str(isa.to_string())),
-                    ("key_mode", ArgValue::Str(self.disambiguation.name().to_string())),
-                    ("slots", ArgValue::Str(slots)),
-                    ("events", ArgValue::U64(self.fed_events)),
-                    ("chunks", ArgValue::U64(self.fed_chunks)),
+                    ("group", self.group_id.into()),
+                    ("cd", CD.into()),
+                    ("lanes", self.lanes.len().into()),
+                    ("width", L.into()),
+                    ("isa", isa.into()),
+                    ("key_mode", self.disambiguation.name().into()),
+                    ("slots", slots.into()),
+                    ("events", self.fed_events.into()),
+                    ("chunks", self.fed_chunks.into()),
                 ],
             );
         }

@@ -79,7 +79,7 @@ mod stream;
 
 pub use analyzer::{Analyzer, CdSource, MachineResult, PreparedTrace, Report};
 pub use clfp_metrics::{
-    CriticalPathAttribution, EdgeKind, FlowCounters, MachineMetrics, OccupancyHistogram,
+    json, CriticalPathAttribution, EdgeKind, FlowCounters, MachineMetrics, OccupancyHistogram,
 };
 pub use config::{AnalysisConfig, Latencies, MemDisambiguation, PredictorChoice, ValuePrediction};
 pub use error::AnalyzeError;

@@ -29,12 +29,18 @@
 //!
 //! The [`trace`] module adds the wall-clock counterpart: span/counter
 //! recording over the whole pipeline with Chrome trace-event / Perfetto
-//! export (`regen --trace`), off by default and zero-cost when off.
+//! export (`regen --trace`), off by default and zero-cost when off. The
+//! [`json`] module is the workspace's one JSON writer: every JSON file
+//! `regen` and `clfp` write is built as a [`json::Value`] and rendered by
+//! [`json::render`].
 
 use std::process::Command;
 use std::time::{SystemTime, UNIX_EPOCH};
 
+pub mod json;
 pub mod trace;
+
+use json::Value;
 
 /// Sentinel parent index: the binding edge has no recorded producer event
 /// (e.g. an anti-dependence on an untracked reader when renaming is off).
@@ -565,52 +571,48 @@ impl RunManifest {
         )
     }
 
-    /// The manifest as a JSON object (no trailing newline), each line
-    /// prefixed with `indent` except the first.
-    pub fn to_json_object(&self, indent: &str) -> String {
-        let field = |key: &str, value: String| format!("{indent}  \"{key}\": {value}");
-        let mut lines = vec![
-            field("version", format!("\"{}\"", escape_json(&self.version))),
-            field("git", format!("\"{}\"", escape_json(&self.git))),
-            field("config_hash", format!("\"{}\"", self.config_hash)),
-            field("max_instrs", self.max_instrs.to_string()),
-            field("unrolling", self.unrolling.to_string()),
-            field("generated_utc", format!("\"{}\"", self.generated_utc)),
-            field("unix_secs", self.unix_secs.to_string()),
-            field("host_threads", self.host_threads.to_string()),
-        ];
+    /// The manifest as a JSON object, the `"manifest"` member of every
+    /// JSON record.
+    pub fn to_json(&self) -> Value {
+        let mut json = Value::object()
+            .with("version", self.version.as_str())
+            .with("git", self.git.as_str())
+            .with("config_hash", self.config_hash.as_str())
+            .with("max_instrs", self.max_instrs)
+            .with("unrolling", self.unrolling)
+            .with("generated_utc", self.generated_utc.as_str())
+            .with("unix_secs", self.unix_secs)
+            .with("host_threads", self.host_threads);
         if let Some(pool) = self.pool_threads {
-            lines.push(field("pool_threads", pool.to_string()));
+            json = json.with("pool_threads", pool);
         }
         if let Some(cache) = &self.cache {
-            lines.push(field("cache", format!("\"{}\"", escape_json(cache))));
+            json = json.with("cache", cache.as_str());
         }
         if let Some(kernel) = &self.kernel {
-            lines.push(field("kernel", format!("\"{}\"", escape_json(kernel))));
+            json = json.with("kernel", kernel.as_str());
         }
-        format!("{{\n{}\n{indent}}}", lines.join(",\n"))
+        json
     }
 
-    /// Extract the `config_hash` from a file that begins with (or
-    /// contains) a `clfp-manifest` header — markdown or JSON. Returns
-    /// `None` for pre-manifest files, which callers treat as "unknown
-    /// provenance, refuse to overwrite without --force".
+    /// Extract the `config_hash` from a file that carries a
+    /// `clfp-manifest` — a markdown header or a JSON `"manifest"` object,
+    /// wherever its line breaks fall. Returns `None` for pre-manifest
+    /// files, which callers treat as "unknown provenance, refuse to
+    /// overwrite without --force".
     pub fn config_hash_of(contents: &str) -> Option<String> {
-        for line in contents.lines().take(64) {
-            let trimmed = line.trim().trim_start_matches('"');
-            if let Some(rest) = trimmed.strip_prefix("config_hash") {
-                let value = rest
-                    .trim_start_matches('"')
-                    .trim_start()
-                    .trim_start_matches(':')
-                    .trim()
-                    .trim_matches(|c| c == '"' || c == ',');
-                if !value.is_empty() {
-                    return Some(value.to_string());
-                }
-            }
-        }
-        None
+        let (_, rest) = contents.split_once("config_hash")?;
+        let value = rest
+            .trim_start_matches('"')
+            .trim_start()
+            .strip_prefix(':')?
+            .trim_start()
+            .trim_start_matches('"');
+        let hash: String = value
+            .chars()
+            .take_while(char::is_ascii_alphanumeric)
+            .collect();
+        (!hash.is_empty()).then_some(hash)
     }
 }
 
@@ -624,23 +626,6 @@ fn git_describe() -> String {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Escapes `s` for use inside a JSON string literal: quotes, backslashes
-/// and every control character (newline as `\n`, the rest as `\u00xx`).
-/// The workspace's one JSON string escaper.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Unix seconds → `YYYY-MM-DDTHH:MM:SSZ` (proleptic Gregorian, UTC).
@@ -848,7 +833,7 @@ mod tests {
             RunManifest::config_hash_of(&header).as_deref(),
             Some(manifest.config_hash.as_str())
         );
-        let json = manifest.to_json_object("  ");
+        let json = json::render(&manifest.to_json());
         assert_eq!(
             RunManifest::config_hash_of(&json).as_deref(),
             Some(manifest.config_hash.as_str())
@@ -866,7 +851,7 @@ mod tests {
         assert!(header.contains("cache: warm"));
         assert!(header.contains("kernel: avx512"));
         assert!(header.ends_with("-->\n"));
-        let json = stamped.to_json_object("  ");
+        let json = json::render(&stamped.to_json());
         assert!(json.contains("\"pool_threads\": 8"));
         assert!(json.contains("\"cache\": \"warm\""));
         assert!(json.contains("\"kernel\": \"avx512\""));
@@ -874,6 +859,27 @@ mod tests {
             RunManifest::config_hash_of(&json).as_deref(),
             Some(stamped.config_hash.as_str())
         );
+    }
+
+    #[test]
+    fn config_hash_is_found_wherever_the_manifest_breaks_lines() {
+        let hash = Some("8a2727fd126b3ef5");
+        // A record's one-line manifest member.
+        let one_line = r#"  "manifest": {"version": "0.1.0", "config_hash": "8a2727fd126b3ef5"},"#;
+        assert_eq!(RunManifest::config_hash_of(one_line).as_deref(), hash);
+        // Records written before the one JSON writer: one manifest member
+        // per line.
+        let one_per_line = r#"  "manifest": {
+    "version": "0.1.0",
+    "config_hash": "8a2727fd126b3ef5",
+    "max_instrs": 2000000
+  },"#;
+        assert_eq!(RunManifest::config_hash_of(one_per_line).as_deref(), hash);
+        assert_eq!(
+            RunManifest::config_hash_of("config_hash without a value"),
+            None
+        );
+        assert_eq!(RunManifest::config_hash_of("\"config_hash\": \"\""), None);
     }
 
     #[test]

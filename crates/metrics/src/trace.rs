@@ -27,84 +27,11 @@
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::escape_json;
-
-/// A value attached to a span or counter, serialized into the trace
-/// event's `args` object.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ArgValue {
-    /// Unsigned integer argument.
-    U64(u64),
-    /// Floating-point argument.
-    F64(f64),
-    /// String argument.
-    Str(String),
-    /// Boolean argument.
-    Bool(bool),
-}
-
-impl ArgValue {
-    /// The value as a JSON fragment.
-    fn to_json(&self) -> String {
-        match self {
-            ArgValue::U64(v) => v.to_string(),
-            ArgValue::F64(v) => {
-                if v.is_finite() {
-                    format!("{v}")
-                } else {
-                    "null".to_string()
-                }
-            }
-            ArgValue::Str(s) => format!("\"{}\"", escape_json(s)),
-            ArgValue::Bool(b) => b.to_string(),
-        }
-    }
-}
-
-impl From<u64> for ArgValue {
-    fn from(v: u64) -> Self {
-        ArgValue::U64(v)
-    }
-}
-impl From<usize> for ArgValue {
-    fn from(v: usize) -> Self {
-        ArgValue::U64(v as u64)
-    }
-}
-impl From<f64> for ArgValue {
-    fn from(v: f64) -> Self {
-        ArgValue::F64(v)
-    }
-}
-impl From<bool> for ArgValue {
-    fn from(v: bool) -> Self {
-        ArgValue::Bool(v)
-    }
-}
-impl From<&str> for ArgValue {
-    fn from(v: &str) -> Self {
-        ArgValue::Str(v.to_string())
-    }
-}
-impl From<String> for ArgValue {
-    fn from(v: String) -> Self {
-        ArgValue::Str(v)
-    }
-}
-
-impl fmt::Display for ArgValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ArgValue::Str(s) => write!(f, "{s}"),
-            other => write!(f, "{}", other.to_json()),
-        }
-    }
-}
+use crate::json::Value;
 
 /// One completed span: a named region with monotonic start and duration
 /// in microseconds, the recording thread, and its args.
@@ -121,12 +48,12 @@ pub struct SpanEvent {
     /// Small integer id of the recording thread.
     pub tid: u64,
     /// Key/value arguments.
-    pub args: Vec<(&'static str, ArgValue)>,
+    pub args: Vec<(&'static str, Value)>,
 }
 
 impl SpanEvent {
     /// The value recorded for `key`, if any.
-    pub fn arg(&self, key: &str) -> Option<&ArgValue> {
+    pub fn arg(&self, key: &str) -> Option<&Value> {
         self.args.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 }
@@ -177,6 +104,45 @@ impl TraceLog {
     /// Total duration of all spans named `name`, in microseconds.
     pub fn span_total_us(&self, name: &str) -> u64 {
         self.spans().filter(|s| s.name == name).map(|s| s.dur_us).sum()
+    }
+
+    /// The log as Chrome trace-event JSON — the `{"traceEvents": [...]}`
+    /// object format, loadable as-is in `chrome://tracing` and
+    /// [ui.perfetto.dev](https://ui.perfetto.dev). Thread names become
+    /// `"ph": "M"` metadata, spans complete (`"ph": "X"`) events, and
+    /// counter samples `"ph": "C"` events.
+    pub fn to_json(&self) -> Value {
+        let threads = self.thread_names.iter().map(|(tid, name)| {
+            Value::object()
+                .with("name", "thread_name")
+                .with("ph", "M")
+                .with("pid", 0u64)
+                .with("tid", *tid)
+                .with("args", Value::object().with("name", name.as_str()))
+        });
+        let records = self.records.iter().map(|record| match record {
+            TraceRecord::Span(s) => Value::object()
+                .with("name", s.name.as_str())
+                .with("cat", s.cat)
+                .with("ph", "X")
+                .with("ts", s.ts_us)
+                .with("dur", s.dur_us)
+                .with("pid", 0u64)
+                .with("tid", s.tid)
+                .with("args", Value::Object(s.args.clone())),
+            TraceRecord::Counter(c) => Value::object()
+                .with("name", c.name.as_str())
+                .with("cat", c.cat)
+                .with("ph", "C")
+                .with("ts", c.ts_us)
+                .with("pid", 0u64)
+                .with("tid", c.tid)
+                .with("args", Value::object().with("value", c.value)),
+        });
+        Value::object().with("displayTimeUnit", "ms").with(
+            "traceEvents",
+            Value::Array(threads.chain(records).collect()),
+        )
     }
 }
 
@@ -264,7 +230,7 @@ pub struct SpanGuard(Option<SpanStart>);
 struct SpanStart {
     name: String,
     cat: &'static str,
-    args: Vec<(&'static str, ArgValue)>,
+    args: Vec<(&'static str, Value)>,
     start_us: u64,
 }
 
@@ -275,7 +241,7 @@ impl SpanGuard {
     }
 
     /// Attaches an argument (ignored on an inert guard).
-    pub fn arg(mut self, key: &'static str, value: impl Into<ArgValue>) -> SpanGuard {
+    pub fn arg(mut self, key: &'static str, value: impl Into<Value>) -> SpanGuard {
         if let Some(start) = &mut self.0 {
             start.args.push((key, value.into()));
         }
@@ -334,7 +300,7 @@ pub fn record_span(
     cat: &'static str,
     ts_us: u64,
     dur_us: u64,
-    args: Vec<(&'static str, ArgValue)>,
+    args: Vec<(&'static str, Value)>,
 ) {
     if !tracing_enabled() {
         return;
@@ -450,74 +416,6 @@ pub fn aggregate_spans(log: &TraceLog) -> Vec<SpanStats> {
     stats
 }
 
-/// Serializes a drained log as Chrome trace-event JSON — the
-/// `{"traceEvents": [...]}` object format, loadable as-is in
-/// `chrome://tracing` and [ui.perfetto.dev](https://ui.perfetto.dev).
-/// Spans become complete (`"ph": "X"`) events, counter samples become
-/// `"ph": "C"` events, and thread names are emitted as `"ph": "M"`
-/// metadata.
-pub fn chrome_trace_json(log: &TraceLog) -> String {
-    let mut out = String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
-    let mut first = true;
-    let mut push = |line: String, out: &mut String| {
-        if !std::mem::take(&mut first) {
-            out.push_str(",\n");
-        }
-        out.push_str(&line);
-    };
-    for (tid, name) in &log.thread_names {
-        push(
-            format!(
-                "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": {tid}, \
-                 \"args\": {{\"name\": \"{}\"}}}}",
-                escape_json(name)
-            ),
-            &mut out,
-        );
-    }
-    for record in &log.records {
-        match record {
-            TraceRecord::Span(s) => {
-                let mut args = String::new();
-                for (i, (key, value)) in s.args.iter().enumerate() {
-                    if i > 0 {
-                        args.push_str(", ");
-                    }
-                    args.push_str(&format!("\"{}\": {}", escape_json(key), value.to_json()));
-                }
-                push(
-                    format!(
-                        "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {}, \
-                         \"dur\": {}, \"pid\": 0, \"tid\": {}, \"args\": {{{args}}}}}",
-                        escape_json(&s.name),
-                        s.cat,
-                        s.ts_us,
-                        s.dur_us,
-                        s.tid
-                    ),
-                    &mut out,
-                );
-            }
-            TraceRecord::Counter(c) => {
-                push(
-                    format!(
-                        "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"C\", \"ts\": {}, \
-                         \"pid\": 0, \"tid\": {}, \"args\": {{\"value\": {}}}}}",
-                        escape_json(&c.name),
-                        c.cat,
-                        c.ts_us,
-                        c.tid,
-                        c.value
-                    ),
-                    &mut out,
-                );
-            }
-        }
-    }
-    out.push_str("\n]}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -562,9 +460,9 @@ mod tests {
         assert_eq!(spans[1].name, "outer");
         assert_eq!(
             spans[1].arg("workload"),
-            Some(&ArgValue::Str("qsort".to_string()))
+            Some(&Value::Str("qsort".to_string()))
         );
-        assert_eq!(spans[1].arg("n"), Some(&ArgValue::U64(3)));
+        assert_eq!(spans[1].arg("n"), Some(&Value::U64(3)));
         assert!(spans[1].ts_us <= spans[0].ts_us, "outer starts first");
         assert_eq!(counter_total("events"), 12);
         let samples: Vec<_> = log
@@ -611,9 +509,9 @@ mod tests {
         }
         set_tracing(false);
         let log = drain();
-        let json = chrome_trace_json(&log);
-        assert!(json.starts_with("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n"));
-        assert!(json.trim_end().ends_with("]}"));
+        let json = crate::json::render(&log.to_json());
+        assert!(json.starts_with("{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n    {"));
+        assert!(json.ends_with("\n  ]\n}\n"));
         assert!(json.contains("\"ph\": \"X\""));
         assert!(json.contains("\"ph\": \"C\""));
         assert!(json.contains("\"ph\": \"M\""));

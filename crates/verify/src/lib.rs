@@ -43,6 +43,7 @@ use std::fmt;
 
 use clfp_cfg::{BlockId, CdViolation, Cfg, Liveness, MaybeUninit, StaticInfo};
 use clfp_isa::{AluOp, Instr, Program, Reg};
+use clfp_limits::json::Value;
 use clfp_limits::{CdSource, PreparedTrace, Report};
 use clfp_vm::{Trace, TraceEvent, TraceSource, VmError};
 
@@ -207,6 +208,18 @@ impl Diagnostic {
     /// The severity of this diagnostic (fixed per kind).
     pub fn severity(&self) -> Severity {
         self.kind.severity()
+    }
+
+    /// The diagnostic as a JSON object — `kind`, `severity`, `pc` (`null`
+    /// when it anchors to no instruction) and `message` — as `clfp lint
+    /// --json` lists it and each workload of `results/lint_suite.json`
+    /// carries it.
+    pub fn to_json(&self) -> Value {
+        Value::object()
+            .with("kind", self.kind.to_string())
+            .with("severity", self.severity().to_string())
+            .with("pc", self.pc.map(u64::from))
+            .with("message", self.message.as_str())
     }
 }
 

@@ -39,6 +39,7 @@ use clfp::lang::CodegenOptions;
 use clfp::limits::{
     AnalysisConfig, Analyzer, MachineKind, PredictorChoice, StreamOptions, ValuePrediction,
 };
+use clfp::metrics::json::{render, Value};
 use clfp::vm::{FileTraceSource, Vm, VmOptions};
 
 fn main() -> ExitCode {
@@ -265,7 +266,7 @@ fn trace_cmd(args: &[String]) -> Result<(), String> {
 }
 
 fn lint_cmd(args: &[String]) -> Result<(), String> {
-    use clfp::verify::{lint_program, Severity, TraceChecks};
+    use clfp::verify::{lint_program, Diagnostic, Severity, TraceChecks};
 
     let switches = ["--if-convert", "--optimize", "--static-only", "--json"];
     let valued = ["--workload", "--max-instr", "--max-instrs"];
@@ -315,7 +316,8 @@ fn lint_cmd(args: &[String]) -> Result<(), String> {
     };
     let errors = count_of(Severity::Error);
     if args.has("--json") {
-        print!("{}", diagnostics_json(&diagnostics));
+        let list = Value::Array(diagnostics.iter().map(Diagnostic::to_json).collect());
+        print!("{}", render(&list));
     } else {
         for diagnostic in &diagnostics {
             println!("{diagnostic}");
@@ -342,7 +344,7 @@ fn lint_cmd(args: &[String]) -> Result<(), String> {
 /// `--max-instrs` (default 2000000) through the real lookup path, so the
 /// hit/miss line reports exactly what a `regen` at that cap would find.
 fn cache_cmd(args: &[String]) -> Result<(), String> {
-    use clfp::vm::TraceCache;
+    use clfp::vm::{CacheEntry, TraceCache};
 
     let valued = ["--dir", "--max-instr", "--max-instrs"];
     let args = Args::parse("cache", args, &["--json"], &valued)?;
@@ -365,8 +367,32 @@ fn cache_cmd(args: &[String]) -> Result<(), String> {
             }
             let hits = clfp::metrics::trace::counter_total("cache.hit");
             let misses = clfp::metrics::trace::counter_total("cache.miss");
+            let total_bytes: u64 = entries.iter().map(|entry| entry.bytes).sum();
+            let file_name = |entry: &CacheEntry| {
+                entry
+                    .path
+                    .file_name()
+                    .map_or_else(String::new, |n| n.to_string_lossy().into_owned())
+            };
             if args.has("--json") {
-                print!("{}", cache_json(&cache, &entries, max_instrs, hits, misses));
+                let files = entries.iter().map(|entry| {
+                    Value::object()
+                        .with("fingerprint", format!("{:016x}", entry.fingerprint))
+                        .with("max_instrs", entry.max_instrs)
+                        .with("events", entry.events)
+                        .with("bytes", entry.bytes)
+                        .with("file", file_name(entry))
+                });
+                let probe = Value::object()
+                    .with("max_instrs", max_instrs)
+                    .with("hits", hits)
+                    .with("misses", misses);
+                let json = Value::object()
+                    .with("dir", cache.dir().display().to_string())
+                    .with("entries", Value::Array(files.collect()))
+                    .with("total_bytes", total_bytes)
+                    .with("probe", probe);
+                print!("{}", render(&json));
                 return Ok(());
             }
             if entries.is_empty() {
@@ -377,19 +403,14 @@ fn cache_cmd(args: &[String]) -> Result<(), String> {
                     "{:16} {:>12} {:>12} {:>12}  file",
                     "fingerprint", "max_instrs", "events", "bytes"
                 );
-                let mut total_bytes = 0u64;
                 for entry in &entries {
-                    total_bytes += entry.bytes;
                     println!(
                         "{:016x} {:>12} {:>12} {:>12}  {}",
                         entry.fingerprint,
                         entry.max_instrs,
                         entry.events,
                         entry.bytes,
-                        entry
-                            .path
-                            .file_name()
-                            .map_or_else(String::new, |n| n.to_string_lossy().into_owned()),
+                        file_name(entry),
                     );
                 }
                 println!("{} trace(s), {} bytes total", entries.len(), total_bytes);
@@ -411,61 +432,6 @@ fn cache_cmd(args: &[String]) -> Result<(), String> {
         }
         Some(other) => Err(format!("unknown cache action `{other}`; try `clfp cache` or `clfp cache clear`")),
     }
-}
-
-fn cache_json(
-    cache: &clfp::vm::TraceCache,
-    entries: &[clfp::vm::CacheEntry],
-    max_instrs: u64,
-    hits: u64,
-    misses: u64,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"dir\": \"{}\",\n",
-        cache.dir().display().to_string().replace('\\', "\\\\").replace('"', "\\\"")
-    ));
-    out.push_str("  \"entries\": [\n");
-    let mut total_bytes = 0u64;
-    for (i, entry) in entries.iter().enumerate() {
-        total_bytes += entry.bytes;
-        out.push_str(&format!(
-            "    {{\"fingerprint\": \"{:016x}\", \"max_instrs\": {}, \"events\": {}, \
-             \"bytes\": {}, \"file\": \"{}\"}}{}\n",
-            entry.fingerprint,
-            entry.max_instrs,
-            entry.events,
-            entry.bytes,
-            entry
-                .path
-                .file_name()
-                .map_or_else(String::new, |n| n.to_string_lossy().into_owned()),
-            if i + 1 == entries.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"total_bytes\": {total_bytes},\n"));
-    out.push_str(&format!(
-        "  \"probe\": {{\"max_instrs\": {max_instrs}, \"hits\": {hits}, \"misses\": {misses}}}\n"
-    ));
-    out.push_str("}\n");
-    out
-}
-
-fn diagnostics_json(diagnostics: &[clfp::verify::Diagnostic]) -> String {
-    let mut out = String::from("[\n");
-    for (i, d) in diagnostics.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"kind\": \"{}\", \"severity\": \"{}\", \"pc\": {}, \"message\": \"{}\"}}{}\n",
-            d.kind,
-            d.severity(),
-            d.pc.map_or("null".to_string(), |pc| pc.to_string()),
-            clfp::metrics::escape_json(&d.message),
-            if i + 1 == diagnostics.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("]\n");
-    out
 }
 
 fn analyze_cmd(args: &[String]) -> Result<(), String> {
@@ -492,7 +458,7 @@ fn analyze_cmd(args: &[String]) -> Result<(), String> {
     if let Some(out) = trace_json {
         clfp::metrics::trace::set_tracing(false);
         let log = clfp::metrics::trace::drain();
-        std::fs::write(out, clfp::metrics::trace::chrome_trace_json(&log))
+        std::fs::write(out, render(&log.to_json()))
             .map_err(|err| format!("cannot write `{out}`: {err}"))?;
         println!(
             "wrote {} spans to {out} (open in ui.perfetto.dev or chrome://tracing)",

@@ -179,6 +179,62 @@ fn trace_roundtrip_via_files() {
 }
 
 #[test]
+fn cache_lists_and_clears_a_directory() {
+    // A tab in the directory's name and a quote in a cache file's name
+    // must reach the JSON listing escaped.
+    let dir = std::env::temp_dir()
+        .join(format!("clfp-cli-test-{}", std::process::id()))
+        .join("cache\tdir");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = write_temp("cached.mc", PROGRAM);
+    let stored = dir.join("stored.trc");
+    let output = clfp()
+        .arg("trace")
+        .arg(&path)
+        .arg("-o")
+        .arg(&stored)
+        .output()
+        .unwrap();
+    assert!(output.status.success(), "{output:?}");
+    std::fs::rename(&stored, dir.join("a\"b.clfpc")).unwrap();
+
+    let cache = |args: &[&str]| {
+        let output = clfp()
+            .arg("cache")
+            .args(args)
+            .arg("--dir")
+            .arg(&dir)
+            .output()
+            .unwrap();
+        assert!(output.status.success(), "{args:?}: {output:?}");
+        String::from_utf8(output.stdout).unwrap()
+    };
+    let text = cache(&["list", "--max-instrs", "1000"]);
+    assert!(text.contains("a\"b.clfpc"), "{text}");
+    assert!(text.contains("1 trace(s)"), "{text}");
+    assert!(text.contains("0 hit(s), 10 miss(es)"), "{text}");
+
+    let json = cache(&["list", "--max-instrs", "1000", "--json"]);
+    assert!(json.contains(r#""file": "a\"b.clfpc""#), "{json}");
+    assert!(json.contains(r#"cache\tdir","#), "{json}");
+    assert!(
+        json.contains(r#""probe": {"max_instrs": 1000, "hits": 0, "misses": 10}"#),
+        "{json}"
+    );
+    assert!(
+        !json.chars().any(|c| c.is_control() && c != '\n'),
+        "raw control character in {json:?}"
+    );
+
+    let text = cache(&["clear"]);
+    assert!(text.contains("removed 1 cached trace(s)"), "{text}");
+    let json = cache(&["list", "--max-instrs", "1000", "--json"]);
+    assert!(json.contains("\"entries\": [],"), "{json}");
+    assert!(json.contains("\"total_bytes\": 0,"), "{json}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn workloads_lists_the_suite() {
     let output = clfp().arg("workloads").output().unwrap();
     assert!(output.status.success());
