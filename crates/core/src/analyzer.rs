@@ -4,9 +4,9 @@ use clfp_cfg::StaticInfo;
 use clfp_isa::Program;
 use clfp_vm::Trace;
 
-use clfp_metrics::{MachineMetrics, MetricsCollector, MetricsSink, NullSink};
+use clfp_metrics::{MachineMetrics, MetricsCollector, NullSink};
 
-use crate::lane::{run_machine_major, LaneScheduler};
+use crate::lane::{GroupSink, LaneScheduler};
 use crate::meta::{branches_under, ProgramMeta, TraceMeta, CD_INHERIT, CD_NONE};
 use crate::pass::{
     mispredictions, reference_counts, run_pass, run_pass_with_schedule, PassResult, Prepared,
@@ -106,7 +106,7 @@ pub struct Analyzer<'a> {
 /// operands, dynamic memory keys, value-predictor hits, and resolved
 /// control-dependence sources. Produced by [`Analyzer::prepare`] for
 /// callers that walk one preparation more than once (both unroll
-/// settings, mode slices, machine-major metrics) or time it as a stage
+/// settings, mode slices, recorded metrics) or time it as a stage
 /// of its own; a request that walks a trace once streams it instead
 /// ([`Analyzer::run_streamed_on`]). The walk is independent of the
 /// memory-disambiguation and value-prediction modes, so
@@ -291,10 +291,10 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
     /// Runs every configured machine over the prepared trace with the
     /// recording metrics sink, returning per-machine execution metrics:
     /// cycle-occupancy histograms, critical-path attribution, and
-    /// binding-edge counters (see `clfp-metrics`). The machines run one
-    /// at a time, each in a width-1 recording group of the scheduling
-    /// kernel — unlike [`PreparedTrace::report_both`] this path is for offline
-    /// diagnosis, not throughput; its results re-derive the report's
+    /// binding-edge counters (see `clfp-metrics`). One walk of the
+    /// scheduling kernel records every machine, one collector per lane,
+    /// through the same lane driver and threading rule as
+    /// [`PreparedTrace::report_both`]; its results re-derive the report's
     /// cycle and instruction counts exactly (asserted by the
     /// `recording_sink_does_not_perturb_results` test and, against the
     /// reference pass, by the `lane_equivalence` suite).
@@ -309,17 +309,16 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
         &self,
         unrolling: bool,
     ) -> Vec<(MachineKind, MachineMetrics)> {
-        let events = self.meta.events.len();
-        let walks = self.machine_major(
-            unrolling,
-            || MetricsCollector::with_capacity(events),
-            MetricsCollector::finish,
-        );
+        let walked = self.walk::<MetricsCollector>(&self.config, &[self.mode()], &[unrolling]);
         self.config
             .machines
             .iter()
-            .zip(walks)
-            .map(|(&kind, (_, metrics))| (kind, metrics))
+            .zip(walked)
+            .map(|(&kind, (pass, collector))| {
+                let metrics = collector.finish();
+                debug_assert_eq!((metrics.cycles, metrics.instrs), (pass.cycles, pass.count));
+                (kind, metrics)
+            })
             .collect()
     }
 
@@ -333,7 +332,7 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
     /// module). Bit-identical to [`Analyzer::run_on_trace_reference`] under
     /// that setting.
     pub fn report_with_unrolling(&self, unrolling: bool) -> Report {
-        let passes = self.walk(&[self.mode()], &[unrolling]);
+        let passes = self.passes(&self.config, &[self.mode()], &[unrolling]);
         self.assemble(unrolling, self.config.value_prediction, passes)
     }
 
@@ -360,7 +359,7 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
         modes: &[(MemDisambiguation, ValuePrediction)],
     ) -> Vec<(Report, Report)> {
         let machines = self.config.machines.len();
-        let mut passes = self.walk(modes, &[true, false]).into_iter();
+        let mut passes = self.passes(&self.config, modes, &[true, false]).into_iter();
         modes
             .iter()
             .map(|&(_, value_prediction)| {
@@ -374,14 +373,21 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
             .collect()
     }
 
-    /// [`PreparedTrace::report_with_unrolling`] packed machine-major: one
-    /// width-1 group of the same kernel per machine, N walks over the
-    /// events — the packing the recording metrics paths use. Bit-identical
-    /// to the one-walk packing; kept as a public entry point for callers
-    /// that compare the two packings or time them.
+    /// [`PreparedTrace::report_with_unrolling`] packed one machine per
+    /// walk: a one-machine request of the same lane driver per machine,
+    /// each a width-1 group, N walks over the events. Bit-identical to
+    /// the one-walk packing; kept as a public entry point for callers that
+    /// compare the two packings or time them.
     pub fn report_with_unrolling_scalar(&self, unrolling: bool) -> Report {
-        let walks = self.machine_major(unrolling, || NullSink, |_| ());
-        let passes = walks.into_iter().map(|(pass, ())| pass).collect();
+        let passes = self
+            .config
+            .machines
+            .iter()
+            .flat_map(|&kind| {
+                let config = self.config.clone().with_machines(&[kind]);
+                self.passes(&config, &[self.mode()], &[unrolling])
+            })
+            .collect();
         self.assemble(unrolling, self.config.value_prediction, passes)
     }
 
@@ -392,16 +398,17 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
     }
 
     /// One lane-kernel walk over the prepared events, scheduling every
-    /// `modes` × `unrolls` × machine slot; results in slot order (see
-    /// [`LaneScheduler::new`]). The prepared events are emitted to the
-    /// lane driver as one chunk.
-    fn walk(
+    /// `modes` × `unrolls` × `config.machines` slot with sink `S`;
+    /// results and sinks in slot order (see [`LaneScheduler::new`]). The
+    /// prepared events are emitted to the lane driver as one chunk.
+    fn walk<S: GroupSink>(
         &self,
+        config: &AnalysisConfig,
         modes: &[(MemDisambiguation, ValuePrediction)],
         unrolls: &[bool],
-    ) -> Vec<PassResult> {
+    ) -> Vec<(PassResult, S)> {
         let pcs = &self.analyzer.meta;
-        let sched = LaneScheduler::new(pcs, &self.config, modes, unrolls, self.mem_capacity());
+        let sched = LaneScheduler::<S>::new(pcs, config, modes, unrolls, self.mem_capacity());
         let walked = sched.run(pcs, 0, |emit| {
             emit(&self.meta.events[..]);
             Ok::<(), std::convert::Infallible>(())
@@ -409,23 +416,15 @@ impl<'a, 'b> PreparedTrace<'a, 'b> {
         walked.unwrap_or_else(|never| match never {})
     }
 
-    /// Runs the configured machines through the kernel's machine-major
-    /// driver ([`run_machine_major`](crate::lane::run_machine_major)):
-    /// each machine's group reports every prepared event to a fresh sink
-    /// from `new_sink`, which `distill` consumes before the next machine
-    /// runs.
-    fn machine_major<S: MetricsSink + 'static, T>(
+    /// The pass results of a throughput [`PreparedTrace::walk`].
+    fn passes(
         &self,
-        unrolling: bool,
-        mut new_sink: impl FnMut() -> S,
-        mut distill: impl FnMut(S) -> T,
-    ) -> Vec<(PassResult, T)> {
-        let pcs = &self.analyzer.meta;
-        run_machine_major(pcs, &self.config, unrolling, self.mem_capacity(), |group| {
-            let mut sink = new_sink();
-            group.feed(pcs, &self.meta.events, &mut sink);
-            distill(sink)
-        })
+        config: &AnalysisConfig,
+        modes: &[(MemDisambiguation, ValuePrediction)],
+        unrolls: &[bool],
+    ) -> Vec<PassResult> {
+        let walked = self.walk::<NullSink>(config, modes, unrolls);
+        walked.into_iter().map(|(pass, NullSink)| pass).collect()
     }
 
     /// Last-write-table sizing hint for perfect disambiguation: the
@@ -1038,8 +1037,8 @@ mod tests {
         }
     }
 
-    // The metrics path (width-1 recording groups over per-mode slices)
-    // must describe exactly the schedules the one-walk lane matrix
+    // The metrics path (recording walks over per-mode slices) must
+    // describe exactly the schedules the one-walk lane matrix
     // reports: same machines, same cycle and instruction counts,
     // for every mode cell — otherwise the attribution tables would
     // diagnose a schedule nobody ran.

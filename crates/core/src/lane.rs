@@ -48,7 +48,8 @@
 //! library); width-1 groups, and every group on other CPUs, run the
 //! portable build. No switch selects the build: [`kernel_isa`] names the
 //! one this host runs, and perf records carry it. A unit test feeds twin
-//! groups through both builds and requires identical results.
+//! groups, throughput and recording, through both builds and requires
+//! identical results.
 //!
 //! The SP machine's misprediction-segment statistics mix integer and
 //! floating-point arithmetic and reset state at data-dependent points;
@@ -57,17 +58,19 @@
 //! reference pass, so the resulting [`MispredictionStats`] are
 //! bit-identical.
 //!
-//! **Metrics recording** (`clfp-metrics` sinks) is the width-1
-//! specialization of the same kernel: a group with a recording sink `S`
-//! schedules one lane and additionally keeps, for every timing table, a
-//! shadow naming the trace event that wrote each time. Before any state
-//! update it replays the lane's constraint fold with the same terms in
-//! the same order — a later term wins a tie, and control wins the final
-//! data-versus-control tie — to name each instruction's *binding edge*.
-//! With [`NullSink`] every `S::ENABLED` block is statically eliminated,
-//! so the throughput groups compile to the bare kernel.
-//! [`run_machine_major`] drives the recording paths: one width-1 group
-//! per machine, one sink live at a time.
+//! **Metrics recording** (`clfp-metrics` sinks) is the same kernel with a
+//! recording sink `S`: such a group owns one sink per lane and keeps,
+//! beside every time it stores, the [`HopSummary`] of the chain that
+//! produced that time (a boxed [`Recorder`], and a second array in the
+//! memory table's slots). Each scheduled event picks its binding edge
+//! per lane from the terms the fold read — a later term wins a tie, and
+//! control wins the final data-versus-control tie — and its chain is
+//! the binding producer's plus one hop of the edge's kind, or a head
+//! when nothing binds. So the critical path's attribution is carried
+//! forward, and nothing is stored per event. With [`NullSink`] every
+//! `S::ENABLED` block is statically eliminated, so the throughput groups
+//! compile to the bare kernel. A recording request runs through the same
+//! driver as every other walk ([`LaneScheduler`]).
 //!
 //! **Modes are applied here.** The preparation walk is mode-free: it
 //! records each event's dynamic memory key and every value predictor's
@@ -82,14 +85,12 @@
 //! bit-identical to it across machines, workloads, unroll settings,
 //! memory-disambiguation and value-prediction modes, and chunk sizes.
 
-use std::marker::PhantomData;
 use std::ops::Deref;
 use std::sync::mpsc;
 use std::thread::ScopedJoinHandle;
 
-use clfp_metrics::{BindingEdge, EdgeKind, MetricsSink, NullSink, NO_PARENT};
+use clfp_metrics::{EdgeKind, HopSummary, MetricsCollector, MetricsSink, NullSink};
 
-use crate::lastwrite::LastWriteTable;
 use crate::meta::{
     vp_flag, EventMeta, PcMeta, ProgramMeta, CD_INHERIT, CD_NONE, EV_BRANCH, EV_MISPRED, NO_REG,
     PC_CALL, PC_IGNORED_ROLLED, PC_IGNORED_UNROLLED, PC_LOAD, PC_RET, PC_STORE,
@@ -107,18 +108,32 @@ struct LaneTable<const L: usize> {
     values: Vec<[u64; L]>,
     len: usize,
     mask: usize,
+    /// Beside each slot's times, the chains that produced them: allocated
+    /// only for a recording group's `mem_time`, empty otherwise.
+    chains: Vec<[HopSummary; L]>,
 }
 
 const EMPTY: u32 = u32::MAX;
 
 impl<const L: usize> LaneTable<L> {
-    fn with_capacity(capacity: usize) -> LaneTable<L> {
+    /// A table for about `capacity` keys, with a chain beside each slot's
+    /// times when `recording`.
+    fn with_capacity(capacity: usize, recording: bool) -> LaneTable<L> {
         let slots = (capacity.max(16) * 2).next_power_of_two();
         LaneTable {
             keys: vec![EMPTY; slots],
             values: vec![[0; L]; slots],
             len: 0,
             mask: slots - 1,
+            chains: Self::chain_slots(recording, slots),
+        }
+    }
+
+    fn chain_slots(recording: bool, slots: usize) -> Vec<[HopSummary; L]> {
+        if recording {
+            vec![[HopSummary::EMPTY; L]; slots]
+        } else {
+            Vec::new()
         }
     }
 
@@ -168,21 +183,50 @@ impl<const L: usize> LaneTable<L> {
         &mut self.values[slot]
     }
 
+    /// The per-lane last-write cycles in `slot` ([0; L] for a key never
+    /// written).
+    #[inline]
+    fn times(&self, slot: Option<usize>) -> [u64; L] {
+        slot.map_or([0; L], |slot| self.values[slot])
+    }
+
+    /// The slot holding `key`, if it was ever written: a recording
+    /// group's one probe, which reads the chains beside the times.
+    #[inline]
+    fn find(&self, key: u32) -> Option<usize> {
+        let mut slot = self.slot(key);
+        loop {
+            let k = self.keys[slot];
+            if k == key {
+                return Some(slot);
+            }
+            if k == EMPTY {
+                return None;
+            }
+            slot = (slot + 1) & self.mask;
+        }
+    }
+
     fn grow(&mut self) {
         let old_keys = std::mem::take(&mut self.keys);
         let old_values = std::mem::take(&mut self.values);
+        let old_chains = std::mem::take(&mut self.chains);
         let new_slots = (old_keys.len() * 2).max(32);
         self.keys = vec![EMPTY; new_slots];
         self.values = vec![[0; L]; new_slots];
+        self.chains = Self::chain_slots(!old_chains.is_empty(), new_slots);
         self.mask = new_slots - 1;
-        for (key, value) in old_keys.into_iter().zip(old_values) {
+        for (old, key) in old_keys.into_iter().enumerate() {
             if key != EMPTY {
                 let mut slot = self.slot(key);
                 while self.keys[slot] != EMPTY {
                     slot = (slot + 1) & self.mask;
                 }
                 self.keys[slot] = key;
-                self.values[slot] = value;
+                self.values[slot] = old_values[old];
+                if let Some(&chains) = old_chains.get(old) {
+                    self.chains[slot] = chains;
+                }
             }
         }
     }
@@ -223,88 +267,106 @@ impl SegTracker {
     }
 }
 
-/// Producer-event shadows of a recording group's lane-0 timing state:
-/// every table that holds a time also records *which trace event* wrote
-/// it, so the binding edge of each scheduled instruction can name its
-/// parent. Sized only for groups whose sink is enabled.
-struct AttrState {
-    /// Event index of the last writer of each register ([`NO_PARENT`] if
-    /// the register is untouched).
-    reg_writer: [u32; 32],
-    /// Event index + 1 of the store that owns each memory key's
-    /// last-write time (0 = none).
-    mem_writer: LastWriteTable,
-    /// Shadows `branch_time` / `branch_ceiling`: the event whose time is
-    /// recorded there (ignored branches pass their inherited parents
-    /// through, the same way they pass the times).
-    branch_time_ev: Vec<u32>,
-    branch_ceiling_ev: Vec<u32>,
-    /// Shadows the inherited-dependence call stack.
-    stack_ev: Vec<(u32, u32)>,
-    last_branch_ev: u32,
-    last_mispred_ev: u32,
+/// A recording group's sinks and chain shadows: beside every time the
+/// group keeps in a register, branch or call-stack table, the
+/// [`HopSummary`] of the chain that produced it (the memory table keeps
+/// its chains in its own slots). Boxed and allocated only for recording
+/// groups, so the throughput groups carry none of it.
+struct Recorder<const L: usize, S> {
+    /// One sink per real lane, in lane order.
+    sinks: Vec<S>,
+    reg: [[HopSummary; L]; 32],
+    /// Shadows `branch_time` / `branch_ceiling` (CD groups only): a lane
+    /// that ignores a branch passes its inherited chains through, the
+    /// same way it passes the times.
+    branch_time: Vec<[HopSummary; L]>,
+    branch_ceiling: Vec<[HopSummary; L]>,
+    /// Shadows the inherited-dependence call stack (CD groups only).
+    stack: Vec<([HopSummary; L], [HopSummary; L])>,
+    last_branch: [HopSummary; L],
+    last_mispred: [HopSummary; L],
 }
 
-impl AttrState {
-    fn new(branch_pcs: usize, mem_capacity: usize) -> AttrState {
-        AttrState {
-            reg_writer: [NO_PARENT; 32],
-            mem_writer: LastWriteTable::with_capacity(mem_capacity),
-            branch_time_ev: vec![NO_PARENT; branch_pcs],
-            branch_ceiling_ev: vec![NO_PARENT; branch_pcs],
-            stack_ev: Vec::new(),
-            last_branch_ev: NO_PARENT,
-            last_mispred_ev: NO_PARENT,
-        }
-    }
-
-    /// The parents of the `(time, ceiling)` context named by a
-    /// pre-resolved `cd` annotation ([`GroupCursor::cd_ctx`] over event
-    /// indices).
+impl<const L: usize, S> Recorder<L, S> {
+    /// The chains of the `(time, ceiling)` context named by a pre-resolved
+    /// `cd` annotation ([`GroupCursor::cd_ctx`] over chains).
     #[inline]
-    fn cd_parents(&self, cd: u32) -> (u32, u32) {
+    fn cd_ctx(&self, cd: u32) -> ([HopSummary; L], [HopSummary; L]) {
+        let none = [HopSummary::EMPTY; L];
         match cd {
-            CD_NONE => (NO_PARENT, NO_PARENT),
-            CD_INHERIT => {
-                let top = self.stack_ev.last().copied();
-                top.unwrap_or((NO_PARENT, NO_PARENT))
-            }
+            CD_NONE => (none, none),
+            CD_INHERIT => self.stack.last().copied().unwrap_or((none, none)),
             pc => (
-                self.branch_time_ev[pc as usize],
-                self.branch_ceiling_ev[pc as usize],
+                self.branch_time[pc as usize],
+                self.branch_ceiling[pc as usize],
             ),
         }
     }
+}
 
-    #[inline]
-    fn mem_writer_of(&self, key: u32) -> u32 {
-        match self.mem_writer.get(key) {
-            0 => NO_PARENT,
-            index_plus_one => (index_plus_one - 1) as u32,
+/// What one event's fold read outside the group's own tables, for a
+/// recording group's [`GroupCursor::bind`]: the memory key's slot in
+/// `mem_time` (if written) and the times there and in `mem_read`, the
+/// fetch-limit term, and the control-dependence context, `(time,
+/// ceiling)` and their chains.
+struct FoldTerms<const L: usize> {
+    mem_slot: Option<usize>,
+    mem_time: [u64; L],
+    mem_read: [u64; L],
+    fetch: [u64; L],
+    cd: ([u64; L], [u64; L]),
+    cd_chains: ([HopSummary; L], [HopSummary; L]),
+}
+
+/// The sources of a recording fold's candidate binding edges, as labels
+/// into [`BIND_EDGE`]: a chain head (nothing binds, or the fetch limit
+/// does), each register use, the memory key's last write, the
+/// anti-dependences (no producer), the output dependence on the def, the
+/// two primary control terms, and the two single-flow orderings.
+const BIND_HEAD: usize = 0;
+const BIND_USE: usize = 1;
+const BIND_MEM: usize = 4;
+const BIND_ANTI_REG: usize = 5;
+const BIND_DEF: usize = 6;
+const BIND_ANTI_MEM: usize = 7;
+const BIND_CTL_A: usize = 8;
+const BIND_CTL_B: usize = 9;
+const BIND_MF_BRANCH: usize = 10;
+const BIND_MF_MISPRED: usize = 11;
+const BINDS: usize = 12;
+
+/// The edge each candidate label reports (`None`: a chain head).
+const BIND_EDGE: [Option<EdgeKind>; BINDS] = {
+    use EdgeKind::*;
+    [
+        None,
+        Some(RegData),
+        Some(RegData),
+        Some(RegData),
+        Some(MemData),
+        Some(RegData),
+        Some(RegData),
+        Some(MemData),
+        Some(Control),
+        Some(Control),
+        Some(MfMerge),
+        Some(MfMerge),
+    ]
+};
+
+/// What each candidate label adds to its source chain: one hop of its
+/// edge's kind, nothing for a head.
+const BIND_STEP: [HopSummary; BINDS] = {
+    let mut steps = [HopSummary::EMPTY; BINDS];
+    let mut label = 0;
+    while label < BINDS {
+        if let Some(kind) = BIND_EDGE[label] {
+            steps[label] = HopSummary::hop(kind);
         }
+        label += 1;
     }
-}
-
-/// A running constraint maximum and the edge that set it.
-#[derive(Default)]
-struct Bound {
-    value: u64,
-    edge: Option<BindingEdge>,
-}
-
-impl Bound {
-    /// Folds one term in with the kernel's tie-breaking: `a.max(b)`
-    /// returns `b` on equality, so a later term wins ties. A term of 0 can
-    /// only "win" against 0, and no edge is reported when the final
-    /// maximum is 0 (ready at cycle 0).
-    #[inline]
-    fn fold(&mut self, term: u64, edge: Option<BindingEdge>) {
-        if term >= self.value {
-            self.value = term;
-            self.edge = edge;
-        }
-    }
-}
+    steps
+};
 
 /// One lane's request: which result slot it fills, which machine it
 /// models, which unroll setting's ignore flag it reads, and which
@@ -395,7 +457,7 @@ fn runs_avx512<const L: usize>() -> bool {
 
 /// Which build of the scheduling kernel the multi-lane walks run on this
 /// host: `"avx512"` where the CPU has AVX-512 (avx512f and avx512vl), else
-/// `"portable"`. Width-1 groups (the metrics-recording walks) always run
+/// `"portable"`. Width-1 groups (a request for one machine) always run
 /// the portable build. Lane walks timed under the two builds differ by
 /// about 2×, so perf records name the build they ran.
 pub fn kernel_isa() -> &'static str {
@@ -409,8 +471,8 @@ pub fn kernel_isa() -> &'static str {
 /// A group of up to `L` lanes scheduled together by one monomorphized
 /// kernel. `CD` selects the control-dependence state (branch arrays +
 /// inheritance stack); `RENAME` strips anti-dependence tracking; `FETCH`
-/// strips the fetch-bandwidth divide; `S` is the metrics sink the group
-/// reports to — a recording sink makes it the width-1 recording kernel.
+/// strips the fetch-bandwidth divide; `S` is the sink each lane reports
+/// to — a recording sink makes the group record.
 struct GroupCursor<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S> {
     /// The real lanes (`lanes.len() <= L`; padding lanes replicate lane 0
     /// and their results are discarded).
@@ -450,12 +512,11 @@ struct GroupCursor<const L: usize, const CD: bool, const RENAME: bool, const FET
     cycles: [u64; L],
     count: [u64; L],
     seg: Vec<SegTracker>,
-    /// Binding-edge shadows of lane 0 (empty unless `S::ENABLED`).
-    attr: AttrState,
-    /// Events fed so far: the global trace index of the next event, which
-    /// names binding-edge parents across chunks.
+    /// The sinks and chain shadows of a recording group (`None` unless
+    /// `S::ENABLED`).
+    rec: Option<Box<Recorder<L, S>>>,
+    /// Events fed so far.
     fed_events: u64,
-    sink: PhantomData<fn(&mut S)>,
 
     /// Trace/profile attribution, maintained only while tracing is on
     /// (`clfp_metrics::trace`): process-wide group id, walk start
@@ -466,7 +527,7 @@ struct GroupCursor<const L: usize, const CD: bool, const RENAME: bool, const FET
     fed_chunks: u64,
 }
 
-impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: MetricsSink>
+impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: GroupSink>
     GroupCursor<L, CD, RENAME, FETCH, S>
 {
     fn new(
@@ -479,7 +540,6 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
         ),
     ) -> Self {
         debug_assert!(!lanes.is_empty() && lanes.len() <= L);
-        debug_assert!(!S::ENABLED || L == 1, "recording groups schedule one lane");
         let text_len = pcs.pcs.len();
         let mem_capacity = key_capacity(disambiguation, pcs, perfect_keys);
         let spec = |l: usize| lanes[l.min(lanes.len() - 1)];
@@ -504,6 +564,7 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
                 m_b[l] = lane_mask(lane.kind == MachineKind::Sp);
             }
         }
+        let branch_chains = if CD { text_len } else { 0 };
         GroupCursor {
             lanes: lanes.to_vec(),
             fetch_width: config.fetch_bandwidth.unwrap_or(1),
@@ -517,8 +578,8 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
             accumulate: disambiguation.accumulates(config.disambiguation_bytes),
             reg_time: [[0; L]; 32],
             reg_read: [[0; L]; 32],
-            mem_time: LaneTable::with_capacity(mem_capacity),
-            mem_read: LaneTable::with_capacity(if RENAME { 1 } else { mem_capacity }),
+            mem_time: LaneTable::with_capacity(mem_capacity, S::ENABLED),
+            mem_read: LaneTable::with_capacity(if RENAME { 1 } else { mem_capacity }, false),
             branch_time: if CD { vec![[0; L]; text_len] } else { Vec::new() },
             branch_ceiling: if CD { vec![[0; L]; text_len] } else { Vec::new() },
             stack: Vec::new(),
@@ -532,13 +593,18 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
                 .filter(|(_, lane)| lane.kind == MachineKind::Sp)
                 .map(|(l, _)| SegTracker::new(l))
                 .collect(),
-            attr: if S::ENABLED {
-                AttrState::new(if CD { text_len } else { 0 }, mem_capacity)
-            } else {
-                AttrState::new(0, 0)
-            },
+            rec: S::ENABLED.then(|| {
+                Box::new(Recorder {
+                    sinks: lanes.iter().map(|_| S::default()).collect(),
+                    reg: [[HopSummary::EMPTY; L]; 32],
+                    branch_time: vec![[HopSummary::EMPTY; L]; branch_chains],
+                    branch_ceiling: vec![[HopSummary::EMPTY; L]; branch_chains],
+                    stack: Vec::new(),
+                    last_branch: [HopSummary::EMPTY; L],
+                    last_mispred: [HopSummary::EMPTY; L],
+                })
+            }),
             fed_events: 0,
-            sink: PhantomData,
             group_id: NEXT_GROUP_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             walk_start_us: 0,
             busy_ns: 0,
@@ -560,96 +626,126 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
         }
     }
 
-    /// Replays lane 0's constraint fold term by term, before any state
-    /// update, returning the maximum and the edge that set it: the
-    /// machine's primary control term, its single-flow branch ordering
-    /// (an MF-merge edge), the fetch limit (no producer event), then the
-    /// data terms. `cd` and `cd_p` are lane 0's control-dependence
-    /// context and its parents. A bound of 0 means ready at cycle 0, so
-    /// no edge.
-    fn binding_edge(
+    /// Each lane's binding edge and chain for one scheduled event, picked
+    /// before any state update from the terms the fold read, in the
+    /// fold's order: the data terms (the register uses, the load, and
+    /// with renaming off the anti- and output-dependence terms), then the
+    /// control terms (the machine's primary term, its single-flow branch
+    /// ordering, the fetch limit). A later term wins a tie, so control
+    /// wins the final data-versus-control tie; a term of 0 never binds,
+    /// and an event nothing binds, or the fetch limit binds, is a head.
+    /// `terms` holds what the fold read outside the group's tables.
+    #[inline(always)]
+    fn bind(
         &self,
+        rec: &Recorder<L, S>,
         event: &EventMeta,
         meta: &PcMeta,
-        mem_key: u32,
-        cd: (u64, u64),
-        cd_p: (u32, u32),
-    ) -> (u64, Option<BindingEdge>) {
-        use EdgeKind::{Control, MemData, MfMerge, RegData};
-        let edge = |kind, parent| Some(BindingEdge::new(kind, parent));
-        let a = &self.attr;
-        let mut ctl = Bound::default();
-        if CD {
-            if self.m_a[0] != 0 {
-                ctl.fold(cd.0, edge(Control, cd_p.0));
-            } else {
-                ctl.fold(cd.1, edge(Control, cd_p.1));
+        terms: &FoldTerms<L>,
+    ) -> ([HopSummary; L], [Option<EdgeKind>; L]) {
+        let FoldTerms {
+            mem_slot,
+            mem_time,
+            mem_read,
+            fetch,
+            cd,
+            cd_chains,
+        } = terms;
+        let empty = [HopSummary::EMPTY; L];
+        let heads = [HopSummary::HEAD; L];
+        let mut source: [&[HopSummary; L]; BINDS] = [&empty; BINDS];
+        source[BIND_HEAD] = &heads;
+        // The running maximum starts at 1, so a term of 0 never binds.
+        let mut best = [1u64; L];
+        let mut pick = [BIND_HEAD as u64; L];
+        let mut fold = |term: &[u64; L], label: usize| {
+            for l in 0..L {
+                let wins = term[l] >= best[l];
+                best[l] = best[l].max(term[l]);
+                pick[l] = if wins { label as u64 } else { pick[l] };
             }
-            if event.flags & EV_BRANCH != 0 {
-                if self.m_ord_lb[0] != 0 {
-                    ctl.fold(self.last_branch[0], edge(MfMerge, a.last_branch_ev));
-                }
-                if event.flags & EV_MISPRED != 0 && self.m_ord_lm[0] != 0 {
-                    ctl.fold(self.last_mispred[0], edge(MfMerge, a.last_mispred_ev));
-                }
-            }
-        } else if self.m_a[0] != 0 {
-            ctl.fold(self.last_branch[0], edge(Control, a.last_branch_ev));
-        } else if self.m_b[0] != 0 {
-            ctl.fold(self.last_mispred[0], edge(Control, a.last_mispred_ev));
-        }
-        if FETCH {
-            ctl.fold(self.count[0] / self.fetch_width, None);
-        }
+        };
+        let masked = |term: &[u64; L], mask: &[u64; L]| -> [u64; L] {
+            std::array::from_fn(|l| term[l] & mask[l])
+        };
 
-        let mut data = Bound::default();
-        for &reg in &meta.uses {
+        for (u, &reg) in meta.uses.iter().enumerate() {
             if reg == NO_REG {
                 break;
             }
-            let reg = reg as usize;
-            data.fold(self.reg_time[reg][0], edge(RegData, a.reg_writer[reg]));
+            source[BIND_USE + u] = &rec.reg[reg as usize];
+            fold(&self.reg_time[reg as usize], BIND_USE + u);
+        }
+        if let Some(slot) = *mem_slot {
+            source[BIND_MEM] = &self.mem_time.chains[slot];
         }
         if meta.is(PC_LOAD) {
-            let writer = a.mem_writer_of(mem_key);
-            data.fold(self.mem_time.get(mem_key)[0], edge(MemData, writer));
+            fold(mem_time, BIND_MEM);
         }
         if !RENAME {
-            // Anti-dependences name only their kind: the binding reader
-            // event is not tracked.
             if meta.def != NO_REG {
                 let def = meta.def as usize;
-                data.fold(self.reg_read[def][0], edge(RegData, NO_PARENT));
-                data.fold(self.reg_time[def][0], edge(RegData, a.reg_writer[def]));
+                source[BIND_DEF] = &rec.reg[def];
+                fold(&self.reg_read[def], BIND_ANTI_REG);
+                fold(&self.reg_time[def], BIND_DEF);
             }
             if meta.is(PC_STORE) {
-                let writer = a.mem_writer_of(mem_key);
-                data.fold(self.mem_read.get(mem_key)[0], edge(MemData, NO_PARENT));
-                data.fold(self.mem_time.get(mem_key)[0], edge(MemData, writer));
+                fold(mem_read, BIND_ANTI_MEM);
+                fold(mem_time, BIND_MEM);
             }
         }
-        // `data.max(ctl)`: control wins the final tie.
-        let bound = if ctl.value >= data.value { ctl } else { data };
-        let edge = if bound.value == 0 { None } else { bound.edge };
-        (bound.value, edge)
+
+        let (a, b) = if CD {
+            source[BIND_CTL_A] = &cd_chains.0;
+            source[BIND_CTL_B] = &cd_chains.1;
+            (cd.0, cd.1)
+        } else {
+            source[BIND_CTL_A] = &rec.last_branch;
+            source[BIND_CTL_B] = &rec.last_mispred;
+            (self.last_branch, self.last_mispred)
+        };
+        fold(&masked(&a, &self.m_a), BIND_CTL_A);
+        fold(&masked(&b, &self.m_b), BIND_CTL_B);
+        if CD && event.flags & EV_BRANCH != 0 {
+            source[BIND_MF_BRANCH] = &rec.last_branch;
+            fold(&masked(&self.last_branch, &self.m_ord_lb), BIND_MF_BRANCH);
+            if event.flags & EV_MISPRED != 0 {
+                source[BIND_MF_MISPRED] = &rec.last_mispred;
+                fold(&masked(&self.last_mispred, &self.m_ord_lm), BIND_MF_MISPRED);
+            }
+        }
+        if FETCH {
+            fold(fetch, BIND_HEAD);
+        }
+
+        let mut chains = empty;
+        let mut edges = [None; L];
+        for l in 0..L {
+            let label = pick[l] as usize;
+            chains[l] = source[label][l] + BIND_STEP[label];
+            edges[l] = BIND_EDGE[label];
+        }
+        (chains, edges)
     }
 }
 
 /// Object-safe handle over one monomorphized lane group, so the
 /// scheduler can hold a mixed set of groups and feed them chunk by
-/// chunk, on one thread or one thread per group. `S` is the metrics sink every
-/// feed reports to; throughput groups take the default [`NullSink`].
-pub(crate) trait GroupFeed<S: MetricsSink = NullSink>: Send {
+/// chunk, on one thread or one thread per group. `S` is the sink each
+/// lane reports to; throughput groups take the default [`NullSink`].
+pub(crate) trait GroupFeed<S = NullSink>: Send {
     /// Schedules one chunk of consecutive events: the next sub-slice of
     /// an in-memory trace, or the streaming path's next chunk. A
-    /// recording group reports every event to `sink`, in trace order.
-    fn feed(&mut self, pcs: &ProgramMeta, events: &[EventMeta], sink: &mut S);
+    /// recording group reports every event each lane schedules to that
+    /// lane's sink, in trace order.
+    fn feed(&mut self, pcs: &ProgramMeta, events: &[EventMeta]);
 
-    /// Closes the walk, returning `(request slot, result)` per real lane.
-    fn finish(self: Box<Self>) -> Vec<(usize, PassResult)>;
+    /// Closes the walk, returning `(request slot, result, sink)` per real
+    /// lane.
+    fn finish(self: Box<Self>) -> Vec<(usize, PassResult, S)>;
 }
 
-impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: MetricsSink>
+impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: GroupSink>
     GroupCursor<L, CD, RENAME, FETCH, S>
 {
     /// The kernel: schedules one chunk of events (see [`GroupFeed::feed`]).
@@ -657,9 +753,8 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
     /// [`Self::feed_events_avx512`] each compile their own copy of this one
     /// source under their own target features.
     #[inline(always)]
-    fn feed_events(&mut self, pcs: &ProgramMeta, events: &[EventMeta], sink: &mut S) {
-        for (j, event) in events.iter().enumerate() {
-            let index = (self.fed_events + j as u64) as u32;
+    fn feed_events(&mut self, pcs: &ProgramMeta, events: &[EventMeta]) {
+        for event in events {
             let meta = &pcs.pcs[event.pc as usize];
             let is_branch = event.flags & EV_BRANCH != 0;
             let mispredicted = event.flags & EV_MISPRED != 0 && is_branch;
@@ -678,11 +773,6 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
                 self.cd_ctx(event.cd)
             } else {
                 ([0; L], [0; L])
-            };
-            let cd_p = if S::ENABLED && CD {
-                self.attr.cd_parents(event.cd)
-            } else {
-                (NO_PARENT, NO_PARENT)
             };
 
             // Machine-specific control constraint: two masked primary
@@ -736,8 +826,19 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
             } else {
                 0
             };
+            // A recording group probes `mem_time` once for the slot, and
+            // reads the times and the chains beside them there.
+            let mem_slot = if S::ENABLED && (is_load || (!RENAME && is_store)) {
+                self.mem_time.find(mem_key)
+            } else {
+                None
+            };
             if is_load {
-                let mt = self.mem_time.get(mem_key);
+                let mt = if S::ENABLED {
+                    self.mem_time.times(mem_slot)
+                } else {
+                    self.mem_time.get(mem_key)
+                };
                 for l in 0..L {
                     data[l] = data[l].max(mt[l]);
                 }
@@ -752,7 +853,11 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
                 }
                 if is_store {
                     let mr = self.mem_read.get(mem_key);
-                    let mt = self.mem_time.get(mem_key);
+                    let mt = if S::ENABLED {
+                        self.mem_time.times(mem_slot)
+                    } else {
+                        self.mem_time.get(mem_key)
+                    };
                     for l in 0..L {
                         data[l] = data[l].max(mr[l]).max(mt[l]);
                     }
@@ -766,18 +871,37 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
                 exec[l] = data[l].max(ctl[l]) + 1;
                 done[l] = exec[l] + latency - 1;
             }
-            if S::ENABLED {
-                // Lane 0's binding edge, replayed while every table still
-                // holds the times the fold above read.
-                if am[0] != 0 {
-                    let (bound, edge) =
-                        self.binding_edge(event, meta, mem_key, (cd0[0], cd1[0]), cd_p);
-                    debug_assert_eq!(bound + 1, exec[0]);
-                    sink.on_schedule(index, exec[0], done[0], edge);
+
+            // A recording group's binding edges and chains, picked while
+            // every table still holds the times the fold above read.
+            let picked = if S::ENABLED {
+                let rec = self
+                    .rec
+                    .as_deref()
+                    .expect("a recording group has a recorder");
+                let cd_chains = if CD {
+                    rec.cd_ctx(event.cd)
                 } else {
-                    sink.on_schedule(index, 0, 0, None);
-                }
-            }
+                    ([HopSummary::EMPTY; L], [HopSummary::EMPTY; L])
+                };
+                let anti_store = !RENAME && is_store;
+                let terms = FoldTerms {
+                    mem_slot,
+                    mem_time: self.mem_time.times(mem_slot),
+                    mem_read: if anti_store {
+                        self.mem_read.get(mem_key)
+                    } else {
+                        [0; L]
+                    },
+                    fetch: std::array::from_fn(|l| self.count[l] / self.fetch_width),
+                    cd: (cd0, cd1),
+                    cd_chains,
+                };
+                let (chains, edges) = self.bind(rec, event, meta, &terms);
+                Some((chains, edges, cd_chains))
+            } else {
+                None
+            };
 
             // State updates, select-masked per lane.
             for (c, &a) in self.count.iter_mut().zip(&am) {
@@ -800,11 +924,6 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
             }
             if is_store {
                 let mt = self.mem_time.entry(mem_key);
-                // A store that does not raise an accumulated maximum does
-                // not own the key's time, so it never binds a later load.
-                if S::ENABLED && am[0] != 0 && (!self.accumulate || done[0] >= mt[0]) {
-                    self.attr.mem_writer.set(mem_key, u64::from(index) + 1);
-                }
                 if self.accumulate {
                     for l in 0..L {
                         mt[l] = (done[l].max(mt[l]) & am[l]) | (mt[l] & !am[l]);
@@ -869,35 +988,67 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
                     self.stack.pop();
                 }
             }
-            if S::ENABLED {
-                // Lane 0's writer shadows follow the time updates above.
-                let a = &mut self.attr;
-                let active = am[0] != 0;
-                if active && meta.def != NO_REG {
-                    a.reg_writer[meta.def as usize] = index;
+            if let Some((chains, edges, cd_chains)) = picked {
+                // The chains follow the time updates above: an active
+                // lane's event stores its chain wherever it stored its
+                // time, and an ignored branch passes its inherited chains
+                // through.
+                let rec = self
+                    .rec
+                    .as_deref_mut()
+                    .expect("a recording group has a recorder");
+                if meta.def != NO_REG {
+                    let rc = &mut rec.reg[meta.def as usize];
+                    for l in 0..L {
+                        rc[l] = if am[l] != 0 { chains[l] } else { rc[l] };
+                    }
+                }
+                if is_store {
+                    // A store owns the key's chain where the time it left
+                    // there is its own: under accumulating keys, a store
+                    // that does not raise the maximum keeps the chain of
+                    // the store that set it.
+                    let slot = self.mem_time.find(mem_key).expect("a store keeps its key");
+                    let times = &self.mem_time.values[slot];
+                    let owned = &mut self.mem_time.chains[slot];
+                    for l in 0..L {
+                        let own = am[l] != 0 && times[l] == done[l];
+                        owned[l] = if own { chains[l] } else { owned[l] };
+                    }
                 }
                 if is_branch {
-                    if active {
-                        a.last_branch_ev = index;
-                        if mispredicted {
-                            a.last_mispred_ev = index;
+                    for l in 0..L {
+                        if am[l] != 0 {
+                            rec.last_branch[l] = chains[l];
+                            if mispredicted {
+                                rec.last_mispred[l] = chains[l];
+                            }
                         }
                     }
                     if CD {
                         let pc = event.pc as usize;
-                        a.branch_time_ev[pc] = if active { index } else { cd_p.0 };
-                        a.branch_ceiling_ev[pc] = if active && mispredicted {
-                            index
-                        } else {
-                            cd_p.1
-                        };
+                        for l in 0..L {
+                            let active = am[l] != 0;
+                            rec.branch_time[pc][l] =
+                                if active { chains[l] } else { cd_chains.0[l] };
+                            rec.branch_ceiling[pc][l] = if active && mispredicted {
+                                chains[l]
+                            } else {
+                                cd_chains.1[l]
+                            };
+                        }
                     }
                 }
                 if CD {
                     if meta.is(PC_CALL) {
-                        a.stack_ev.push(cd_p);
+                        rec.stack.push(cd_chains);
                     } else if meta.is(PC_RET) {
-                        a.stack_ev.pop();
+                        rec.stack.pop();
+                    }
+                }
+                for (l, sink) in rec.sinks.iter_mut().enumerate() {
+                    if am[l] != 0 {
+                        sink.on_schedule(exec[l], done[l], edges[l], chains[l]);
                     }
                 }
             }
@@ -930,15 +1081,15 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
     /// vector compare, so its build folds lanes with scalar `cmov`s).
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512vl")]
-    fn feed_events_avx512(&mut self, pcs: &ProgramMeta, events: &[EventMeta], sink: &mut S) {
-        self.feed_events(pcs, events, sink);
+    fn feed_events_avx512(&mut self, pcs: &ProgramMeta, events: &[EventMeta]) {
+        self.feed_events(pcs, events);
     }
 }
 
-impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: MetricsSink>
+impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: GroupSink>
     GroupFeed<S> for GroupCursor<L, CD, RENAME, FETCH, S>
 {
-    fn feed(&mut self, pcs: &ProgramMeta, events: &[EventMeta], sink: &mut S) {
+    fn feed(&mut self, pcs: &ProgramMeta, events: &[EventMeta]) {
         // Attribution is tracing-gated so the untraced hot path pays one
         // relaxed load per ~16K-event chunk and nothing else.
         let feed_start = if clfp_metrics::trace::tracing_enabled() {
@@ -958,17 +1109,17 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
             // enables, on the running CPU.
             #[cfg(target_arch = "x86_64")]
             unsafe {
-                self.feed_events_avx512(pcs, events, sink);
+                self.feed_events_avx512(pcs, events);
             }
         } else {
-            self.feed_events(pcs, events, sink);
+            self.feed_events(pcs, events);
         }
         if let Some(t0) = feed_start {
             self.busy_ns += t0.elapsed().as_nanos() as u64;
         }
     }
 
-    fn finish(self: Box<Self>) -> Vec<(usize, PassResult)> {
+    fn finish(self: Box<Self>) -> Vec<(usize, PassResult, S)> {
         // One synthesized summary span per group walk: start = first
         // feed, duration = accumulated busy time (the group may have
         // interleaved with others on one thread, so a plain RAII guard
@@ -1009,18 +1160,21 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
             let lane = t.lane;
             stats[lane] = Some(t.finish());
         }
+        let mut sinks = self
+            .rec
+            .map(|rec| rec.sinks)
+            .unwrap_or_default()
+            .into_iter();
         self.lanes
             .iter()
             .enumerate()
             .map(|(l, lane)| {
-                (
-                    lane.slot,
-                    PassResult {
-                        cycles: self.cycles[l],
-                        count: self.count[l],
-                        mispred_stats: stats[l].take(),
-                    },
-                )
+                let pass = PassResult {
+                    cycles: self.cycles[l],
+                    count: self.count[l],
+                    mispred_stats: stats[l].take(),
+                };
+                (lane.slot, pass, sinks.next().unwrap_or_default())
             })
             .collect()
     }
@@ -1028,7 +1182,7 @@ impl<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool, S: M
 
 /// Boxes a width-`L` group, monomorphized for the configuration's
 /// renaming and fetch-bandwidth settings.
-fn boxed<const L: usize, const CD: bool, S: MetricsSink + 'static>(
+fn boxed<const L: usize, const CD: bool, S: GroupSink>(
     lanes: &[LaneSlot],
     pcs: &ProgramMeta,
     config: &AnalysisConfig,
@@ -1044,42 +1198,84 @@ fn boxed<const L: usize, const CD: bool, S: MetricsSink + 'static>(
     }
 }
 
-/// A throughput group for up to 8 lanes of one control-dependence class,
-/// at the narrowest monomorphized width that holds them.
-fn make_group<const CD: bool>(
-    lanes: &[LaneSlot],
-    pcs: &ProgramMeta,
-    config: &AnalysisConfig,
-    perfect_keys: usize,
-    disambiguation: MemDisambiguation,
-) -> Box<dyn GroupFeed> {
-    let make = match lanes.len() {
-        1 => boxed::<1, CD, NullSink>,
-        2 => boxed::<2, CD, NullSink>,
-        3 | 4 => boxed::<4, CD, NullSink>,
-        5 | 6 => boxed::<6, CD, NullSink>,
-        _ => boxed::<8, CD, NullSink>,
-    };
-    make(lanes, pcs, config, perfect_keys, disambiguation)
+/// A sink the lane driver opens groups for: [`NullSink`] for the
+/// throughput walks, [`MetricsCollector`] (one per lane) for the
+/// recording walks.
+pub(crate) trait GroupSink: MetricsSink + Default + Send + 'static {
+    /// Lanes per group: the widest build monomorphized for this sink.
+    const GROUP_LANES: usize;
+
+    /// A group for up to [`Self::GROUP_LANES`] lanes of one
+    /// control-dependence class, at the narrowest monomorphized width
+    /// that holds them.
+    fn group<const CD: bool>(
+        lanes: &[LaneSlot],
+        pcs: &ProgramMeta,
+        config: &AnalysisConfig,
+        perfect_keys: usize,
+        disambiguation: MemDisambiguation,
+    ) -> Box<dyn GroupFeed<Self>>;
 }
 
-/// Lanes per group: the widest monomorphized build.
-const GROUP_LANES: usize = 8;
+/// Throughput groups come in widths 1, 2, 4, 6 and 8: the full
+/// 7-machine × 2-setting request is exactly 8 CD + 6 non-CD lanes.
+impl GroupSink for NullSink {
+    const GROUP_LANES: usize = 8;
+
+    fn group<const CD: bool>(
+        lanes: &[LaneSlot],
+        pcs: &ProgramMeta,
+        config: &AnalysisConfig,
+        perfect_keys: usize,
+        disambiguation: MemDisambiguation,
+    ) -> Box<dyn GroupFeed> {
+        let make = match lanes.len() {
+            1 => boxed::<1, CD, NullSink>,
+            2 => boxed::<2, CD, NullSink>,
+            3 | 4 => boxed::<4, CD, NullSink>,
+            5 | 6 => boxed::<6, CD, NullSink>,
+            _ => boxed::<8, CD, NullSink>,
+        };
+        make(lanes, pcs, config, perfect_keys, disambiguation)
+    }
+}
+
+/// Recording groups come in widths 1, 2 and 4: a recording request is
+/// one mode at one unroll setting, so it holds at most the four CD
+/// machines in a group (a larger request opens further groups).
+impl GroupSink for MetricsCollector {
+    const GROUP_LANES: usize = 4;
+
+    fn group<const CD: bool>(
+        lanes: &[LaneSlot],
+        pcs: &ProgramMeta,
+        config: &AnalysisConfig,
+        perfect_keys: usize,
+        disambiguation: MemDisambiguation,
+    ) -> Box<dyn GroupFeed<Self>> {
+        let make = match lanes.len() {
+            1 => boxed::<1, CD, Self>,
+            2 => boxed::<2, CD, Self>,
+            _ => boxed::<4, CD, Self>,
+        };
+        make(lanes, pcs, config, perfect_keys, disambiguation)
+    }
+}
 
 /// All lane groups for one set of requested mode × unroll × machine
 /// slots, driven over a chunked event stream by [`LaneScheduler::run`]
 /// and finished into request-ordered results: the one lane driver of
-/// the in-memory walk and the streamed pass.
+/// the in-memory walks, recording or not, and the streamed pass.
 ///
-/// Each mode's slots split into CD and non-CD groups of up to 8 lanes
-/// (the full 7-machine × 2-setting request is exactly 8 CD + 6 non-CD
-/// lanes); larger requests simply open further groups.
-pub(crate) struct LaneScheduler {
-    groups: Vec<Box<dyn GroupFeed>>,
+/// Each mode's slots split into CD and non-CD groups of up to
+/// [`GroupSink::GROUP_LANES`] lanes; larger requests simply open further
+/// groups.
+pub(crate) struct LaneScheduler<S = NullSink> {
+    groups: Vec<Box<dyn GroupFeed<S>>>,
     total: usize,
 }
 
-impl LaneScheduler {
+impl<S: GroupSink> LaneScheduler<S> {
     /// The groups for every slot of `modes` × `unrolls` ×
     /// `config.machines`, numbered in that nesting order: mode-major,
     /// then unroll setting, then machine in request order. A mode's
@@ -1092,8 +1288,8 @@ impl LaneScheduler {
         modes: &[(MemDisambiguation, ValuePrediction)],
         unrolls: &[bool],
         perfect_keys: usize,
-    ) -> LaneScheduler {
-        let mut groups: Vec<Box<dyn GroupFeed>> = Vec::new();
+    ) -> LaneScheduler<S> {
+        let mut groups: Vec<Box<dyn GroupFeed<S>>> = Vec::new();
         let mut slot = 0;
         for &(disambiguation, value_prediction) in modes {
             let mut lanes = Vec::with_capacity(unrolls.len() * config.machines.len());
@@ -1111,8 +1307,8 @@ impl LaneScheduler {
             let (cd_lanes, plain_lanes): (Vec<LaneSlot>, Vec<LaneSlot>) = lanes
                 .into_iter()
                 .partition(|lane| lane.kind.uses_control_deps());
-            for lanes in cd_lanes.chunks(GROUP_LANES) {
-                groups.push(make_group::<true>(
+            for lanes in cd_lanes.chunks(S::GROUP_LANES) {
+                groups.push(S::group::<true>(
                     lanes,
                     pcs,
                     config,
@@ -1120,8 +1316,8 @@ impl LaneScheduler {
                     disambiguation,
                 ));
             }
-            for lanes in plain_lanes.chunks(GROUP_LANES) {
-                groups.push(make_group::<false>(
+            for lanes in plain_lanes.chunks(S::GROUP_LANES) {
+                groups.push(S::group::<false>(
                     lanes,
                     pcs,
                     config,
@@ -1141,12 +1337,12 @@ impl LaneScheduler {
     pub fn group_count(machines: &[MachineKind], unrolls: usize) -> usize {
         let cd = machines.iter().filter(|k| k.uses_control_deps()).count();
         let plain = machines.len() - cd;
-        (unrolls * cd).div_ceil(GROUP_LANES) + (unrolls * plain).div_ceil(GROUP_LANES)
+        (unrolls * cd).div_ceil(S::GROUP_LANES) + (unrolls * plain).div_ceil(S::GROUP_LANES)
     }
 
     /// Schedules every chunk `produce` emits, in emission order, and
-    /// closes the walk, returning results in request-slot order — or the
-    /// producer's error.
+    /// closes the walk, returning each slot's result and sink in
+    /// request-slot order — or the producer's error.
     ///
     /// When [`runs_threaded`] allows it for `threads` (`0` allows one per
     /// available core), each group walks on its own scoped thread and
@@ -1165,7 +1361,7 @@ impl LaneScheduler {
         pcs: &ProgramMeta,
         threads: usize,
         produce: impl FnOnce(&mut dyn FnMut(C)) -> Result<(), E>,
-    ) -> Result<Vec<PassResult>, E>
+    ) -> Result<Vec<(PassResult, S)>, E>
     where
         C: Deref + Clone + Send,
         C::Target: AsRef<[EventMeta]>,
@@ -1174,7 +1370,7 @@ impl LaneScheduler {
             produce(&mut |chunk: C| {
                 for piece in (*chunk).as_ref().chunks(FEED_CHUNK) {
                     for group in &mut self.groups {
-                        group.feed(pcs, piece, &mut NullSink);
+                        group.feed(pcs, piece);
                     }
                 }
             })?;
@@ -1194,7 +1390,7 @@ impl LaneScheduler {
                             .arg("worker", index as u64)
                             .arg("groups", 1u64);
                         for chunk in chunks {
-                            group.feed(pcs, (*chunk).as_ref(), &mut NullSink);
+                            group.feed(pcs, (*chunk).as_ref());
                         }
                     });
                     (send, thread)
@@ -1219,12 +1415,13 @@ impl LaneScheduler {
         Ok(self.finish())
     }
 
-    /// Closes every group, returning results in request-slot order.
-    fn finish(self) -> Vec<PassResult> {
-        let mut out: Vec<Option<PassResult>> = (0..self.total).map(|_| None).collect();
+    /// Closes every group, returning results and sinks in request-slot
+    /// order.
+    fn finish(self) -> Vec<(PassResult, S)> {
+        let mut out: Vec<Option<(PassResult, S)>> = (0..self.total).map(|_| None).collect();
         for group in self.groups {
-            for (slot, result) in group.finish() {
-                out[slot] = Some(result);
+            for (slot, result, sink) in group.finish() {
+                out[slot] = Some((result, sink));
             }
         }
         out.into_iter()
@@ -1258,52 +1455,12 @@ fn join(thread: ScopedJoinHandle<'_, ()>) {
 /// still makes a single pass over trace-sized memory.
 const FEED_CHUNK: usize = 1 << 14;
 
-/// The machine-major driver: schedules each of `config.machines` under
-/// `config`'s modes in a width-1 group of its own, which `walk` feeds the
-/// whole event stream — with whatever sink it owns — and finishes before
-/// the next machine's group exists. A recording sink therefore has one
-/// live instance at a time. Returns each machine's pass result next to
-/// what its `walk` returned.
-///
-/// Drives the recording metrics path and
-/// [`PreparedTrace::report_with_unrolling_scalar`](crate::PreparedTrace::report_with_unrolling_scalar).
-pub(crate) fn run_machine_major<S: MetricsSink + 'static, T>(
-    pcs: &ProgramMeta,
-    config: &AnalysisConfig,
-    unrolling: bool,
-    perfect_keys: usize,
-    mut walk: impl FnMut(&mut dyn GroupFeed<S>) -> T,
-) -> Vec<(PassResult, T)> {
-    config
-        .machines
-        .iter()
-        .map(|&kind| {
-            let lane = LaneSlot {
-                slot: 0,
-                kind,
-                unrolling,
-                vp_flag: vp_flag(config.value_prediction),
-            };
-            let make = if kind.uses_control_deps() {
-                boxed::<1, true, S>
-            } else {
-                boxed::<1, false, S>
-            };
-            let mut group = make(&[lane], pcs, config, perfect_keys, config.disambiguation);
-            let walked = walk(group.as_mut());
-            let (_, pass) = group.finish().pop().expect("a width-1 group has one lane");
-            (pass, walked)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::meta::{TraceMeta, EV_VP_STRIDE};
     use clfp_cfg::StaticInfo;
     use clfp_isa::assemble;
-    use clfp_metrics::MetricsCollector;
     use clfp_vm::{Vm, VmOptions};
 
     /// A procedure-heavy program exercising calls, recursion-free CD
@@ -1332,49 +1489,60 @@ mod tests {
             ret
         "#;
 
+    /// One walk of `events` through a `LaneScheduler` of sink `S`, for
+    /// `config`'s machines at one unroll setting under its modes.
+    fn walk<S: GroupSink>(
+        pcs: &ProgramMeta,
+        tm: &TraceMeta,
+        config: &AnalysisConfig,
+        unrolling: bool,
+    ) -> Vec<(PassResult, S)> {
+        let mode = [(config.disambiguation, config.value_prediction)];
+        let keys = tm.distinct_mem_keys as usize;
+        let scheduler = LaneScheduler::<S>::new(pcs, config, &mode, &[unrolling], keys);
+        let walked = scheduler.run(pcs, 0, |emit| {
+            emit(&tm.events[..]);
+            Ok::<(), ()>(())
+        });
+        walked.unwrap()
+    }
+
+    /// A recording walk schedules what a throughput walk of the same
+    /// request schedules, and its metrics re-derive the pass results.
     #[test]
     fn recording_sink_does_not_perturb_results() {
         let program = assemble(SOURCE).unwrap();
         let info = StaticInfo::analyze(&program);
+        let config = AnalysisConfig::quick();
+        let pcs = ProgramMeta::build(&program, &info, &config);
+        let mut vm = Vm::new(
+            &program,
+            VmOptions {
+                mem_words: config.mem_words,
+            },
+        );
+        let trace = vm.trace(config.max_instrs).unwrap();
+        let tm = TraceMeta::build(&program, &info, &pcs, &config, &trace);
         for unrolling in [false, true] {
-            let config = AnalysisConfig::quick().with_unrolling(unrolling);
-            let pcs = ProgramMeta::build(&program, &info, &config);
-            let mut vm = Vm::new(
-                &program,
-                VmOptions {
-                    mem_words: config.mem_words,
-                },
-            );
-            let trace = vm.trace(config.max_instrs).unwrap();
-            let tm = TraceMeta::build(&program, &info, &pcs, &config, &trace);
-            let keys = tm.distinct_mem_keys as usize;
-            let plain = run_machine_major(&pcs, &config, unrolling, keys, |group| {
-                group.feed(&pcs, &tm.events, &mut NullSink);
-            });
-            let observed = run_machine_major(&pcs, &config, unrolling, keys, |group| {
-                let mut collector = MetricsCollector::with_capacity(tm.events.len());
-                group.feed(&pcs, &tm.events, &mut collector);
-                collector
-            });
-            for ((&kind, (plain, ())), (observed, collector)) in
+            let plain = walk::<NullSink>(&pcs, &tm, &config, unrolling);
+            let observed = walk::<MetricsCollector>(&pcs, &tm, &config, unrolling);
+            assert_eq!(observed.len(), config.machines.len());
+            for ((&kind, (plain, NullSink)), (observed, collector)) in
                 config.machines.iter().zip(plain).zip(observed)
             {
-                assert_eq!(observed.cycles, plain.cycles, "{kind}");
-                assert_eq!(observed.count, plain.count, "{kind}");
-                assert_eq!(observed.mispred_stats, plain.mispred_stats, "{kind}");
-
-                assert_eq!(collector.len(), tm.events.len(), "{kind}");
+                assert_eq!(observed, plain, "{kind}");
                 let metrics = collector.finish();
                 // The distilled metrics re-derive the pass result exactly.
                 assert_eq!(metrics.cycles, plain.cycles, "{kind}");
                 assert_eq!(metrics.instrs, plain.count, "{kind}");
                 assert_eq!(metrics.flow.total(), plain.count, "{kind}");
-                assert!(metrics.attribution.chain_len >= 1, "{kind}");
-                let total: f64 = EdgeKind::ALL
-                    .iter()
-                    .map(|&k| metrics.attribution.percent(k))
-                    .sum();
-                if metrics.attribution.classified() > 0 {
+                // Unit latencies, renaming on and no fetch limit: every
+                // hop adds one cycle to a chain that starts at cycle 1.
+                let attribution = metrics.attribution;
+                assert_eq!(attribution.chain_len, plain.cycles, "{kind}");
+                assert_eq!(attribution.terminators, 1, "{kind}");
+                let total: f64 = EdgeKind::ALL.iter().map(|&k| attribution.percent(k)).sum();
+                if attribution.classified() > 0 {
                     assert!((total - 100.0).abs() < 1e-9, "{kind}: {total}");
                 }
                 // ORACLE has no control constraint of any kind.
@@ -1399,10 +1567,17 @@ mod tests {
         tm: TraceMeta,
     }
 
-    /// Feeds `input` in uneven chunks through twin groups: one by the
-    /// portable body, one by `feed`, which on this host dispatches to the
-    /// AVX-512 wrapper. Their results must be equal.
-    fn assert_twins_agree<const L: usize, const CD: bool, const RENAME: bool, const FETCH: bool>(
+    /// Feeds `input` in uneven chunks through twin groups of sink `S`:
+    /// one by the portable body, one by `feed`, which on this host
+    /// dispatches to the AVX-512 wrapper. Their results, and the whole
+    /// state of their sinks, must be equal.
+    fn assert_twins_agree<
+        const L: usize,
+        const CD: bool,
+        const RENAME: bool,
+        const FETCH: bool,
+        S: GroupSink + std::fmt::Debug,
+    >(
         input: &TwinInput,
         lanes: &[LaneSlot],
         config: &AnalysisConfig,
@@ -1417,36 +1592,46 @@ mod tests {
         let group = || {
             let keys = input.tm.distinct_mem_keys as usize;
             let args = (lanes, &input.pcs, config, keys, disambiguation);
-            GroupCursor::<L, CD, RENAME, FETCH, NullSink>::new(args)
+            GroupCursor::<L, CD, RENAME, FETCH, S>::new(args)
         };
         let (mut portable, mut avx512) = (group(), group());
         for chunk in input.tm.events.chunks(4093) {
-            portable.feed_events(&input.pcs, chunk, &mut NullSink);
-            avx512.feed(&input.pcs, chunk, &mut NullSink);
+            portable.feed_events(&input.pcs, chunk);
+            avx512.feed(&input.pcs, chunk);
         }
-        let (portable, avx512) = (Box::new(portable).finish(), Box::new(avx512).finish());
+        let outcome = |group: GroupCursor<L, CD, RENAME, FETCH, S>| -> Vec<_> {
+            let finished = Box::new(group).finish().into_iter();
+            finished
+                .map(|(slot, pass, sink)| (slot, pass, format!("{sink:?}")))
+                .collect()
+        };
+        let (portable, avx512) = (outcome(portable), outcome(avx512));
         assert_eq!(portable.len(), lanes.len());
         assert_eq!(
-            portable, avx512,
-            "L={L} CD={CD} rename={RENAME} fetch={FETCH} {disambiguation:?}"
+            portable,
+            avx512,
+            "L={L} CD={CD} rename={RENAME} fetch={FETCH} {disambiguation:?} recording={}",
+            S::ENABLED
         );
     }
 
-    /// Every twin configuration at width `L`: CD and non-CD lanes, under
+    /// Every twin configuration of sink `S` at width `L` over the CD
+    /// lanes `cd` and the non-CD lanes `plain` (each cut to `L`): under
     /// the default configuration and under renaming off with a fetch
     /// bandwidth of 4, for every disambiguation mode.
-    fn twins_at_width<const L: usize>(input: &TwinInput, config: &AnalysisConfig) {
+    fn twins_at_width<const L: usize, S: GroupSink + std::fmt::Debug>(
+        input: &TwinInput,
+        config: &AnalysisConfig,
+        cd: &[MachineKind],
+        plain: &[MachineKind],
+    ) {
         let stressed = AnalysisConfig {
             rename: false,
             fetch_bandwidth: Some(4),
             ..config.clone()
         };
-        use MachineKind::*;
-        let cd = [Cd, CdMf, SpCd, SpCdMf, Cd, CdMf, SpCd, SpCdMf];
-        let plain = [Base, Sp, Oracle, Base, Sp, Oracle];
         // Alternate unroll settings and value-prediction modes across
-        // lanes; a 6-machine pool fills a width-8 group with two padding
-        // lanes.
+        // lanes; a pool shorter than `L` leaves padding lanes.
         let lanes = |kinds: &[MachineKind]| -> Vec<LaneSlot> {
             kinds
                 .iter()
@@ -1460,12 +1645,12 @@ mod tests {
                 })
                 .collect()
         };
-        let (cd, plain) = (lanes(&cd), lanes(&plain));
+        let (cd, plain) = (lanes(cd), lanes(plain));
         for mode in MemDisambiguation::ALL {
-            assert_twins_agree::<L, true, true, false>(input, &cd, config, mode);
-            assert_twins_agree::<L, true, false, true>(input, &cd, &stressed, mode);
-            assert_twins_agree::<L, false, true, false>(input, &plain, config, mode);
-            assert_twins_agree::<L, false, false, true>(input, &plain, &stressed, mode);
+            assert_twins_agree::<L, true, true, false, S>(input, &cd, config, mode);
+            assert_twins_agree::<L, true, false, true, S>(input, &cd, &stressed, mode);
+            assert_twins_agree::<L, false, true, false, S>(input, &plain, config, mode);
+            assert_twins_agree::<L, false, false, true, S>(input, &plain, &stressed, mode);
         }
     }
 
@@ -1477,14 +1662,14 @@ mod tests {
     }
 
     impl GroupFeed for FakeGroup {
-        fn feed(&mut self, _: &ProgramMeta, _: &[EventMeta], _: &mut NullSink) {
+        fn feed(&mut self, _: &ProgramMeta, _: &[EventMeta]) {
             self.chunks += 1;
             if self.panics && self.chunks == 2 {
                 panic!("fake group: second chunk");
             }
         }
 
-        fn finish(self: Box<Self>) -> Vec<(usize, PassResult)> {
+        fn finish(self: Box<Self>) -> Vec<(usize, PassResult, NullSink)> {
             Vec::new()
         }
     }
@@ -1510,7 +1695,7 @@ mod tests {
         };
         let events = vec![event; 3];
         let shared = Arc::new(events.clone());
-        let scheduler = || LaneScheduler {
+        let scheduler = || LaneScheduler::<NullSink> {
             groups: vec![
                 Box::new(FakeGroup {
                     panics: true,
@@ -1571,9 +1756,20 @@ mod tests {
         let tm = TraceMeta::build(&program, &info, &pcs, &config, &trace);
         assert!(tm.events.iter().any(|e| e.flags & EV_VP_STRIDE != 0));
         let input = TwinInput { pcs, tm };
-        twins_at_width::<2>(&input, &config);
-        twins_at_width::<4>(&input, &config);
-        twins_at_width::<6>(&input, &config);
-        twins_at_width::<8>(&input, &config);
+        use MachineKind::*;
+        // Throughput groups: a 6-machine pool fills a width-8 group with
+        // two padding lanes.
+        let cd = [Cd, CdMf, SpCd, SpCdMf, Cd, CdMf, SpCd, SpCdMf];
+        let plain = [Base, Sp, Oracle, Base, Sp, Oracle];
+        twins_at_width::<2, NullSink>(&input, &config, &cd, &plain);
+        twins_at_width::<4, NullSink>(&input, &config, &cd, &plain);
+        twins_at_width::<6, NullSink>(&input, &config, &cd, &plain);
+        twins_at_width::<8, NullSink>(&input, &config, &cd, &plain);
+        // Recording groups at every width with an AVX-512 build that a
+        // recording request opens: the seven machines at one unroll
+        // setting are four CD lanes and three non-CD lanes.
+        let (cd, plain) = ([Cd, CdMf, SpCd, SpCdMf], [Base, Sp, Oracle]);
+        twins_at_width::<2, MetricsCollector>(&input, &config, &cd, &plain);
+        twins_at_width::<4, MetricsCollector>(&input, &config, &cd, &plain);
     }
 }

@@ -36,11 +36,13 @@
 //! code with the kernel.
 //!
 //! The kernel is generic over the `clfp-metrics` sink:
-//! [`PreparedTrace::machine_metrics`] re-runs the machines one at a time
-//! in width-1 recording groups to produce cycle-occupancy histograms and
-//! critical-path attribution (re-exported here as [`MachineMetrics`]),
-//! while the throughput paths use the statically-eliminated null sink and
-//! pay nothing for the instrumentation.
+//! [`PreparedTrace::machine_metrics`] re-runs the machines in one walk of
+//! recording groups, one collector per lane, to produce cycle-occupancy
+//! histograms and critical-path attribution (re-exported here as
+//! [`MachineMetrics`]); a recording group carries each chain's hop counts
+//! forward beside the times it stores, so nothing is kept per event. The
+//! throughput paths use the statically-eliminated null sink and pay
+//! nothing for the instrumentation.
 //!
 //! ## Example
 //!

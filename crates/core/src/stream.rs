@@ -38,6 +38,7 @@
 
 use std::sync::Arc;
 
+use clfp_metrics::NullSink;
 use clfp_vm::{ProgramSource, TraceSource, VmOptions};
 
 use crate::analyzer::{assemble_report, Analyzer, Report};
@@ -172,7 +173,7 @@ impl<'a> Analyzer<'a> {
         options: StreamOptions,
     ) -> Result<StreamedReports, AnalyzeError> {
         let config = &self.config;
-        let lane_groups = LaneScheduler::group_count(&config.machines, 2);
+        let lane_groups = LaneScheduler::<NullSink>::group_count(&config.machines, 2);
         let threaded = runs_threaded(options.machine_threads, lane_groups);
         let chunk_events = options
             .resolved_chunk_events(self.program.text.len(), threaded)
@@ -194,7 +195,8 @@ impl<'a> Analyzer<'a> {
         // through the lane kernel, under the configured modes.
         let mut builder = MetaBuilder::new(self.program, &self.info, pcs, config, &pass1.profile);
         let mode = (config.disambiguation, config.value_prediction);
-        let sched = LaneScheduler::new(pcs, config, &[mode], &[true, false], mem_capacity);
+        let sched =
+            LaneScheduler::<NullSink>::new(pcs, config, &[mode], &[true, false], mem_capacity);
         let workers = if threaded { lane_groups } else { 1 };
         let pass2_span = clfp_metrics::trace::span("stream.pass2", "stream")
             .arg("workers", workers as u64)
@@ -205,7 +207,7 @@ impl<'a> Analyzer<'a> {
         // enough, and steady-state pass 2 allocates nothing.
         let mut buffers: [Arc<Vec<EventMeta>>; 3] = Default::default();
         let mut next = 0;
-        let mut passes = sched.run(pcs, options.machine_threads, |emit| {
+        let walked = sched.run(pcs, options.machine_threads, |emit| {
             source.stream(chunk_events, &mut |chunk| {
                 let shared = &mut buffers[next % 3];
                 next += 1;
@@ -219,6 +221,7 @@ impl<'a> Analyzer<'a> {
             })
         })?;
         drop(pass2_span);
+        let mut passes: Vec<PassResult> = walked.into_iter().map(|(pass, NullSink)| pass).collect();
 
         let branches = branches_under(
             builder.branches(),

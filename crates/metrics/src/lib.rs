@@ -7,25 +7,25 @@
 //!   scheduling kernel. The trait carries a `const ENABLED` flag so that the
 //!   [`NullSink`] path monomorphizes to exactly the uninstrumented hot
 //!   loop (every `if S::ENABLED` block is statically eliminated).
-//! * [`MetricsCollector`] / [`MachineMetrics`] — the enabled sink. Keeps
-//!   each dynamic instruction's *binding edge* (the dependence that
-//!   determined its issue time; 5 bytes per event) for the critical-path
-//!   walk, and folds everything else as the events arrive: per-cycle issue
-//!   counts for the cycle-occupancy histogram ([`OccupancyHistogram`]),
-//!   the whole-run flow-break counters ([`FlowCounters`]) and the chain
-//!   head. Finishing buckets the counts and walks the chain into
-//!   critical-path attribution ([`CriticalPathAttribution`]).
+//! * [`MetricsCollector`] / [`MachineMetrics`] — the enabled sink, one
+//!   per machine. It folds each scheduled instruction as it arrives and
+//!   keeps nothing per event: per-cycle issue counts for the
+//!   cycle-occupancy histogram ([`OccupancyHistogram`]), the whole-run
+//!   flow-break counters ([`FlowCounters`]) and the [`HopSummary`] of
+//!   the chain head, which is the critical-path attribution
+//!   ([`CriticalPathAttribution`]).
 //! * [`RunManifest`] — provenance for generated artifacts: git describe,
 //!   a hash of the analysis configuration, trace cap, unroll setting,
 //!   wall-clock timestamp and host parallelism, embedded as a comment
 //!   header in every `results/*.md` file and as a field in the JSON
 //!   artifacts so results can be traced back to the run that produced them.
 //!
-//! Binding edges are classified with [`EdgeKind`]: register data
-//! dependence, memory data dependence, the machine's own control
-//! constraint, or the single-flow merge ordering that only exists on
-//! non-MF machines. See `docs/OBSERVABILITY.md` for the full semantics
-//! and a worked read-through of an attribution table.
+//! Binding edges (the dependence that determined an instruction's issue
+//! cycle) are classified with [`EdgeKind`]: register data dependence,
+//! memory data dependence, the machine's own control constraint, or the
+//! single-flow merge ordering that only exists on non-MF machines. See
+//! `docs/OBSERVABILITY.md` for the full semantics and a worked
+//! read-through of an attribution table.
 //!
 //! The [`trace`] module adds the wall-clock counterpart: span/counter
 //! recording over the whole pipeline with Chrome trace-event / Perfetto
@@ -41,10 +41,6 @@ pub mod json;
 pub mod trace;
 
 use json::Value;
-
-/// Sentinel parent index: the binding edge has no recorded producer event
-/// (e.g. an anti-dependence on an untracked reader when renaming is off).
-pub const NO_PARENT: u32 = u32::MAX;
 
 /// Classification of the dependence edge that bound a dynamic
 /// instruction's issue cycle.
@@ -84,42 +80,83 @@ impl EdgeKind {
         }
     }
 
-    fn code(self) -> u8 {
+    /// Position in [`EdgeKind::ALL`] order.
+    const fn index(self) -> usize {
         match self {
-            EdgeKind::RegData => 1,
-            EdgeKind::MemData => 2,
-            EdgeKind::Control => 3,
-            EdgeKind::MfMerge => 4,
+            EdgeKind::RegData => 0,
+            EdgeKind::MemData => 1,
+            EdgeKind::Control => 2,
+            EdgeKind::MfMerge => 3,
         }
-    }
-
-    fn from_code(code: u8) -> Option<EdgeKind> {
-        match code {
-            1 => Some(EdgeKind::RegData),
-            2 => Some(EdgeKind::MemData),
-            3 => Some(EdgeKind::Control),
-            4 => Some(EdgeKind::MfMerge),
-            _ => None,
-        }
-    }
-
-    fn index(self) -> usize {
-        self.code() as usize - 1
     }
 }
 
-/// The dependence edge that determined an instruction's issue cycle:
-/// its kind, and the trace index of the producing event ([`NO_PARENT`]
-/// when no producer event is recorded).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BindingEdge {
-    pub kind: EdgeKind,
-    pub parent: u32,
+/// The top bit of a [`HopSummary`]'s last word: the chain starts at a
+/// head.
+const HEAD_FLAG: u32 = 1 << 31;
+
+/// The hop summary of a dependence chain: how many hops of each
+/// [`EdgeKind`] lead back from its last instruction to where it starts,
+/// and whether it starts at a *head*, an instruction nothing bound. A
+/// chain that starts at an anti-dependence hop (renaming off) has no head:
+/// the binding reader is not tracked, so the hop has no producer.
+///
+/// The scheduling kernel keeps one beside every time it stores, the
+/// summary of the chain that produced that time, and carries it forward:
+/// an instruction's summary is its binding producer's plus one hop of
+/// the binding edge's kind, so the critical path's attribution is the
+/// summary of the instruction that completes last.
+///
+/// 16 bytes: four `u32` hop counts in [`EdgeKind::ALL`] order, the head
+/// flag in the top bit of the last. A chain has at most one hop per
+/// scheduled event, so the fields are exact for runs of fewer than 2³¹
+/// scheduled events.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HopSummary([u32; 4]);
+
+impl HopSummary {
+    /// No chain: the summary beside a time nothing has written, and what
+    /// an anti-dependence hop, which has no producer, extends.
+    pub const EMPTY: HopSummary = HopSummary([0; 4]);
+
+    /// A chain of one head: an instruction ready at cycle 0 or bound only
+    /// by the fetch limit.
+    pub const HEAD: HopSummary = HopSummary([0, 0, 0, HEAD_FLAG]);
+
+    /// One hop of `kind` with no head.
+    pub const fn hop(kind: EdgeKind) -> HopSummary {
+        let mut hops = [0; 4];
+        hops[kind.index()] = 1;
+        HopSummary(hops)
+    }
+
+    /// The critical-path attribution of a chain with this summary.
+    pub fn attribution(self) -> CriticalPathAttribution {
+        let [reg, mem, control, last] = self.0;
+        let counts = [reg, mem, control, last & !HEAD_FLAG].map(u64::from);
+        let terminators = u64::from(last >> 31);
+        CriticalPathAttribution {
+            counts,
+            terminators,
+            chain_len: counts.iter().sum::<u64>() + terminators,
+        }
+    }
 }
 
-impl BindingEdge {
-    pub fn new(kind: EdgeKind, parent: u32) -> Self {
-        BindingEdge { kind, parent }
+/// Chain concatenation: `self` continued by `rest`, a chain without a
+/// head of its own (such as [`HopSummary::hop`]).
+impl std::ops::Add for HopSummary {
+    type Output = HopSummary;
+
+    #[inline(always)]
+    fn add(self, rest: HopSummary) -> HopSummary {
+        let (a, b) = (self.0, rest.0);
+        HopSummary([
+            a[0].wrapping_add(b[0]),
+            a[1].wrapping_add(b[1]),
+            a[2].wrapping_add(b[2]),
+            a[3].wrapping_add(b[3]),
+        ])
     }
 }
 
@@ -134,13 +171,14 @@ pub trait MetricsSink {
     /// Statically known on/off switch; `false` removes all metrics code.
     const ENABLED: bool;
 
-    /// Called once per trace event, in trace order. Scheduled
-    /// instructions report their issue cycle `exec` (≥ 1) and completion
-    /// cycle `done`, plus the binding edge if one bound (`None` means the
-    /// instruction was ready at cycle 0 or was bound by the fetch-width
-    /// term). Ignored events (deleted by the inline/unroll masks) report
-    /// `exec == 0` and `done == 0`.
-    fn on_schedule(&mut self, index: u32, exec: u64, done: u64, edge: Option<BindingEdge>);
+    /// Called once per scheduled instruction of one machine, in trace
+    /// order; instructions the machine ignores (deleted by the
+    /// inline/unroll masks) are not reported. `exec` is the issue cycle
+    /// (≥ 1) and `done` the completion cycle; `edge` is the kind of the
+    /// binding edge, `None` for a head (ready at cycle 0 or bound by the
+    /// fetch-width term); `chain` is the [`HopSummary`] of the longest
+    /// dependence chain that ends at the instruction.
+    fn on_schedule(&mut self, exec: u64, done: u64, edge: Option<EdgeKind>, chain: HopSummary);
 }
 
 /// The metrics-off sink: every hook is a statically eliminated no-op.
@@ -151,24 +189,19 @@ impl MetricsSink for NullSink {
     const ENABLED: bool = false;
 
     #[inline(always)]
-    fn on_schedule(&mut self, _index: u32, _exec: u64, _done: u64, _edge: Option<BindingEdge>) {}
+    fn on_schedule(&mut self, _exec: u64, _done: u64, _edge: Option<EdgeKind>, _chain: HopSummary) {
+    }
 }
 
 /// The metrics-on sink for one machine pass.
 ///
-/// Per event it keeps only what the backward critical-path walk needs,
-/// the binding edge's kind and parent (5 bytes). Everything else is folded
-/// as the events arrive: per-cycle issue counts, the instruction and
-/// flow-break counters, the critical-path length and the chain head.
-/// [`finish`](MetricsCollector::finish) buckets the per-cycle counts and
-/// walks the chain into [`MachineMetrics`].
+/// Keeps nothing per event: it folds each scheduled instruction as it
+/// arrives into per-cycle issue counts, the instruction and flow-break
+/// counters, the critical-path length and the hop summary of the chain
+/// head. [`finish`](MetricsCollector::finish) buckets the per-cycle
+/// counts into [`MachineMetrics`].
 #[derive(Debug, Default)]
 pub struct MetricsCollector {
-    /// [`EdgeKind`] code of each event's binding edge; 0 for none, and for
-    /// ignored events.
-    edge_kind: Vec<u8>,
-    /// Producer event of each binding edge, [`NO_PARENT`] for none.
-    edge_parent: Vec<u32>,
     /// Instructions issued per cycle, indexed by issue cycle (index 0 stays
     /// 0). `u32` suffices: a run holds fewer than `u32::MAX` events.
     per_cycle: Vec<u32>,
@@ -176,31 +209,14 @@ pub struct MetricsCollector {
     /// Latest completion cycle so far.
     cycles: u64,
     flow: FlowCounters,
-    /// The last scheduled event to complete at `cycles`, where the
-    /// critical-path walk starts.
-    head: Option<u32>,
+    /// The chain of the last scheduled instruction to complete at
+    /// `cycles`: the critical path.
+    head: HopSummary,
 }
 
 impl MetricsCollector {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    pub fn with_capacity(events: usize) -> Self {
-        MetricsCollector {
-            edge_kind: Vec::with_capacity(events),
-            edge_parent: Vec::with_capacity(events),
-            ..Self::default()
-        }
-    }
-
-    /// Number of events recorded so far (scheduled + ignored).
-    pub fn len(&self) -> usize {
-        self.edge_kind.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.edge_kind.is_empty()
     }
 
     /// Distill the recorded schedule into summary metrics.
@@ -209,36 +225,9 @@ impl MetricsCollector {
             instrs: self.instrs,
             cycles: self.cycles,
             occupancy: OccupancyHistogram::from_per_cycle(&self.per_cycle, self.cycles),
-            attribution: self.walk_critical_path(),
+            attribution: self.head.attribution(),
             flow: self.flow,
         }
-    }
-
-    /// Reconstruct the longest dependence chain by walking binding-edge
-    /// parents back from the chain head, counting the edge kind of every
-    /// hop.
-    fn walk_critical_path(&self) -> CriticalPathAttribution {
-        let mut attr = CriticalPathAttribution::default();
-        let Some(head) = self.head else { return attr };
-        let mut cur = head as usize;
-        loop {
-            attr.chain_len += 1;
-            let Some(kind) = EdgeKind::from_code(self.edge_kind[cur]) else {
-                // Ready at cycle 0 or fetch-bound: the chain starts here.
-                attr.terminators += 1;
-                break;
-            };
-            attr.counts[kind.index()] += 1;
-            let parent = self.edge_parent[cur];
-            // Parents always precede their consumers in trace order; the
-            // strict inequality also guards the walk against cycles.
-            if parent != NO_PARENT && (parent as usize) < cur {
-                cur = parent as usize;
-            } else {
-                break;
-            }
-        }
-        attr
     }
 }
 
@@ -246,15 +235,11 @@ impl MetricsSink for MetricsCollector {
     const ENABLED: bool = true;
 
     #[inline]
-    fn on_schedule(&mut self, index: u32, exec: u64, done: u64, edge: Option<BindingEdge>) {
-        debug_assert_eq!(index as usize, self.edge_kind.len());
-        let (code, parent) = edge.map_or((0, NO_PARENT), |e| (e.kind.code(), e.parent));
-        self.edge_kind.push(code);
-        self.edge_parent.push(parent);
-        if exec == 0 {
-            debug_assert_eq!(done, 0, "ignored events complete at cycle 0");
-            return;
-        }
+    fn on_schedule(&mut self, exec: u64, done: u64, edge: Option<EdgeKind>, chain: HopSummary) {
+        debug_assert!(
+            exec >= 1,
+            "scheduled instructions issue at cycle 1 or later"
+        );
         let cycle = exec as usize;
         if cycle >= self.per_cycle.len() {
             self.per_cycle.resize(cycle + 1, 0);
@@ -262,13 +247,13 @@ impl MetricsSink for MetricsCollector {
         self.per_cycle[cycle] += 1;
         self.instrs += 1;
         match edge {
-            Some(e) => self.flow.by_kind[e.kind.index()] += 1,
+            Some(kind) => self.flow.by_kind[kind.index()] += 1,
             None => self.flow.unconstrained += 1,
         }
         // Later wins a tie, mirroring the scheduler's tie-breaking.
         if done >= self.cycles {
             self.cycles = done;
-            self.head = Some(index);
+            self.head = chain;
         }
     }
 }
@@ -668,10 +653,12 @@ pub fn ascii_bar(value: f64, max: f64, width: usize) -> String {
 mod tests {
     use super::*;
 
-    fn collect(schedule: &[(u64, u64, Option<BindingEdge>)]) -> MetricsCollector {
+    /// A collector fed `schedule`: per scheduled instruction its issue
+    /// and completion cycles, binding-edge kind and chain summary.
+    fn collect(schedule: &[(u64, u64, Option<EdgeKind>, HopSummary)]) -> MetricsCollector {
         let mut sink = MetricsCollector::new();
-        for (i, &(exec, done, edge)) in schedule.iter().enumerate() {
-            sink.on_schedule(i as u32, exec, done, edge);
+        for &(exec, done, edge, chain) in schedule {
+            sink.on_schedule(exec, done, edge, chain);
         }
         sink
     }
@@ -679,14 +666,14 @@ mod tests {
     #[test]
     fn occupancy_histogram_buckets_by_power_of_two() {
         // Cycle 1: three instrs, one of latency 4 that completes last, at
-        // cycle 4; cycle 3: one instr; one ignored event. Occupancy counts
-        // issue cycles, while the run lasts until the last completion.
+        // cycle 4; cycle 3: one instr. Occupancy counts issue cycles,
+        // while the run lasts until the last completion.
+        let head = HopSummary::HEAD;
         let schedule = [
-            (1, 1, None),
-            (1, 1, None),
-            (1, 4, None),
-            (3, 3, None),
-            (0, 0, None),
+            (1, 1, None, head),
+            (1, 1, None, head),
+            (1, 4, None, head),
+            (3, 3, None, head),
         ];
         let m = collect(&schedule).finish();
         assert_eq!(m.instrs, 4);
@@ -714,9 +701,9 @@ mod tests {
         assert!((m.occupancy.mean() - 1.0).abs() < 1e-12);
         assert!((m.occupancy.fraction_in_wide_cycles(2) - 0.75).abs() < 1e-12);
         // The per-event fold agrees with the histogram built from whole
-        // per-event cycle arrays.
-        let exec: Vec<u64> = schedule.iter().map(|e| e.0).collect();
-        let done: Vec<u64> = schedule.iter().map(|e| e.1).collect();
+        // per-event cycle arrays, where an ignored event reads 0.
+        let exec = [1, 1, 1, 3, 0];
+        let done = [1, 1, 4, 3, 0];
         assert_eq!(
             m.occupancy,
             OccupancyHistogram::from_exec_cycles(&exec, &done)
@@ -724,16 +711,19 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_walk_counts_edge_kinds() {
+    fn hop_summaries_carry_the_chain_forward() {
         use EdgeKind::*;
         // Chain: 3 <-control- 2 <-reg- 1 <-mem- 0 (head, no edge).
+        let c0 = HopSummary::HEAD;
+        let c1 = c0 + HopSummary::hop(MemData);
+        let c2 = c1 + HopSummary::hop(RegData);
+        let c3 = c2 + HopSummary::hop(Control);
         let sink = collect(&[
-            (1, 1, None),
-            (2, 2, Some(BindingEdge::new(MemData, 0))),
-            (3, 3, Some(BindingEdge::new(RegData, 1))),
-            (4, 4, Some(BindingEdge::new(Control, 2))),
-            (1, 1, None), // off-chain
-            (0, 0, None), // ignored after the last finisher: not the head
+            (1, 1, None, c0),
+            (2, 2, Some(MemData), c1),
+            (3, 3, Some(RegData), c2),
+            (4, 4, Some(Control), c3),
+            (1, 1, None, HopSummary::HEAD), // off-chain
         ]);
         let attr = sink.finish().attribution;
         assert_eq!(attr.chain_len, 4);
@@ -741,6 +731,7 @@ mod tests {
         assert_eq!(attr.counts, [1, 1, 1, 0]);
         let total: f64 = EdgeKind::ALL.iter().map(|&k| attr.percent(k)).sum();
         assert!((total - 100.0).abs() < 1e-9);
+        assert_eq!(std::mem::size_of::<HopSummary>(), 16);
     }
 
     #[test]
@@ -748,11 +739,12 @@ mod tests {
         use EdgeKind::*;
         // Events 1 and 2 both complete at cycle 3 (2 has latency 2); the
         // later one heads the chain, as in the scheduler's max-fold.
+        let head = HopSummary::HEAD;
         let m = collect(&[
-            (1, 1, None),
-            (3, 3, Some(BindingEdge::new(RegData, 0))),
-            (2, 3, Some(BindingEdge::new(MemData, 0))),
-            (1, 1, None),
+            (1, 1, None, head),
+            (3, 3, Some(RegData), head + HopSummary::hop(RegData)),
+            (2, 3, Some(MemData), head + HopSummary::hop(MemData)),
+            (1, 1, None, head),
         ])
         .finish();
         assert_eq!(m.cycles, 3);
@@ -762,10 +754,8 @@ mod tests {
     }
 
     #[test]
-    fn all_ignored_schedule_records_nothing() {
-        let sink = collect(&[(0, 0, None), (0, 0, None)]);
-        assert_eq!(sink.len(), 2);
-        let m = sink.finish();
+    fn empty_schedule_records_nothing() {
+        let m = collect(&[]).finish();
         assert_eq!((m.instrs, m.cycles), (0, 0));
         assert!(m.occupancy.buckets.is_empty());
         assert_eq!((m.occupancy.busy_cycles, m.occupancy.peak), (0, 0));
@@ -775,12 +765,10 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_walk_stops_at_unparented_edge() {
+    fn anti_dependence_hop_starts_a_chain_without_a_head() {
         use EdgeKind::*;
-        let sink = collect(&[
-            (1, 1, None),
-            (2, 2, Some(BindingEdge::new(RegData, NO_PARENT))),
-        ]);
+        let anti = HopSummary::EMPTY + HopSummary::hop(RegData);
+        let sink = collect(&[(1, 1, None, HopSummary::HEAD), (2, 2, Some(RegData), anti)]);
         let attr = sink.finish().attribution;
         assert_eq!(attr.chain_len, 1);
         assert_eq!(attr.counts, [1, 0, 0, 0]);
@@ -790,12 +778,13 @@ mod tests {
     #[test]
     fn flow_counters_cover_all_scheduled_instructions() {
         use EdgeKind::*;
+        let head = HopSummary::HEAD;
+        let mf = head + HopSummary::hop(MfMerge);
         let sink = collect(&[
-            (1, 1, None),
-            (2, 2, Some(BindingEdge::new(MfMerge, 0))),
-            (2, 2, Some(BindingEdge::new(MfMerge, 0))),
-            (0, 0, None), // ignored: not counted
-            (3, 3, Some(BindingEdge::new(MemData, 1))),
+            (1, 1, None, head),
+            (2, 2, Some(MfMerge), mf),
+            (2, 2, Some(MfMerge), mf),
+            (3, 3, Some(MemData), mf + HopSummary::hop(MemData)),
         ]);
         let m = sink.finish();
         assert_eq!(m.flow.unconstrained, 1);

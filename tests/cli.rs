@@ -1,19 +1,43 @@
 //! Integration tests for the `clfp` command-line binary.
 
-use std::io::Write as _;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn clfp() -> Command {
     Command::new(env!("CARGO_BIN_EXE_clfp"))
 }
 
-fn write_temp(name: &str, content: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("clfp-cli-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(name);
-    let mut file = std::fs::File::create(&path).unwrap();
-    file.write_all(content.as_bytes()).unwrap();
-    path
+/// One test's own directory under the system temp directory, named for
+/// the process and the test. Dropping the guard removes the directory
+/// and everything in it, so it goes when the test ends, on failure too.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(test: &str) -> TempDir {
+        let name = format!("clfp-cli-test-{}-{test}", std::process::id());
+        let dir = std::env::temp_dir().join(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+
+    fn path(&self) -> &Path {
+        &self.0
+    }
+
+    /// Writes `content` to the file `name` in the directory.
+    fn write(&self, name: &str, content: &str) -> PathBuf {
+        let path = self.0.join(name);
+        std::fs::write(&path, content).unwrap();
+        path
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        // Best effort: a failed removal must not turn a passing test into
+        // a panic, or a failing one into an abort.
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 const PROGRAM: &str = r#"
@@ -38,9 +62,10 @@ fn help_lists_commands() {
 
 #[test]
 fn lint_reports_and_exits_by_severity() {
+    let temp = TempDir::new("lint_reports_and_exits_by_severity");
     // The toy program is clean of errors but trips the MiniC codegen
     // lints (unreachable fallback return): exit 0, findings printed.
-    let path = write_temp("lint.mc", PROGRAM);
+    let path = temp.write("lint.mc", PROGRAM);
     let output = clfp()
         .arg("lint")
         .arg(&path)
@@ -73,7 +98,8 @@ fn lint_reports_and_exits_by_severity() {
 
 #[test]
 fn run_prints_result() {
-    let path = write_temp("run.mc", PROGRAM);
+    let temp = TempDir::new("run_prints_result");
+    let path = temp.write("run.mc", PROGRAM);
     let output = clfp().arg("run").arg(&path).output().unwrap();
     assert!(output.status.success());
     let text = String::from_utf8(output.stdout).unwrap();
@@ -84,7 +110,8 @@ fn run_prints_result() {
 
 #[test]
 fn compile_emits_assembly() {
-    let path = write_temp("compile.mc", PROGRAM);
+    let temp = TempDir::new("compile_emits_assembly");
+    let path = temp.write("compile.mc", PROGRAM);
     let output = clfp().arg("compile").arg(&path).output().unwrap();
     assert!(output.status.success());
     let text = String::from_utf8(output.stdout).unwrap();
@@ -94,7 +121,8 @@ fn compile_emits_assembly() {
 
 #[test]
 fn compile_with_if_conversion_emits_cmov() {
-    let path = write_temp("ifc.mc", PROGRAM);
+    let temp = TempDir::new("compile_with_if_conversion_emits_cmov");
+    let path = temp.write("ifc.mc", PROGRAM);
     let output = clfp()
         .args(["compile", "--if-convert"])
         .arg(&path)
@@ -107,7 +135,8 @@ fn compile_with_if_conversion_emits_cmov() {
 
 #[test]
 fn analyze_reports_all_machines() {
-    let path = write_temp("analyze.mc", PROGRAM);
+    let temp = TempDir::new("analyze_reports_all_machines");
+    let path = temp.write("analyze.mc", PROGRAM);
     let output = clfp()
         .args(["analyze"])
         .arg(&path)
@@ -135,7 +164,8 @@ fn analyze_by_workload_name() {
 
 #[test]
 fn trace_roundtrip_via_files() {
-    let path = write_temp("trace.mc", PROGRAM);
+    let temp = TempDir::new("trace_roundtrip_via_files");
+    let path = temp.write("trace.mc", PROGRAM);
     let trc = path.with_extension("trc");
     let output = clfp()
         .arg("trace")
@@ -165,7 +195,7 @@ fn trace_roundtrip_via_files() {
     );
 
     // A different program must reject the trace.
-    let other = write_temp("other.mc", "fn main() -> int { return 1; }");
+    let other = temp.write("other.mc", "fn main() -> int { return 1; }");
     let output = clfp()
         .arg("analyze")
         .arg(&other)
@@ -180,13 +210,12 @@ fn trace_roundtrip_via_files() {
 
 #[test]
 fn cache_lists_and_clears_a_directory() {
+    let temp = TempDir::new("cache_lists_and_clears_a_directory");
     // A tab in the directory's name and a quote in a cache file's name
     // must reach the JSON listing escaped.
-    let dir = std::env::temp_dir()
-        .join(format!("clfp-cli-test-{}", std::process::id()))
-        .join("cache\tdir");
+    let dir = temp.path().join("cache\tdir");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = write_temp("cached.mc", PROGRAM);
+    let path = temp.write("cached.mc", PROGRAM);
     let stored = dir.join("stored.trc");
     let output = clfp()
         .arg("trace")
@@ -231,7 +260,6 @@ fn cache_lists_and_clears_a_directory() {
     let json = cache(&["list", "--max-instrs", "1000", "--json"]);
     assert!(json.contains("\"entries\": [],"), "{json}");
     assert!(json.contains("\"total_bytes\": 0,"), "{json}");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -246,12 +274,13 @@ fn workloads_lists_the_suite() {
 
 #[test]
 fn errors_are_reported_not_panicked() {
+    let temp = TempDir::new("errors_are_reported_not_panicked");
     let output = clfp().arg("analyze").arg("/nonexistent.mc").output().unwrap();
     assert!(!output.status.success());
     let text = String::from_utf8(output.stderr).unwrap();
     assert!(text.contains("cannot read"));
 
-    let bad = write_temp("bad.mc", "fn main( { return 0; }");
+    let bad = temp.write("bad.mc", "fn main( { return 0; }");
     let output = clfp().arg("compile").arg(&bad).output().unwrap();
     assert!(!output.status.success());
     let text = String::from_utf8(output.stderr).unwrap();
@@ -320,7 +349,7 @@ fn errors_are_reported_not_panicked() {
     // A trace file whose first event's pc has a high bit flipped names an
     // instruction the program does not have: the stream reports it as the
     // VM's bad-pc error, naming the pc.
-    let path = write_temp("flipped.mc", PROGRAM);
+    let path = temp.write("flipped.mc", PROGRAM);
     let trc = path.with_extension("trc");
     let output = clfp()
         .arg("trace")
@@ -352,7 +381,8 @@ fn errors_are_reported_not_panicked() {
 
 #[test]
 fn disasm_shows_labels() {
-    let path = write_temp("disasm.mc", PROGRAM);
+    let temp = TempDir::new("disasm_shows_labels");
+    let path = temp.write("disasm.mc", PROGRAM);
     let output = clfp().arg("disasm").arg(&path).output().unwrap();
     assert!(output.status.success());
     let text = String::from_utf8(output.stdout).unwrap();

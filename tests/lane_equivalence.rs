@@ -16,11 +16,14 @@
 //! lost carry, not floating-point noise. The per-mode cases also gate
 //! both axes: the `clfp-verify` monotonicity check runs over the
 //! disambiguation modes' and the value-prediction modes' reference
-//! reports. Random machine subsets in random request orders, a fixed
-//! MiniC program that catches a stale branch ceiling, an assembly program
-//! whose computed transfers land in the middle of blocks, and the
-//! inlining-off configuration round it out; `random_programs.rs` runs the
-//! same comparison on random programs.
+//! reports. The recording walks' chains must be tight (under unit
+//! latencies every critical path is as long as the run, with one head),
+//! and their attribution under the configurations no committed page pins
+//! must hash to a recorded digest. Random machine subsets in random
+//! request orders, a fixed MiniC program that catches a stale branch
+//! ceiling or chain, an assembly program whose computed transfers land in
+//! the middle of blocks, and the inlining-off configuration round it out;
+//! `random_programs.rs` runs the same comparison on random programs.
 //!
 //! [`PreparedTrace::report_with_unrolling`]: clfp::limits::PreparedTrace::report_with_unrolling
 //! [`PreparedTrace::report_both`]: clfp::limits::PreparedTrace::report_both
@@ -32,10 +35,10 @@ mod common;
 
 use clfp::isa::Program;
 use clfp::limits::{
-    AnalysisConfig, Analyzer, MachineKind, MemDisambiguation, Report, StreamOptions,
+    AnalysisConfig, Analyzer, Latencies, MachineKind, MemDisambiguation, Report, StreamOptions,
     ValuePrediction,
 };
-use clfp::metrics::OccupancyHistogram;
+use clfp::metrics::{fnv1a64, OccupancyHistogram};
 use clfp::verify::check_monotonicity;
 use clfp::vm::{Trace, Vm, VmOptions};
 use common::{program_with, same_report, Rng};
@@ -544,7 +547,10 @@ fn every_mode_slice_matches_reference() {
 /// The recording walks schedule what the reference pass schedules: every
 /// machine's recorded critical path and instruction count equal the
 /// reference report's, at both unroll settings, under perfect and static
-/// disambiguation.
+/// disambiguation. And its chains are tight: under unit latencies, with
+/// renaming on and no fetch limit, every hop adds exactly one cycle to a
+/// chain that starts at cycle 1, so the recorded critical path is as long
+/// as the run and has one head.
 #[test]
 fn machine_metrics_match_reference_cycles_and_counts() {
     for (name, program) in programs() {
@@ -570,10 +576,87 @@ fn machine_metrics_match_reference_cycles_and_counts() {
                     let schedule = analyzer.schedule(&trace, *kind);
                     let occupancy = OccupancyHistogram::from_exec_cycles(&schedule, &schedule);
                     assert_eq!(m.occupancy, occupancy, "{tag} {kind}: occupancy");
+                    let a = &m.attribution;
+                    assert_eq!(a.chain_len, r.cycles, "{tag} {kind}: chain length");
+                    assert_eq!(a.terminators, 1, "{tag} {kind}: chain heads");
+                    assert_eq!(a.classified(), a.chain_len - 1, "{tag} {kind}: hops");
                 }
             }
         }
     }
+}
+
+/// FNV-1a digest of [`attribution_rows`], recorded from the recorder
+/// that walked each machine's binding-edge parents back from the chain
+/// head, before the kernel carried hop summaries forward.
+const ATTRIBUTION_DIGEST: u64 = 0xffc0_3b24_b790_e478;
+
+/// Every machine's critical-path attribution and flow counters, one row
+/// per (program, configuration, unroll setting, machine), over
+/// [`MODE_PROGRAMS`] under the configurations no committed page pins:
+/// static and no disambiguation, stride value prediction, renaming off
+/// with a fetch bandwidth of 4 (anti-dependence hops with no producer,
+/// fetch-bound heads in mid-trace), realistic latencies, and 64-byte
+/// disambiguation blocks (stores accumulate).
+fn attribution_rows() -> String {
+    use std::fmt::Write;
+    let configs = [
+        (
+            "static",
+            config().with_disambiguation(MemDisambiguation::Static),
+        ),
+        (
+            "none",
+            config().with_disambiguation(MemDisambiguation::None),
+        ),
+        (
+            "stride",
+            config().with_value_prediction(ValuePrediction::Stride),
+        ),
+        (
+            "rename-off-fetch-4",
+            config().with_rename(false).with_fetch_bandwidth(4),
+        ),
+        ("realistic", config().with_latency(Latencies::realistic())),
+        ("bytes-64", config().with_disambiguation_bytes(64)),
+    ];
+    let mut rows = String::new();
+    for (name, program) in programs() {
+        if !MODE_PROGRAMS.contains(&name.as_str()) {
+            continue;
+        }
+        let trace = trace_of(&program);
+        for (label, config) in &configs {
+            let analyzer = Analyzer::new(&program, config.clone()).unwrap();
+            let prepared = analyzer.prepare(&trace);
+            for unrolling in [true, false] {
+                for (kind, m) in prepared.machine_metrics_with_unrolling(unrolling) {
+                    let (a, f) = (&m.attribution, &m.flow);
+                    writeln!(
+                        rows,
+                        "{name} {label} unroll={unrolling} {kind}: chain {} heads {} hops {:?} \
+                         flow {:?} unconstrained {}",
+                        a.chain_len, a.terminators, a.counts, f.by_kind, f.unconstrained
+                    )
+                    .unwrap();
+                }
+            }
+        }
+    }
+    rows
+}
+
+/// The attribution where no committed page pins it: the rows of
+/// [`attribution_rows`] must hash to [`ATTRIBUTION_DIGEST`].
+#[test]
+fn attribution_matches_recorded_digest() {
+    let rows = attribution_rows();
+    assert_eq!(rows.lines().count(), MODE_PROGRAMS.len() * 6 * 2 * 7);
+    assert_eq!(
+        fnv1a64(&rows),
+        ATTRIBUTION_DIGEST,
+        "attribution rows changed:\n{rows}"
+    );
 }
 
 #[test]
@@ -640,12 +723,33 @@ fn random_machine_subsets_match_reference() {
     }
 }
 
+/// Every machine's recorded chain is tight at both unroll settings under
+/// `config` (unit latencies, renaming on, no fetch limit): as long as the
+/// run, with one head.
+fn assert_tight_chains(program: &Program, trace: &Trace, config: &AnalysisConfig, tag: &str) {
+    let analyzer = Analyzer::new(program, config.clone()).unwrap();
+    let prepared = analyzer.prepare(trace);
+    for unrolling in [true, false] {
+        for (kind, m) in prepared.machine_metrics_with_unrolling(unrolling) {
+            let a = &m.attribution;
+            let tight = a.chain_len == m.cycles && a.terminators == 1;
+            assert!(
+                tight,
+                "{tag} unroll={unrolling} {kind}: {a:?} over {} cycles",
+                m.cycles
+            );
+        }
+    }
+}
+
 /// A correctly predicted branch that an unrolled lane ignores must pass
 /// the constraint it would have waited on (`cd1`) through as its ceiling,
-/// not keep the ceiling of an earlier misprediction. This nest — an `if`
-/// around a one-trip `for` around a two-trip `while` — is a minimal form
-/// of the random programs that catch a kernel keeping the stale ceiling;
-/// pinning it catches that bug whatever the random case count.
+/// not keep the ceiling of an earlier misprediction, and a recording lane
+/// must pass the chains of both through the same way. This nest — an
+/// `if` around a one-trip `for` around a two-trip `while` — is a minimal
+/// form of the random programs that catch a kernel keeping the stale
+/// ceiling, or storing the ignored branch's own chain; pinning it catches
+/// those bugs whatever the random case count.
 #[test]
 fn ignored_predicted_branch_passes_its_ceiling_through() {
     let source = program_with(
@@ -659,5 +763,7 @@ fn ignored_predicted_branch_passes_its_ceiling_through() {
 ",
     );
     let program = clfp::lang::compile(&source).unwrap();
-    assert_both_match_reference(&program, &trace_of(&program), &config(), "nest");
+    let trace = trace_of(&program);
+    assert_both_match_reference(&program, &trace, &config(), "nest");
+    assert_tight_chains(&program, &trace, &config(), "nest");
 }

@@ -10,7 +10,11 @@
 //!   preparation and one [`report_mode_matrix`] walk cover all 12
 //!   (disambiguation, value-prediction) modes. Each mode's reports equal
 //!   the reference pass at both unroll settings and the streamed pass at
-//!   chunk sizes 1, 7 and whole-trace, bit for bit.
+//!   chunk sizes 1, 7 and whole-trace, bit for bit. The recording walks
+//!   ([`machine_metrics_with_unrolling`]) of three mode slices reproduce
+//!   the reference cycles and instruction counts, and record tight
+//!   chains: under unit latencies every critical path is as long as the
+//!   run, with one head.
 //! - **The theorems.** Every mode's reports obey the paper's machine
 //!   ordering, both mode axes obey [`check_monotonicity`], perfect
 //!   unrolling never lengthens the critical path, and the alias analysis
@@ -21,6 +25,7 @@
 //! deleting statements while the failure still reproduces.
 //!
 //! [`report_mode_matrix`]: clfp::limits::PreparedTrace::report_mode_matrix
+//! [`machine_metrics_with_unrolling`]: clfp::limits::PreparedTrace::machine_metrics_with_unrolling
 
 mod common;
 
@@ -141,7 +146,8 @@ fn kernel_agrees(source: &str) -> Result<(), String> {
     let trace = vm.trace(MAX_INSTRS).map_err(|err| format!("vm: {err}"))?;
     let analyzer = Analyzer::new(&program, config.clone()).map_err(|err| format!("{err}"))?;
     let modes = all_modes();
-    let matrix = analyzer.prepare(&trace).report_mode_matrix(&modes);
+    let prepared = analyzer.prepare(&trace);
+    let matrix = prepared.report_mode_matrix(&modes);
 
     for (&(dis, vp), (unrolled, rolled)) in modes.iter().zip(&matrix) {
         let mode = format!("{}/{}", dis.name(), vp.name());
@@ -187,6 +193,43 @@ fn kernel_agrees(source: &str) -> Result<(), String> {
         }
         if unrolled.seq_instrs > rolled.seq_instrs {
             return Err(format!("{mode}: unrolling grew the sequential count"));
+        }
+    }
+
+    // The recording walks of a few mode slices schedule what the
+    // reference pass schedules, and their chains are tight: under unit
+    // latencies, with renaming on and no fetch limit, every hop adds one
+    // cycle to a chain that starts at cycle 1.
+    for slice_mode in [
+        (MemDisambiguation::Perfect, ValuePrediction::Off),
+        (MemDisambiguation::Static, ValuePrediction::Stride),
+        (MemDisambiguation::None, ValuePrediction::LastValue),
+    ] {
+        let (dis, vp) = slice_mode;
+        let (unrolled, rolled) = &matrix[modes.iter().position(|&m| m == slice_mode).unwrap()];
+        let slice = prepared.slice_modes(dis, vp);
+        for (unrolling, want) in [(true, unrolled), (false, rolled)] {
+            let tag = format!("{}/{} unroll={unrolling}", dis.name(), vp.name());
+            let metrics = slice.machine_metrics_with_unrolling(unrolling);
+            for ((kind, m), r) in metrics.iter().zip(&want.results) {
+                if (m.cycles, m.instrs) != (r.cycles, want.seq_instrs) {
+                    return Err(format!(
+                        "{tag} {kind}: recorded {} cycles, {} instrs; reference {} and {}",
+                        m.cycles, m.instrs, r.cycles, want.seq_instrs
+                    ));
+                }
+                let a = &m.attribution;
+                let heads = u64::from(m.instrs > 0);
+                if a.chain_len != m.cycles
+                    || a.terminators != heads
+                    || a.classified() + heads != a.chain_len
+                {
+                    return Err(format!(
+                        "{tag} {kind}: loose chain {a:?} over {} cycles",
+                        m.cycles
+                    ));
+                }
+            }
         }
     }
 
